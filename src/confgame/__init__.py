@@ -36,8 +36,8 @@ from .game import (
 )
 from .gameio import read_dataset, read_policy, read_spec, write_dataset, write_policy, write_spec
 from .learner import EtaConfig, build_q_regions, compute_gap, learn_policy_pair, pessimistic_value
-from .moments import MomentData, assemble_system, estimate_nuisances, rho_features
-from .ope import PopulationSource, SampleSource, evaluate_multistage, evaluate_policy, evaluate_single_stage
+from .moments import MomentData, assemble_system, estimate_nuisances
+from .ope import PopulationSource, SampleSource, evaluate_policy
 from .oracle import (
     exact_joint_law,
     exact_optimal_pair,
@@ -48,6 +48,6 @@ from .oracle import (
     true_coefficients,
 )
 from .sieve import build_basis, k_schedule, project_conditional_mean
-from .smd import ConfidenceRegion, eta_schedule, fit_smd, region_contains, region_min_linear
+from .smd import ConfidenceRegion, eta_schedule, fit_smd
 
 __version__ = "0.1.0"

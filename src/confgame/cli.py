@@ -64,13 +64,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("identify", help="fit reward-block coefficients from data")
     p.add_argument("--data", required=True)
     add_spec_args(p)
-    p.add_argument("--basis", default="saturated")
 
     p = sub.add_parser("evaluate", help="off-policy evaluation of a policy file")
     p.add_argument("--data", required=True)
     p.add_argument("--policy", required=True)
     add_spec_args(p)
-    p.add_argument("--mode", default="oracle-nuisance", choices=["oracle-nuisance", "joint"])
 
     p = sub.add_parser("learn", help="pessimistic policy learning")
     p.add_argument("--data", required=True)
@@ -84,13 +82,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("benchmark", help="run a replication experiment")
     p.add_argument("--config", help="JSON config file")
     add_spec_args(p)
-    p.add_argument("--basis", default="saturated")
     p.add_argument("--n", type=int, nargs="+", default=[1000])
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--varsigma", type=float, default=0.0)
     p.add_argument("--c-eta", type=float, default=2.0, dest="c_eta")
-    p.add_argument("--mode", default="oracle-nuisance", choices=["oracle-nuisance", "joint"])
     p.add_argument("--out", default="results")
     return parser
 
@@ -166,7 +162,7 @@ def _dispatch(args) -> int:
 
     if args.command == "identify":
         ds = read_dataset(args.data)
-        basis = build_basis(args.basis, ds.n_states, ds.n_u)
+        basis = build_basis("saturated", ds.n_states, ds.n_u)
         fit_a = _stage0_fit(ds, basis, 0)
         fit_b = _stage0_fit(ds, basis, 1)
         print("alice reward block (per cell: action, instrument, interaction):")
@@ -187,7 +183,7 @@ def _dispatch(args) -> int:
         ds = read_dataset(args.data)
         policy = read_policy(args.policy)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
-        res = evaluate_policy(ds, policy, basis, mode=args.mode)
+        res = evaluate_policy(ds, policy, basis)
         print(f"estimated values: alice {res.j_alice:.5f}  bob {res.j_bob:.5f}  total {res.j_total:.5f}")
         spec = _load_spec(args)
         if spec is not None:
@@ -220,11 +216,9 @@ def _dispatch(args) -> int:
             kwargs = dict(
                 n_grid=tuple(args.n),
                 seeds=tuple(args.seeds),
-                basis=args.basis,
                 alpha=args.alpha,
                 varsigma=args.varsigma,
                 c_eta=args.c_eta,
-                mode=args.mode,
                 out_dir=args.out,
             )
             if args.spec:

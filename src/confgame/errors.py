@@ -13,6 +13,11 @@ class SchemaMismatch(ConfgameError):
     """A dataset file disagrees with its own header."""
 
 
+class MalformedDataset(ConfgameError):
+    """An offline dataset holds an out-of-range index, a non-binary action or
+    a non-finite reward."""
+
+
 class CorruptRow(ConfgameError):
     """A dataset file contains an unparseable row."""
 

@@ -21,7 +21,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -56,13 +56,11 @@ class ExperimentConfig:
     spec_path: Optional[str] = None
     n_grid: tuple = (1000,)
     seeds: tuple = (0,)
-    basis: str = "saturated"
     alpha: float = 2.0
     varsigma: float = 0.0
     d: int = 1
     c_eta: float = 2.0
     k_members: int = 16
-    mode: str = "oracle-nuisance"
     cross_fit: bool = False
     run_learner: bool = True
     max_candidates: int = 4096
@@ -77,8 +75,6 @@ class ExperimentConfig:
             raise ValueError("n grid must be strictly increasing")
         if self.spec_path is None and self.fixture not in FIXTURES:
             raise ValueError(f"unknown fixture {self.fixture!r}")
-        if self.mode not in ("oracle-nuisance", "joint"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     def spec(self) -> GameSpec:
         if self.spec_path is not None:
@@ -107,6 +103,9 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         raw.pop("experiment_id", None)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
         for key in ("n_grid", "seeds"):
             if key in raw:
                 raw[key] = tuple(raw[key])
@@ -138,9 +137,7 @@ def _run_cell(config, spec, behavior, basis, eta, targets, n, seed) -> _CellResu
             y=ds.r_a[:, 0], s=ds.s[:, 0], u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init
         )
         nuis = estimate_nuisances(data, basis)
-        system = assemble_system(
-            data, nuis, mode=config.mode, n_states=spec.n_states, n_u=spec.n_u
-        )
+        system = assemble_system(data, nuis, n_states=spec.n_states, n_u=spec.n_u)
         fit = fit_smd(system, basis)
         truth = targets["alice_truth"]
         rmse = float(np.abs(fit.coef_table() - truth).max())
@@ -152,7 +149,7 @@ def _run_cell(config, spec, behavior, basis, eta, targets, n, seed) -> _CellResu
         )
         out.rows.append(("coverage", float(covered)))
 
-        res = evaluate_policy(ds, targets["eval_policy"], basis, mode=config.mode, cross_fit=config.cross_fit)
+        res = evaluate_policy(ds, targets["eval_policy"], basis, cross_fit=config.cross_fit)
         out.rows.append(("j_error", abs(res.j_total - targets["j_eval"])))
 
         if config.run_learner:
@@ -179,7 +176,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     spec = config.spec()
     behavior = BehaviorPolicyPair.from_spec(spec)
-    basis = build_basis(config.basis, spec.n_states, spec.n_u, state_values=spec.state_values)
+    basis = build_basis("saturated", spec.n_states, spec.n_u)
     eta = config.eta()
     eval_policy = constant_policy_pair(spec, 1.0, 0.5, 0.5)
     exq = oracle.exact_q(spec, eval_policy)

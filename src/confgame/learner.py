@@ -11,8 +11,9 @@ remaining block coefficients, so the inner minimum over each final region is
 closed-form and the pessimistic value is the minimum over chains of a sum of
 exact ellipsoid minima.
 
-Everything a block fit needs from the data collapses into per-cell
-sufficient statistics that are policy-independent (design moments) or enter
+Everything a block fit needs from the data collapses into the per-cell
+sufficient statistics of :class:`~confgame.ope.StageStats`, shared with
+off-policy evaluation: they are policy-independent (design moments) or enter
 only through small contraction tables (outcome moments), so scanning
 thousands of candidates costs einsums over tiny arrays instead of passes
 over the rows.  Region radii are the rate schedule times the squared root
@@ -29,8 +30,14 @@ import numpy as np
 
 from .errors import EmptyClass, UnboundedBelow
 from .game import GameSpec, PolicyPair
-from .moments import MomentData, estimate_nuisances
-from .ope import DataSource, as_source, value_weight_tables
+from .ope import (
+    as_source,
+    combine_blocks,
+    continuation_outcomes,
+    next_actor_factor,
+    stage_statistics,
+    value_weight_tables,
+)
 from .sieve import SieveBasis
 from .smd import eta_schedule, horizon_weight
 from . import oracle as oracle_mod
@@ -65,112 +72,6 @@ class EtaConfig:
 def _stage_step(t: int) -> float:
     """Step label of stage ``t``: 1, 1.5, 2, 2.5, ..."""
     return t // 2 + 1 + (0.5 if t % 2 else 0.0)
-
-
-class _StageCache:
-    """Per-stage sufficient statistics for arbitrary outcome blocks.
-
-    ``phibar3``/``phibar4`` are per-cell design-moment means of the 3- and
-    4-unknown systems; ``t_alpha[c, m, next_cell, act]`` turns any outcome of
-    the form ``g(next cell) * factor(next cell, action)`` into outcome-moment
-    cell means by contraction; ``abar_reward`` holds the reward block's
-    outcome moments.  ``pinv*``/``hess*``/``hpinv*`` are per-cell solve and
-    region-geometry operators, fixed once per dataset.
-    """
-
-    def __init__(self, source: DataSource, t: int, basis: SieveBasis):
-        rows = source.stage_rows(t)
-        ns, nu = source.n_states, source.n_u
-        k = ns * nu
-        w = rows.weights / rows.weights.sum()
-        data = MomentData(
-            y=np.zeros(rows.s.shape[0]),
-            s=rows.s,
-            u=rows.u,
-            act=rows.act,
-            iv=rows.iv,
-            weights=w,
-        )
-        nuis = estimate_nuisances(data, basis)
-        act = rows.act.astype(float)
-        iv = rows.iv.astype(float)
-        f1v = nuis.f1_at(rows.s, rows.u)
-        f2v = nuis.f2_at(rows.s, rows.u, rows.iv)
-        b_til = iv - f1v
-        a_til = act - f2v
-        cells = rows.s * nu + rows.u
-        n_rows = rows.s.shape[0]
-
-        feats = np.stack([b_til * a_til, b_til, np.ones(n_rows), act], axis=1)
-        phi4 = np.zeros((n_rows, 4, 4))
-        phi4[:, 0, 0] = -b_til * a_til * act
-        phi4[:, 0, 2] = -iv * b_til * a_til * act
-        phi4[:, 1, 0] = -b_til * act
-        phi4[:, 1, 1] = -iv * b_til
-        phi4[:, 1, 2] = -act * iv * b_til
-        phi4[:, 2, 0], phi4[:, 2, 1], phi4[:, 2, 2], phi4[:, 2, 3] = (
-            -act,
-            -iv,
-            -act * iv,
-            -1.0,
-        )
-        phi4[:, 3, 0], phi4[:, 3, 1], phi4[:, 3, 2], phi4[:, 3, 3] = (
-            -act,
-            -act * iv,
-            -act * iv,
-            -act,
-        )
-
-        mass = np.zeros(k)
-        np.add.at(mass, cells, w)
-        phibar4 = np.zeros((k, 4, 4))
-        np.add.at(phibar4, cells, phi4 * w[:, None, None])
-        nz = mass > 0
-        phibar4[nz] /= mass[nz][:, None, None]
-        self.mass = mass
-        self.phibar4 = phibar4
-        self.phibar3 = phibar4[:, :3, :3]
-
-        nc = k
-        next_cells = rows.next_s * nu + rows.next_u
-        flat_idx = (cells * nc + next_cells) * 2 + rows.act
-        self.t_alpha = np.zeros((k, 4, nc, 2))
-        for m in range(4):
-            buf = np.zeros(k * nc * 2)
-            np.add.at(buf, flat_idx, w * feats[:, m])
-            self.t_alpha[:, m] = buf.reshape(k, nc, 2)
-        self.t_alpha[nz] /= mass[nz][:, None, None, None]
-        s2 = np.zeros(nc * 2)
-        np.add.at(s2, next_cells * 2 + rows.act, w)
-        self.scale_weights = s2.reshape(nc, 2)
-
-        y_r = rows.y_reward
-        abar_r = np.zeros((k, 3))
-        np.add.at(abar_r, cells, feats[:, :3] * (w * y_r)[:, None])
-        abar_r[nz] /= mass[nz][:, None]
-        self.abar_reward = abar_r
-        self.reward_scale_sq = float((w * y_r**2).sum())
-
-        def geometry(phibar, p):
-            pinv = np.zeros((k, p, p))
-            hdiag = np.zeros((k, p))
-            hess = np.zeros((k, p, p))
-            hpinv = np.zeros((k, p, p))
-            for c in range(k):
-                if mass[c] <= 0:
-                    continue
-                pinv[c] = np.linalg.pinv(phibar[c], rcond=1e-12)
-                hc = 2.0 * mass[c] * phibar[c].T @ phibar[c]
-                hess[c] = hc
-                hdiag[c] = np.diag(hc)
-                hpinv[c] = np.linalg.pinv(hc, rcond=1e-12)
-            return pinv, hdiag, hess, hpinv
-
-        self.pinv3, self.hdiag3, self.hess3, self.hpinv3 = geometry(self.phibar3, 3)
-        self.pinv4, self.hdiag4, self.hess4, self.hpinv4 = geometry(self.phibar4, 4)
-        self.reward_coef = np.einsum("cpm,cm->cp", self.pinv3, -abar_r)
-        self.nuisances = nuis
-        self.n_cells = k
 
 
 def _member(center: np.ndarray, hdiag: np.ndarray, eta: float, index: int) -> np.ndarray:
@@ -234,79 +135,20 @@ class LearnerEngine:
         self.n = self.source.dataset.n if hasattr(self.source, "dataset") else None
         self.horizon = self.source.horizon
         self.ns, self.nu = self.source.n_states, self.source.n_u
-        self.caches = []
-        for t in range(2 * self.horizon):
-            try:
-                self.caches.append(_StageCache(self.source, t, basis))
-            except Exception as exc:
-                raise type(exc)(f"stage {t}: {exc}") from exc
-
-    def _fac_table(self, t: int, policy: PolicyPair) -> np.ndarray:
-        """Contraction factor (next_cell, act) of the next actor's rule."""
-        nc = self.ns * self.nu
-        idx_s = np.arange(nc) // self.nu
-        idx_u = np.arange(nc) % self.nu
-        h = t // 2
-        if t % 2 == 0:
-            return policy.bob_mean(h)[idx_s]
-        return policy.alice_mean(h + 1)[idx_s, idx_u]
-
-    def _block_g(self, t: int, rep_stack: np.ndarray, fac: np.ndarray) -> np.ndarray:
-        """(chain, block, next_cell, act) outcome tables from next-stage reps."""
-        kk, nc = rep_stack.shape[0], rep_stack.shape[1]
-        ones = np.ones((nc, 2))
-        theta, gamma, omega, zeta = (rep_stack[:, :, i] for i in range(4))
-        g = np.empty((kk, 4, nc, 2))
-        g[:, 0] = zeta[:, :, None] * ones
-        if t % 2 == 0:
-            g[:, 1] = theta[:, :, None] * ones
-            g[:, 2] = gamma[:, :, None] * fac
-            g[:, 3] = omega[:, :, None] * fac
-        else:
-            g[:, 1] = theta[:, :, None] * fac
-            g[:, 2] = gamma[:, :, None] * ones
-            g[:, 3] = omega[:, :, None] * fac
-        return g
-
-    def _combine(self, t: int, reward_m, block_m) -> np.ndarray:
-        """Member tables -> (chain, cells, 4) stage representations."""
-        kk = block_m.shape[0] if block_m is not None else reward_m.shape[0]
-        rep = np.zeros((kk, self.ns * self.nu, 4))
-        even = t % 2 == 0
-        if reward_m is not None:
-            r_act, r_iv, r_int = (reward_m[..., i] for i in range(3))
-            rep[:, :, 0] += r_act if even else r_iv
-            rep[:, :, 1] += r_iv if even else r_act
-            rep[:, :, 2] += r_int
-        if block_m is None:
-            return rep
-        b0, b1, b2, b3 = (block_m[:, j] for j in range(4))
-        if even:
-            rep[:, :, 0] += b0[..., 0] + b1[..., 0] + b1[..., 3] + b2[..., 0] + b3[..., 0] + b3[..., 3]
-            rep[:, :, 1] += b0[..., 1] + b2[..., 1]
-            rep[:, :, 2] += b0[..., 2] + b1[..., 1] + b1[..., 2] + b2[..., 2] + b3[..., 1] + b3[..., 2]
-            rep[:, :, 3] += b0[..., 3] + b2[..., 3]
-        else:
-            rep[:, :, 1] += b0[..., 0] + b1[..., 0] + b2[..., 0] + b2[..., 3] + b3[..., 0] + b3[..., 3]
-            rep[:, :, 0] += b0[..., 1] + b1[..., 1]
-            rep[:, :, 2] += b0[..., 2] + b1[..., 2] + b2[..., 1] + b2[..., 2] + b3[..., 1] + b3[..., 2]
-            rep[:, :, 3] += b0[..., 3] + b1[..., 3]
-        return rep
+        self.stats = stage_statistics(self.source, basis)
 
     def _fit_blocks(self, t: int, rep_stack: np.ndarray, fac: np.ndarray):
         """Centers and radii of the four continuation blocks, per chain."""
-        cache = self.caches[t]
-        g = self._block_g(t, rep_stack, fac)
-        alpha = np.einsum("cmna,kjna->kjcm", cache.t_alpha, g)
-        coef = np.einsum("cpm,kjcm->kjcp", cache.pinv4, -alpha)
-        scale_sq = np.einsum("na,kjna->kj", cache.scale_weights, g**2)
+        st = self.stats[t]
+        alpha, scale_sq = st.block_moments(continuation_outcomes(t, rep_stack, fac))
+        coef = np.einsum("cpm,kjcm->kjcp", st.pinv4, -alpha)
         unit = self.eta.radius_unit(self.n, horizon_weight(self.horizon, _stage_step(t), "recursion"))
         return coef, unit * scale_sq
 
     def _reward_region(self, t: int):
-        cache = self.caches[t]
-        eta_r = self.eta.radius_unit(self.n, 1.0) * cache.reward_scale_sq
-        return cache.reward_coef, eta_r
+        st = self.stats[t]
+        eta_r = self.eta.radius_unit(self.n, 1.0) * st.reward_scale_sq
+        return st.reward_coef, eta_r
 
     def propagate(self, policy: PolicyPair) -> dict:
         """Chain recursion; returns the stage-0 region data per side."""
@@ -316,24 +158,21 @@ class LearnerEngine:
             rep = None
             stage0 = None
             for t in reversed(range(2 * self.horizon)):
-                cache = self.caches[t]
+                st = self.stats[t]
                 has_reward = (t % 2 == 0) == (side == "alice")
                 reward_info = self._reward_region(t) if has_reward else None
                 blocks_info = None
                 if rep is not None:
-                    blocks_info = self._fit_blocks(t, rep, self._fac_table(t, policy))
+                    blocks_info = self._fit_blocks(t, rep, next_actor_factor(t, policy, self.ns, self.nu))
                 if t == 0:
                     stage0 = {"reward": reward_info, "blocks": blocks_info}
                     break
-                if reward_info is None and blocks_info is None:
-                    rep = np.zeros((1, self.ns * self.nu, 4))
-                    continue
                 n_chain = kk
                 reward_m = None
                 if reward_info is not None:
                     center_r, eta_r = reward_info
                     reward_m = np.stack(
-                        [_member(center_r, cache.hdiag3, eta_r, k) for k in range(n_chain)]
+                        [_member(center_r, st.hdiag3, eta_r, k) for k in range(n_chain)]
                     )
                 block_m = None
                 if blocks_info is not None:
@@ -345,7 +184,7 @@ class LearnerEngine:
                                 [
                                     _member(
                                         coef[min(k, last), j],
-                                        cache.hdiag4,
+                                        st.hdiag4,
                                         float(etas[min(k, last), j]),
                                         k,
                                     )
@@ -355,7 +194,7 @@ class LearnerEngine:
                             for k in range(n_chain)
                         ]
                     )
-                rep = self._combine(t, reward_m, block_m)
+                rep = combine_blocks(t, reward_m, block_m, self.ns * self.nu)
             out[side] = stage0
         return out
 
@@ -416,7 +255,7 @@ def _region_argmin(weight, center, hpinv, eta):
 def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> PessimisticValue:
     """Exact inner minimization of the policy value over the region structure."""
     engine: LearnerEngine = regions.diagnostics["engine"]
-    tw, gw, ow, zw = value_weight_tables(engine.source, policy)
+    tw, gw, ow, zw = value_weight_tables(engine.stats[0], policy)
     w_reward, w_blocks = _stage0_weights(tw, gw, ow, zw)
     total_min, total_plug = 0.0, 0.0
     chain_values = {}
@@ -425,16 +264,16 @@ def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> Pessimisti
     unbounded, direction = False, None
     for side in ("alice", "bob"):
         info = regions.stage0[side]
-        cache = engine.caches[0]
+        st = engine.stats[0]
         try:
             if info["reward"] is not None:
                 center_r, eta_r = info["reward"]
                 total_min += float(
-                    _min_over_region(w_reward, center_r, cache.hess3, cache.hpinv3, eta_r)
+                    _min_over_region(w_reward, center_r, st.hess3, st.hpinv3, eta_r)
                 )
                 total_plug += float(np.einsum("cp,cp->", center_r, w_reward))
                 attaining[(side, "reward")] = _region_argmin(
-                    w_reward, center_r, cache.hpinv3, eta_r
+                    w_reward, center_r, st.hpinv3, eta_r
                 )
                 region_sizes[(side, "reward")] = eta_r
             if info["blocks"] is not None:
@@ -442,13 +281,13 @@ def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> Pessimisti
                 vals = np.zeros(coef.shape[0])
                 for j in range(4):
                     vals += _min_over_region(
-                        w_blocks[j], coef[:, j], cache.hess4, cache.hpinv4, etas[:, j]
+                        w_blocks[j], coef[:, j], st.hess4, st.hpinv4, etas[:, j]
                     )
                 chain_values[side] = vals
                 best_k = int(np.argmin(vals))
                 for j in range(4):
                     attaining[(side, f"block{j}")] = _region_argmin(
-                        w_blocks[j], coef[best_k, j], cache.hpinv4, float(etas[best_k, j])
+                        w_blocks[j], coef[best_k, j], st.hpinv4, float(etas[best_k, j])
                     )
                     region_sizes[(side, f"block{j}")] = float(etas[best_k, j])
                 total_min += float(vals.min())
@@ -523,7 +362,7 @@ def truth_covered(
         true_blocks = oracle_mod.exact_recursion_blocks(spec, policy, exq)
     truths = oracle_mod.true_coefficients(spec)
     for t in range(2 * engine.horizon):
-        cache = engine.caches[t]
+        st = engine.stats[t]
         triple = truths["alice_reward" if t % 2 == 0 else "bob_reward"]
         true3 = np.stack(
             [triple.theta_a.ravel(), triple.theta_z.ravel(), triple.theta_az.ravel()],
@@ -531,17 +370,17 @@ def truth_covered(
         )
         center_r, eta_r = engine._reward_region(t)
         d = true3 - center_r
-        if 0.5 * float(np.einsum("cp,cpq,cq->", d, cache.hess3, d)) > eta_r + 1e-12:
+        if 0.5 * float(np.einsum("cp,cpq,cq->", d, st.hess3, d)) > eta_r + 1e-12:
             return False
     for t in range(2 * engine.horizon - 1):
-        cache = engine.caches[t]
+        st = engine.stats[t]
         for side in ("alice", "bob"):
             nxt = exq.marginal[(t + 1, side)]
             rep_true = np.stack(
                 [nxt.theta.ravel(), nxt.gamma.ravel(), nxt.omega.ravel(), nxt.zeta.ravel()],
                 axis=1,
             )[None]
-            coef, etas = engine._fit_blocks(t, rep_true, engine._fac_table(t, policy))
+            coef, etas = engine._fit_blocks(t, rep_true, next_actor_factor(t, policy, engine.ns, engine.nu))
             for j in range(4):
                 blk = true_blocks[(t, side, j)]
                 if t % 2 == 0:
@@ -550,6 +389,6 @@ def truth_covered(
                     cols = (blk.gamma, blk.theta, blk.omega, blk.zeta)
                 true4 = np.stack([c.ravel() for c in cols], axis=1)
                 d = true4 - coef[0, j]
-                if 0.5 * float(np.einsum("cp,cpq,cq->", d, cache.hess4, d)) > float(etas[0, j]) + 1e-12:
+                if 0.5 * float(np.einsum("cp,cpq,cq->", d, st.hess4, d)) > float(etas[0, j]) + 1e-12:
                     return False
     return True

@@ -175,34 +175,6 @@ def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
     return nuis
 
 
-def rho_features(data: MomentData, nuis: NuisanceSet) -> np.ndarray:
-    """The ten per-row feature functions, in their standard order.
-
-    Columns: (1) both-residual outcome product, (2) both-residual action
-    product, (3) instrument times column 2, (4) instrument-residual outcome,
-    (5) instrument-residual action, (6) instrument times its residual,
-    (7) action*instrument times the instrument residual, (8) instrument times
-    column 1, (9) action times the both-residual product, (10) action times
-    instrument times the both-residual product.
-    """
-    f1v = nuis.f1_at(data.s, data.u)
-    f2v = nuis.f2_at(data.s, data.u, data.iv)
-    b_til = data.iv - f1v
-    a_til = data.act - f2v
-    rho = np.empty((data.n, 10))
-    rho[:, 0] = b_til * a_til * data.y
-    rho[:, 1] = b_til * a_til * data.act
-    rho[:, 2] = data.iv * rho[:, 1]
-    rho[:, 3] = b_til * data.y
-    rho[:, 4] = b_til * data.act
-    rho[:, 5] = data.iv * b_til
-    rho[:, 6] = data.act * data.iv * b_til
-    rho[:, 7] = data.iv * rho[:, 0]
-    rho[:, 8] = data.act * b_til * a_til
-    rho[:, 9] = data.act * data.iv * b_til * a_til
-    return rho
-
-
 @dataclass
 class MomentSystem:
     """Per-row linear decomposition ``W_i = phi_i @ theta(s_i, u_i) + alpha_i``.
@@ -222,8 +194,6 @@ class MomentSystem:
     n_states: int
     n_u: int
     intercept: bool
-    mode: str = "oracle-nuisance"
-    nuisance_resids: Optional[np.ndarray] = None
     outcome_scale: float = 1.0
 
     @property
@@ -242,20 +212,11 @@ class MomentSystem:
 def assemble_system(
     data: MomentData,
     nuis: NuisanceSet,
-    mode: str = "oracle-nuisance",
     intercept: bool = False,
     n_states: Optional[int] = None,
     n_u: Optional[int] = None,
 ) -> MomentSystem:
-    """Stack the moment components for every row.
-
-    ``mode="joint"`` additionally carries the five nuisance-defining
-    residuals so the stacked criterion can be inspected; the nuisance fits
-    themselves already minimize those components exactly, so the estimator
-    solves the same quadratic problem in both modes.
-    """
-    if mode not in ("oracle-nuisance", "joint"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Stack the moment components for every row."""
     f1v = nuis.f1_at(data.s, data.u)
     f2v = nuis.f2_at(data.s, data.u, data.iv)
     act = data.act.astype(float)
@@ -287,18 +248,6 @@ def assemble_system(
             -act * iv,
             -act,
         )
-    resids = None
-    if mode == "joint":
-        resids = np.stack(
-            [
-                iv - f1v,
-                a_til,
-                a_til * y - nuis.f3_at(data.s, data.u),
-                a_til * act - nuis.f4_at(data.s, data.u),
-                a_til * act * iv - nuis.f5_at(data.s, data.u),
-            ],
-            axis=1,
-        )
     total = data.weights.sum()
     scale = float(np.sqrt((data.weights * y**2).sum() / total)) if total > 0 else 0.0
     return MomentSystem(
@@ -310,7 +259,5 @@ def assemble_system(
         n_states=n_states if n_states is not None else int(data.s.max(initial=0)) + 1,
         n_u=n_u if n_u is not None else int(data.u.max(initial=0)) + 1,
         intercept=intercept,
-        mode=mode,
-        nuisance_resids=resids,
         outcome_scale=scale,
     )

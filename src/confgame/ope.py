@@ -18,24 +18,30 @@ The fitted block vectors combine linearly into the stage representation; the
 combination bookkeeping tracks how post-multiplying by a binary action folds
 constants and partner coefficients into own-action and interaction slots.
 
-The same recursion runs on sampled rows or on exact-law weighted rows
-("population mode"), which is how the composition algebra is tested against
-the brute-force oracle.
+Every block fit needs only per-cell statistics of the stage's rows, so each
+stage reads its rows once into a :class:`StageStats`.  The evaluation below is
+the all-center chain over those statistics; the pessimistic learner runs
+member chains over the same objects.  The rows come from a sampled dataset or
+from exact-law weighted rows ("population mode"), which is how the
+composition algebra is tested against the brute-force oracle.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateIV, IllPosedFit, InsufficientData
+from .errors import DegenerateIV, IllPosedFit, InsufficientData, MalformedDataset
 from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair
-from .moments import MomentData, NuisanceSet, assemble_system, estimate_nuisances
+from .moments import MomentData, assemble_system, estimate_nuisances
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
-from .smd import SmdFit, fit_smd
+from .smd import fit_cell_moments
+
+PINV_RCOND = 1e-12
 
 
 @dataclass
@@ -53,10 +59,43 @@ class StageRows:
     fold: Optional[np.ndarray] = None
 
 
+def _check_dataset(ds: OfflineDataset) -> None:
+    """Raise :class:`MalformedDataset` at the first out-of-range entry."""
+    categorical = (
+        ("s", ds.n_states),
+        ("u", ds.n_u),
+        ("s_half", ds.n_states),
+        ("u_half", ds.n_u),
+        ("s_term", ds.n_states),
+        ("a", 2),
+        ("b", 2),
+        ("b_init", 2),
+    )
+    for name, size in categorical:
+        col = np.asarray(getattr(ds, name))
+        _raise_first(name, col, ~np.isin(col, np.arange(size)), f"not in 0..{size - 1}")
+    for name in ("r_a", "r_b"):
+        col = np.asarray(getattr(ds, name))
+        _raise_first(name, col, ~np.isfinite(col), "not finite")
+
+
+def _raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None:
+    if not bad.any():
+        return
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    where = f"row {idx[0]}" + (f", step {idx[1]}" if len(idx) > 1 else "")
+    raise MalformedDataset(f"field {name}, {where}: value {col[idx].item()!r} is {what}")
+
+
 class SampleSource:
-    """Adapter exposing an offline dataset stage by stage."""
+    """Adapter exposing an offline dataset stage by stage.
+
+    Raises :class:`MalformedDataset` when a state or private value is out of
+    range, an action is not binary or a reward is not finite.
+    """
 
     def __init__(self, dataset: OfflineDataset, cross_fit: bool = False):
+        _check_dataset(dataset)
         self.dataset = dataset
         self.cross_fit = cross_fit
         self.horizon = dataset.horizon
@@ -97,11 +136,6 @@ class SampleSource:
             next_u=nxt_u,
             fold=fold,
         )
-
-    def initial_cells(self):
-        ds = self.dataset
-        w = np.full(ds.n, 1.0 / max(ds.n, 1))
-        return ds.s[:, 0], ds.u[:, 0], w
 
 
 class PopulationSource:
@@ -153,13 +187,6 @@ class PopulationSource:
             next_u=nxt_u,
         )
 
-    def initial_cells(self):
-        joint = self.laws.joint[0].sum(axis=(2, 3, 4))  # (s, u)
-        idx = np.indices(joint.shape).reshape(2, -1)
-        w = joint.ravel()
-        keep = w > 0
-        return idx[0][keep], idx[1][keep], w[keep]
-
 
 DataSource = Union[SampleSource, PopulationSource]
 
@@ -171,194 +198,208 @@ def as_source(data, cross_fit: bool = False) -> DataSource:
 
 
 # ---------------------------------------------------------------------------
-# block fitting
+# per-stage statistics
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StageFitContext:
-    """Cached per-stage quantities shared by every block fit."""
-
-    rows: StageRows
-    nuisances: list  # one NuisanceSet per fold (single entry without folds)
-    fold_masks: list
-
-
-def prepare_stage(source: DataSource, t: int, basis: SieveBasis, mode: str) -> StageFitContext:
-    rows = source.stage_rows(t)
-    if rows.fold is None:
-        data = MomentData(
-            y=np.zeros(rows.s.shape[0]),
-            s=rows.s,
-            u=rows.u,
-            act=rows.act,
-            iv=rows.iv,
-            weights=rows.weights,
-        )
-        return StageFitContext(rows=rows, nuisances=[estimate_nuisances(data, basis)], fold_masks=[np.ones(rows.s.shape[0], bool)])
-    nuis, masks = [], []
-    for f in (0, 1):
-        m = rows.fold == f
-        other = ~m
-        data = MomentData(
-            y=np.zeros(int(other.sum())),
-            s=rows.s[other],
-            u=rows.u[other],
-            act=rows.act[other],
-            iv=rows.iv[other],
-            weights=rows.weights[other],
-        )
-        nuis.append(estimate_nuisances(data, basis))
-        masks.append(m)
-    return StageFitContext(rows=rows, nuisances=nuis, fold_masks=masks)
+def _cell_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of per-row ``values`` (n, ...) grouped by ``index`` -> (size, ...)."""
+    m = int(np.prod(values.shape[1:]))
+    slots = (index[:, None] * m + np.arange(m)).ravel()
+    sums = np.bincount(slots, values.ravel(), minlength=size * m)
+    return sums.reshape((size,) + values.shape[1:])
 
 
-def fit_block(
-    ctx: StageFitContext,
-    y: np.ndarray,
-    basis: SieveBasis,
-    intercept: bool,
-    n_states: int,
-    n_u: int,
-    mode: str = "oracle-nuisance",
-) -> SmdFit:
-    """Fit one outcome block on the stage's cached rows and nuisances."""
-    rows = ctx.rows
-    systems = []
-    for nuis, mask in zip(ctx.nuisances, ctx.fold_masks):
-        data = MomentData(
-            y=y[mask],
-            s=rows.s[mask],
-            u=rows.u[mask],
-            act=rows.act[mask],
-            iv=rows.iv[mask],
-            weights=rows.weights[mask],
-        )
-        systems.append(
-            assemble_system(data, nuis, mode=mode, intercept=intercept, n_states=n_states, n_u=n_u)
-        )
-    if len(systems) == 1:
-        system = systems[0]
+def _rows_data(rows: StageRows, w: np.ndarray, y: np.ndarray, take) -> MomentData:
+    return MomentData(
+        y=y[take], s=rows.s[take], u=rows.u[take], act=rows.act[take], iv=rows.iv[take], weights=w[take]
+    )
+
+
+def _geometry(mass: np.ndarray, phibar: np.ndarray):
+    """Per-cell solve operator, criterion Hessian, its diagonal and its pseudo-inverse."""
+    nz = mass > 0
+    pinv, hess, hpinv = (np.zeros_like(phibar) for _ in range(3))
+    if nz.any():
+        pinv[nz] = np.linalg.pinv(phibar[nz], rcond=PINV_RCOND)
+        hess[nz] = 2.0 * mass[nz][:, None, None] * np.transpose(phibar[nz], (0, 2, 1)) @ phibar[nz]
+        hpinv[nz] = np.linalg.pinv(hess[nz], rcond=PINV_RCOND)
+    return pinv, hess, np.diagonal(hess, axis1=1, axis2=2).copy(), hpinv
+
+
+class StageStats:
+    """Per-cell sufficient statistics of one stage, read in one pass over its rows.
+
+    ``mass[c]`` is cell ``c``'s share of the stage weight and ``phibar4[c]``
+    the cell mean of the four-unknown design ``phi`` of
+    :func:`~confgame.moments.assemble_system`; ``phibar3`` is its top-left
+    block, the design of the intercept-free reward system.  Every outcome
+    moment is a feature times the outcome (the system's ``alpha`` at
+    ``y = 1``), so ``abar_reward`` holds the reward block's cell means and
+    ``t_alpha[c, m, next_cell, act]`` turns any continuation outcome
+    ``g(next_cell, act)`` into cell means by contraction, as
+    ``scale_weights[next_cell, act]`` does for its mean square
+    (:meth:`block_moments`).
+
+    With cross-fitting the rows split into two folds; each fold's features
+    use nuisances fitted on the other fold and the weighted sums of both folds
+    are added.  ``nuisances`` holds one :class:`NuisanceSet` per fold.
+    ``pinv*``, ``hess*``, ``hdiag*`` and ``hpinv*`` are per-cell solve and
+    region-geometry operators of the saturated criterion.
+    """
+
+    def __init__(self, source: DataSource, t: int, basis: SieveBasis):
+        rows = source.stage_rows(t)
+        self.n_states, self.n_u = ns, nu = source.n_states, source.n_u
+        k = ns * nu
+        n = rows.s.shape[0]
+        w = rows.weights / rows.weights.sum()
+        if rows.fold is None:
+            parts = [(slice(None), slice(None))]
+        else:
+            parts = [(rows.fold == f, rows.fold != f) for f in (0, 1)]
+        cells = rows.s * nu + rows.u
+        next_cells = rows.next_s * nu + rows.next_u
+        transitions = (cells * k + next_cells) * 2 + rows.act
+        wy = w * rows.y_reward
+        phi_sum, reward_sum, t_sum = np.zeros((k, 4, 4)), np.zeros((k, 3)), np.zeros((k * k * 2, 4))
+        self.nuisances = []
+        for take, fit_on in parts:
+            nuis = estimate_nuisances(_rows_data(rows, w, np.zeros(n), fit_on), basis)
+            # at y = 1 the outcome moments alpha are the bare features
+            system = assemble_system(_rows_data(rows, w, np.ones(n), take), nuis, intercept=True)
+            phi_sum += _cell_sums(cells[take], system.phi * w[take, None, None], k)
+            reward_sum += _cell_sums(cells[take], system.alpha[:, :3] * wy[take, None], k)
+            t_sum += _cell_sums(transitions[take], system.alpha * w[take, None], k * k * 2)
+            self.nuisances.append(nuis)
+
+        self.mass = mass = np.bincount(cells, w, minlength=k)
+        nz = mass > 0
+        self.phibar4 = phi_sum
+        self.phibar4[nz] /= mass[nz][:, None, None]
+        self.phibar3 = self.phibar4[:, :3, :3]
+        self.abar_reward = reward_sum
+        self.abar_reward[nz] /= mass[nz][:, None]
+        self.reward_scale_sq = float((w * rows.y_reward**2).sum())
+        self.t_alpha = np.ascontiguousarray(np.moveaxis(t_sum.reshape(k, k, 2, 4), 3, 1))
+        self.t_alpha[nz] /= mass[nz][:, None, None, None]
+        self.scale_weights = np.bincount(next_cells * 2 + rows.act, w, minlength=2 * k).reshape(k, 2)
+
+        self.pinv3, self.hess3, self.hdiag3, self.hpinv3 = _geometry(mass, self.phibar3)
+        self.pinv4, self.hess4, self.hdiag4, self.hpinv4 = _geometry(mass, self.phibar4)
+        self.reward_coef = np.einsum("cpm,cm->cp", self.pinv3, -self.abar_reward)
+
+    def block_moments(self, g: np.ndarray):
+        """Cell moment means (chain, block, cell, 4) and mean squares (chain,
+        block) of continuation outcomes ``g[chain, block, next_cell, act]``."""
+        alpha = np.einsum("cmna,kjna->kjcm", self.t_alpha, g)
+        scale_sq = np.einsum("na,kjna->kj", self.scale_weights, g**2)
+        return alpha, scale_sq
+
+
+@contextmanager
+def _at_stage(t: int):
+    """Name the stage in estimation errors raised inside the block."""
+    try:
+        yield
+    except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
+        raise type(exc)(f"stage {t}: {exc}") from exc
+
+
+def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
+    """:class:`StageStats` of every stage, in stage order."""
+    stats = []
+    for t in range(2 * source.horizon):
+        with _at_stage(t):
+            stats.append(StageStats(source, t, basis))
+    return stats
+
+
+# ---------------------------------------------------------------------------
+# the stage algebra, stacked over member chains
+# ---------------------------------------------------------------------------
+
+
+def next_actor_factor(t: int, policy: PolicyPair, ns: int, nu: int) -> np.ndarray:
+    """(next_cell, act) table of the next actor's action probability.
+
+    After an even stage the next actor is bob, whose rule sees the next state
+    and the current action; after an odd stage it is alice, whose rule also
+    sees the next private value.
+    """
+    cells = np.arange(ns * nu)
+    idx_s, idx_u = cells // nu, cells % nu
+    h = t // 2
+    if t % 2 == 0:
+        return policy.bob_mean(h)[idx_s]
+    return policy.alice_mean(h + 1)[idx_s, idx_u]
+
+
+def continuation_outcomes(t: int, rep_stack: np.ndarray, fac: np.ndarray) -> np.ndarray:
+    """(chain, block, next_cell, act) outcomes of the four continuation blocks.
+
+    ``rep_stack[chain, next_cell]`` holds next-stage (theta, gamma, omega,
+    zeta).  The blocks carry its constant, own, partner and interaction
+    coefficients; the coefficients on the next actor's action are multiplied
+    by that actor's policy mean ``fac``.
+    """
+    kk, nc = rep_stack.shape[0], rep_stack.shape[1]
+    ones = np.ones((nc, 2))
+    theta, gamma, omega, zeta = (rep_stack[:, :, i] for i in range(4))
+    g = np.empty((kk, 4, nc, 2))
+    g[:, 0] = zeta[:, :, None] * ones
+    if t % 2 == 0:
+        g[:, 1] = theta[:, :, None] * ones
+        g[:, 2] = gamma[:, :, None] * fac
+        g[:, 3] = omega[:, :, None] * fac
     else:
-        from .moments import MomentSystem
+        g[:, 1] = theta[:, :, None] * fac
+        g[:, 2] = gamma[:, :, None] * ones
+        g[:, 3] = omega[:, :, None] * fac
+    return g
 
-        system = MomentSystem(
-            phi=np.concatenate([s.phi for s in systems]),
-            alpha=np.concatenate([s.alpha for s in systems]),
-            s=np.concatenate([s.s for s in systems]),
-            u=np.concatenate([s.u for s in systems]),
-            weights=np.concatenate([s.weights for s in systems]),
-            n_states=n_states,
-            n_u=n_u,
-            intercept=intercept,
-            mode=mode,
-            outcome_scale=float(np.sqrt(np.mean([s.outcome_scale**2 for s in systems]))),
-        )
-    return fit_smd(system, basis)
+
+def combine_blocks(t: int, reward_m, block_m, n_cells: int) -> np.ndarray:
+    """Block tables -> (chain, cell, 4) stage representations.
+
+    ``reward_m[chain, cell]`` is in (own action, instrument, interaction)
+    order; ``block_m[chain, block, cell]`` holds the constant,
+    own-coefficient, partner-coefficient and interaction blocks of the
+    continuation, each in (action, instrument, interaction, constant) order of
+    the stage's own roles.  Either may be ``None``; with both ``None`` the
+    representation is zero.
+    """
+    kk = max([1] + [m.shape[0] for m in (reward_m, block_m) if m is not None])
+    rep = np.zeros((kk, n_cells, 4))
+    even = t % 2 == 0
+    if reward_m is not None:
+        r_act, r_iv, r_int = (reward_m[..., i] for i in range(3))
+        rep[:, :, 0] += r_act if even else r_iv
+        rep[:, :, 1] += r_iv if even else r_act
+        rep[:, :, 2] += r_int
+    if block_m is None:
+        return rep
+    b0, b1, b2, b3 = (block_m[:, j] for j in range(4))
+    if even:
+        # roles: act = alice's action (theta axis), iv = bob's previous action;
+        # blocks 1 and 3 are post-multiplied by the action
+        rep[:, :, 0] += b0[..., 0] + b1[..., 0] + b1[..., 3] + b2[..., 0] + b3[..., 0] + b3[..., 3]
+        rep[:, :, 1] += b0[..., 1] + b2[..., 1]
+        rep[:, :, 2] += b0[..., 2] + b1[..., 1] + b1[..., 2] + b2[..., 2] + b3[..., 1] + b3[..., 2]
+        rep[:, :, 3] += b0[..., 3] + b2[..., 3]
+    else:
+        # roles: act = bob's action (gamma axis), iv = alice's previous action;
+        # blocks 2 and 3 are post-multiplied by the action
+        rep[:, :, 1] += b0[..., 0] + b1[..., 0] + b2[..., 0] + b2[..., 3] + b3[..., 0] + b3[..., 3]
+        rep[:, :, 0] += b0[..., 1] + b1[..., 1]
+        rep[:, :, 2] += b0[..., 2] + b1[..., 2] + b2[..., 1] + b2[..., 2] + b3[..., 1] + b3[..., 2]
+        rep[:, :, 3] += b0[..., 3] + b1[..., 3]
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # the backward recursion
 # ---------------------------------------------------------------------------
-
-
-def _zero_rep(ns: int, nu: int) -> StageRep:
-    z = np.zeros((ns, nu))
-    return StageRep(theta=z.copy(), gamma=z.copy(), omega=z.copy(), zeta=z.copy())
-
-
-def _fit_tables(fit: SmdFit, ns: int, nu: int) -> np.ndarray:
-    """(s, u, p) tables of a fitted block."""
-    grid_s = np.repeat(np.arange(ns), nu)
-    grid_u = np.tile(np.arange(nu), ns)
-    return fit.predict(grid_s, grid_u).reshape(ns, nu, -1)
-
-
-def combine_stage(
-    t: int,
-    reward: Optional[np.ndarray],
-    blocks: Optional[list],
-    ns: int,
-    nu: int,
-) -> StageRep:
-    """Linear composition of block tables into the stage representation.
-
-    ``reward`` is an (s, u, 3) table in (own action, instrument,
-    interaction) order; ``blocks`` is a list of four (s, u, 4) tables for the
-    constant, own-coefficient, partner-coefficient and interaction blocks of
-    the continuation, each in (action, instrument, interaction, constant)
-    order of the stage's own roles.
-    """
-    rep = _zero_rep(ns, nu)
-    even = t % 2 == 0
-    if reward is not None:
-        r_act, r_iv, r_int = reward[..., 0], reward[..., 1], reward[..., 2]
-        if even:
-            rep.theta += r_act
-            rep.gamma += r_iv
-        else:
-            rep.theta += r_iv
-            rep.gamma += r_act
-        rep.omega += r_int
-    if blocks is None:
-        return rep
-    b0, b1, b2, b3 = blocks
-    if even:
-        # roles: act = alice's action (theta axis), iv = bob's previous action
-        rep.theta += b0[..., 0]
-        rep.gamma += b0[..., 1]
-        rep.omega += b0[..., 2]
-        rep.zeta += b0[..., 3]
-        rep.theta += b1[..., 0] + b1[..., 3]  # post-multiplied by the action
-        rep.omega += b1[..., 1] + b1[..., 2]
-        rep.theta += b2[..., 0]
-        rep.gamma += b2[..., 1]
-        rep.omega += b2[..., 2]
-        rep.zeta += b2[..., 3]
-        rep.theta += b3[..., 0] + b3[..., 3]
-        rep.omega += b3[..., 1] + b3[..., 2]
-    else:
-        # roles: act = bob's action (gamma axis), iv = alice's previous action
-        rep.gamma += b0[..., 0]
-        rep.theta += b0[..., 1]
-        rep.omega += b0[..., 2]
-        rep.zeta += b0[..., 3]
-        rep.gamma += b1[..., 0]
-        rep.theta += b1[..., 1]
-        rep.omega += b1[..., 2]
-        rep.zeta += b1[..., 3]
-        rep.gamma += b2[..., 0] + b2[..., 3]  # post-multiplied by the action
-        rep.omega += b2[..., 1] + b2[..., 2]
-        rep.gamma += b3[..., 0] + b3[..., 3]
-        rep.omega += b3[..., 1] + b3[..., 2]
-    return rep
-
-
-def block_outcomes(
-    t: int,
-    rows: StageRows,
-    next_rep: StageRep,
-    policy: PolicyPair,
-) -> list:
-    """Per-row pseudo-outcomes of the four continuation blocks at stage t.
-
-    At even stages the next actor is bob: his policy mean (a function of the
-    next state and the current action) multiplies the next-stage partner and
-    interaction coefficients.  At odd stages the next actor is alice and her
-    policy mean (a function of the next state, next private info and the
-    current action) multiplies the own and interaction coefficients.
-    """
-    h = t // 2
-    nc_s, nc_u = rows.next_s, rows.next_u
-    theta_n = next_rep.theta[nc_s, nc_u]
-    gamma_n = next_rep.gamma[nc_s, nc_u]
-    omega_n = next_rep.omega[nc_s, nc_u]
-    zeta_n = next_rep.zeta[nc_s, nc_u]
-    if t % 2 == 0:
-        fac = policy.bob_mean(h)[nc_s, rows.act]
-        return [zeta_n, theta_n, gamma_n * fac, omega_n * fac]
-    fac = policy.alice_mean(h + 1)[nc_s, nc_u, rows.act]
-    return [zeta_n, theta_n * fac, gamma_n, omega_n * fac]
 
 
 @dataclass
@@ -373,18 +414,16 @@ class OPEResult:
         return self.j_alice + self.j_bob
 
 
-def value_weight_tables(source: DataSource, policy: PolicyPair):
+def value_weight_tables(stats: StageStats, policy: PolicyPair):
     """Occupancy-weighted feature expectations of the opening move.
 
-    Returns (theta_w, gamma_w, omega_w, zeta_w) tables over (s, u) such that
-    the estimated value of either player is the elementwise dot product with
-    the stage-one representation.
+    ``stats`` are the statistics of stage 0, whose cell mass is the opening
+    occupancy.  Returns (theta_w, gamma_w, omega_w, zeta_w) tables over
+    (s, u) such that the estimated value of either player is the elementwise
+    dot product with the stage-one representation.
     """
-    ns, nu = source.n_states, source.n_u
-    s0, u0, w0 = source.initial_cells()
-    p1 = np.zeros((ns, nu))
-    np.add.at(p1, (s0, u0), w0)
-    p1 /= p1.sum()
+    ns, nu = stats.n_states, stats.n_u
+    p1 = stats.mass.reshape(ns, nu) / stats.mass.sum()
     pi_b = policy.init_bob
     pa = policy.alice_mean(0)  # (s, u, b)
     e_a = (1 - pi_b) * pa[..., 0] + pi_b * pa[..., 1]
@@ -393,21 +432,10 @@ def value_weight_tables(source: DataSource, policy: PolicyPair):
     return p1 * e_a, p1 * e_b, p1 * e_ab, p1
 
 
-def policy_value_from_rep(source: DataSource, policy: PolicyPair, rep: StageRep) -> float:
-    tw, gw, ow, zw = value_weight_tables(source, policy)
-    return float(
-        (tw * rep.theta).sum()
-        + (gw * rep.gamma).sum()
-        + (ow * rep.omega).sum()
-        + (zw * rep.zeta).sum()
-    )
-
-
 def evaluate_policy(
     data,
     policy: PolicyPair,
     basis: SieveBasis,
-    mode: str = "oracle-nuisance",
     cross_fit: bool = False,
 ) -> OPEResult:
     """Backward recursion producing fitted stage tables and value estimates."""
@@ -417,54 +445,41 @@ def evaluate_policy(
     if policy.horizon != source.horizon:
         raise ValueError("policy horizon does not match the data horizon")
     ns, nu = source.n_states, source.n_u
+    k = ns * nu
+    grid_s, grid_u = np.divmod(np.arange(k), nu)
+    stats = stage_statistics(source, basis)
     reps: dict = {}
     fits: dict = {}
     next_rep = {"alice": None, "bob": None}
     for t in reversed(range(2 * source.horizon)):
-        try:
-            ctx = prepare_stage(source, t, basis, mode)
-        except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
-            raise type(exc)(f"stage {t}: {exc}") from exc
+        st = stats[t]
         for side in ("alice", "bob"):
-            reward_tab = None
-            has_reward = (t % 2 == 0) == (side == "alice")
-            if has_reward:
-                fit_r = fit_block(
-                    ctx, ctx.rows.y_reward, basis, intercept=False, n_states=ns, n_u=nu, mode=mode
-                )
-                reward_tab = _fit_tables(fit_r, ns, nu)
-                fits[(t, side, "reward")] = fit_r
-            blocks = None
-            if next_rep[side] is not None:
-                blocks = []
-                for j, y in enumerate(
-                    block_outcomes(t, ctx.rows, next_rep[side], policy)
-                ):
-                    try:
-                        fit_j = fit_block(
-                            ctx, y, basis, intercept=True, n_states=ns, n_u=nu, mode=mode
+            reward_m = block_m = None
+            with _at_stage(t):
+                if (t % 2 == 0) == (side == "alice"):
+                    fit = fit_cell_moments(
+                        st.mass, st.phibar3, st.abar_reward, basis, float(np.sqrt(st.reward_scale_sq))
+                    )
+                    fits[(t, side, "reward")] = fit
+                    reward_m = fit.predict(grid_s, grid_u)[None]
+                if next_rep[side] is not None:
+                    g = continuation_outcomes(t, next_rep[side], next_actor_factor(t, policy, ns, nu))
+                    alpha, scale_sq = st.block_moments(g)
+                    block_m = np.empty((1, 4, k, 4))
+                    for j in range(4):
+                        fit = fit_cell_moments(
+                            st.mass, st.phibar4, alpha[0, j], basis, float(np.sqrt(scale_sq[0, j]))
                         )
-                    except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
-                        raise type(exc)(f"stage {t}, {side}, block {j}: {exc}") from exc
-                    blocks.append(_fit_tables(fit_j, ns, nu))
-                    fits[(t, side, f"block{j}")] = fit_j
-            reps[(t, side)] = combine_stage(t, reward_tab, blocks, ns, nu)
-        next_rep = {side: reps[(t, side)] for side in ("alice", "bob")}
-    j_a = policy_value_from_rep(source, policy, reps[(0, "alice")])
-    j_b = policy_value_from_rep(source, policy, reps[(0, "bob")])
+                        fits[(t, side, f"block{j}")] = fit
+                        block_m[0, j] = fit.predict(grid_s, grid_u)
+            next_rep[side] = combine_blocks(t, reward_m, block_m, k)
+            reps[(t, side)] = StageRep(*(next_rep[side][0, :, i].reshape(ns, nu) for i in range(4)))
+    tw, gw, ow, zw = value_weight_tables(stats[0], policy)
+    j_a, j_b = (
+        float((tw * r.theta).sum() + (gw * r.gamma).sum() + (ow * r.omega).sum() + (zw * r.zeta).sum())
+        for r in (reps[(0, "alice")], reps[(0, "bob")])
+    )
     return OPEResult(qhat=reps, j_alice=j_a, j_bob=j_b, fits=fits)
-
-
-def evaluate_single_stage(data, policy, basis, **kw) -> OPEResult:
-    """Single-step evaluation: the recursion base case (horizon must be 1)."""
-    source = as_source(data)
-    if source.horizon != 1:
-        raise ValueError("evaluate_single_stage needs a horizon-1 dataset")
-    return evaluate_policy(data, policy, basis, **kw)
-
-
-def evaluate_multistage(data, policy, basis, **kw) -> OPEResult:
-    return evaluate_policy(data, policy, basis, **kw)
 
 
 def dump_qhat_csv(result: OPEResult, path) -> None:

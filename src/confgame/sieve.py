@@ -146,9 +146,12 @@ def project_conditional_mean(
 ) -> SeriesFit:
     """Weighted series regression of ``y`` on the basis functions.
 
-    With the saturated basis this reduces to per-cell weighted means.  An
-    ill-conditioned Gram matrix (condition number above 1e12) falls back to a
-    small ridge so degenerate supports degrade instead of crashing.
+    With the saturated basis this reduces to per-cell weighted means.  A basis
+    function without support in the rows (a zero Gram diagonal, such as an
+    empty cell) gets coefficient 0 and leaves the others untouched.  An
+    ill-conditioned Gram matrix among the supported functions (condition
+    number above 1e12) falls back to a small ridge so degenerate supports
+    degrade instead of crashing.
     """
     y = np.asarray(y, dtype=float)
     y2 = y[:, None] if y.ndim == 1 else y
@@ -162,13 +165,16 @@ def project_conditional_mean(
     q = basis.evaluate(s, u)
     gram = (q * w[:, None]).T @ q / total
     rhs = (q * w[:, None]).T @ y2 / total
+    sup = np.diag(gram) > 0
+    gram = gram[np.ix_(sup, sup)]
     cond = float(np.linalg.cond(gram))
     ridge_used = False
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        gram = gram + RIDGE_LAMBDA * np.eye(basis.k)
+        gram = gram + RIDGE_LAMBDA * np.eye(gram.shape[0])
         ridge_used = True
         cond = float(np.linalg.cond(gram))
-    coef = np.linalg.solve(gram, rhs)
+    coef = np.zeros((basis.k, y2.shape[1]))
+    coef[sup] = np.linalg.solve(gram, rhs[sup])
     resid = y2 - q @ coef
     resid_norm = float(np.sqrt((w[:, None] * resid**2).sum() / total))
     return SeriesFit(

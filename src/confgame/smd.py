@@ -71,16 +71,33 @@ def _cell_averages(system: MomentSystem, basis: SieveBasis):
 
 
 def fit_smd(system: MomentSystem, basis: SieveBasis) -> SmdFit:
+    """Minimize the projected moment criterion of a row-level system.
+
+    The criterion depends on the rows only through their per-cell averages,
+    so this is :func:`fit_cell_moments` on those averages.
+    """
+    mass, phibar, alphabar = _cell_averages(system, basis)
+    return fit_cell_moments(mass, phibar, alphabar, basis, system.outcome_scale)
+
+
+def fit_cell_moments(
+    mass: np.ndarray,
+    phibar: np.ndarray,
+    alphabar: np.ndarray,
+    basis: SieveBasis,
+    outcome_scale: float,
+) -> SmdFit:
     """Minimize the projected moment criterion over the sieve space.
 
-    With the saturated basis the problem decouples into independent per-cell
-    least squares; general bases go through the dense quadratic form.  Raises
-    :class:`IllPosedFit` when the Hessian is singular and the gradient does
-    not vanish on its null space.
+    ``mass`` (cells,) holds each cell's share of the weight, ``phibar``
+    (cells, m, p) and ``alphabar`` (cells, m) the per-cell means of the
+    design and the outcome moments.  With the saturated basis the problem
+    decouples into independent per-cell least squares; general bases go
+    through the dense quadratic form.  Raises :class:`IllPosedFit` when the
+    Hessian is singular and the gradient does not vanish on its null space.
     """
-    p = system.p
+    p = phibar.shape[2]
     if basis.kind == "saturated":
-        mass, phibar, alphabar = _cell_averages(system, basis)
         k = basis.n_cells
         coef = np.zeros((k, p))
         hessian = np.zeros((k * p, k * p))
@@ -106,17 +123,16 @@ def fit_smd(system: MomentSystem, basis: SieveBasis) -> SmdFit:
             coef=coef,
             loss=loss,
             hessian=hessian,
-            outcome_scale=system.outcome_scale,
+            outcome_scale=outcome_scale,
         )
 
-    q = basis.evaluate(system.s, system.u)
-    w = system.weights
-    total = w.sum()
-    gram = (q * w[:, None]).T @ q / total
+    grid_s, grid_u = np.divmod(np.arange(basis.n_cells), basis.n_u)
+    q = basis.evaluate(grid_s, grid_u)
+    gram = (q * mass[:, None]).T @ q
     gram_cond = float(np.linalg.cond(gram))
     ginv = np.linalg.pinv(gram, rcond=1e-12)
-    a_t = np.einsum("n,nk,nmp,nl->mklp", w, q, system.phi, q) / total
-    b_t = np.einsum("n,nk,nm->mk", w, q, system.alpha) / total
+    a_t = np.einsum("c,ck,cmp,cl->mklp", mass, q, phibar, q)
+    b_t = np.einsum("c,ck,cm->mk", mass, q, alphabar)
     k = basis.k
     hess = 2.0 * np.einsum("mklp,kK,mKqr->lpqr", a_t, ginv, a_t).reshape(k * p, k * p)
     hess = 0.5 * (hess + hess.T)
@@ -134,7 +150,7 @@ def fit_smd(system: MomentSystem, basis: SieveBasis) -> SmdFit:
         coef=sol.reshape(k, p),
         loss=max(loss, 0.0),
         hessian=hess,
-        outcome_scale=system.outcome_scale,
+        outcome_scale=outcome_scale,
         gram_cond=gram_cond,
     )
 
@@ -233,14 +249,6 @@ class ConfidenceRegion:
                 point[i] += sign * radius
                 out.append(point.reshape(self.center.coef.shape))
         return out
-
-
-def region_contains(region: ConfidenceRegion, coef: np.ndarray) -> bool:
-    return region.contains(coef)
-
-
-def region_min_linear(region: ConfidenceRegion, weights: np.ndarray):
-    return region.min_linear(weights)
 
 
 FIT_SUMMARY_HEADER = "n,seed,err_action,err_instrument,err_interaction,loss,eta,covered"

@@ -43,38 +43,35 @@ def _crafted_nuisances(basis, f1, f2_lo, f2_hi):
     )
 
 
-def test_rho_features_zero_when_instrument_residual_vanishes(t1_basis):
-    # the feature map is pure arithmetic, so a synthetic row with the
-    # instrument exactly at its fitted mean isolates the common factor
-    nuis = _crafted_nuisances(t1_basis, 0.5, 0.3, 0.6)
+def _one_row_system(nuis, act, iv):
     data = moments.MomentData(
         y=np.array([2.0]), s=np.array([0]), u=np.array([0]),
-        act=np.array([1.0]), iv=np.array([0.5]),
+        act=np.array([act]), iv=np.array([iv]),
     )
-    rho = moments.rho_features(data, nuis)[0]
-    assert np.allclose(rho[:8], 0.0, atol=1e-15)
-    assert np.allclose(rho[8:], 0.0, atol=1e-15)
+    return moments.assemble_system(data, nuis, n_states=1, n_u=1)
+
+
+def test_rho_features_zero_when_instrument_residual_vanishes(t1_basis):
+    # the feature map is pure arithmetic, so a synthetic row with the
+    # instrument exactly at its fitted mean isolates the common factor:
+    # every column carrying the instrument residual vanishes
+    nuis = _crafted_nuisances(t1_basis, 0.5, 0.3, 0.6)
+    system = _one_row_system(nuis, 1.0, 0.5)
+    assert np.allclose(system.alpha[0, :2], 0.0, atol=1e-15)
+    assert np.allclose(system.phi[0, :2], 0.0, atol=1e-15)
 
 
 def test_rho_features_zero_when_action_residual_vanishes(t1_basis):
     nuis = _crafted_nuisances(t1_basis, 0.5, 0.6, 0.6)
-    data = moments.MomentData(
-        y=np.array([2.0]), s=np.array([0]), u=np.array([0]),
-        act=np.array([0.6]), iv=np.array([1.0]),
-    )
-    rho = moments.rho_features(data, nuis)[0]
-    assert abs(rho[0]) < 1e-15  # both-residual outcome product
-    assert np.allclose(rho[7:], 0.0, atol=1e-15)
+    system = _one_row_system(nuis, 0.6, 1.0)
+    assert abs(system.alpha[0, 0]) < 1e-15  # both-residual outcome product
+    assert np.allclose(system.phi[0, 0], 0.0, atol=1e-15)  # both-residual action products
 
 
 def test_rho_arithmetic_on_a_fixture_row(t1_basis):
     nuis = _crafted_nuisances(t1_basis, 0.5, 0.6, 0.6)
-    data = moments.MomentData(
-        y=np.array([2.0]), s=np.array([0]), u=np.array([0]),
-        act=np.array([1]), iv=np.array([1]),
-    )
-    rho = moments.rho_features(data, nuis)[0]
-    assert abs(rho[0] - 0.5 * 0.4 * 2.0) < 1e-12
+    system = _one_row_system(nuis, 1, 1)
+    assert abs(system.alpha[0, 0] - 0.5 * 0.4 * 2.0) < 1e-12
 
 
 def test_population_moments_vanish_at_truth(t1, t1_basis):
@@ -118,19 +115,6 @@ def test_duplicated_rows_leave_cell_averages_unchanged(t1, t1_basis):
     sys2 = moments.assemble_system(doubled, nuis, n_states=1, n_u=1)
     for a, b in zip(_cell_averages(sys1, t1_basis), _cell_averages(sys2, t1_basis)):
         assert np.allclose(a, b, atol=1e-12)
-
-
-def test_joint_mode_carries_nuisance_residuals(t1, t1_basis, t1_big):
-    data = _stage0_data(t1_big)
-    nuis = moments.estimate_nuisances(data, t1_basis)
-    system = moments.assemble_system(data, nuis, mode="joint", n_states=1, n_u=1)
-    assert system.nuisance_resids.shape == (data.n, 5)
-    means = (system.weights[:, None] * system.nuisance_resids).sum(0) / system.weights.sum()
-    assert np.abs(means).max() < 1e-10
-    from confgame.smd import fit_smd
-
-    plain = moments.assemble_system(data, nuis, n_states=1, n_u=1)
-    assert np.allclose(fit_smd(system, t1_basis).coef, fit_smd(plain, t1_basis).coef)
 
 
 def test_negative_control_biases_the_sampled_fit(t1_basis):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confgame import fixtures, game, ope, oracle, sieve
+from confgame import fixtures, game, learner, ope, oracle, sieve
+from confgame.errors import MalformedDataset
 
 
 def test_zero_reward_everything_vanishes(t1_basis):
@@ -18,17 +19,10 @@ def test_zero_reward_everything_vanishes(t1_basis):
 
 def test_single_stage_value_accuracy(t1, t1_basis, t1_big):
     pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
-    res = ope.evaluate_single_stage(t1_big, pol, t1_basis)
+    res = ope.evaluate_policy(t1_big, pol, t1_basis)
     ja, jb = oracle.exact_policy_value(t1, pol)
     assert abs(res.j_alice - ja) <= 0.05
     assert abs(res.j_bob - jb) <= 0.05
-
-
-def test_single_stage_requires_horizon_one(t2, t2_basis):
-    ds = game.simulate_dataset(t2, n=500, seed=3)
-    pol = game.constant_policy_pair(t2, 1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        ope.evaluate_single_stage(ds, pol, t2_basis)
 
 
 def test_zero_bob_reward_gives_zero_bob_tables(t1, t1_basis):
@@ -69,7 +63,7 @@ def test_multistage_value_accuracy(t2, t2_basis, t2_big):
         game.constant_policy_pair(t2, 1.0, 1.0, 1.0),
         game.constant_policy_pair(t2, 0.5, 0.5, 0.5),
     ):
-        res = ope.evaluate_multistage(t2_big, pol, t2_basis)
+        res = ope.evaluate_policy(t2_big, pol, t2_basis)
         ja, jb = oracle.exact_policy_value(t2, pol)
         assert abs(res.j_total - ja - jb) <= 0.1
 
@@ -130,3 +124,37 @@ def test_qhat_csv_dump(tmp_path, t1, t1_basis):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,player,s,u,theta,gamma,omega,zeta"
     assert len(lines) == 1 + 4  # two stages, two players, one cell each
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("a", 3, "field a, row 0, step 0: value 3 is not in 0..1"),
+        ("r_a", np.nan, "field r_a, row 0, step 0: value nan is not finite"),
+        ("s", -1, "field s, row 0, step 0: value -1 is not in 0..0"),
+    ],
+)
+def test_malformed_dataset_is_rejected(t1, t1_basis, name, value, message):
+    ds = game.simulate_dataset(t1, n=2_000, seed=0)
+    col = getattr(ds, name).astype(float if np.isnan(value) else getattr(ds, name).dtype)
+    col[0, 0] = value
+    bad = replace(ds, **{name: col})
+    pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
+    with pytest.raises(MalformedDataset, match=message):
+        ope.evaluate_policy(bad, pol, t1_basis)
+    with pytest.raises(MalformedDataset, match=message):
+        learner.learn_policy_pair(bad, [pol], t1_basis)
+
+
+def test_unreached_state_leaves_other_cells_exact():
+    """Stage 1 of this spec never reaches state 2; its empty cell must not
+    perturb the nuisance fits of the cells that are reached."""
+    spec = fixtures.random_valid_spec(6, n_states=3)
+    basis = sieve.build_basis("saturated", spec.n_states, spec.n_u)
+    pol = game.constant_policy_pair(spec, 1.0, 0.5, 0.5)
+    source = ope.PopulationSource(spec)
+    assert ope.StageStats(source, 1, basis).mass[2] == 0.0
+    res = ope.evaluate_policy(source, pol, basis)
+    exq = oracle.exact_q(spec, pol)
+    assert abs(res.j_alice - exq.j_alice) <= 1e-12
+    assert abs(res.j_bob - exq.j_bob) <= 1e-12

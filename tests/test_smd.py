@@ -200,7 +200,7 @@ def test_reward_region_covers_truth(t1, t1_basis):
         fit, system = _fit_t1(ds, t1_basis)
         eta = smd.eta_schedule(ds.n) * system.outcome_scale**2
         region = smd.ConfidenceRegion(center=fit, eta=eta)
-        hits += smd.region_contains(region, TRUTH[None, :])
+        hits += region.contains(TRUTH[None, :])
     assert hits >= int(0.9 * reps)
 
 
