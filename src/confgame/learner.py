@@ -4,21 +4,25 @@ For each candidate pair the backward recursion is rerun with every fitted
 block replaced by a confidence region (a criterion-gap ellipsoid).  The
 nested union over upstream regions is approximated by propagating a fixed
 number of member selections ("chains"): member 0 is always the center, the
-rest are axis-aligned boundary points, widest axes first, so the all-center
-chain reproduces the plug-in estimate and the pessimistic value can never
-exceed it.  At the first stage the value functional is linear in the
-remaining block coefficients, so the inner minimum over each final region is
-closed-form and the pessimistic value is the minimum over chains of a sum of
-exact ellipsoid minima.
+rest are axis-aligned boundary points, widest axes first, wrapping around
+after the last axis, so the all-center chain reproduces the plug-in estimate
+and the pessimistic value can never exceed it.  At the first stage the value
+functional is linear in the remaining block coefficients, so the inner
+minimum over each final region is closed-form and the pessimistic value is
+the minimum over chains of a sum of exact ellipsoid minima.  A value weight
+on a flat direction of some region makes the value unbounded below (``-inf``).
 
 Everything a block fit needs from the data collapses into the per-cell
 sufficient statistics of :class:`~confgame.ope.StageStats`, shared with
 off-policy evaluation: they are policy-independent (design moments) or enter
 only through small contraction tables (outcome moments), so scanning
 thousands of candidates costs einsums over tiny arrays instead of passes
-over the rows.  Region radii are the rate schedule times the squared root
-mean square of the block outcome, which makes the whole construction exactly
-equivariant under a positive rescaling of all rewards.
+over the rows.  The statistics hold each stage's region geometry, a
+:class:`~confgame.smd.BlockGeometry`: its solve gives the region centers,
+one call builds the members of every chain, and its exact linear minimum
+scores the first stage.  Region radii are the rate schedule times the
+squared root mean square of the block outcome, which makes the whole
+construction exactly equivariant under a positive rescaling of all rewards.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from .ope import (
 from .sieve import SieveBasis
 from .smd import eta_schedule, horizon_weight
 from . import oracle as oracle_mod
-
-HESSIAN_TOL = 1e-10
 
 
 @dataclass
@@ -72,25 +74,6 @@ class EtaConfig:
 def _stage_step(t: int) -> float:
     """Step label of stage ``t``: 1, 1.5, 2, 2.5, ..."""
     return t // 2 + 1 + (0.5 if t % 2 else 0.0)
-
-
-def _member(center: np.ndarray, hdiag: np.ndarray, eta: float, index: int) -> np.ndarray:
-    """k-th member of a criterion-gap ellipsoid: center, then axis points."""
-    if index == 0 or eta <= 0:
-        return center
-    flat_d = hdiag.ravel()
-    radii = np.where(
-        flat_d > HESSIAN_TOL, np.sqrt(2.0 * eta / np.maximum(flat_d, HESSIAN_TOL)), 0.0
-    )
-    order = np.argsort(-radii)
-    order = order[radii[order] > 0]
-    if order.size == 0:
-        return center
-    axis = order[((index - 1) // 2) % order.size]
-    sign = 1.0 if (index - 1) % 2 == 0 else -1.0
-    out = center.ravel().copy()
-    out[axis] += sign * radii[axis]
-    return out.reshape(center.shape)
 
 
 @dataclass
@@ -141,7 +124,7 @@ class LearnerEngine:
         """Centers and radii of the four continuation blocks, per chain."""
         st = self.stats[t]
         alpha, scale_sq = st.block_moments(continuation_outcomes(t, rep_stack, fac))
-        coef = np.einsum("cpm,kjcm->kjcp", st.pinv4, -alpha)
+        coef = st.geometry4.solve(alpha)
         unit = self.eta.radius_unit(self.n, horizon_weight(self.horizon, _stage_step(t), "recursion"))
         return coef, unit * scale_sq
 
@@ -151,8 +134,11 @@ class LearnerEngine:
         return st.reward_coef, eta_r
 
     def propagate(self, policy: PolicyPair) -> dict:
-        """Chain recursion; returns the stage-0 region data per side."""
-        kk = self.eta.k_members
+        """Chain recursion; returns the stage-0 region data per side.
+
+        Chain ``k`` takes member ``k`` of every region it passes through.
+        """
+        chains = np.arange(self.eta.k_members)
         out = {}
         for side in ("alice", "bob"):
             rep = None
@@ -167,33 +153,11 @@ class LearnerEngine:
                 if t == 0:
                     stage0 = {"reward": reward_info, "blocks": blocks_info}
                     break
-                n_chain = kk
-                reward_m = None
+                reward_m = block_m = None
                 if reward_info is not None:
-                    center_r, eta_r = reward_info
-                    reward_m = np.stack(
-                        [_member(center_r, st.hdiag3, eta_r, k) for k in range(n_chain)]
-                    )
-                block_m = None
+                    reward_m = st.geometry3.members(*reward_info, chains)
                 if blocks_info is not None:
-                    coef, etas = blocks_info
-                    last = coef.shape[0] - 1
-                    block_m = np.stack(
-                        [
-                            np.stack(
-                                [
-                                    _member(
-                                        coef[min(k, last), j],
-                                        st.hdiag4,
-                                        float(etas[min(k, last), j]),
-                                        k,
-                                    )
-                                    for j in range(4)
-                                ]
-                            )
-                            for k in range(n_chain)
-                        ]
-                    )
+                    block_m = st.geometry4.members(*blocks_info, chains[:, None])
                 rep = combine_blocks(t, reward_m, block_m, self.ns * self.nu)
             out[side] = stage0
         return out
@@ -215,41 +179,10 @@ def build_q_regions(
     )
 
 
-def _min_over_region(weight, center, hess, hpinv, eta):
-    """Exact minimum of <weight, coef> over one criterion-gap ellipsoid.
-
-    ``center`` may carry leading chain axes.  Raises
-    :class:`UnboundedBelow` when the weight loads on a flat direction of the
-    criterion (insufficient data coverage for the queried functional).
-    """
-    q = float(np.einsum("cp,cpq,cq->", weight, hpinv, weight))
-    proj = np.einsum("cpq,cq->cp", hess, np.einsum("cpq,cq->cp", hpinv, weight))
-    gap = float(np.abs(weight - proj).max())
-    if gap > 1e-8 * max(1.0, float(np.abs(weight).max())):
-        raise UnboundedBelow(
-            "value weight loads on a flat direction of a stage-one region",
-            direction=weight - proj,
-        )
-    base = np.einsum("...cp,cp->...", center, weight)
-    return base - np.sqrt(np.maximum(2.0 * np.asarray(eta) * q, 0.0))
-
-
-_BLOCK_POST = (False, True, False, True)  # which blocks are action-multiplied
-
-
 def _stage0_weights(tw, gw, ow, zw):
     w_rep = np.stack([tw.ravel(), gw.ravel(), ow.ravel(), zw.ravel()], axis=1)
     post = np.stack([w_rep[:, 0], w_rep[:, 2], w_rep[:, 2], w_rep[:, 0]], axis=1)
     return w_rep[:, :3], [w_rep, post, w_rep, post]
-
-
-def _region_argmin(weight, center, hpinv, eta):
-    """Coefficient attaining the closed-form linear minimum over one region."""
-    step = np.einsum("cpq,cq->cp", hpinv, weight)
-    q = float(np.einsum("cp,cp->", weight, step))
-    if q <= 0 or eta <= 0:
-        return center.copy()
-    return center - np.sqrt(2.0 * eta / q) * step
 
 
 def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> PessimisticValue:
@@ -262,33 +195,29 @@ def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> Pessimisti
     attaining = {}
     region_sizes = {}
     unbounded, direction = False, None
+    st = engine.stats[0]
     for side in ("alice", "bob"):
         info = regions.stage0[side]
-        st = engine.stats[0]
         try:
             if info["reward"] is not None:
                 center_r, eta_r = info["reward"]
-                total_min += float(
-                    _min_over_region(w_reward, center_r, st.hess3, st.hpinv3, eta_r)
-                )
+                value, argmin = st.geometry3.min_linear(w_reward, center_r, eta_r)
+                total_min += float(value)
                 total_plug += float(np.einsum("cp,cp->", center_r, w_reward))
-                attaining[(side, "reward")] = _region_argmin(
-                    w_reward, center_r, st.hpinv3, eta_r
-                )
+                attaining[(side, "reward")] = argmin
                 region_sizes[(side, "reward")] = eta_r
             if info["blocks"] is not None:
                 coef, etas = info["blocks"]
                 vals = np.zeros(coef.shape[0])
+                argmins = []
                 for j in range(4):
-                    vals += _min_over_region(
-                        w_blocks[j], coef[:, j], st.hess4, st.hpinv4, etas[:, j]
-                    )
+                    value, argmin = st.geometry4.min_linear(w_blocks[j], coef[:, j], etas[:, j])
+                    vals += value
+                    argmins.append(argmin)
                 chain_values[side] = vals
                 best_k = int(np.argmin(vals))
                 for j in range(4):
-                    attaining[(side, f"block{j}")] = _region_argmin(
-                        w_blocks[j], coef[best_k, j], st.hpinv4, float(etas[best_k, j])
-                    )
+                    attaining[(side, f"block{j}")] = argmins[j][best_k]
                     region_sizes[(side, f"block{j}")] = float(etas[best_k, j])
                 total_min += float(vals.min())
                 total_plug += float(
@@ -338,7 +267,11 @@ def compute_gap(spec: GameSpec, policy: PolicyPair, policy_class: list[PolicyPai
     _, j_star = oracle_mod.exact_optimal_pair(spec, policy_class)
     ja, jb = oracle_mod.exact_policy_value(spec, policy)
     gap = j_star - (ja + jb)
-    assert gap >= -1e-10
+    if gap < -1e-10:
+        raise ValueError(
+            f"gap {gap:.3e} is negative: the policy beats the class optimum, "
+            "so it lies outside the class"
+        )
     return float(max(gap, 0.0))
 
 
@@ -369,8 +302,7 @@ def truth_covered(
             axis=1,
         )
         center_r, eta_r = engine._reward_region(t)
-        d = true3 - center_r
-        if 0.5 * float(np.einsum("cp,cpq,cq->", d, st.hess3, d)) > eta_r + 1e-12:
+        if st.geometry3.loss_gap(true3, center_r) > eta_r + 1e-12:
             return False
     for t in range(2 * engine.horizon - 1):
         st = engine.stats[t]
@@ -388,7 +320,6 @@ def truth_covered(
                 else:
                     cols = (blk.gamma, blk.theta, blk.omega, blk.zeta)
                 true4 = np.stack([c.ravel() for c in cols], axis=1)
-                d = true4 - coef[0, j]
-                if 0.5 * float(np.einsum("cp,cpq,cq->", d, st.hess4, d)) > float(etas[0, j]) + 1e-12:
+                if st.geometry4.loss_gap(true4, coef[0, j]) > float(etas[0, j]) + 1e-12:
                     return False
     return True

@@ -66,18 +66,16 @@ class MomentData:
 class NuisanceSet:
     """Fitted conditional means entering the moment features.
 
-    ``f1(s, u)`` is the instrument mean, ``f2(s, u, iv)`` the action mean
-    given the instrument, ``f3..f5`` the residual moments built with ``f2``
-    plugged in.  ``f1`` and ``f2`` are clipped into [0, 1]; clip events are
-    counted.  ``residual_means`` holds the in-sample means of the five
-    nuisance-defining residuals (all near zero by construction).
+    ``f1(s, u)`` is the instrument mean and ``f2(s, u, iv)`` the action mean
+    given the instrument, one series fit per instrument arm.  Both are
+    clipped into ``[F_CLIP, 1 - F_CLIP]``; ``clip_count`` counts the clipped
+    rows.  ``residual_means`` holds the in-sample means of the instrument
+    residual (``w4``) and the action residual (``w5``), both near zero by
+    construction.
     """
 
     f1: SeriesFit
     f2: tuple
-    f3: SeriesFit
-    f4: SeriesFit
-    f5: SeriesFit
     clip_count: int
     residual_means: dict = field(default_factory=dict)
 
@@ -89,15 +87,6 @@ class NuisanceSet:
         hi = self.f2[1].predict(s, u)
         iv = np.asarray(iv)
         return np.clip(np.where(iv > 0.5, hi, lo), F_CLIP, 1.0 - F_CLIP)
-
-    def f3_at(self, s, u):
-        return self.f3.predict(s, u)
-
-    def f4_at(self, s, u):
-        return self.f4.predict(s, u)
-
-    def f5_at(self, s, u):
-        return self.f5.predict(s, u)
 
 
 def _check_iv_variance(data: MomentData, basis: SieveBasis):
@@ -117,7 +106,7 @@ def _check_iv_variance(data: MomentData, basis: SieveBasis):
 
 
 def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
-    """Fit the five nuisance conditional means by series projection.
+    """Fit the instrument mean ``f1`` and the action mean ``f2`` by series projection.
 
     ``f2`` is fit separately on the two instrument arms (saturated in the
     instrument).  Raises :class:`DegenerateIV` when the instrument does not
@@ -139,9 +128,6 @@ def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
                 data.s[m], data.u[m], data.act[m].astype(float), basis, w[m]
             )
         )
-    nuis = NuisanceSet(
-        f1=f1, f2=(arms[0], arms[1]), f3=f1, f4=f1, f5=f1, clip_count=0
-    )
     raw_f1 = f1.predict(data.s, data.u)
     raw_f2 = np.where(
         data.iv > 0.5,
@@ -150,27 +136,11 @@ def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
     )
     clip_count = int((np.abs(raw_f1 - np.clip(raw_f1, F_CLIP, 1 - F_CLIP)) > 0).sum())
     clip_count += int((np.abs(raw_f2 - np.clip(raw_f2, F_CLIP, 1 - F_CLIP)) > 0).sum())
-    resid = data.act - nuis.f2_at(data.s, data.u, data.iv)
-    nuis.f3 = project_conditional_mean(data.s, data.u, resid * data.y, basis, w)
-    nuis.f4 = project_conditional_mean(data.s, data.u, resid * data.act, basis, w)
-    nuis.f5 = project_conditional_mean(
-        data.s, data.u, resid * data.act * data.iv, basis, w
-    )
-    nuis.clip_count = clip_count
+    nuis = NuisanceSet(f1=f1, f2=(arms[0], arms[1]), clip_count=clip_count)
     total = w.sum()
     nuis.residual_means = {
         "w4": float((w * (data.iv - nuis.f1_at(data.s, data.u))).sum() / total),
-        "w5": float((w * resid).sum() / total),
-        "w6": float(
-            (w * (resid * data.y - nuis.f3_at(data.s, data.u))).sum() / total
-        ),
-        "w7": float(
-            (w * (resid * data.act - nuis.f4_at(data.s, data.u))).sum() / total
-        ),
-        "w8": float(
-            (w * (resid * data.act * data.iv - nuis.f5_at(data.s, data.u))).sum()
-            / total
-        ),
+        "w5": float((w * (data.act - nuis.f2_at(data.s, data.u, data.iv))).sum() / total),
     }
     return nuis
 

@@ -39,9 +39,7 @@ from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair
 from .moments import MomentData, assemble_system, estimate_nuisances
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
-from .smd import fit_cell_moments
-
-PINV_RCOND = 1e-12
+from .smd import BlockGeometry, cell_sums, fit_cell_moments
 
 
 @dataclass
@@ -202,29 +200,10 @@ def as_source(data, cross_fit: bool = False) -> DataSource:
 # ---------------------------------------------------------------------------
 
 
-def _cell_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sums of per-row ``values`` (n, ...) grouped by ``index`` -> (size, ...)."""
-    m = int(np.prod(values.shape[1:]))
-    slots = (index[:, None] * m + np.arange(m)).ravel()
-    sums = np.bincount(slots, values.ravel(), minlength=size * m)
-    return sums.reshape((size,) + values.shape[1:])
-
-
 def _rows_data(rows: StageRows, w: np.ndarray, y: np.ndarray, take) -> MomentData:
     return MomentData(
         y=y[take], s=rows.s[take], u=rows.u[take], act=rows.act[take], iv=rows.iv[take], weights=w[take]
     )
-
-
-def _geometry(mass: np.ndarray, phibar: np.ndarray):
-    """Per-cell solve operator, criterion Hessian, its diagonal and its pseudo-inverse."""
-    nz = mass > 0
-    pinv, hess, hpinv = (np.zeros_like(phibar) for _ in range(3))
-    if nz.any():
-        pinv[nz] = np.linalg.pinv(phibar[nz], rcond=PINV_RCOND)
-        hess[nz] = 2.0 * mass[nz][:, None, None] * np.transpose(phibar[nz], (0, 2, 1)) @ phibar[nz]
-        hpinv[nz] = np.linalg.pinv(hess[nz], rcond=PINV_RCOND)
-    return pinv, hess, np.diagonal(hess, axis1=1, axis2=2).copy(), hpinv
 
 
 class StageStats:
@@ -244,8 +223,9 @@ class StageStats:
     With cross-fitting the rows split into two folds; each fold's features
     use nuisances fitted on the other fold and the weighted sums of both folds
     are added.  ``nuisances`` holds one :class:`NuisanceSet` per fold.
-    ``pinv*``, ``hess*``, ``hdiag*`` and ``hpinv*`` are per-cell solve and
-    region-geometry operators of the saturated criterion.
+    ``geometry3`` and ``geometry4`` are the :class:`~confgame.smd.BlockGeometry`
+    of the saturated reward and continuation criteria; ``reward_coef`` is
+    the reward block's fit.
     """
 
     def __init__(self, source: DataSource, t: int, basis: SieveBasis):
@@ -268,9 +248,9 @@ class StageStats:
             nuis = estimate_nuisances(_rows_data(rows, w, np.zeros(n), fit_on), basis)
             # at y = 1 the outcome moments alpha are the bare features
             system = assemble_system(_rows_data(rows, w, np.ones(n), take), nuis, intercept=True)
-            phi_sum += _cell_sums(cells[take], system.phi * w[take, None, None], k)
-            reward_sum += _cell_sums(cells[take], system.alpha[:, :3] * wy[take, None], k)
-            t_sum += _cell_sums(transitions[take], system.alpha * w[take, None], k * k * 2)
+            phi_sum += cell_sums(cells[take], system.phi * w[take, None, None], k)
+            reward_sum += cell_sums(cells[take], system.alpha[:, :3] * wy[take, None], k)
+            t_sum += cell_sums(transitions[take], system.alpha * w[take, None], k * k * 2)
             self.nuisances.append(nuis)
 
         self.mass = mass = np.bincount(cells, w, minlength=k)
@@ -285,9 +265,9 @@ class StageStats:
         self.t_alpha[nz] /= mass[nz][:, None, None, None]
         self.scale_weights = np.bincount(next_cells * 2 + rows.act, w, minlength=2 * k).reshape(k, 2)
 
-        self.pinv3, self.hess3, self.hdiag3, self.hpinv3 = _geometry(mass, self.phibar3)
-        self.pinv4, self.hess4, self.hdiag4, self.hpinv4 = _geometry(mass, self.phibar4)
-        self.reward_coef = np.einsum("cpm,cm->cp", self.pinv3, -self.abar_reward)
+        self.geometry3 = BlockGeometry.of_cells(mass, self.phibar3)
+        self.geometry4 = BlockGeometry.of_cells(mass, self.phibar4)
+        self.reward_coef = self.geometry3.solve(self.abar_reward)
 
     def block_moments(self, g: np.ndarray):
         """Cell moment means (chain, block, cell, 4) and mean squares (chain,

@@ -6,12 +6,17 @@ is a positive-semidefinite quadratic in the sieve coefficients.  Fitting
 solves its normal equations (minimum-norm when singular); a confidence region
 is the sublevel set of the criterion gap, which is exactly a quadratic form
 around the fit and therefore an ellipsoid that supports closed-form linear
-minimization.
+minimization.  :class:`BlockGeometry` is that ellipsoid, written once for a
+stack of Hessian blocks: per-cell fits, :class:`ConfidenceRegion` and the
+pessimistic learner all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
+
 import numpy as np
 
 from .errors import BasisMismatch, IllPosedFit, UnboundedBelow
@@ -19,6 +24,7 @@ from .moments import MomentSystem
 from .sieve import SieveBasis
 
 HESSIAN_TOL = 1e-10
+PINV_RCOND = 1e-12
 
 
 @dataclass
@@ -52,18 +58,129 @@ class SmdFit:
         return self.coef.reshape(self.basis.n_states, self.basis.n_u, self.p)
 
 
+class BlockGeometry:
+    """Criterion-gap ellipsoids of a block-diagonal criterion Hessian.
+
+    ``hess`` (blocks, q, q) stacks the symmetric positive-semidefinite
+    diagonal blocks.  Moving coefficients (blocks, q) away from a center by
+    ``d`` raises the criterion by exactly ``0.5 * sum_b d_b^T hess_b d_b``
+    (:meth:`loss_gap`), so a confidence region ``{coef : gap <= eta}`` is an
+    ellipsoid whose axis members (:meth:`members`) and minimum of a linear
+    functional (:meth:`min_linear`) are closed-form.  Centers and radii may
+    carry leading (chain, block, ...) axes.  ``hpinv`` holds the blocks'
+    pseudo-inverses, ``hdiag`` the flattened diagonal and ``order`` the axes
+    with positive curvature, widest first.  Geometries of the saturated
+    criterion (:meth:`of_cells`) also hold ``pinv``, each cell design's
+    pseudo-inverse, which gives the least-squares fit (:meth:`solve`).
+    """
+
+    def __init__(self, hess: np.ndarray, pinv: Optional[np.ndarray] = None):
+        self.hess = hess
+        self.pinv = pinv
+
+    # the region operators are built on first use: a fit needs only the solve
+
+    @cached_property
+    def hpinv(self) -> np.ndarray:
+        return _stack_pinv(self.hess, self.hess.any(axis=(1, 2)))
+
+    @cached_property
+    def hdiag(self) -> np.ndarray:
+        return np.diagonal(self.hess, axis1=1, axis2=2).ravel()
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        curved = self.hdiag > HESSIAN_TOL
+        # the widest axis is the one with the smallest curvature
+        return np.argsort(np.where(curved, self.hdiag, np.inf))[: int(curved.sum())]
+
+    @classmethod
+    def of_cells(cls, mass: np.ndarray, phibar: np.ndarray) -> "BlockGeometry":
+        """Blocks of ``sum_c mass[c] * |phibar[c] @ coef[c] + alphabar[c]|^2``."""
+        nz = mass > 0
+        hess = np.zeros(phibar.shape[:1] + phibar.shape[2:] * 2)
+        phi = phibar[nz]
+        hess[nz] = 2.0 * mass[nz][:, None, None] * np.transpose(phi, (0, 2, 1)) @ phi
+        return cls(hess, _stack_pinv(phibar, nz))
+
+    def solve(self, alphabar: np.ndarray) -> np.ndarray:
+        """Least-squares cell coefficients (..., cells, p) of outcome moment
+        means ``alphabar`` (..., cells, m): the centers of the regions."""
+        return np.einsum("cpm,...cm->...cp", self.pinv, -alphabar)
+
+    def loss_gap(self, coef: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """Criterion increase from ``center`` to ``coef``."""
+        d = coef - center
+        return 0.5 * np.einsum("...cp,cpq,...cq->...", d, self.hess, d)
+
+    def members(self, center: np.ndarray, eta, index) -> np.ndarray:
+        """Member ``index`` of each region ``(center, eta)``.
+
+        Member 0 is the center; members ``2i + 1`` and ``2i + 2`` are the two
+        ends of the ``i``-th widest axis, wrapping around after the last one.
+        A region with ``eta <= 0`` or no curved axis has only its center.
+        ``center`` (..., blocks, q), ``eta`` and ``index`` broadcast over the
+        leading axes.
+        """
+        eta, index = np.asarray(eta, dtype=float), np.asarray(index)
+        lead = np.broadcast_shapes(center.shape[:-2], eta.shape, index.shape)
+        out = np.array(np.broadcast_to(center, lead + center.shape[-2:]))
+        flat = out.reshape(-1, self.hdiag.size)
+        eta, index = np.broadcast_to(eta, lead).ravel(), np.broadcast_to(index, lead).ravel()
+        moved = np.flatnonzero((index > 0) & (eta > 0))
+        if self.order.size and moved.size:
+            step = index[moved] - 1
+            axis = self.order[(step // 2) % self.order.size]
+            sign = np.where(step % 2 == 0, 1.0, -1.0)
+            flat[moved, axis] += sign * np.sqrt(2.0 * eta[moved] / self.hdiag[axis])
+        return out
+
+    def min_linear(self, weight: np.ndarray, center: np.ndarray, eta):
+        """Exact minimum of ``<weight, coef>`` over each region, and its argmin.
+
+        ``weight`` (blocks, q) is shared by all regions; returns the values
+        (...) and argmins (..., blocks, q).  Directions outside the Hessian's
+        range are flat in the criterion and the region contains a line along
+        them even at ``eta = 0``, so weight on them raises
+        :class:`UnboundedBelow` (the data do not pin down the functional).
+        """
+        step = np.einsum("cpq,cq->cp", self.hpinv, weight)
+        quad = float(np.einsum("cp,cpq,cq->", weight, self.hpinv, weight))
+        flat = weight - np.einsum("cpq,cq->cp", self.hess, step)
+        if np.abs(flat).max() > 1e-8 * max(1.0, float(np.abs(weight).max())):
+            raise UnboundedBelow(
+                "objective has weight on a flat direction of the criterion", direction=flat
+            )
+        eta = np.asarray(eta, dtype=float)
+        value = np.einsum("...cp,cp->...", center, weight) - np.sqrt(np.maximum(2.0 * eta * quad, 0.0))
+        reach = np.sqrt(np.maximum(2.0 * eta, 0.0) / quad) if quad > 0 else np.zeros_like(eta)
+        return value, center - reach[..., None, None] * step
+
+
+def _stack_pinv(mats: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Pseudo-inverses of ``mats[keep]``, zero elsewhere."""
+    out = np.zeros(mats.shape[:1] + mats.shape[:0:-1])
+    if keep.any():
+        out[keep] = np.linalg.pinv(mats[keep], rcond=PINV_RCOND)
+    return out
+
+
+def cell_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of per-row ``values`` (n, ...) grouped by ``index`` -> (size, ...)."""
+    m = int(np.prod(values.shape[1:]))
+    slots = (index[:, None] * m + np.arange(m)).ravel()
+    sums = np.bincount(slots, values.ravel(), minlength=size * m)
+    return sums.reshape((size,) + values.shape[1:])
+
+
 def _cell_averages(system: MomentSystem, basis: SieveBasis):
     cells = basis.cell_index(system.s, system.u)
     k = basis.n_cells
-    total = system.weights.sum()
-    mass = np.zeros(k)
-    np.add.at(mass, cells, system.weights)
-    mass /= total
-    m, p = system.phi.shape[1], system.phi.shape[2]
-    phibar = np.zeros((k, m, p))
-    alphabar = np.zeros((k, m))
-    np.add.at(phibar, cells, system.phi * system.weights[:, None, None])
-    np.add.at(alphabar, cells, system.alpha * system.weights[:, None])
+    w = system.weights
+    total = w.sum()
+    mass = cell_sums(cells, w, k) / total
+    phibar = cell_sums(cells, system.phi * w[:, None, None], k)
+    alphabar = cell_sums(cells, system.alpha * w[:, None], k)
     nz = mass > 0
     phibar[nz] /= (mass[nz] * total)[:, None, None]
     alphabar[nz] /= (mass[nz] * total)[:, None]
@@ -92,37 +209,31 @@ def fit_cell_moments(
     ``mass`` (cells,) holds each cell's share of the weight, ``phibar``
     (cells, m, p) and ``alphabar`` (cells, m) the per-cell means of the
     design and the outcome moments.  With the saturated basis the problem
-    decouples into independent per-cell least squares; general bases go
-    through the dense quadratic form.  Raises :class:`IllPosedFit` when the
-    Hessian is singular and the gradient does not vanish on its null space.
+    decouples into independent per-cell least squares, solved at once by
+    :class:`BlockGeometry`; general bases go through the dense quadratic
+    form.  Raises :class:`IllPosedFit` when the Hessian is singular and the
+    gradient does not vanish on its null space.
     """
     p = phibar.shape[2]
     if basis.kind == "saturated":
-        k = basis.n_cells
-        coef = np.zeros((k, p))
-        hessian = np.zeros((k * p, k * p))
-        loss = 0.0
-        for c in range(k):
-            if mass[c] <= 0:
-                continue
-            sol, *_ = np.linalg.lstsq(phibar[c], -alphabar[c], rcond=None)
-            coef[c] = sol
-            resid = phibar[c] @ sol + alphabar[c]
-            loss += mass[c] * float(resid @ resid)
-            block = 2.0 * mass[c] * phibar[c].T @ phibar[c]
-            hessian[c * p : (c + 1) * p, c * p : (c + 1) * p] = block
-            grad = 2.0 * mass[c] * phibar[c].T @ resid
-            if np.linalg.norm(grad) > 1e-8:
-                svals = np.linalg.svd(phibar[c], compute_uv=False)
-                if svals.min() < HESSIAN_TOL:
-                    raise IllPosedFit(
-                        f"cell {c}: singular design with non-vanishing gradient"
-                    )
+        geometry = BlockGeometry.of_cells(mass, phibar)
+        coef = geometry.solve(alphabar)
+        resid = np.einsum("cmp,cp->cm", phibar, coef) + alphabar
+        grad = 2.0 * mass[:, None] * np.einsum("cmp,cm->cp", phibar, resid)
+        steep = np.flatnonzero(np.linalg.norm(grad, axis=1) > 1e-8)
+        if steep.size:
+            sval_min = np.linalg.svd(phibar[steep], compute_uv=False).min(axis=1)
+            singular = steep[sval_min < HESSIAN_TOL]
+            if singular.size:
+                raise IllPosedFit(f"cell {singular[0]}: singular design with non-vanishing gradient")
+        k = coef.shape[0]
+        hessian = np.zeros((k, p, k, p))
+        hessian[np.arange(k), :, np.arange(k)] = geometry.hess
         return SmdFit(
             basis=basis,
             coef=coef,
-            loss=loss,
-            hessian=hessian,
+            loss=float(mass @ (resid**2).sum(axis=1)),
+            hessian=hessian.reshape(k * p, k * p),
             outcome_scale=outcome_scale,
         )
 
@@ -181,74 +292,52 @@ def horizon_weight(horizon: int, step: float, block: str) -> float:
 
 @dataclass
 class ConfidenceRegion:
-    """Sublevel set ``{coef : criterion(coef) - criterion(center) <= eta}``."""
+    """Sublevel set ``{coef : criterion(coef) - criterion(center) <= eta}``.
+
+    Its geometry is the fit's dense Hessian taken as one block.
+    """
 
     center: SmdFit
     eta: float
 
-    def _check(self, coef: np.ndarray) -> np.ndarray:
+    @cached_property
+    def geometry(self) -> BlockGeometry:
+        return BlockGeometry(self.center.hessian[None])
+
+    def _flat(self, coef: np.ndarray) -> np.ndarray:
         coef = np.asarray(coef, dtype=float)
         if coef.shape != self.center.coef.shape:
             raise BasisMismatch(
                 f"coefficients of shape {coef.shape} do not match {self.center.coef.shape}"
             )
-        return coef
+        return coef.reshape(1, -1)
 
     def loss_gap(self, coef: np.ndarray) -> float:
-        delta = (self._check(coef) - self.center.coef).ravel()
-        return 0.5 * float(delta @ self.center.hessian @ delta)
+        return float(self.geometry.loss_gap(self._flat(coef), self._flat(self.center.coef)))
 
     def contains(self, coef: np.ndarray) -> bool:
         return self.loss_gap(coef) <= self.eta + 1e-12
 
     def min_linear(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
-        """Exact minimum of ``<weights, coef>`` over the region.
+        """Exact minimum of ``<weights, coef>`` over the region and its argmin.
 
-        Directions outside the Hessian's range are flat in the criterion, so
-        nonzero objective weight on them makes the problem unbounded below
-        (raised as :class:`UnboundedBelow`, signalling that the data do not
-        pin down the queried functional).
+        Raises :class:`UnboundedBelow` when the weights load on a flat
+        direction of the criterion, whatever ``eta`` is.
         """
-        w = self._check(weights).ravel()
-        h = self.center.hessian
-        vals, vecs = np.linalg.eigh(h)
-        scale = max(vals.max(initial=0.0), 1.0)
-        keep = vals > HESSIAN_TOL * scale
-        w_spec = vecs.T @ w
-        null_part = np.linalg.norm(w_spec[~keep])
-        if null_part > 1e-10 and self.eta > 0:
-            direction = vecs[:, ~keep] @ w_spec[~keep]
-            raise UnboundedBelow(
-                "objective has weight on a flat direction of the criterion",
-                direction=direction.reshape(self.center.coef.shape),
+        shape = self.center.coef.shape
+        try:
+            value, argmin = self.geometry.min_linear(
+                self._flat(weights), self._flat(self.center.coef), self.eta
             )
-        center_val = float(w @ self.center.coef.ravel())
-        quad = float((w_spec[keep] ** 2 / vals[keep]).sum())
-        if quad <= 0 or self.eta <= 0:
-            return center_val, self.center.coef.copy()
-        step = np.sqrt(2.0 * self.eta / quad)
-        h_pinv_w = vecs[:, keep] @ (w_spec[keep] / vals[keep])
-        argmin = self.center.coef.ravel() - step * h_pinv_w
-        value = center_val - np.sqrt(2.0 * self.eta * quad)
-        return value, argmin.reshape(self.center.coef.shape)
+        except UnboundedBelow as exc:
+            raise UnboundedBelow(str(exc), direction=exc.direction.reshape(shape)) from None
+        return float(value), argmin.reshape(shape)
 
     def members(self, k_max: int = 16) -> list[np.ndarray]:
-        """Center plus axis-aligned boundary points, widest axes first."""
-        out = [self.center.coef.copy()]
-        if self.eta <= 0:
-            return out
-        diag = np.diag(self.center.hessian)
-        order = [i for i in np.argsort(-np.where(diag > HESSIAN_TOL, 1.0 / diag, 0.0)) if diag[i] > HESSIAN_TOL]
-        flat = self.center.coef.ravel()
-        for i in order:
-            radius = np.sqrt(2.0 * self.eta / diag[i])
-            for sign in (1.0, -1.0):
-                if len(out) >= k_max:
-                    return out
-                point = flat.copy()
-                point[i] += sign * radius
-                out.append(point.reshape(self.center.coef.shape))
-        return out
+        """Center plus axis-aligned boundary points, widest axes first, no repeats."""
+        count = max(1, min(k_max, 1 + 2 * self.geometry.order.size)) if self.eta > 0 else 1
+        points = self.geometry.members(self._flat(self.center.coef), self.eta, np.arange(count))
+        return [m.reshape(self.center.coef.shape) for m in points]
 
 
 FIT_SUMMARY_HEADER = "n,seed,err_action,err_instrument,err_interaction,loss,eta,covered"

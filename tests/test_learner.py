@@ -87,6 +87,14 @@ def test_gap_examples(t1):
     assert abs(learner.compute_gap(t1, off, pairs) - (j_star - ja - jb)) < 1e-12
 
 
+def test_gap_rejects_a_pair_that_beats_the_class(t1):
+    pairs = game.stationary_deterministic_pairs(t1)
+    star, j_star = oracle.exact_optimal_pair(t1, pairs)
+    worse = [p for p in pairs if sum(oracle.exact_policy_value(t1, p)) < j_star - 0.1]
+    with pytest.raises(ValueError, match="beats the class optimum"):
+        learner.compute_gap(t1, star, worse)
+
+
 def test_reward_scaling_leaves_argmax_unchanged(t1, t1_basis):
     lam = 3.0
     ds = game.simulate_dataset(t1, n=8_000, seed=6)

@@ -38,8 +38,7 @@ def _crafted_nuisances(basis, f1, f2_lo, f2_hi):
         )
 
     return moments.NuisanceSet(
-        f1=fit(f1), f2=(fit(f2_lo), fit(f2_hi)), f3=fit(0.0), f4=fit(0.0), f5=fit(0.0),
-        clip_count=0,
+        f1=fit(f1), f2=(fit(f2_lo), fit(f2_hi)), clip_count=0
     )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confgame import fixtures, game, moments, ope, sieve, smd
-from confgame.errors import BasisMismatch, UnboundedBelow
+from confgame.errors import BasisMismatch, IllPosedFit, UnboundedBelow
 
 TRUTH = np.array([1.2, 0.5, 0.25])
 
@@ -52,6 +52,15 @@ def test_general_basis_path_matches_cell_path(t1, t1_big):
     # one cell: the constant polynomial basis spans the same space
     assert np.allclose(fit_sat.coef, fit_poly.coef, atol=1e-8)
     assert abs(fit_sat.loss - fit_poly.loss) < 1e-12
+
+
+def test_near_singular_cell_is_ill_posed():
+    # cell 1's design is singular to 1e-13 and its outcome loads on that
+    # direction, so the criterion gradient cannot vanish there
+    phibar = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13])])
+    alphabar = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1e6]])
+    with pytest.raises(IllPosedFit, match="cell 1"):
+        smd.fit_cell_moments(np.array([0.5, 0.5]), phibar, alphabar, sieve.build_basis("saturated", 2, 1), 1.0)
 
 
 def test_eta_schedule_values():
