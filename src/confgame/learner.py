@@ -12,17 +12,18 @@ minimum over each final region is closed-form and the pessimistic value is
 the minimum over chains of a sum of exact ellipsoid minima.  A value weight
 on a flat direction of some region makes the value unbounded below (``-inf``).
 
-Everything a block fit needs from the data collapses into the per-cell
-sufficient statistics of :class:`~confgame.ope.StageStats`, shared with
-off-policy evaluation: they are policy-independent (design moments) or enter
-only through small contraction tables (outcome moments), so scanning
-thousands of candidates costs einsums over tiny arrays instead of passes
-over the rows.  The statistics hold each stage's region geometry, a
-:class:`~confgame.smd.BlockGeometry`: its solve gives the region centers,
-one call builds the members of every chain, and its exact linear minimum
-scores the first stage.  Region radii are the rate schedule times the
-squared root mean square of the block outcome, which makes the whole
-construction exactly equivariant under a positive rescaling of all rewards.
+The chains run :func:`~confgame.ope.chain_recursion`, the same backward
+recursion that off-policy evaluation runs with the all-center chain alone,
+over the per-stage statistics of :class:`~confgame.ope.StageStats`.  Those
+are policy-independent (design moments) or enter only through small
+contraction tables (outcome moments), so scanning thousands of candidates
+costs einsums over tiny arrays instead of passes over the rows.  Each stage's
+:class:`~confgame.smd.BlockGeometry`, for any sieve basis, gives the region
+centers by its guarded solve, the members of every chain in one call and the
+exact linear minimum that scores the first stage.  Region radii are the rate
+schedule times the squared root mean square of the block outcome, which
+makes the whole construction exactly equivariant under a positive rescaling
+of all rewards.
 """
 
 from __future__ import annotations
@@ -32,16 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyClass, UnboundedBelow
+from .errors import BasisMismatch, EmptyClass, UnboundedBelow
 from .game import GameSpec, PolicyPair
-from .ope import (
-    as_source,
-    combine_blocks,
-    continuation_outcomes,
-    next_actor_factor,
-    stage_statistics,
-    value_weight_tables,
-)
+from .ope import as_source, chain_recursion, continuation_centers, stage_statistics, value_weight_tables
 from .sieve import SieveBasis
 from .smd import eta_schedule, horizon_weight
 from . import oracle as oracle_mod
@@ -71,11 +65,6 @@ class EtaConfig:
         )
 
 
-def _stage_step(t: int) -> float:
-    """Step label of stage ``t``: 1, 1.5, 2, 2.5, ..."""
-    return t // 2 + 1 + (0.5 if t % 2 else 0.0)
-
-
 @dataclass
 class PessimisticValue:
     """Lower-bound value of one policy pair plus diagnostics."""
@@ -93,10 +82,9 @@ class PessimisticValue:
 class QRegions:
     """Stage-one region structure of one candidate policy.
 
-    ``stage0[side]`` holds the per-chain block-region centers and radii plus
-    the (chain-independent) reward region, produced by the same chain
-    propagation the nested construction prescribes; the union over upstream
-    members is represented by the sampled chains.
+    ``stage0[side]`` is the first stage's :class:`~confgame.ope.StageRegions`:
+    the per-chain block regions and the (chain-independent) reward region;
+    the union over upstream members is represented by the sampled chains.
     """
 
     policy: PolicyPair
@@ -110,57 +98,29 @@ class LearnerEngine:
     """Shared per-dataset state for scanning many candidate policies."""
 
     def __init__(self, data, basis: SieveBasis, eta: EtaConfig = EtaConfig()):
-        if basis.kind != "saturated":
-            raise ValueError("the learner requires the saturated basis")
         self.source = as_source(data)
         self.basis = basis
         self.eta = eta
         self.n = self.source.dataset.n if hasattr(self.source, "dataset") else None
         self.horizon = self.source.horizon
-        self.ns, self.nu = self.source.n_states, self.source.n_u
         self.stats = stage_statistics(self.source, basis)
-
-    def _fit_blocks(self, t: int, rep_stack: np.ndarray, fac: np.ndarray):
-        """Centers and radii of the four continuation blocks, per chain."""
-        st = self.stats[t]
-        alpha, scale_sq = st.block_moments(continuation_outcomes(t, rep_stack, fac))
-        coef = st.geometry4.solve(alpha)
-        unit = self.eta.radius_unit(self.n, horizon_weight(self.horizon, _stage_step(t), "recursion"))
-        return coef, unit * scale_sq
-
-    def _reward_region(self, t: int):
-        st = self.stats[t]
-        eta_r = self.eta.radius_unit(self.n, 1.0) * st.reward_scale_sq
-        return st.reward_coef, eta_r
+        unit = eta.radius_unit
+        # reward and continuation radii of stage t (step t / 2 + 1 of the game)
+        # per unit outcome mean square
+        self.radius_units = [
+            (unit(self.n, 1.0), unit(self.n, horizon_weight(self.horizon, t / 2 + 1, "recursion")))
+            for t in range(2 * self.horizon)
+        ]
 
     def propagate(self, policy: PolicyPair) -> dict:
-        """Chain recursion; returns the stage-0 region data per side.
+        """Chain recursion; returns the stage-0 regions per side.
 
         Chain ``k`` takes member ``k`` of every region it passes through.
         """
-        chains = np.arange(self.eta.k_members)
-        out = {}
-        for side in ("alice", "bob"):
-            rep = None
-            stage0 = None
-            for t in reversed(range(2 * self.horizon)):
-                st = self.stats[t]
-                has_reward = (t % 2 == 0) == (side == "alice")
-                reward_info = self._reward_region(t) if has_reward else None
-                blocks_info = None
-                if rep is not None:
-                    blocks_info = self._fit_blocks(t, rep, next_actor_factor(t, policy, self.ns, self.nu))
-                if t == 0:
-                    stage0 = {"reward": reward_info, "blocks": blocks_info}
-                    break
-                reward_m = block_m = None
-                if reward_info is not None:
-                    reward_m = st.geometry3.members(*reward_info, chains)
-                if blocks_info is not None:
-                    block_m = st.geometry4.members(*blocks_info, chains[:, None])
-                rep = combine_blocks(t, reward_m, block_m, self.ns * self.nu)
-            out[side] = stage0
-        return out
+        return {
+            side: chain_recursion(self.stats, policy, side, self.eta.k_members, self.radius_units)[0]
+            for side in ("alice", "bob")
+        }
 
 
 def build_q_regions(
@@ -179,35 +139,37 @@ def build_q_regions(
     )
 
 
-def _stage0_weights(tw, gw, ow, zw):
-    w_rep = np.stack([tw.ravel(), gw.ravel(), ow.ravel(), zw.ravel()], axis=1)
+def _stage0_weights(st, w_rep: np.ndarray):
+    """Value weights on the block coefficients of the first stage's reward
+    block and four continuation blocks."""
     post = np.stack([w_rep[:, 0], w_rep[:, 2], w_rep[:, 2], w_rep[:, 0]], axis=1)
-    return w_rep[:, :3], [w_rep, post, w_rep, post]
+    pull = st.basis.coefficient_weights
+    w_blocks = [pull(w).reshape(st.geometry4.hess.shape[:2]) for w in (w_rep, post, w_rep, post)]
+    return pull(w_rep[:, :3]).reshape(st.reward_coef.shape), w_blocks
 
 
 def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> PessimisticValue:
     """Exact inner minimization of the policy value over the region structure."""
     engine: LearnerEngine = regions.diagnostics["engine"]
-    tw, gw, ow, zw = value_weight_tables(engine.stats[0], policy)
-    w_reward, w_blocks = _stage0_weights(tw, gw, ow, zw)
+    st = engine.stats[0]
+    w_reward, w_blocks = _stage0_weights(st, value_weight_tables(st, policy))
     total_min, total_plug = 0.0, 0.0
     chain_values = {}
     attaining = {}
     region_sizes = {}
     unbounded, direction = False, None
-    st = engine.stats[0]
     for side in ("alice", "bob"):
         info = regions.stage0[side]
         try:
-            if info["reward"] is not None:
-                center_r, eta_r = info["reward"]
+            if info.reward is not None:
+                center_r, eta_r = info.reward
                 value, argmin = st.geometry3.min_linear(w_reward, center_r, eta_r)
                 total_min += float(value)
                 total_plug += float(np.einsum("cp,cp->", center_r, w_reward))
                 attaining[(side, "reward")] = argmin
                 region_sizes[(side, "reward")] = eta_r
-            if info["blocks"] is not None:
-                coef, etas = info["blocks"]
+            if info.coef is not None:
+                coef, etas = info.coef, info.radius
                 vals = np.zeros(coef.shape[0])
                 argmins = []
                 for j in range(4):
@@ -220,9 +182,7 @@ def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> Pessimisti
                     attaining[(side, f"block{j}")] = argmins[j][best_k]
                     region_sizes[(side, f"block{j}")] = float(etas[best_k, j])
                 total_min += float(vals.min())
-                total_plug += float(
-                    sum(np.einsum("cp,cp->", coef[0, j], w_blocks[j]) for j in range(4))
-                )
+                total_plug += float(sum(np.einsum("cp,cp->", coef[0, j], w_blocks[j]) for j in range(4)))
         except UnboundedBelow as exc:
             unbounded, direction = True, exc.direction
             total_min = -np.inf
@@ -287,8 +247,12 @@ def truth_covered(
     Mirrors the nested construction: true reward triples must fall in the
     reward-block regions, and at every stage the true continuation-block
     vectors, built from the true upstream tables rather than sampled members,
-    must fall in the corresponding block regions.
+    must fall in the corresponding block regions.  The true tables are cell
+    tables, so the engine's basis must be the saturated one
+    (:class:`BasisMismatch` otherwise).
     """
+    if engine.basis.kind != "saturated":
+        raise BasisMismatch("truth_covered compares cell tables and needs the saturated basis")
     if exq is None:
         exq = oracle_mod.exact_q(spec, policy)
     if true_blocks is None:
@@ -301,25 +265,19 @@ def truth_covered(
             [triple.theta_a.ravel(), triple.theta_z.ravel(), triple.theta_az.ravel()],
             axis=1,
         )
-        center_r, eta_r = engine._reward_region(t)
-        if st.geometry3.loss_gap(true3, center_r) > eta_r + 1e-12:
+        eta_r = engine.radius_units[t][0] * st.reward_scale_sq
+        if st.geometry3.loss_gap(true3, st.reward_coef) > eta_r + 1e-12:
             return False
     for t in range(2 * engine.horizon - 1):
         st = engine.stats[t]
+        # the blocks' columns follow the stage's roles: (own, partner, interaction, constant)
+        roles = [0, 1, 2, 3] if t % 2 == 0 else [1, 0, 2, 3]
         for side in ("alice", "bob"):
-            nxt = exq.marginal[(t + 1, side)]
-            rep_true = np.stack(
-                [nxt.theta.ravel(), nxt.gamma.ravel(), nxt.omega.ravel(), nxt.zeta.ravel()],
-                axis=1,
-            )[None]
-            coef, etas = engine._fit_blocks(t, rep_true, next_actor_factor(t, policy, engine.ns, engine.nu))
+            rep_true = exq.marginal[(t + 1, side)].stack().reshape(1, -1, 4)
+            coef, _, scale_sq = continuation_centers(st, t, rep_true, policy)
+            etas = engine.radius_units[t][1] * scale_sq
             for j in range(4):
-                blk = true_blocks[(t, side, j)]
-                if t % 2 == 0:
-                    cols = (blk.theta, blk.gamma, blk.omega, blk.zeta)
-                else:
-                    cols = (blk.gamma, blk.theta, blk.omega, blk.zeta)
-                true4 = np.stack([c.ravel() for c in cols], axis=1)
+                true4 = true_blocks[(t, side, j)].stack().reshape(-1, 4)[:, roles]
                 if st.geometry4.loss_gap(true4, coef[0, j]) > float(etas[0, j]) + 1e-12:
                     return False
     return True

@@ -3,38 +3,34 @@
 Each stage's action-value function is bilinear in (alice's recent action,
 bob's recent action) plus a constant continuation term.  Working backward
 from the final reward, every stage fits up to five blocks against the
-role-appropriate moment system:
-
-* a reward block (three unknowns; reward residuals are centered so the
-  intercept is structurally zero), and
-* four recursion blocks carrying the next stage's fitted tables through the
-  transition: its constant part, its own-action coefficient, its
-  partner-action coefficient and its interaction coefficient, the latter
-  blocks contracted with the evaluated policy where the next action is drawn
-  from it.  These are fit with four unknowns because the conditional mean of
-  a continuation function generally has a nonzero constant part.
-
-The fitted block vectors combine linearly into the stage representation; the
-combination bookkeeping tracks how post-multiplying by a binary action folds
-constants and partner coefficients into own-action and interaction slots.
+role-appropriate moment system: a reward block (three unknowns; reward
+residuals are centered so the intercept is structurally zero) and four
+continuation blocks carrying the next stage's constant, own-action,
+partner-action and interaction coefficients through the transition, those on
+the next actor's action weighted by the evaluated policy (four unknowns each,
+since a conditional mean of a continuation generally has a constant part).
+The fitted blocks combine linearly into the stage representation; the
+combination tracks how post-multiplying by a binary action folds constants
+and partner coefficients into own-action and interaction slots.
 
 Every block fit needs only per-cell statistics of the stage's rows, so each
-stage reads its rows once into a :class:`StageStats`.  The evaluation below is
-the all-center chain over those statistics; the pessimistic learner runs
-member chains over the same objects.  The rows come from a sampled dataset or
-from exact-law weighted rows ("population mode"), which is how the
+stage reads its rows once into a :class:`StageStats`, which also holds the
+criterion geometry of its basis.  :func:`chain_recursion` is the one backward
+recursion: evaluation runs it with the single all-center chain, the
+pessimistic learner with its member chains.  The rows come from a sampled
+dataset or from exact-law weighted rows ("population mode"), which is how the
 composition algebra is tested against the brute-force oracle.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateIV, IllPosedFit, InsufficientData, MalformedDataset
+from .errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData, MalformedDataset
 from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair
 from .moments import MomentData, assemble_system, estimate_nuisances
 from .oracle import StageRep, stage_laws
@@ -214,22 +210,24 @@ class StageStats:
     :func:`~confgame.moments.assemble_system`; ``phibar3`` is its top-left
     block, the design of the intercept-free reward system.  Every outcome
     moment is a feature times the outcome (the system's ``alpha`` at
-    ``y = 1``), so ``abar_reward`` holds the reward block's cell means and
-    ``t_alpha[c, m, next_cell, act]`` turns any continuation outcome
-    ``g(next_cell, act)`` into cell means by contraction, as
+    ``y = 1``), so ``abar_reward`` holds the reward criterion's moment means
+    and ``t_alpha[b, m, next_cell, act]`` turns any continuation outcome
+    ``g(next_cell, act)`` into moment means by contraction, as
     ``scale_weights[next_cell, act]`` does for its mean square
     (:meth:`block_moments`).
 
     With cross-fitting the rows split into two folds; each fold's features
     use nuisances fitted on the other fold and the weighted sums of both folds
     are added.  ``nuisances`` holds one :class:`NuisanceSet` per fold.
-    ``geometry3`` and ``geometry4`` are the :class:`~confgame.smd.BlockGeometry`
-    of the saturated reward and continuation criteria; ``reward_coef`` is
-    the reward block's fit.
+    ``geometry3`` and ``geometry4`` are the reward and continuation criteria
+    over ``basis`` (:meth:`~confgame.smd.BlockGeometry.of_basis`), whose
+    blocks ``abar_reward`` and ``t_alpha`` follow; ``reward_coef`` is the
+    reward block's fit.
     """
 
     def __init__(self, source: DataSource, t: int, basis: SieveBasis):
         rows = source.stage_rows(t)
+        self.basis = basis
         self.n_states, self.n_u = ns, nu = source.n_states, source.n_u
         k = ns * nu
         n = rows.s.shape[0]
@@ -258,40 +256,38 @@ class StageStats:
         self.phibar4 = phi_sum
         self.phibar4[nz] /= mass[nz][:, None, None]
         self.phibar3 = self.phibar4[:, :3, :3]
-        self.abar_reward = reward_sum
-        self.abar_reward[nz] /= mass[nz][:, None]
+        reward_sum[nz] /= mass[nz][:, None]
         self.reward_scale_sq = float((w * rows.y_reward**2).sum())
-        self.t_alpha = np.ascontiguousarray(np.moveaxis(t_sum.reshape(k, k, 2, 4), 3, 1))
-        self.t_alpha[nz] /= mass[nz][:, None, None, None]
+        t_alpha = np.ascontiguousarray(np.moveaxis(t_sum.reshape(k, k, 2, 4), 3, 1))
+        t_alpha[nz] /= mass[nz][:, None, None, None]
         self.scale_weights = np.bincount(next_cells * 2 + rows.act, w, minlength=2 * k).reshape(k, 2)
 
-        self.geometry3 = BlockGeometry.of_cells(mass, self.phibar3)
-        self.geometry4 = BlockGeometry.of_cells(mass, self.phibar4)
+        self.geometry3 = BlockGeometry.of_basis(mass, self.phibar3, basis)
+        self.geometry4 = BlockGeometry.of_basis(mass, self.phibar4, basis)
+        self.abar_reward = self.geometry3.moments(reward_sum)
+        self.t_alpha = self.geometry4.moments(t_alpha)
         self.reward_coef = self.geometry3.solve(self.abar_reward)
 
     def block_moments(self, g: np.ndarray):
-        """Cell moment means (chain, block, cell, 4) and mean squares (chain,
+        """Moment means (chain, block, blocks, m) and mean squares (chain,
         block) of continuation outcomes ``g[chain, block, next_cell, act]``."""
         alpha = np.einsum("cmna,kjna->kjcm", self.t_alpha, g)
         scale_sq = np.einsum("na,kjna->kj", self.scale_weights, g**2)
         return alpha, scale_sq
 
 
-@contextmanager
-def _at_stage(t: int):
-    """Name the stage in estimation errors raised inside the block."""
-    try:
-        yield
-    except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
-        raise type(exc)(f"stage {t}: {exc}") from exc
-
-
 def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
-    """:class:`StageStats` of every stage, in stage order."""
+    """:class:`StageStats` of every stage, in stage order; :class:`BasisMismatch`
+    when the basis is not built on the data's states and private values."""
+    want, have = (basis.n_states, basis.n_u), (source.n_states, source.n_u)
+    if want != have:
+        raise BasisMismatch(f"basis has (n_states, n_u) = {want}; the data have {have}")
     stats = []
     for t in range(2 * source.horizon):
-        with _at_stage(t):
+        try:
             stats.append(StageStats(source, t, basis))
+        except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
+            raise type(exc)(f"stage {t}: {exc}") from exc
     return stats
 
 
@@ -300,57 +296,43 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
 # ---------------------------------------------------------------------------
 
 
-def next_actor_factor(t: int, policy: PolicyPair, ns: int, nu: int) -> np.ndarray:
-    """(next_cell, act) table of the next actor's action probability.
-
-    After an even stage the next actor is bob, whose rule sees the next state
-    and the current action; after an odd stage it is alice, whose rule also
-    sees the next private value.
+def continuation_centers(st: StageStats, t: int, rep: np.ndarray, policy: PolicyPair):
+    """Centers (chain, 4, blocks, q), moment means and outcome mean squares
+    (chain, 4) of the continuation blocks of next-stage (theta, gamma, omega,
+    zeta) tables ``rep`` (chain, next_cell, 4): its constant, own, partner and
+    interaction coefficients, those on the next actor's action times that
+    actor's policy mean (bob's after an even stage, alice's after an odd one).
     """
-    cells = np.arange(ns * nu)
-    idx_s, idx_u = cells // nu, cells % nu
-    h = t // 2
+    ones = np.ones((rep.shape[1], 2))
+    idx_s, idx_u = np.divmod(np.arange(rep.shape[1]), st.n_u)
     if t % 2 == 0:
-        return policy.bob_mean(h)[idx_s]
-    return policy.alice_mean(h + 1)[idx_s, idx_u]
-
-
-def continuation_outcomes(t: int, rep_stack: np.ndarray, fac: np.ndarray) -> np.ndarray:
-    """(chain, block, next_cell, act) outcomes of the four continuation blocks.
-
-    ``rep_stack[chain, next_cell]`` holds next-stage (theta, gamma, omega,
-    zeta).  The blocks carry its constant, own, partner and interaction
-    coefficients; the coefficients on the next actor's action are multiplied
-    by that actor's policy mean ``fac``.
-    """
-    kk, nc = rep_stack.shape[0], rep_stack.shape[1]
-    ones = np.ones((nc, 2))
-    theta, gamma, omega, zeta = (rep_stack[:, :, i] for i in range(4))
-    g = np.empty((kk, 4, nc, 2))
-    g[:, 0] = zeta[:, :, None] * ones
-    if t % 2 == 0:
-        g[:, 1] = theta[:, :, None] * ones
-        g[:, 2] = gamma[:, :, None] * fac
-        g[:, 3] = omega[:, :, None] * fac
+        fac = policy.bob_mean(t // 2)[idx_s]
+        own, partner = ones, fac
     else:
-        g[:, 1] = theta[:, :, None] * fac
-        g[:, 2] = gamma[:, :, None] * ones
-        g[:, 3] = omega[:, :, None] * fac
-    return g
+        fac = policy.alice_mean(t // 2 + 1)[idx_s, idx_u]
+        own, partner = fac, ones
+    theta, gamma, omega, zeta = (rep[:, :, i, None] for i in range(4))
+    g = np.empty((rep.shape[0], 4, rep.shape[1], 2))
+    g[:, 0], g[:, 1], g[:, 2], g[:, 3] = zeta * ones, theta * own, gamma * partner, omega * fac
+    alpha, scale_sq = st.block_moments(g)
+    try:
+        return st.geometry4.solve(alpha), alpha, scale_sq
+    except IllPosedFit as exc:
+        raise IllPosedFit(f"stage {t}: {exc}") from exc
 
 
-def combine_blocks(t: int, reward_m, block_m, n_cells: int) -> np.ndarray:
-    """Block tables -> (chain, cell, 4) stage representations.
+def combine_blocks(t: int, reward_m, block_m, n_rows: int) -> np.ndarray:
+    """Block tables -> (chain, row, 4) stage representations, row by row.
 
-    ``reward_m[chain, cell]`` is in (own action, instrument, interaction)
-    order; ``block_m[chain, block, cell]`` holds the constant,
+    ``reward_m[chain, row]`` is in (own action, instrument, interaction)
+    order; ``block_m[chain, block, row]`` holds the constant,
     own-coefficient, partner-coefficient and interaction blocks of the
     continuation, each in (action, instrument, interaction, constant) order of
     the stage's own roles.  Either may be ``None``; with both ``None`` the
     representation is zero.
     """
     kk = max([1] + [m.shape[0] for m in (reward_m, block_m) if m is not None])
-    rep = np.zeros((kk, n_cells, 4))
+    rep = np.zeros((kk, n_rows, 4))
     even = t % 2 == 0
     if reward_m is not None:
         r_act, r_iv, r_int = (reward_m[..., i] for i in range(3))
@@ -383,6 +365,57 @@ def combine_blocks(t: int, reward_m, block_m, n_cells: int) -> np.ndarray:
 
 
 @dataclass
+class StageRegions:
+    """Stage ``t`` of :func:`chain_recursion`: the reward region's (center,
+    radius) when the side is paid here; when a stage follows, the
+    continuation regions' centers ``coef`` (chain, 4, blocks, q), moment
+    means, outcome mean squares and radii (chain, 4)."""
+
+    st: StageStats
+    t: int
+    chains: int
+    reward: Optional[tuple]
+    coef: Optional[np.ndarray]
+    alpha: Optional[np.ndarray]
+    scale_sq: Optional[np.ndarray]
+    radius: Optional[np.ndarray]
+
+    @cached_property
+    def rep(self) -> np.ndarray:
+        """Stage tables (chain, cells, 4) the chains carry to the stage before:
+        member ``k`` of each region for chain ``k``, combined, as cell tables.
+        Built on first use: the learner never needs the first stage's."""
+        index, k = np.arange(self.chains), self.st.basis.k
+        reward_m = block_m = None
+        if self.reward is not None:
+            reward_m = self.st.geometry3.members(*self.reward, index).reshape(self.chains, k, -1)
+        if self.coef is not None:
+            block_m = self.st.geometry4.members(self.coef, self.radius, index[:, None])
+            block_m = block_m.reshape(self.chains, 4, k, -1)
+        return self.st.basis.tables(combine_blocks(self.t, reward_m, block_m, k))
+
+
+def chain_recursion(stats: list, policy: PolicyPair, side: str, chains: int = 1, radius_units=None) -> list:
+    """The backward recursion of one side, run by a stack of member chains:
+    every stage's :class:`StageRegions`, in stage order, each stage's centers
+    fitted to the next stage's chain tables.  ``radius_units[t]`` holds the
+    reward and continuation radii per unit outcome mean square (zero without
+    it).  Chain 0 takes every center: alone, it is the plug-in recursion."""
+    out = [None] * len(stats)
+    for t in reversed(range(len(stats))):
+        st = stats[t]
+        unit_reward, unit_next = radius_units[t] if radius_units is not None else (0.0, 0.0)
+        reward = coef = alpha = scale_sq = radius = None
+        if (t % 2 == 0) == (side == "alice"):
+            reward = (st.reward_coef, unit_reward * st.reward_scale_sq)
+        if t + 1 < len(stats):
+            coef, alpha, scale_sq = continuation_centers(st, t, out[t + 1].rep, policy)
+            radius = unit_next * scale_sq
+        out[t] = StageRegions(st, t, chains, reward, coef, alpha, scale_sq, radius)
+    return out
+
+
+@dataclass
 class OPEResult:
     qhat: dict
     j_alice: float
@@ -394,22 +427,19 @@ class OPEResult:
         return self.j_alice + self.j_bob
 
 
-def value_weight_tables(stats: StageStats, policy: PolicyPair):
+def value_weight_tables(stats: StageStats, policy: PolicyPair) -> np.ndarray:
     """Occupancy-weighted feature expectations of the opening move.
 
     ``stats`` are the statistics of stage 0, whose cell mass is the opening
-    occupancy.  Returns (theta_w, gamma_w, omega_w, zeta_w) tables over
-    (s, u) such that the estimated value of either player is the elementwise
-    dot product with the stage-one representation.
+    occupancy.  Returns (cells, 4) weights such that the estimated value of
+    either player is their elementwise dot product with the stage-one
+    (theta, gamma, omega, zeta) table.
     """
-    ns, nu = stats.n_states, stats.n_u
-    p1 = stats.mass.reshape(ns, nu) / stats.mass.sum()
+    p1 = stats.mass / stats.mass.sum()
     pi_b = policy.init_bob
-    pa = policy.alice_mean(0)  # (s, u, b)
-    e_a = (1 - pi_b) * pa[..., 0] + pi_b * pa[..., 1]
-    e_b = pi_b * np.ones((ns, nu))
-    e_ab = pi_b * pa[..., 1]
-    return p1 * e_a, p1 * e_b, p1 * e_ab, p1
+    pa = policy.alice_mean(0).reshape(-1, 2)  # (cell, b)
+    e_a = (1 - pi_b) * pa[:, 0] + pi_b * pa[:, 1]
+    return p1[:, None] * np.stack([e_a, np.full_like(p1, pi_b), pi_b * pa[:, 1], np.ones_like(p1)], axis=1)
 
 
 def evaluate_policy(
@@ -418,48 +448,32 @@ def evaluate_policy(
     basis: SieveBasis,
     cross_fit: bool = False,
 ) -> OPEResult:
-    """Backward recursion producing fitted stage tables and value estimates."""
+    """Fitted stage tables and value estimates: the all-center chain of
+    :func:`chain_recursion`, with a fit record of every block."""
     if not isinstance(policy, PolicyPair):
         raise TypeError("policy must be a PolicyPair (bob rules cannot see v)")
     source = as_source(data, cross_fit=cross_fit)
     if policy.horizon != source.horizon:
         raise ValueError("policy horizon does not match the data horizon")
     ns, nu = source.n_states, source.n_u
-    k = ns * nu
-    grid_s, grid_u = np.divmod(np.arange(k), nu)
     stats = stage_statistics(source, basis)
-    reps: dict = {}
-    fits: dict = {}
-    next_rep = {"alice": None, "bob": None}
-    for t in reversed(range(2 * source.horizon)):
-        st = stats[t]
-        for side in ("alice", "bob"):
-            reward_m = block_m = None
-            with _at_stage(t):
-                if (t % 2 == 0) == (side == "alice"):
-                    fit = fit_cell_moments(
-                        st.mass, st.phibar3, st.abar_reward, basis, float(np.sqrt(st.reward_scale_sq))
+    w = value_weight_tables(stats[0], policy)
+    reps, fits, value = {}, {}, {}
+    for side in ("alice", "bob"):
+        stages = chain_recursion(stats, policy, side)
+        value[side] = float(sum((w[:, i] * stages[0].rep[0, :, i]).sum() for i in range(4)))
+        for t, (st, stage) in enumerate(zip(stats, stages)):
+            reps[(t, side)] = StageRep(*(stage.rep[0, :, i].reshape(ns, nu) for i in range(4)))
+            if stage.reward is not None:
+                fits[(t, side, "reward")] = fit_cell_moments(
+                    st.geometry3, st.abar_reward, basis, float(np.sqrt(st.reward_scale_sq))
+                )
+            if stage.coef is not None:
+                for j in range(4):
+                    fits[(t, side, f"block{j}")] = fit_cell_moments(
+                        st.geometry4, stage.alpha[0, j], basis, float(np.sqrt(stage.scale_sq[0, j]))
                     )
-                    fits[(t, side, "reward")] = fit
-                    reward_m = fit.predict(grid_s, grid_u)[None]
-                if next_rep[side] is not None:
-                    g = continuation_outcomes(t, next_rep[side], next_actor_factor(t, policy, ns, nu))
-                    alpha, scale_sq = st.block_moments(g)
-                    block_m = np.empty((1, 4, k, 4))
-                    for j in range(4):
-                        fit = fit_cell_moments(
-                            st.mass, st.phibar4, alpha[0, j], basis, float(np.sqrt(scale_sq[0, j]))
-                        )
-                        fits[(t, side, f"block{j}")] = fit
-                        block_m[0, j] = fit.predict(grid_s, grid_u)
-            next_rep[side] = combine_blocks(t, reward_m, block_m, k)
-            reps[(t, side)] = StageRep(*(next_rep[side][0, :, i].reshape(ns, nu) for i in range(4)))
-    tw, gw, ow, zw = value_weight_tables(stats[0], policy)
-    j_a, j_b = (
-        float((tw * r.theta).sum() + (gw * r.gamma).sum() + (ow * r.omega).sum() + (zw * r.zeta).sum())
-        for r in (reps[(0, "alice")], reps[(0, "bob")])
-    )
-    return OPEResult(qhat=reps, j_alice=j_a, j_bob=j_b, fits=fits)
+    return OPEResult(qhat=reps, j_alice=value["alice"], j_bob=value["bob"], fits=fits)
 
 
 def dump_qhat_csv(result: OPEResult, path) -> None:

@@ -10,6 +10,7 @@ and the nuisance fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -56,6 +57,21 @@ class SieveBasis:
         onehot = np.zeros((s.shape[0], self.n_u))
         onehot[np.arange(s.shape[0]), u] = 1.0
         return (monos[:, :, None] * onehot[:, None, :]).reshape(s.shape[0], -1)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """(cells, k) design at every cell, in cell order ``s * n_u + u``."""
+        return self.evaluate(*np.divmod(np.arange(self.n_cells), self.n_u))
+
+    def tables(self, coef: np.ndarray) -> np.ndarray:
+        """Cell tables (..., cells, p) of sieve coefficients (..., k, p); the
+        saturated grid design is the identity, and so is this map and the next."""
+        return coef if self.kind == "saturated" else np.einsum("ck,...kp->...cp", self.grid, coef)
+
+    def coefficient_weights(self, weights: np.ndarray) -> np.ndarray:
+        """Weights (k, p) on sieve coefficients of the linear functional that
+        weights the cell tables by ``weights`` (cells, p)."""
+        return weights if self.kind == "saturated" else self.grid.T @ weights
 
 
 def polynomial_count(degree: int, d: int) -> int:
@@ -112,9 +128,7 @@ def build_basis(
         state_values=state_values,
         exponents=exponents,
     )
-    grid_s = np.repeat(np.arange(n_states), n_u)
-    grid_u = np.tile(np.arange(n_u), n_states)
-    q = basis.evaluate(grid_s, grid_u)
+    q = basis.grid
     if np.linalg.matrix_rank(q.T @ q) < basis.k:
         raise RankDeficientBasis(
             f"{basis.k} basis functions are dependent on the {n_states}-point grid"

@@ -6,16 +6,17 @@ is a positive-semidefinite quadratic in the sieve coefficients.  Fitting
 solves its normal equations (minimum-norm when singular); a confidence region
 is the sublevel set of the criterion gap, which is exactly a quadratic form
 around the fit and therefore an ellipsoid that supports closed-form linear
-minimization.  :class:`BlockGeometry` is that ellipsoid, written once for a
-stack of Hessian blocks: per-cell fits, :class:`ConfidenceRegion` and the
-pessimistic learner all use it.
+minimization.  :class:`BlockGeometry` is that ellipsoid and its guarded
+least-squares solve, written once for a stack of Hessian blocks: one block per
+cell for the saturated basis and a single block, the Gram-whitened projected
+design, for any other basis.  Fits, :class:`ConfidenceRegion`, off-policy
+evaluation and the pessimistic learner all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +43,6 @@ class SmdFit:
     loss: float
     hessian: np.ndarray
     outcome_scale: float
-    gram_cond: float = 1.0
 
     @property
     def p(self) -> int:
@@ -69,14 +69,21 @@ class BlockGeometry:
     functional (:meth:`min_linear`) are closed-form.  Centers and radii may
     carry leading (chain, block, ...) axes.  ``hpinv`` holds the blocks'
     pseudo-inverses, ``hdiag`` the flattened diagonal and ``order`` the axes
-    with positive curvature, widest first.  Geometries of the saturated
-    criterion (:meth:`of_cells`) also hold ``pinv``, each cell design's
-    pseudo-inverse, which gives the least-squares fit (:meth:`solve`).
+    with positive curvature, widest first.  Geometries of a least-squares
+    criterion ``sum_b mass[b] * |design[b] @ coef[b] + alphabar[b]|^2`` also
+    hold its ``mass`` and ``design``, which give the fit (:meth:`solve`), and
+    ``lift`` from cell to block moments (:meth:`moments`; ``None`` for cells).
     """
 
-    def __init__(self, hess: np.ndarray, pinv: Optional[np.ndarray] = None):
+    def __init__(self, hess: np.ndarray, mass=None, design=None, lift=None):
         self.hess = hess
-        self.pinv = pinv
+        self.mass, self.design, self.lift = mass, design, lift
+        if design is not None:
+            reached = mass > 0
+            self.pinv = _stack_pinv(design, reached)
+            # only a singular design can leave a non-zero gradient at the solve
+            sval = np.linalg.svd(design[reached], compute_uv=False)
+            self.singular = np.flatnonzero(reached)[sval.min(axis=1, initial=np.inf) < HESSIAN_TOL]
 
     # the region operators are built on first use: a fit needs only the solve
 
@@ -95,18 +102,57 @@ class BlockGeometry:
         return np.argsort(np.where(curved, self.hdiag, np.inf))[: int(curved.sum())]
 
     @classmethod
-    def of_cells(cls, mass: np.ndarray, phibar: np.ndarray) -> "BlockGeometry":
+    def of_cells(cls, mass: np.ndarray, phibar: np.ndarray, lift=None) -> "BlockGeometry":
         """Blocks of ``sum_c mass[c] * |phibar[c] @ coef[c] + alphabar[c]|^2``."""
         nz = mass > 0
         hess = np.zeros(phibar.shape[:1] + phibar.shape[2:] * 2)
         phi = phibar[nz]
         hess[nz] = 2.0 * mass[nz][:, None, None] * np.transpose(phi, (0, 2, 1)) @ phi
-        return cls(hess, _stack_pinv(phibar, nz))
+        return cls(hess, mass, phibar, lift)
+
+    @classmethod
+    def of_basis(cls, mass: np.ndarray, phibar: np.ndarray, basis: SieveBasis) -> "BlockGeometry":
+        """The projected moment criterion over the sieve space, from cell
+        masses (cells,) and design means ``phibar`` (cells, m, p).
+
+        The saturated basis decouples into per-cell blocks.  Any other basis is
+        one block, the least-squares problem of ``G^{+1/2} A``: ``G`` is the
+        basis' mass-weighted Gram matrix on the grid and ``A`` the design
+        projected onto it (rows (m, k), columns (k, p)).
+        """
+        if basis.kind == "saturated":
+            return cls.of_cells(mass, phibar)
+        q = basis.grid
+        gram = (q * mass[:, None]).T @ q
+        lam, vec = np.linalg.eigh(gram)
+        keep = lam > PINV_RCOND * lam.max(initial=0.0)
+        half = (vec[:, keep] / np.sqrt(lam[keep])) @ vec[:, keep].T
+        lift = half @ (q * mass[:, None]).T
+        design = _lift(lift, phibar[:, :, None, :] * q[:, None, :, None])
+        return cls.of_cells(np.ones(1), design.reshape(1, design.shape[1], -1), lift)
+
+    def moments(self, x: np.ndarray) -> np.ndarray:
+        """Block moment means (blocks, m', ...) of cell moment means (cells, m, ...)."""
+        return x if self.lift is None else _lift(self.lift, x)
 
     def solve(self, alphabar: np.ndarray) -> np.ndarray:
-        """Least-squares cell coefficients (..., cells, p) of outcome moment
-        means ``alphabar`` (..., cells, m): the centers of the regions."""
-        return np.einsum("cpm,...cm->...cp", self.pinv, -alphabar)
+        """Least-squares block coefficients (..., blocks, q) of block moment
+        means ``alphabar`` (..., blocks, m): the centers of the regions.
+
+        Raises :class:`IllPosedFit` when a singular block design meets a
+        gradient that does not vanish, so that no coefficient minimizes it.
+        """
+        coef = np.einsum("cpm,...cm->...cp", self.pinv, -alphabar)
+        bad = self.singular
+        if bad.size:
+            design = self.design[bad]
+            resid = np.einsum("cmp,...cp->...cm", design, coef[..., bad, :]) + alphabar[..., bad, :]
+            grad = 2.0 * self.mass[bad, None] * np.einsum("cmp,...cm->...cp", design, resid)
+            steep = np.linalg.norm(grad, axis=-1) > 1e-8
+            if steep.any():
+                where = "" if self.lift is not None else f"cell {bad[np.nonzero(steep)[-1].min()]}: "
+                raise IllPosedFit(f"{where}singular design with non-vanishing gradient")
+        return coef
 
     def loss_gap(self, coef: np.ndarray, center: np.ndarray) -> np.ndarray:
         """Criterion increase from ``center`` to ``coef``."""
@@ -157,6 +203,12 @@ class BlockGeometry:
         return value, center - reach[..., None, None] * step
 
 
+def _lift(lift: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``lift`` (k, cells) on the cells of ``x`` (cells, m, ...) -> (1, m * k, ...)."""
+    y = np.einsum("kc,cm...->mk...", lift, x)
+    return y.reshape((1, -1) + y.shape[2:])
+
+
 def _stack_pinv(mats: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Pseudo-inverses of ``mats[keep]``, zero elsewhere."""
     out = np.zeros(mats.shape[:1] + mats.shape[:0:-1])
@@ -194,75 +246,30 @@ def fit_smd(system: MomentSystem, basis: SieveBasis) -> SmdFit:
     so this is :func:`fit_cell_moments` on those averages.
     """
     mass, phibar, alphabar = _cell_averages(system, basis)
-    return fit_cell_moments(mass, phibar, alphabar, basis, system.outcome_scale)
+    geometry = BlockGeometry.of_basis(mass, phibar, basis)
+    return fit_cell_moments(geometry, geometry.moments(alphabar), basis, system.outcome_scale)
 
 
 def fit_cell_moments(
-    mass: np.ndarray,
-    phibar: np.ndarray,
+    geometry: BlockGeometry,
     alphabar: np.ndarray,
     basis: SieveBasis,
     outcome_scale: float,
 ) -> SmdFit:
-    """Minimize the projected moment criterion over the sieve space.
-
-    ``mass`` (cells,) holds each cell's share of the weight, ``phibar``
-    (cells, m, p) and ``alphabar`` (cells, m) the per-cell means of the
-    design and the outcome moments.  With the saturated basis the problem
-    decouples into independent per-cell least squares, solved at once by
-    :class:`BlockGeometry`; general bases go through the dense quadratic
-    form.  Raises :class:`IllPosedFit` when the Hessian is singular and the
-    gradient does not vanish on its null space.
-    """
-    p = phibar.shape[2]
-    if basis.kind == "saturated":
-        geometry = BlockGeometry.of_cells(mass, phibar)
-        coef = geometry.solve(alphabar)
-        resid = np.einsum("cmp,cp->cm", phibar, coef) + alphabar
-        grad = 2.0 * mass[:, None] * np.einsum("cmp,cm->cp", phibar, resid)
-        steep = np.flatnonzero(np.linalg.norm(grad, axis=1) > 1e-8)
-        if steep.size:
-            sval_min = np.linalg.svd(phibar[steep], compute_uv=False).min(axis=1)
-            singular = steep[sval_min < HESSIAN_TOL]
-            if singular.size:
-                raise IllPosedFit(f"cell {singular[0]}: singular design with non-vanishing gradient")
-        k = coef.shape[0]
-        hessian = np.zeros((k, p, k, p))
-        hessian[np.arange(k), :, np.arange(k)] = geometry.hess
-        return SmdFit(
-            basis=basis,
-            coef=coef,
-            loss=float(mass @ (resid**2).sum(axis=1)),
-            hessian=hessian.reshape(k * p, k * p),
-            outcome_scale=outcome_scale,
-        )
-
-    grid_s, grid_u = np.divmod(np.arange(basis.n_cells), basis.n_u)
-    q = basis.evaluate(grid_s, grid_u)
-    gram = (q * mass[:, None]).T @ q
-    gram_cond = float(np.linalg.cond(gram))
-    ginv = np.linalg.pinv(gram, rcond=1e-12)
-    a_t = np.einsum("c,ck,cmp,cl->mklp", mass, q, phibar, q)
-    b_t = np.einsum("c,ck,cm->mk", mass, q, alphabar)
-    k = basis.k
-    hess = 2.0 * np.einsum("mklp,kK,mKqr->lpqr", a_t, ginv, a_t).reshape(k * p, k * p)
-    hess = 0.5 * (hess + hess.T)
-    lin = 2.0 * np.einsum("mk,kK,mKlp->lp", b_t, ginv, a_t).reshape(k * p)
-    const = float(np.einsum("mk,kK,mK->", b_t, ginv, b_t))
-    sol, *_ = np.linalg.lstsq(hess, -lin, rcond=None)
-    grad = hess @ sol + lin
-    if np.linalg.norm(grad) > 1e-8:
-        svals = np.linalg.svd(hess, compute_uv=False)
-        if svals.min() < HESSIAN_TOL:
-            raise IllPosedFit("singular criterion Hessian with non-vanishing gradient")
-    loss = const + float(lin @ sol) + 0.5 * float(sol @ hess @ sol)
+    """Fit record of criterion ``geometry`` (:meth:`BlockGeometry.of_basis`) at
+    block moment means ``alphabar`` (blocks, m): its guarded solve's
+    coefficients (:class:`IllPosedFit` without a minimizer), loss and Hessian."""
+    coef = geometry.solve(alphabar)
+    resid = np.einsum("cmp,cp->cm", geometry.design, coef) + alphabar
+    blocks, q = coef.shape
+    hessian = np.zeros((blocks, q, blocks, q))
+    hessian[np.arange(blocks), :, np.arange(blocks)] = geometry.hess
     return SmdFit(
         basis=basis,
-        coef=sol.reshape(k, p),
-        loss=max(loss, 0.0),
-        hessian=hess,
+        coef=coef.reshape(basis.k, -1),
+        loss=float(geometry.mass @ (resid**2).sum(axis=1)),
+        hessian=hessian.reshape(blocks * q, blocks * q),
         outcome_scale=outcome_scale,
-        gram_cond=gram_cond,
     )
 
 

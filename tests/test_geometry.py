@@ -6,16 +6,22 @@ member loop, and the learner's per-call member, region-minimum and argmin
 helpers.  They run on random positive-definite and rank-deficient blocks and
 on the per-cell statistics of t1 and t2 (horizon 3) samples: coefficients,
 values and argmins agree to 1e-12 (relative to the larger of 1 and their
-size) and members exactly.
+size) and members exactly.  The dense ``lstsq`` fit that served every basis
+but the saturated one is pinned against the single-block geometry of
+:meth:`BlockGeometry.of_basis` to 1e-10, on the same random cells and on the
+stage statistics of a t2 sample with tensor-polynomial bases.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from confgame import fixtures, game, ope, sieve, smd
-from confgame.errors import UnboundedBelow
+from confgame.errors import IllPosedFit, UnboundedBelow
 
 TOL = 1e-12
+DENSE_TOL = 1e-10
 HESSIAN_TOL = 1e-10
 
 
@@ -39,6 +45,29 @@ def ref_fit_cells(mass, phibar, alphabar):
         loss += mass[c] * float(resid @ resid)
         hessian[c * p : (c + 1) * p, c * p : (c + 1) * p] = 2.0 * mass[c] * phibar[c].T @ phibar[c]
     return coef, loss, hessian
+
+
+def ref_dense_fit(mass, phibar, alphabar, basis):
+    """The general-basis fit: ``lstsq`` on the dense quadratic criterion."""
+    grid_s, grid_u = np.divmod(np.arange(basis.n_cells), basis.n_u)
+    q = basis.evaluate(grid_s, grid_u)
+    gram = (q * mass[:, None]).T @ q
+    ginv = np.linalg.pinv(gram, rcond=1e-12)
+    a_t = np.einsum("c,ck,cmp,cl->mklp", mass, q, phibar, q)
+    b_t = np.einsum("c,ck,cm->mk", mass, q, alphabar)
+    k, p = basis.k, phibar.shape[2]
+    hess = 2.0 * np.einsum("mklp,kK,mKqr->lpqr", a_t, ginv, a_t).reshape(k * p, k * p)
+    hess = 0.5 * (hess + hess.T)
+    lin = 2.0 * np.einsum("mk,kK,mKlp->lp", b_t, ginv, a_t).reshape(k * p)
+    const = float(np.einsum("mk,kK,mK->", b_t, ginv, b_t))
+    sol, *_ = np.linalg.lstsq(hess, -lin, rcond=None)
+    grad = hess @ sol + lin
+    if np.linalg.norm(grad) > 1e-8:
+        svals = np.linalg.svd(hess, compute_uv=False)
+        if svals.min() < HESSIAN_TOL:
+            raise IllPosedFit("singular criterion Hessian with non-vanishing gradient")
+    loss = const + float(lin @ sol) + 0.5 * float(sol @ hess @ sol)
+    return sol.reshape(k, p), max(loss, 0.0), hess
 
 
 def ref_region_min_linear(hessian, center, eta, weights):
@@ -140,7 +169,10 @@ def _random_case(rank_deficient):
 
 def _stage_cases(spec, n, seed):
     ds = game.simulate_dataset(spec, n=n, seed=seed)
-    basis = sieve.build_basis("saturated", spec.n_states, spec.n_u)
+    return _stage_cases_of(ds, sieve.build_basis("saturated", spec.n_states, spec.n_u), seed)
+
+
+def _stage_cases_of(ds, basis, seed):
     stats = ope.stage_statistics(ope.as_source(ds), basis)
     rng = np.random.default_rng(seed)
     out = []
@@ -150,6 +182,20 @@ def _stage_cases(spec, n, seed):
         alpha, _ = st.block_moments(g)
         out.append((st.mass, st.phibar4, alpha[0, 0]))
     return out
+
+
+def _t2_grid_cases():
+    spec = replace(fixtures.t2_spec(), state_values=np.array([[0.0], [1.0]]))
+    ds = game.simulate_dataset(spec, n=20_000, seed=47)
+    return _stage_cases_of(ds, sieve.build_basis("saturated", spec.n_states, spec.n_u), 47)
+
+
+def _near_singular_case():
+    # cell 1's design is singular to 1e-13 and its outcome loads on that
+    # direction, so no coefficient makes the criterion gradient vanish
+    phibar = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13])])
+    alphabar = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1e6]])
+    return np.array([0.5, 0.5]), phibar, alphabar
 
 
 @pytest.fixture(scope="module")
@@ -187,18 +233,66 @@ def _in_range(hess, w):
 @pytest.mark.parametrize("name", CASES)
 def test_cell_fit_matches_lstsq_loop(cases, name):
     for mass, phibar, alphabar in cases[name]:
-        fit = smd.fit_cell_moments(mass, phibar, alphabar, _basis(mass), 1.0)
+        fit = smd.fit_cell_moments(smd.BlockGeometry.of_cells(mass, phibar), alphabar, _basis(mass), 1.0)
         coef, loss, hessian = ref_fit_cells(mass, phibar, alphabar)
         assert _close(fit.coef, coef) and _close(fit.loss, loss)
         assert _close(fit.hessian, hessian)
+
+
+# cell statistics -> (states, private values, state coordinates) of their
+# grid and the tensor-polynomial sizes fitted on it: the random cells lie on a
+# 3 x 2 grid (4 functions leave it unspanned, 6 span it), t2 on two states
+GRID_3X2 = (3, 2, np.array([[0.0], [0.4], [1.0]]))
+GRID_T2 = (2, 1, np.array([[0.0], [1.0]]))
+DENSE_CASES = {
+    "spd": (GRID_3X2, (4, 6)),
+    "rank-deficient": (GRID_3X2, (4, 6)),
+    "t2-tensor-polynomial": (GRID_T2, (1, 2)),
+    "near-singular": (GRID_T2, (2,)),
+}
+
+
+def _dense_cells(cases, name):
+    if name == "t2-tensor-polynomial":
+        return _t2_grid_cases()
+    if name == "near-singular":
+        return [_near_singular_case()]
+    return cases[name]
+
+
+def _sieve_fit(mass, phibar, alphabar, basis):
+    geo = smd.BlockGeometry.of_basis(mass, phibar, basis)
+    return smd.fit_cell_moments(geo, geo.moments(alphabar), basis, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_sieve_fit_matches_dense_lstsq(cases, name):
+    (ns, nu, values), sizes = DENSE_CASES[name]
+    raised = 0
+    for k in sizes:
+        basis = sieve.build_basis("tensor-polynomial", ns, nu, k=k, state_values=values)
+        for mass, phibar, alphabar in _dense_cells(cases, name):
+            try:
+                coef, loss, hessian = ref_dense_fit(mass, phibar, alphabar, basis)
+            except IllPosedFit:
+                with pytest.raises(IllPosedFit):
+                    _sieve_fit(mass, phibar, alphabar, basis)
+                raised += 1
+                continue
+            fit = _sieve_fit(mass, phibar, alphabar, basis)
+            for got, want in ((fit.coef, coef), (fit.loss, loss), (fit.hessian, hessian)):
+                want = np.asarray(want)
+                assert np.abs(got - want).max() <= DENSE_TOL * max(1.0, float(np.abs(want).max()))
+    assert raised == (len(sizes) if name == "near-singular" else 0)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_confidence_region_matches_eigh_reference(cases, name):
     rng = np.random.default_rng(7)
     for mass, phibar, alphabar in cases[name]:
-        fit = smd.fit_cell_moments(mass, phibar, alphabar, _basis(mass), 1.0)
-        hess = smd.BlockGeometry.of_cells(mass, phibar).hess
+        geo = smd.BlockGeometry.of_cells(mass, phibar)
+        fit = smd.fit_cell_moments(geo, alphabar, _basis(mass), 1.0)
+        hess = geo.hess
         for eta in (0.0, 1e-3, 0.5):
             region = smd.ConfidenceRegion(center=fit, eta=eta)
             for _ in range(5):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from confgame import fixtures, game, learner, ope, oracle
-from confgame.errors import EmptyClass
+from confgame import fixtures, game, learner, ope, oracle, sieve
+from confgame.errors import BasisMismatch, EmptyClass
 
 
 @pytest.fixture(scope="module")
@@ -15,15 +17,39 @@ def t1_engine(t1_ds, t1_basis):
     return learner.LearnerEngine(t1_ds, t1_basis, learner.EtaConfig())
 
 
-def test_zero_radius_regions_collapse_to_plug_in(t1, t1_basis, t1_ds):
+def _with_grid(spec):
+    """``spec`` with its states at 0, 1, ... and the tensor-polynomial basis
+    that spans its cells."""
+    spec = replace(spec, state_values=np.arange(spec.n_states, dtype=float)[:, None])
+    basis = sieve.build_basis(
+        "tensor-polynomial", spec.n_states, spec.n_u, k=spec.n_states * spec.n_u,
+        state_values=spec.state_values,
+    )
+    return spec, basis
+
+
+def test_zero_radius_regions_collapse_to_plug_in(t1, t1_basis, t1_ds, t2):
+    """Also on a spanning tensor-polynomial basis, which reparametrizes the
+    saturated criterion bijectively, so its plug-in is the saturated one."""
+    t2_grid, t2_poly = _with_grid(t2)
+    t2_ds = game.simulate_dataset(t2_grid, n=10_000, seed=42)
     eta0 = learner.EtaConfig(c_eta=0.0)
-    engine = learner.LearnerEngine(t1_ds, t1_basis, eta0)
-    pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
-    regions = learner.build_q_regions(t1_ds, pol, t1_basis, eta0, engine=engine)
-    pv = learner.pessimistic_value(t1_ds, pol, regions)
-    assert abs(pv.value - pv.plug_in) < 1e-12
-    res = ope.evaluate_policy(t1_ds, pol, t1_basis)
-    assert abs(pv.plug_in - res.j_total) < 1e-9
+    for spec, basis, ds in ((t1, t1_basis, t1_ds), (t2_grid, t2_poly, t2_ds)):
+        pol = game.constant_policy_pair(spec, 1.0, 0.5, 0.5)
+
+        def plug_in(basis):
+            engine = learner.LearnerEngine(ds, basis, eta0)
+            regions = learner.build_q_regions(ds, pol, basis, eta0, engine=engine)
+            return engine, learner.pessimistic_value(ds, pol, regions)
+
+        engine, pv = plug_in(basis)
+        assert abs(pv.value - pv.plug_in) < 1e-12
+        res = ope.evaluate_policy(ds, pol, basis)
+        assert abs(pv.plug_in - res.j_total) <= 1e-10
+        saturated = sieve.build_basis("saturated", spec.n_states, spec.n_u)
+        assert abs(pv.plug_in - plug_in(saturated)[1].plug_in) <= 1e-10
+    with pytest.raises(BasisMismatch, match="saturated basis"):
+        learner.truth_covered(engine, t2_grid, pol)
 
 
 def test_pessimistic_value_below_plug_in(t1, t1_basis, t1_ds, t1_engine):
@@ -156,11 +182,12 @@ def test_pessimistic_value_approaches_optimum_from_below(t1, t1_basis):
 
 
 def test_multistage_learning_smoke(t2, t2_basis):
-    ds = game.simulate_dataset(t2, n=8_000, seed=7)
-    pairs = game.stationary_deterministic_pairs(
-        t2, alice_sees_prev=False, bob_sees_prev=False
-    )
-    best, pv = learner.learn_policy_pair(ds, pairs, t2_basis)
-    assert np.isfinite(pv.value)
-    assert pv.value <= pv.plug_in + 1e-12
-    assert learner.compute_gap(t2, best, pairs) <= 1.0
+    for spec, basis in ((t2, t2_basis), _with_grid(t2)):
+        ds = game.simulate_dataset(spec, n=8_000, seed=7)
+        pairs = game.stationary_deterministic_pairs(
+            spec, alice_sees_prev=False, bob_sees_prev=False
+        )
+        best, pv = learner.learn_policy_pair(ds, pairs, basis)
+        assert np.isfinite(pv.value)
+        assert pv.value <= pv.plug_in + 1e-12
+        assert learner.compute_gap(spec, best, pairs) <= 1.0

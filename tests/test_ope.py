@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confgame import fixtures, game, learner, ope, oracle, sieve
-from confgame.errors import MalformedDataset
+from confgame import fixtures, game, learner, ope, oracle, sieve, smd
+from confgame.errors import BasisMismatch, IllPosedFit, MalformedDataset
 
 
 def test_zero_reward_everything_vanishes(t1_basis):
@@ -158,3 +158,36 @@ def test_unreached_state_leaves_other_cells_exact():
     exq = oracle.exact_q(spec, pol)
     assert abs(res.j_alice - exq.j_alice) <= 1e-12
     assert abs(res.j_bob - exq.j_bob) <= 1e-12
+
+
+def test_basis_must_match_the_data():
+    spec = fixtures.t2_spec(horizon=3)
+    ds = game.simulate_dataset(spec, n=2_000, seed=0)
+    wrong = sieve.build_basis("saturated", 2, 2)
+    pol = game.constant_policy_pair(spec, 1.0, 0.5, 0.5)
+    message = r"basis has \(n_states, n_u\) = \(2, 2\); the data have \(2, 1\)"
+    with pytest.raises(BasisMismatch, match=message):
+        ope.evaluate_policy(ds, pol, wrong)
+    with pytest.raises(BasisMismatch, match=message):
+        learner.learn_policy_pair(ds, [pol], wrong)
+
+
+def test_near_singular_continuation_is_ill_posed_in_every_chain(t1, t1_basis, monkeypatch):
+    """Stage 0's continuation design is singular to 1e-13 and the block
+    moments load on that direction, so the criterion gradient cannot vanish:
+    the all-center chain of evaluation and the learner's member chains both
+    refuse the fit and name the stage."""
+    ds = game.simulate_dataset(t1, n=2_000, seed=0)
+    stats = ope.stage_statistics(ope.as_source(ds), t1_basis)
+    st = stats[0]
+    st.geometry4 = smd.BlockGeometry.of_cells(st.mass, np.diag([1.0, 1.0, 1.0, 1e-13])[None])
+    st.t_alpha = np.zeros_like(st.t_alpha)
+    st.t_alpha[:, 3] = 1e7
+    monkeypatch.setattr(ope, "stage_statistics", lambda source, basis: stats)
+    monkeypatch.setattr(learner, "stage_statistics", lambda source, basis: stats)
+    pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
+    message = r"^stage 0: cell 0: singular design with non-vanishing gradient"
+    with pytest.raises(IllPosedFit, match=message):
+        ope.evaluate_policy(ds, pol, t1_basis)
+    with pytest.raises(IllPosedFit, match=message):
+        learner.learn_policy_pair(ds, [pol], t1_basis)

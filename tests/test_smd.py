@@ -59,8 +59,9 @@ def test_near_singular_cell_is_ill_posed():
     # direction, so the criterion gradient cannot vanish there
     phibar = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13])])
     alphabar = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1e6]])
+    geometry = smd.BlockGeometry.of_cells(np.array([0.5, 0.5]), phibar)
     with pytest.raises(IllPosedFit, match="cell 1"):
-        smd.fit_cell_moments(np.array([0.5, 0.5]), phibar, alphabar, sieve.build_basis("saturated", 2, 1), 1.0)
+        smd.fit_cell_moments(geometry, alphabar, sieve.build_basis("saturated", 2, 1), 1.0)
 
 
 def test_eta_schedule_values():
