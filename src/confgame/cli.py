@@ -25,7 +25,7 @@ from .gameio import (
 from .harness import ExperimentConfig, run_experiment
 from .learner import EtaConfig, compute_gap, learn_policy_pair
 from .moments import MomentData, assemble_system, estimate_nuisances
-from .ope import evaluate_policy
+from .ope import SampleSource, evaluate_policy
 from . import oracle
 from .sieve import build_basis
 from .smd import fit_smd
@@ -107,18 +107,8 @@ def _require_spec(args):
 
 
 def _stage0_fit(ds, basis, stage: int):
-    if stage == 0:
-        data = MomentData(
-            y=ds.r_a[:, 0], s=ds.s[:, 0], u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init
-        )
-    else:
-        data = MomentData(
-            y=ds.r_b[:, 0],
-            s=ds.s_half[:, 0],
-            u=ds.u_half[:, 0],
-            act=ds.b[:, 0],
-            iv=ds.a[:, 0],
-        )
+    rows = SampleSource(ds).stage_rows(stage)
+    data = MomentData(y=rows.y_reward, s=rows.s, u=rows.u, act=rows.act, iv=rows.iv)
     nuis = estimate_nuisances(data, basis)
     system = assemble_system(data, nuis, n_states=ds.n_states, n_u=ds.n_u)
     return fit_smd(system, basis)
@@ -173,9 +163,7 @@ def _dispatch(args) -> int:
         if spec is not None:
             truths = oracle.true_coefficients(spec)
             for name, fit in (("alice_reward", fit_a), ("bob_reward", fit_b)):
-                tr = truths[name]
-                tr_tab = np.stack([tr.theta_a, tr.theta_z, tr.theta_az], axis=-1)
-                err = np.abs(fit.coef_table() - tr_tab).max()
+                err = np.abs(fit.coef_table() - truths[name].stack()).max()
                 print(f"max error vs oracle [{name}]: {err:.5f}")
         return 0
 

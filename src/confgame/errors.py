@@ -5,8 +5,9 @@ class ConfgameError(Exception):
     """Base class for all package errors."""
 
 
-class MalformedSpec(ConfgameError):
-    """A game spec contains invalid probabilities or inconsistent tables."""
+class MalformedSpec(ConfgameError, ValueError):
+    """A game spec contains invalid probabilities or inconsistent tables, or a
+    policy pair does not fit the game's grid."""
 
 
 class SchemaMismatch(ConfgameError):

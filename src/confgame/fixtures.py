@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import BehaviorPolicyPair, GameSpec
+from .game import GameSpec
 
 
 def _coef(fn, nu, nv1, nv2, ns):
@@ -183,10 +183,6 @@ def random_valid_spec(seed: int, n_states: int = 1) -> GameSpec:
         trans=trans,
         reward_noise=0.1,
     )
-
-
-def default_behavior(spec: GameSpec, init_bob: float = 0.5) -> BehaviorPolicyPair:
-    return BehaviorPolicyPair.from_spec(spec, init_bob=init_bob)
 
 
 FIXTURES = {

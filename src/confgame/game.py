@@ -149,28 +149,15 @@ class GameSpec:
     def stage_is_alice(self, stage: int) -> bool:
         return stage % 2 == 0
 
-    def action_tables(self, stage: int):
-        """(base, iv-shift) tables of the player acting at ``stage``."""
+    def reward_tables(self, stage: int):
+        """(act, iv, inter, resid) reward tables of the player acting at ``stage``."""
         if self.stage_is_alice(stage):
-            return self.alice_act_base, self.alice_act_iv
-        return self.bob_act_base, self.bob_act_iv
+            return self.alice_rew_act, self.alice_rew_iv, self.alice_rew_inter, self.alice_rew_resid
+        return self.bob_rew_act, self.bob_rew_iv, self.bob_rew_inter, self.bob_rew_resid
 
     def reward_mean(self, stage: int, own: np.ndarray, prev: np.ndarray, u, v1, v2, s):
         """Mean reward of the player acting at ``stage`` for given draws."""
-        if self.stage_is_alice(stage):
-            ra, ri, rx, rr = (
-                self.alice_rew_act,
-                self.alice_rew_iv,
-                self.alice_rew_inter,
-                self.alice_rew_resid,
-            )
-        else:
-            ra, ri, rx, rr = (
-                self.bob_rew_act,
-                self.bob_rew_iv,
-                self.bob_rew_inter,
-                self.bob_rew_resid,
-            )
+        ra, ri, rx, rr = self.reward_tables(stage)
         idx = (u, v1, v2, s)
         return ra[idx] * own + ri[idx] * prev + rx[idx] * own * prev + rr[idx]
 
@@ -231,11 +218,14 @@ class BehaviorPolicyPair:
         bob = np.broadcast_to(bob, (spec.horizon,) + bob.shape[1:]).copy()
         return cls(alice=alice, bob=bob, init_bob=init_bob)
 
+    def table(self, stage: int) -> np.ndarray:
+        """P(action=1) table of the player acting at ``stage``, indexed
+        [u, v1, v2, s, prev]."""
+        return self.alice[stage // 2] if stage % 2 == 0 else self.bob[stage // 2]
+
     def action_prob(self, spec: GameSpec, stage: int, u, v1, v2, s, prev):
         """P(action=1) of the acting player at ``stage`` for array inputs."""
-        h = stage // 2
-        table = self.alice[h] if stage % 2 == 0 else self.bob[h]
-        return table[u, v1, v2, s, prev]
+        return self.table(stage)[u, v1, v2, s, prev]
 
 
 @dataclass(frozen=True)
@@ -270,6 +260,16 @@ class PolicyPair:
     @property
     def horizon(self) -> int:
         return self.alice.shape[0]
+
+    def check_grid(self, horizon: int, n_states: int, n_u: int) -> None:
+        """Raise :class:`MalformedSpec` unless the pair is built for a game of
+        this horizon, number of states and number of private values."""
+        want = ((horizon, n_states, n_u, 2), (horizon, n_states, 2))
+        if (self.alice.shape, self.bob.shape) != want:
+            raise MalformedSpec(
+                f"policy tables have shapes alice {self.alice.shape}, bob {self.bob.shape}; "
+                f"the game needs alice {want[0]}, bob {want[1]}"
+            )
 
     def encode(self) -> tuple:
         """Stable encoding used for lexicographic tie-breaking."""
@@ -570,13 +570,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _cov_over_v(f: np.ndarray, g: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-    """Covariance of two (u, v1, v2, s) tables over the (v1, v2) product law.
+def _v_law(spec: GameSpec, t: int) -> np.ndarray:
+    """(1, v1, v2, s) product law of the private draw at stage ``t``."""
+    return spec.v1_law[t].T[None, :, None, :] * spec.v2_law[t].T[None, None, :, :]
 
-    ``w1[s, v1]`` and ``w2[s, v2]`` are the marginal private laws at a fixed
-    stage.  Returns an (u, s) table.
-    """
-    w = w1.T[None, :, None, :] * w2.T[None, None, :, :]  # (1, v1, v2, s)
+
+def _cov_over_v(f: np.ndarray, g: np.ndarray, w: np.ndarray):
+    """Covariance of two (u, v1, v2, s) tables over the private-draw law ``w``
+    of :func:`_v_law`.  Returns an (u, s) table."""
     mean_f = (f * w).sum(axis=(1, 2))
     mean_g = (g * w).sum(axis=(1, 2))
     mean_fg = (f * g * w).sum(axis=(1, 2))
@@ -606,64 +607,36 @@ def validate_spec(
         behavior = BehaviorPolicyPair.from_spec(spec)
     report = ValidationReport()
 
-    # centered residual blocks (required for the mean moment to be valid)
-    for player in ("alice", "bob"):
-        resid = getattr(spec, f"{player}_rew_resid")
-        for t in range(spec.n_stages):
-            if (t % 2 == 0) != (player == "alice"):
-                continue
-            w1 = spec.v1_law[t]
-            w2 = spec.v2_law[t]
-            w = w1.T[None, :, None, :] * w2.T[None, None, :, :]
-            mean = (resid * w).sum(axis=(1, 2))  # (u, s)
-            report.add(
-                f"{player}_reward_residual_mean",
-                np.abs(mean).max(),
-                ORTHO_TOL,
-                stage=t,
-            )
+    def player(t):
+        return "alice" if spec.stage_is_alice(t) else "bob"
 
-    # effective action-side coefficients are behavior-induced
-    def effective_action(t):
-        h = t // 2
-        table = behavior.alice[h] if t % 2 == 0 else behavior.bob[h]
-        return table[..., 0], table[..., 1] - table[..., 0]  # base, iv shift
-
-    def seven_covariances(t, out_act, out_iv, out_inter, out_resid, label):
-        act_base, act_iv = effective_action(t)
-        w1, w2 = spec.v1_law[t], spec.v2_law[t]
-        pairs = [
-            ("act~iv_shift", out_act, act_iv),
-            ("act~base", out_act, act_base),
-            ("iv~iv_shift", out_iv, act_iv),
-            ("iv~base", out_iv, act_base),
-            ("inter~iv_shift", out_inter, act_iv),
-            ("resid~iv_shift", out_resid, act_iv),
-            ("inter~base", out_inter, act_base),
-        ]
-        for name, f, g in pairs:
-            cov = _cov_over_v(f, g, w1, w2)
-            report.add(f"orthogonality[{label}:{name}]", np.abs(cov).max(), ORTHO_TOL, stage=t)
+    # centered residual blocks (required for the mean moment to be valid),
+    # alice's stages first
+    for t in [*range(0, spec.n_stages, 2), *range(1, spec.n_stages, 2)]:
+        mean = (spec.reward_tables(t)[3] * _v_law(spec, t)).sum(axis=(1, 2))  # (u, s)
+        report.add(f"{player(t)}_reward_residual_mean", np.abs(mean).max(), ORTHO_TOL, stage=t)
 
     for t in range(spec.n_stages):
-        if spec.stage_is_alice(t):
-            seven_covariances(
-                t,
-                spec.alice_rew_act,
-                spec.alice_rew_iv,
-                spec.alice_rew_inter,
-                spec.alice_rew_resid,
-                "alice_reward",
-            )
-        else:
-            seven_covariances(
-                t,
-                spec.bob_rew_act,
-                spec.bob_rew_iv,
-                spec.bob_rew_inter,
-                spec.bob_rew_resid,
-                "bob_reward",
-            )
+        # effective action-side coefficients are behavior-induced
+        table = behavior.table(t)
+        act_base, act_iv = table[..., 0], table[..., 1] - table[..., 0]
+        w = _v_law(spec, t)
+
+        def seven_covariances(out_act, out_iv, out_inter, out_resid, label):
+            pairs = [
+                ("act~iv_shift", out_act, act_iv),
+                ("act~base", out_act, act_base),
+                ("iv~iv_shift", out_iv, act_iv),
+                ("iv~base", out_iv, act_base),
+                ("inter~iv_shift", out_inter, act_iv),
+                ("resid~iv_shift", out_resid, act_iv),
+                ("inter~base", out_inter, act_base),
+            ]
+            for name, f, g in pairs:
+                cov = _cov_over_v(f, g, w)
+                report.add(f"orthogonality[{label}:{name}]", np.abs(cov).max(), ORTHO_TOL, stage=t)
+
+        seven_covariances(*spec.reward_tables(t), f"{player(t)}_reward")
         # transition blocks: indicator test functions of the next state span
         # every next-cell function, because u', v' laws depend on s' only
         kern = spec.trans[t]  # (u, v1, v2, s, a, b, s')
@@ -675,16 +648,10 @@ def validate_spec(
         out_act, out_iv = (theta, gamma) if t % 2 == 0 else (gamma, theta)
         for sp in range(spec.n_states):
             seven_covariances(
-                t,
-                out_act[..., sp],
-                out_iv[..., sp],
-                inter[..., sp],
-                resid[..., sp],
-                f"trans_s{sp}",
+                out_act[..., sp], out_iv[..., sp], inter[..., sp], resid[..., sp], f"trans_s{sp}"
             )
             # extra structural condition used by the intercept-bearing fits
-            act_base, _ = effective_action(t)
-            cov = _cov_over_v(resid[..., sp], act_base, spec.v1_law[t], spec.v2_law[t])
+            cov = _cov_over_v(resid[..., sp], act_base, w)
             report.add(
                 f"orthogonality[trans_s{sp}:resid~base]",
                 np.abs(cov).max(),

@@ -40,7 +40,7 @@ from .game import (
 from .gameio import read_spec
 from .learner import EtaConfig, LearnerEngine, learn_policy_pair, truth_covered
 from .moments import MomentData, assemble_system, estimate_nuisances
-from .ope import evaluate_policy
+from .ope import SampleSource, evaluate_policy
 from . import oracle
 from .sieve import build_basis
 from .smd import fit_smd
@@ -133,9 +133,8 @@ def _run_cell(config, spec, behavior, basis, eta, targets, n, seed) -> _CellResu
     out = _CellResult(n=n, seed=seed)
     try:
         ds = simulate_dataset(spec, behavior, n=n, seed=seed)
-        data = MomentData(
-            y=ds.r_a[:, 0], s=ds.s[:, 0], u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init
-        )
+        rows = SampleSource(ds).stage_rows(0)
+        data = MomentData(y=rows.y_reward, s=rows.s, u=rows.u, act=rows.act, iv=rows.iv)
         nuis = estimate_nuisances(data, basis)
         system = assemble_system(data, nuis, n_states=spec.n_states, n_u=spec.n_u)
         fit = fit_smd(system, basis)
@@ -185,14 +184,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "exq": exq,
         "true_blocks": oracle.exact_recursion_blocks(spec, eval_policy, exq),
         "j_eval": exq.j_alice + exq.j_bob,
-        "alice_truth": np.stack(
-            [
-                oracle.true_coefficients(spec)["alice_reward"].theta_a,
-                oracle.true_coefficients(spec)["alice_reward"].theta_z,
-                oracle.true_coefficients(spec)["alice_reward"].theta_az,
-            ],
-            axis=-1,
-        ),
+        "alice_truth": oracle.true_coefficients(spec)["alice_reward"].stack(),
     }
     if config.run_learner:
         pairs = stationary_deterministic_pairs(spec, cap=config.max_candidates)

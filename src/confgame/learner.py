@@ -117,6 +117,7 @@ class LearnerEngine:
 
         Chain ``k`` takes member ``k`` of every region it passes through.
         """
+        policy.check_grid(self.horizon, self.source.n_states, self.source.n_u)
         return {
             side: chain_recursion(self.stats, policy, side, self.eta.k_members, self.radius_units)[0]
             for side in ("alice", "bob")
@@ -260,11 +261,7 @@ def truth_covered(
     truths = oracle_mod.true_coefficients(spec)
     for t in range(2 * engine.horizon):
         st = engine.stats[t]
-        triple = truths["alice_reward" if t % 2 == 0 else "bob_reward"]
-        true3 = np.stack(
-            [triple.theta_a.ravel(), triple.theta_z.ravel(), triple.theta_az.ravel()],
-            axis=1,
-        )
+        true3 = truths["alice_reward" if t % 2 == 0 else "bob_reward"].stack().reshape(-1, 3)
         eta_r = engine.radius_units[t][0] * st.reward_scale_sq
         if st.geometry3.loss_gap(true3, st.reward_coef) > eta_r + 1e-12:
             return False

@@ -144,7 +144,6 @@ class PopulationSource:
         self.n_u = spec.n_u
 
     def stage_rows(self, t: int) -> StageRows:
-        spec = self.spec
         tbl = self.laws.transition_rows(t)  # (s,u,v1,v2,prev,act,s',u')
         shape = tbl.shape
         idx = np.indices(shape).reshape(len(shape), -1)
@@ -152,24 +151,7 @@ class PopulationSource:
         keep = w > 0
         s, u, v1, v2, prev, act, nxt_s, nxt_u = (a[keep] for a in idx)
         w = w[keep]
-        own = act.astype(float)
-        pr = prev.astype(float)
-        if t % 2 == 0:
-            ra, ri, rx, rr = (
-                spec.alice_rew_act,
-                spec.alice_rew_iv,
-                spec.alice_rew_inter,
-                spec.alice_rew_resid,
-            )
-        else:
-            ra, ri, rx, rr = (
-                spec.bob_rew_act,
-                spec.bob_rew_iv,
-                spec.bob_rew_inter,
-                spec.bob_rew_resid,
-            )
-        cidx = (u, v1, v2, s)
-        y = ra[cidx] * own + ri[cidx] * pr + rx[cidx] * own * pr + rr[cidx]
+        y = self.spec.reward_mean(t, act.astype(float), prev.astype(float), u, v1, v2, s)
         return StageRows(
             s=s,
             u=u,
@@ -453,8 +435,7 @@ def evaluate_policy(
     if not isinstance(policy, PolicyPair):
         raise TypeError("policy must be a PolicyPair (bob rules cannot see v)")
     source = as_source(data, cross_fit=cross_fit)
-    if policy.horizon != source.horizon:
-        raise ValueError("policy horizon does not match the data horizon")
+    policy.check_grid(source.horizon, source.n_states, source.n_u)
     ns, nu = source.n_states, source.n_u
     stats = stage_statistics(source, basis)
     w = value_weight_tables(stats[0], policy)

@@ -52,9 +52,16 @@ class StageLaws:
         )
         return self.trans_joint[t][..., None] * u_next[None, None, None, None, None, None, :, :]
 
-    def cell_mass(self, t: int) -> np.ndarray:
-        """Marginal (s, u) law at stage ``t``."""
-        return self.joint[t].sum(axis=(2, 3, 4))
+
+def _fresh(spec: GameSpec, t: int, state_law=1.0) -> np.ndarray:
+    """(s, u, v1, v2) law at stage ``t`` of the state, drawn from ``state_law``
+    (given by default), and the fresh private draws."""
+    return (
+        np.reshape(state_law, (-1, 1, 1, 1))
+        * spec.u_law[t][:, :, None, None]
+        * spec.v1_law[t][:, None, :, None]
+        * spec.v2_law[t][:, None, None, :]
+    )
 
 
 def stage_laws(
@@ -72,24 +79,13 @@ def stage_laws(
             f"stage enumeration needs {per_stage * spec.n_stages} cells, budget {cell_budget}"
         )
 
-    def fresh_layer(t, state_law):
-        # state_law: (s,); add u, v1, v2 axes from the memoryless laws
-        return (
-            state_law[:, None, None, None]
-            * spec.u_law[t][:, :, None, None]
-            * spec.v1_law[t][:, None, :, None]
-            * spec.v2_law[t][:, None, None, :]
-        )
-
     joint, with_action, trans_joint = [], [], []
     prev_dist = np.array([1.0 - behavior.init_bob, behavior.init_bob])
-    cur = fresh_layer(0, spec.init_state)[..., None] * prev_dist  # (s,u,v1,v2,prev)
+    cur = _fresh(spec, 0, spec.init_state)[..., None] * prev_dist  # (s, u, v1, v2, prev)
     for t in range(spec.n_stages):
         joint.append(cur)
-        h = t // 2
-        table = behavior.alice[h] if t % 2 == 0 else behavior.bob[h]
-        # table indexed (u, v1, v2, s, prev) -> move s first
-        p1 = np.moveaxis(table, 3, 0)  # (s, u, v1, v2, prev)
+        # the behavior table is indexed (u, v1, v2, s, prev) -> move s first
+        p1 = np.moveaxis(behavior.table(t), 3, 0)  # (s, u, v1, v2, prev)
         probs = np.stack([1.0 - p1, p1], axis=-1)  # (..., prev, act)
         wa = cur[..., None] * probs
         with_action.append(wa)
@@ -106,10 +102,7 @@ def stage_laws(
             arrive = tj.sum(axis=(1, 2, 3, 4))  # (s, act, s') -> sum over old u,v,prev
             arrive = arrive.sum(axis=0)  # (act, s')
             state_act = np.moveaxis(arrive, 0, 1)  # (s', act)
-            cur = (
-                fresh_layer(t + 1, np.ones(ns))[..., None]
-                * state_act[:, None, None, None, :]
-            )
+            cur = _fresh(spec, t + 1)[..., None] * state_act[:, None, None, None, :]
     return StageLaws(spec=spec, joint=joint, with_action=with_action, trans_joint=trans_joint)
 
 
@@ -166,8 +159,7 @@ def exact_joint_law(
             if p > atom_tol:
                 heads.append(((b0, s0), p, s0, b0))
     for t in range(spec.n_stages):
-        h = t // 2
-        table = behavior.alice[h] if t % 2 == 0 else behavior.bob[h]
+        table = behavior.table(t)
         new_heads = []
         for prefix, p, state, prev in heads:
             for u, v1, v2 in itertools.product(range(nu), range(nv1), range(nv2)):
@@ -239,17 +231,11 @@ def true_coefficients(spec: GameSpec, stage: Optional[int] = None) -> dict:
     """
     t_alice = stage if stage is not None and stage % 2 == 0 else 0
     t_bob = stage if stage is not None and stage % 2 == 1 else 1
-    alice = CoefficientTriple(
-        theta_a=marginalize_over_v(spec, t_alice, spec.alice_rew_act),
-        theta_z=marginalize_over_v(spec, t_alice, spec.alice_rew_iv),
-        theta_az=marginalize_over_v(spec, t_alice, spec.alice_rew_inter),
-    )
-    bob = CoefficientTriple(
-        theta_a=marginalize_over_v(spec, t_bob, spec.bob_rew_act),
-        theta_z=marginalize_over_v(spec, t_bob, spec.bob_rew_iv),
-        theta_az=marginalize_over_v(spec, t_bob, spec.bob_rew_inter),
-    )
-    return {"alice_reward": alice, "bob_reward": bob}
+
+    def triple(t):
+        return CoefficientTriple(*(marginalize_over_v(spec, t, x) for x in spec.reward_tables(t)[:3]))
+
+    return {"alice_reward": triple(t_alice), "bob_reward": triple(t_bob)}
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +264,16 @@ class StageRep:
     def stack(self) -> np.ndarray:
         return np.stack([self.theta, self.gamma, self.omega, self.zeta], axis=-1)
 
+    @classmethod
+    def of_corners(cls, m: np.ndarray) -> "StageRep":
+        """Representation of a table ``m[..., a, b]`` on the four action corners."""
+        return cls(
+            theta=m[..., 1, 0] - m[..., 0, 0],
+            gamma=m[..., 0, 1] - m[..., 0, 0],
+            omega=m[..., 1, 1] - m[..., 1, 0] - m[..., 0, 1] + m[..., 0, 0],
+            zeta=m[..., 0, 0],
+        )
+
 
 @dataclass
 class ExactQ:
@@ -299,29 +295,15 @@ class ExactQ:
 def _reward_table(spec: GameSpec, t: int) -> np.ndarray:
     """Mean reward at stage ``t`` as an (s, u, v1, v2, a, b) table."""
     grid_a, grid_b = np.meshgrid(np.arange(2.0), np.arange(2.0), indexing="ij")
-    if t % 2 == 0:
-        own, prev = grid_a, grid_b
-        ra, ri, rx, rr = (
-            spec.alice_rew_act,
-            spec.alice_rew_iv,
-            spec.alice_rew_inter,
-            spec.alice_rew_resid,
-        )
-    else:
-        own, prev = grid_b, grid_a
-        ra, ri, rx, rr = (
-            spec.bob_rew_act,
-            spec.bob_rew_iv,
-            spec.bob_rew_inter,
-            spec.bob_rew_resid,
-        )
-    coef = np.moveaxis(np.stack([ra, ri, rx, rr]), 4, 1)  # (4, s, u, v1, v2)
+    own, prev = (grid_a, grid_b) if t % 2 == 0 else (grid_b, grid_a)
+    coef = np.moveaxis(np.stack(spec.reward_tables(t)), 4, 1)  # (4, s, u, v1, v2)
     feats = np.stack([own, prev, own * prev, np.ones_like(own)])  # (4, a, b)
     return np.einsum("csuvw,cab->suvwab", coef, feats)
 
 
 def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
     """Backward dynamic programming over the full-information chain."""
+    policy.check_grid(spec.horizon, spec.n_states, spec.n_u)
     ns = spec.n_states
     full, marginal = {}, {}
     next_q = {"alice": None, "bob": None}
@@ -332,13 +314,7 @@ def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
             "bob": _reward_table(spec, t) if t % 2 == 1 else 0.0,
         }
         kern = np.moveaxis(spec.trans[t], 3, 0)  # (s, u, v1, v2, a, b, s')
-        fresh = (
-            spec.u_law[t + 1][:, :, None, None]
-            * spec.v1_law[t + 1][:, None, :, None]
-            * spec.v2_law[t + 1][:, None, None, :]
-            if t + 1 < spec.n_stages
-            else None
-        )
+        fresh = _fresh(spec, t + 1) if t + 1 < spec.n_stages else None
         for side in ("alice", "bob"):
             if next_q[side] is None:
                 cont = 0.0
@@ -370,22 +346,12 @@ def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
 
     for (t, side), q in full.items():
         w = _v_weights(spec, t)  # (s, v1, v2)
-        m = np.einsum("suvwab,svw->suab", q, w)
-        marginal[(t, side)] = StageRep(
-            theta=m[..., 1, 0] - m[..., 0, 0],
-            gamma=m[..., 0, 1] - m[..., 0, 0],
-            omega=m[..., 1, 1] - m[..., 1, 0] - m[..., 0, 1] + m[..., 0, 0],
-            zeta=m[..., 0, 0],
-        )
+        marginal[(t, side)] = StageRep.of_corners(np.einsum("suvwab,svw->suab", q, w))
 
     # integrate the opening distribution: b ~ init rule, s ~ init law,
     # (u, v) fresh, a ~ alice's first rule
     j = {}
-    fresh0 = (
-        spec.u_law[0][:, :, None, None]
-        * spec.v1_law[0][:, None, :, None]
-        * spec.v2_law[0][:, None, None, :]
-    )
+    fresh0 = _fresh(spec, 0)
     pi_a0 = policy.alice_mean(0)  # (s, u, b)
     b_dist = np.array([1.0 - policy.init_bob, policy.init_bob])
     for side in ("alice", "bob"):
@@ -455,60 +421,27 @@ class IdentificationSystem:
     covariance_row_gap: float
 
 
-def _decision_moments(spec, behavior, stage, s, u, laws=None, y_table=None):
+def _decision_moments(spec, behavior, stage, s, u):
     """Conditional law over (v1, v2, prev, act) and mean outcomes at a cell."""
-    if laws is None:
-        laws = stage_laws(spec, behavior)
-    cell = laws.with_action[stage][s, u]  # (v1, v2, prev, act)
+    cell = stage_laws(spec, behavior).with_action[stage][s, u]  # (v1, v2, prev, act)
     mass = cell.sum()
     if mass <= 0:
         raise SingularSystem(f"cell (s={s}, u={u}) has zero mass at stage {stage}")
     p = cell / mass
-    if y_table is None:
-        grid_prev, grid_act = np.meshgrid(np.arange(2.0), np.arange(2.0), indexing="ij")
-        own, prev = (grid_act, grid_prev)
-        if stage % 2 == 0:
-            ra, ri, rx, rr = (
-                spec.alice_rew_act,
-                spec.alice_rew_iv,
-                spec.alice_rew_inter,
-                spec.alice_rew_resid,
-            )
-        else:
-            ra, ri, rx, rr = (
-                spec.bob_rew_act,
-                spec.bob_rew_iv,
-                spec.bob_rew_inter,
-                spec.bob_rew_resid,
-            )
-        y = (
-            ra[u, :, :, s][..., None, None] * own
-            + ri[u, :, :, s][..., None, None] * prev
-            + rx[u, :, :, s][..., None, None] * own * prev
-            + rr[u, :, :, s][..., None, None]
-        )
-    else:
-        y = y_table
-    return p, y
+    grid_prev, grid_act = np.meshgrid(np.arange(2.0), np.arange(2.0), indexing="ij")
+    v1, v2 = (axis[..., None, None] for axis in np.ogrid[: spec.n_v1, : spec.n_v2])
+    return p, spec.reward_mean(stage, grid_act, grid_prev, u, v1, v2, s)
 
 
-def identification_system(
-    spec: GameSpec,
-    behavior: Optional[BehaviorPolicyPair] = None,
-    stage: int = 0,
-    s: int = 0,
-    u: int = 0,
-    laws: Optional[StageLaws] = None,
-    y_table: Optional[np.ndarray] = None,
-) -> IdentificationSystem:
-    """Build and solve the exact identification system at one cell.
+def _cell_system(p: np.ndarray, y: np.ndarray):
+    """Population identification system of one cell from its law
+    ``p[v1, v2, prev, act]`` and mean outcomes ``y``.
 
-    Raises :class:`SingularSystem` when the instrument is irrelevant in the
-    cell or the system matrix is numerically singular.
+    Returns the (4, 3) matrix and the right-hand side over the unknowns
+    (action, instrument, interaction) -- rows: the residual-product, the
+    instrument-residual and the plain mean equations, then the
+    covariance-form identity -- and cov(action, instrument).
     """
-    if behavior is None:
-        behavior = BehaviorPolicyPair.from_spec(spec)
-    p, y = _decision_moments(spec, behavior, stage, s, u, laws=laws, y_table=y_table)
     grid_prev, grid_act = np.meshgrid(np.arange(2.0), np.arange(2.0), indexing="ij")
     iv, act = grid_prev, grid_act  # (prev, act)
 
@@ -525,17 +458,52 @@ def identification_system(
         f2 = np.where(p_iv > 0, p_act_given[:, 1] / p_iv, 0.0)  # E[act | iv]
     b_til = iv - f1
     a_til = act - f2[:, None]
-
+    q = f1 * (1 - f1)
+    cross = mean(act * iv * b_til * a_til)
+    matrix = np.array(
+        [
+            [mean(b_til * a_til * act), 0.0, mean(iv * b_til * a_til * act)],
+            [mean(act * b_til), mean(iv * b_til), mean(act * iv * b_til)],
+            [mean(act), mean(iv), mean(act * iv)],
+            [cross - q * mean(act * a_til), 0.0, cross - q * mean(act * iv * a_til)],
+        ]
+    )
+    rhs = np.array(
+        [
+            mean_y(b_til * a_til),
+            mean_y(b_til),
+            mean_y(np.ones_like(act)),
+            mean_y(iv * b_til * a_til) - q * mean_y(a_til),
+        ]
+    )
     relevance = mean(act * iv) - mean(act) * f1
-    row_rp = np.array([mean(b_til * a_til * act), 0.0, mean(iv * b_til * a_til * act)])
-    rhs_rp = mean_y(b_til * a_til)
-    row_iv = np.array([mean(act * b_til), mean(iv * b_til), mean(act * iv * b_til)])
-    rhs_iv = mean_y(b_til)
-    row_mean = np.array([mean(act), mean(iv), mean(act * iv)])
-    rhs_mean = mean_y(np.ones_like(act))
-    matrix = np.vstack([row_rp, row_iv, row_mean])
-    rhs = np.array([rhs_rp, rhs_iv, rhs_mean])
+    return matrix, rhs, relevance
 
+
+def _row_gaps(matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``rhs - matrix @ x``, subtracting the terms one unknown at a time."""
+    gaps = rhs.copy()
+    for j in range(matrix.shape[1]):
+        gaps -= matrix[:, j] * x[j]
+    return gaps
+
+
+def identification_system(
+    spec: GameSpec,
+    behavior: Optional[BehaviorPolicyPair] = None,
+    stage: int = 0,
+    s: int = 0,
+    u: int = 0,
+) -> IdentificationSystem:
+    """Build and solve the exact identification system at one cell.
+
+    Raises :class:`SingularSystem` when the instrument is irrelevant in the
+    cell or the system matrix is numerically singular.
+    """
+    if behavior is None:
+        behavior = BehaviorPolicyPair.from_spec(spec)
+    matrix, rhs, relevance = _cell_system(*_decision_moments(spec, behavior, stage, s, u))
+    matrix, rhs, cov_row, cov_rhs = matrix[:3], rhs[:3], matrix[3:], rhs[3:]
     sigma_min = float(np.linalg.svd(matrix, compute_uv=False).min())
     if abs(relevance) < SINGULAR_TOL:
         raise SingularSystem(
@@ -545,22 +513,14 @@ def identification_system(
     if sigma_min < SINGULAR_TOL:
         raise SingularSystem(f"identification matrix singular: sigma_min = {sigma_min:.2e}")
     solution = np.linalg.solve(matrix, rhs)
-
-    # covariance-form identity evaluated at the solution (diagnostic only)
-    f3 = mean_y(a_til)
-    f4 = mean(act * a_til)
-    f5 = mean(act * iv * a_til)
-    lhs_cov = mean_y(iv * b_til * a_til) - f1 * (1 - f1) * f3
-    coef_a = mean(act * iv * b_til * a_til) - f1 * (1 - f1) * f4
-    coef_az = mean(act * iv * b_til * a_til) - f1 * (1 - f1) * f5
-    cov_gap = lhs_cov - coef_a * solution[0] - coef_az * solution[2]
     return IdentificationSystem(
         matrix=matrix,
         rhs=rhs,
         solution=solution,
         relevance=float(relevance),
         sigma_min=sigma_min,
-        covariance_row_gap=float(cov_gap),
+        # the covariance-form identity at the solution (diagnostic only)
+        covariance_row_gap=float(_row_gaps(cov_row, cov_rhs, solution)[0]),
     )
 
 
@@ -570,7 +530,6 @@ def moment_identity_report(
     stage: int = 0,
     s: int = 0,
     u: int = 0,
-    laws: Optional[StageLaws] = None,
 ) -> dict:
     """Gaps of the three population identities at the true coefficients.
 
@@ -580,49 +539,15 @@ def moment_identity_report(
     """
     if behavior is None:
         behavior = BehaviorPolicyPair.from_spec(spec)
-    p, y = _decision_moments(spec, behavior, stage, s, u, laws=laws)
+    matrix, rhs, _ = _cell_system(*_decision_moments(spec, behavior, stage, s, u))
     block = "alice_reward" if stage % 2 == 0 else "bob_reward"
-    triple = true_coefficients(spec, stage)[block]
-    theta = np.array([triple.theta_a[s, u], triple.theta_z[s, u], triple.theta_az[s, u]])
-
-    grid_prev, grid_act = np.meshgrid(np.arange(2.0), np.arange(2.0), indexing="ij")
-    iv, act = grid_prev, grid_act
-
-    def mean(x):
-        return float(np.einsum("vwpa,vwpa->", p, np.broadcast_to(x, p.shape)))
-
-    def mean_y(x):
-        return float(np.einsum("vwpa,vwpa->", p, np.broadcast_to(x, p.shape) * y))
-
-    f1 = mean(iv)
-    p_iv = p.sum(axis=(0, 1, 3))
-    p_act_given = p.sum(axis=(0, 1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f2 = np.where(p_iv > 0, p_act_given[:, 1] / p_iv, 0.0)
-    b_til = iv - f1
-    a_til = act - f2[:, None]
-
-    gap_rp = (
-        mean_y(b_til * a_til)
-        - mean(b_til * a_til * act) * theta[0]
-        - mean(iv * b_til * a_til * act) * theta[2]
-    )
-    gap_iv = (
-        mean_y(b_til)
-        - mean(act * b_til) * theta[0]
-        - mean(iv * b_til) * theta[1]
-        - mean(act * iv * b_til) * theta[2]
-    )
-    f3 = mean_y(a_til)
-    f4 = mean(act * a_til)
-    f5 = mean(act * iv * a_til)
-    q = f1 * (1 - f1)
-    gap_cov = (
-        (mean_y(iv * b_til * a_til) - q * f3)
-        - (mean(act * iv * b_til * a_til) - q * f4) * theta[0]
-        - (mean(act * iv * b_til * a_til) - q * f5) * theta[2]
-    )
-    return {"residual_product": gap_rp, "iv_residual": gap_iv, "covariance": gap_cov}
+    theta = true_coefficients(spec, stage)[block].stack()[s, u]
+    gaps = _row_gaps(matrix, rhs, theta)
+    return {
+        "residual_product": float(gaps[0]),
+        "iv_residual": float(gaps[1]),
+        "covariance": float(gaps[3]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +628,4 @@ def exact_block_coefficients(
     # E[g * fac | s, u, v, a, b]
     val = np.einsum("suvwabp,pq,pqab->suvwab", kern, u_next, target)
     w = _v_weights(spec, stage)
-    m = np.einsum("suvwab,svw->suab", val, w)
-    return StageRep(
-        theta=m[..., 1, 0] - m[..., 0, 0],
-        gamma=m[..., 0, 1] - m[..., 0, 0],
-        omega=m[..., 1, 1] - m[..., 1, 0] - m[..., 0, 1] + m[..., 0, 0],
-        zeta=m[..., 0, 0],
-    )
+    return StageRep.of_corners(np.einsum("suvwab,svw->suab", val, w))

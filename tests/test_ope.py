@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confgame import fixtures, game, learner, ope, oracle, sieve, smd
-from confgame.errors import BasisMismatch, IllPosedFit, MalformedDataset
+from confgame import cli, fixtures, game, gameio, learner, ope, oracle, sieve, smd
+from confgame.errors import BasisMismatch, IllPosedFit, MalformedDataset, MalformedSpec
 
 
 def test_zero_reward_everything_vanishes(t1_basis):
@@ -191,3 +191,26 @@ def test_near_singular_continuation_is_ill_posed_in_every_chain(t1, t1_basis, mo
         ope.evaluate_policy(ds, pol, t1_basis)
     with pytest.raises(IllPosedFit, match=message):
         learner.learn_policy_pair(ds, [pol], t1_basis)
+
+
+def test_policy_for_another_grid_is_rejected(t2, t2_basis, tmp_path, capsys):
+    ds = game.simulate_dataset(t2, n=3_000, seed=5)
+    one_state = game.PolicyPair(
+        alice=np.full((t2.horizon, 1, t2.n_u, 2), 0.5), bob=np.full((t2.horizon, 1, 2), 0.5), init_bob=0.5
+    )
+    longer = game.constant_policy_pair(fixtures.t2_spec(horizon=3), 1.0, 0.5, 0.5)
+    shapes = r"alice \(2, 1, 1, 2\), bob \(2, 1, 2\); the game needs alice \(2, 2, 1, 2\), bob \(2, 2, 2\)"
+    with pytest.raises(MalformedSpec, match=shapes):
+        learner.learn_policy_pair(ds, [one_state], t2_basis)
+    with pytest.raises(MalformedSpec, match=shapes):
+        ope.evaluate_policy(ds, one_state, t2_basis)
+    with pytest.raises(MalformedSpec, match=shapes):
+        oracle.exact_policy_value(t2, one_state)
+    with pytest.raises(MalformedSpec, match=r"alice \(3, 2, 1, 2\)"):
+        oracle.exact_policy_value(t2, longer)
+
+    data = tmp_path / "t2.csv"
+    gameio.write_dataset(ds, str(data))
+    capsys.readouterr()
+    assert cli.main(["learn", "--data", str(data), "--fixture", "t1", "--out", str(tmp_path / "p.csv")]) == 2
+    assert "MalformedSpec" in capsys.readouterr().err
