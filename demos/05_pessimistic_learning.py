@@ -33,6 +33,5 @@ print("\nregion radius controls the pessimism discount:")
 for c_eta in (0.0, 1.0, 2.0, 4.0):
     eta = learner.EtaConfig(c_eta=c_eta)
     engine = learner.LearnerEngine(ds, basis, eta)
-    regions = learner.build_q_regions(ds, pol, basis, eta, engine=engine)
-    pv = learner.pessimistic_value(ds, pol, regions)
+    pv = learner.pessimistic_value(engine, pol)
     print(f"  c_eta = {c_eta:>3}: value {pv.value:+.4f} (plug-in {pv.plug_in:+.4f})")

@@ -35,7 +35,7 @@ from .game import (
     validate_spec,
 )
 from .gameio import read_dataset, read_policy, read_spec, write_dataset, write_policy, write_spec
-from .learner import EtaConfig, build_q_regions, compute_gap, learn_policy_pair, pessimistic_value
+from .learner import EtaConfig, compute_gap, learn_policy_pair, pessimistic_value
 from .moments import MomentData, assemble_system, estimate_nuisances
 from .ope import PopulationSource, SampleSource, evaluate_policy
 from .oracle import (

@@ -218,6 +218,16 @@ class BehaviorPolicyPair:
         bob = np.broadcast_to(bob, (spec.horizon,) + bob.shape[1:]).copy()
         return cls(alice=alice, bob=bob, init_bob=init_bob)
 
+    def check_grid(self, spec: GameSpec) -> None:
+        """Raise :class:`MalformedSpec` unless both rules are built for the
+        game's horizon, private values, draws and states."""
+        want = (spec.horizon, spec.n_u, spec.n_v1, spec.n_v2, spec.n_states, 2)
+        if self.alice.shape != want or self.bob.shape != want:
+            raise MalformedSpec(
+                f"behavior tables have shapes alice {self.alice.shape}, bob {self.bob.shape}; "
+                f"the game needs {want} for both"
+            )
+
     def table(self, stage: int) -> np.ndarray:
         """P(action=1) table of the player acting at ``stage``, indexed
         [u, v1, v2, s, prev]."""
@@ -461,6 +471,7 @@ def simulate_dataset(
     """
     if behavior is None:
         behavior = BehaviorPolicyPair.from_spec(spec)
+    behavior.check_grid(spec)
     rng = np.random.default_rng(seed)
     h_tot, ns, nu = spec.horizon, spec.n_states, spec.n_u
     shape = (n, h_tot)
@@ -605,6 +616,7 @@ def validate_spec(
 
     if behavior is None:
         behavior = BehaviorPolicyPair.from_spec(spec)
+    behavior.check_grid(spec)
     report = ValidationReport()
 
     def player(t):

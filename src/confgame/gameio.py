@@ -153,6 +153,9 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
 
 
 def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
+    """Hidden trace of ``n`` trajectories of ``horizon`` steps: :class:`CorruptRow`
+    for a row that does not parse, :class:`SchemaMismatch` for a (trajectory,
+    step) outside the header, repeated or missing."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _HIDDEN_HEADER_RE.match(header)
@@ -162,6 +165,7 @@ def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
             k: np.zeros((n, horizon), dtype=np.int64)
             for k in ("v1", "v2", "v1_half", "v2_half")
         }
+        seen = np.zeros((n, horizon), dtype=bool)
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line:
@@ -169,9 +173,22 @@ def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
             parts = line.split(",")
             if len(parts) != 6:
                 raise CorruptRow(lineno, f"expected 6 fields, got {len(parts)}")
-            traj, h = int(parts[0]), int(parts[1]) - 1
-            for col, key in enumerate(("v1", "v2", "v1_half", "v2_half"), start=2):
-                arrays[key][traj, h] = int(parts[col])
+            try:
+                traj, step, *values = (int(x) for x in parts)
+            except ValueError as exc:
+                raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
+            if not (0 <= traj < n and 1 <= step <= horizon):
+                raise SchemaMismatch(
+                    f"line {lineno}: (trajectory, step) ({traj}, {step}) outside header n={n}, H={horizon}"
+                )
+            if seen[traj, step - 1]:
+                raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {step})")
+            seen[traj, step - 1] = True
+            for key, value in zip(("v1", "v2", "v1_half", "v2_half"), values):
+                arrays[key][traj, step - 1] = value
+    if not seen.all():
+        traj, h = np.argwhere(~seen)[0]
+        raise SchemaMismatch(f"hidden trace misses (trajectory, step) ({traj}, {h + 1})")
     return HiddenTrace(**arrays)
 
 

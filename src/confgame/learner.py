@@ -12,18 +12,23 @@ minimum over each final region is closed-form and the pessimistic value is
 the minimum over chains of a sum of exact ellipsoid minima.  A value weight
 on a flat direction of some region makes the value unbounded below (``-inf``).
 
-The chains run :func:`~confgame.ope.chain_recursion`, the same backward
-recursion that off-policy evaluation runs with the all-center chain alone,
-over the per-stage statistics of :class:`~confgame.ope.StageStats`.  Those
-are policy-independent (design moments) or enter only through small
-contraction tables (outcome moments), so scanning thousands of candidates
-costs einsums over tiny arrays instead of passes over the rows.  Each stage's
-:class:`~confgame.smd.BlockGeometry`, for any sieve basis, gives the region
-centers by its guarded solve, the members of every chain in one call and the
-exact linear minimum that scores the first stage.  Region radii are the rate
-schedule times the squared root mean square of the block outcome, which
-makes the whole construction exactly equivariant under a positive rescaling
-of all rewards.
+The whole class is scored by one batched recursion per side:
+:func:`~confgame.ope.chain_recursion`, the same backward recursion that
+off-policy evaluation runs with a class of one and the all-center chain
+alone, run on the stacked policy tables of up to :data:`CHUNK` candidates
+with every array carrying leading (candidate, chain) axes.  It runs over the
+per-stage statistics of :class:`~confgame.ope.StageStats`, which are
+policy-independent (design moments) or enter only through small contraction
+tables (outcome moments), so a scan costs a handful of numpy calls per stage
+for the whole chunk instead of passes over the rows or Python calls per
+candidate.  Each stage's :class:`~confgame.smd.BlockGeometry`, for any sieve
+basis, gives the region centers by its guarded solve, the members of every
+(candidate, chain) in one call and the exact linear minimum, per candidate
+weight, that scores the first stage.  The learned pair's full record comes
+from :func:`pessimistic_value`, the same scorer on a class of one.  Region
+radii are the rate schedule times the squared root mean square of the block
+outcome, which makes the whole construction exactly equivariant under a
+positive rescaling of all rewards.
 """
 
 from __future__ import annotations
@@ -33,9 +38,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BasisMismatch, EmptyClass, UnboundedBelow
+from .errors import BasisMismatch, EmptyClass
 from .game import GameSpec, PolicyPair
-from .ope import as_source, chain_recursion, continuation_centers, stage_statistics, value_weight_tables
+from .ope import (
+    PolicyStack,
+    as_source,
+    chain_recursion,
+    continuation_centers,
+    stage_statistics,
+    value_weight_tables,
+)
 from .sieve import SieveBasis
 from .smd import eta_schedule, horizon_weight
 from . import oracle as oracle_mod
@@ -78,20 +90,27 @@ class PessimisticValue:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
-class QRegions:
-    """Stage-one region structure of one candidate policy.
+CHUNK = 512  # candidates scored per batched recursion; bounds the scan's memory
 
-    ``stage0[side]`` is the first stage's :class:`~confgame.ope.StageRegions`:
-    the per-chain block regions and the (chain-independent) reward region;
-    the union over upstream members is represented by the sampled chains.
+
+@dataclass
+class ClassScores:
+    """Pessimistic values of a stacked class, candidate axis first.
+
+    ``chain_values[side]`` (candidate, chain) holds each chain's sum of exact
+    block minima; ``attaining`` (candidate, blocks, q) and ``region_sizes``
+    (candidate,) hold, per (side, region), the minimizing member and radius
+    along the minimizing chain, and ``flat`` the value weight's
+    :meth:`~confgame.smd.BlockGeometry.flat_part`, non-zero where the value is
+    unbounded below.
     """
 
-    policy: PolicyPair
-    eta: EtaConfig
-    n: Optional[int]
-    stage0: dict
-    diagnostics: dict = field(default_factory=dict)
+    value: np.ndarray
+    plug_in: np.ndarray
+    chain_values: dict
+    attaining: dict
+    region_sizes: dict
+    flat: dict
 
 
 class LearnerEngine:
@@ -112,89 +131,84 @@ class LearnerEngine:
             for t in range(2 * self.horizon)
         ]
 
-    def propagate(self, policy: PolicyPair) -> dict:
-        """Chain recursion; returns the stage-0 regions per side.
+    def score(self, pairs: list) -> ClassScores:
+        """Pessimistic values of ``pairs`` by one batched chain recursion per
+        side over (candidate, chain); chain ``k`` takes member ``k`` of every
+        region it passes through."""
+        for pair in pairs:
+            pair.check_grid(self.horizon, self.source.n_states, self.source.n_u)
+        policies = PolicyStack.of(pairs)
+        st = self.stats[0]
+        weights = _stage0_weights(st, value_weight_tables(st, policies))
+        scores = ClassScores(np.zeros(len(pairs)), np.zeros(len(pairs)), {}, {}, {}, {})
+        for side in ("alice", "bob"):
+            for regions in chain_recursion(self.stats, policies, side, self.eta.k_members, self.radius_units):
+                pass  # the first stage comes last; the recursion frees the others on its way
+            _add_first_stage(scores, side, regions, *weights)
+        return scores
 
-        Chain ``k`` takes member ``k`` of every region it passes through.
-        """
-        policy.check_grid(self.horizon, self.source.n_states, self.source.n_u)
-        return {
-            side: chain_recursion(self.stats, policy, side, self.eta.k_members, self.radius_units)[0]
-            for side in ("alice", "bob")
-        }
 
-
-def build_q_regions(
-    data,
-    policy: PolicyPair,
-    basis: SieveBasis,
-    eta: EtaConfig = EtaConfig(),
-    engine: Optional[LearnerEngine] = None,
-) -> QRegions:
-    """Construct the stage-one confidence-region structure for one policy."""
-    if engine is None:
-        engine = LearnerEngine(data, basis, eta)
-    stage0 = engine.propagate(policy)
-    return QRegions(
-        policy=policy, eta=eta, n=engine.n, stage0=stage0, diagnostics={"engine": engine}
-    )
+def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks) -> None:
+    """Add one side's exact first-stage minima (candidate, chain) over its
+    ``regions`` (:class:`~confgame.ope.StageRegions`) to ``scores``."""
+    st, cand = regions.st, scores.value.shape[0]
+    if regions.reward is not None:
+        center, eta = regions.reward
+        value, argmin = st.geometry3.min_linear(w_reward, center, eta)
+        scores.value += value
+        scores.plug_in += np.einsum("cp,...cp->...", center, w_reward)
+        scores.attaining[(side, "reward")] = argmin
+        scores.region_sizes[(side, "reward")] = np.full(cand, eta)
+        scores.flat[(side, "reward")] = st.geometry3.flat_part(w_reward)
+    if regions.coef is None:
+        return
+    coef, etas = regions.coef, regions.radius
+    vals = np.zeros(coef.shape[:2])
+    for j in range(4):
+        vals += st.geometry4.min_linear(w_blocks[j][:, None], coef[:, :, j], etas[:, :, j])[0]
+    scores.chain_values[side] = vals
+    # the minimizing chain's members, from its regions alone
+    pick = np.arange(cand), np.argmin(vals, axis=1)
+    for j in range(4):
+        center, eta = coef[pick + (j,)], etas[pick + (j,)]
+        scores.attaining[(side, f"block{j}")] = st.geometry4.min_linear(w_blocks[j], center, eta)[1]
+        scores.region_sizes[(side, f"block{j}")] = eta
+        scores.flat[(side, f"block{j}")] = st.geometry4.flat_part(w_blocks[j])
+    scores.value += vals.min(axis=1)
+    scores.plug_in += sum(np.einsum("...cp,...cp->...", coef[:, 0, j], w_blocks[j]) for j in range(4))
 
 
 def _stage0_weights(st, w_rep: np.ndarray):
-    """Value weights on the block coefficients of the first stage's reward
-    block and four continuation blocks."""
-    post = np.stack([w_rep[:, 0], w_rep[:, 2], w_rep[:, 2], w_rep[:, 0]], axis=1)
+    """Value weights (candidate, blocks, q) on the block coefficients of the
+    first stage's reward block and four continuation blocks, from the value
+    weight tables ``w_rep`` (candidate, cells, 4)."""
+    post = np.stack([w_rep[..., 0], w_rep[..., 2], w_rep[..., 2], w_rep[..., 0]], axis=-1)
     pull = st.basis.coefficient_weights
-    w_blocks = [pull(w).reshape(st.geometry4.hess.shape[:2]) for w in (w_rep, post, w_rep, post)]
-    return pull(w_rep[:, :3]).reshape(st.reward_coef.shape), w_blocks
+    lead = w_rep.shape[:1]
+    w_blocks = [pull(w).reshape(lead + st.geometry4.hess.shape[:2]) for w in (w_rep, post, w_rep, post)]
+    return pull(w_rep[..., :3]).reshape(lead + st.reward_coef.shape), w_blocks
 
 
-def pessimistic_value(data, policy: PolicyPair, regions: QRegions) -> PessimisticValue:
-    """Exact inner minimization of the policy value over the region structure."""
-    engine: LearnerEngine = regions.diagnostics["engine"]
-    st = engine.stats[0]
-    w_reward, w_blocks = _stage0_weights(st, value_weight_tables(st, policy))
-    total_min, total_plug = 0.0, 0.0
-    chain_values = {}
-    attaining = {}
-    region_sizes = {}
-    unbounded, direction = False, None
+def pessimistic_value(engine: LearnerEngine, policy: PolicyPair) -> PessimisticValue:
+    """Exact inner minimization of one pair's value over its nested regions:
+    :meth:`LearnerEngine.score` on a class of one."""
+    scores = engine.score([policy])
+    direction = None
     for side in ("alice", "bob"):
-        info = regions.stage0[side]
-        try:
-            if info.reward is not None:
-                center_r, eta_r = info.reward
-                value, argmin = st.geometry3.min_linear(w_reward, center_r, eta_r)
-                total_min += float(value)
-                total_plug += float(np.einsum("cp,cp->", center_r, w_reward))
-                attaining[(side, "reward")] = argmin
-                region_sizes[(side, "reward")] = eta_r
-            if info.coef is not None:
-                coef, etas = info.coef, info.radius
-                vals = np.zeros(coef.shape[0])
-                argmins = []
-                for j in range(4):
-                    value, argmin = st.geometry4.min_linear(w_blocks[j], coef[:, j], etas[:, j])
-                    vals += value
-                    argmins.append(argmin)
-                chain_values[side] = vals
-                best_k = int(np.argmin(vals))
-                for j in range(4):
-                    attaining[(side, f"block{j}")] = argmins[j][best_k]
-                    region_sizes[(side, f"block{j}")] = float(etas[best_k, j])
-                total_min += float(vals.min())
-                total_plug += float(sum(np.einsum("cp,cp->", coef[0, j], w_blocks[j]) for j in range(4)))
-        except UnboundedBelow as exc:
-            unbounded, direction = True, exc.direction
-            total_min = -np.inf
+        loads = [f[0] for (s, _), f in scores.flat.items() if s == side and f[0].any()]
+        if loads:
+            direction = loads[0]
     return PessimisticValue(
         policy=policy,
-        value=total_min,
-        plug_in=total_plug,
-        chain_values=chain_values,
-        unbounded=unbounded,
+        value=float(scores.value[0]),
+        plug_in=float(scores.plug_in[0]),
+        chain_values={side: v[0] for side, v in scores.chain_values.items()},
+        unbounded=direction is not None,
         unbounded_direction=direction,
-        diagnostics={"attaining_members": attaining, "region_sizes": region_sizes},
+        diagnostics={
+            "attaining_members": {key: m[0] for key, m in scores.attaining.items()},
+            "region_sizes": {key: float(r[0]) for key, r in scores.region_sizes.items()},
+        },
     )
 
 
@@ -207,20 +221,21 @@ def learn_policy_pair(
 ) -> tuple[PolicyPair, PessimisticValue]:
     """Exhaustive pessimistic argmax over an ordered policy class.
 
-    Candidates must be sorted by their encoding; ties keep the earliest, so
-    the tie-break is lexicographic by construction.
+    The class is scored :data:`CHUNK` candidates at a time.  Candidates must
+    be sorted by their encoding; ties keep the earliest, so the tie-break is
+    lexicographic by construction.
     """
     if not policy_class:
         raise EmptyClass("no candidate policy pairs")
     if engine is None:
         engine = LearnerEngine(data, basis, eta)
-    best, best_val = None, None
-    for pair in policy_class:
-        regions = build_q_regions(data, pair, basis, eta, engine=engine)
-        pv = pessimistic_value(data, pair, regions)
-        if best_val is None or pv.value > best_val.value:
-            best, best_val = pair, pv
-    return best, best_val
+    best, best_value = 0, -np.inf
+    for start in range(0, len(policy_class), CHUNK):
+        values = engine.score(policy_class[start : start + CHUNK]).value
+        top = int(np.argmax(values))
+        if values[top] > best_value:
+            best, best_value = start + top, values[top]
+    return policy_class[best], pessimistic_value(engine, policy_class[best])
 
 
 def compute_gap(spec: GameSpec, policy: PolicyPair, policy_class: list[PolicyPair]) -> float:
@@ -270,11 +285,11 @@ def truth_covered(
         # the blocks' columns follow the stage's roles: (own, partner, interaction, constant)
         roles = [0, 1, 2, 3] if t % 2 == 0 else [1, 0, 2, 3]
         for side in ("alice", "bob"):
-            rep_true = exq.marginal[(t + 1, side)].stack().reshape(1, -1, 4)
-            coef, _, scale_sq = continuation_centers(st, t, rep_true, policy)
+            rep_true = exq.marginal[(t + 1, side)].stack().reshape(1, 1, -1, 4)
+            coef, _, scale_sq = continuation_centers(st, t, rep_true, PolicyStack.of([policy]))
             etas = engine.radius_units[t][1] * scale_sq
             for j in range(4):
                 true4 = true_blocks[(t, side, j)].stack().reshape(-1, 4)[:, roles]
-                if st.geometry4.loss_gap(true4, coef[0, j]) > float(etas[0, j]) + 1e-12:
+                if st.geometry4.loss_gap(true4, coef[0, 0, j]) > float(etas[0, 0, j]) + 1e-12:
                     return False
     return True

@@ -16,8 +16,9 @@ and partner coefficients into own-action and interaction slots.
 Every block fit needs only per-cell statistics of the stage's rows, so each
 stage reads its rows once into a :class:`StageStats`, which also holds the
 criterion geometry of its basis.  :func:`chain_recursion` is the one backward
-recursion: evaluation runs it with the single all-center chain, the
-pessimistic learner with its member chains.  The rows come from a sampled
+recursion, run on a :class:`PolicyStack` of candidates: evaluation runs it on
+a class of one with the single all-center chain, the pessimistic learner on
+its whole class with its member chains.  The rows come from a sampled
 dataset or from exact-law weighted rows ("population mode"), which is how the
 composition algebra is tested against the brute-force oracle.
 """
@@ -251,10 +252,10 @@ class StageStats:
         self.reward_coef = self.geometry3.solve(self.abar_reward)
 
     def block_moments(self, g: np.ndarray):
-        """Moment means (chain, block, blocks, m) and mean squares (chain,
-        block) of continuation outcomes ``g[chain, block, next_cell, act]``."""
-        alpha = np.einsum("cmna,kjna->kjcm", self.t_alpha, g)
-        scale_sq = np.einsum("na,kjna->kj", self.scale_weights, g**2)
+        """Moment means (..., blocks, m) and mean squares (...) of
+        continuation outcomes ``g[..., next_cell, act]``."""
+        alpha = np.einsum("cmna,...na->...cm", self.t_alpha, g)
+        scale_sq = np.einsum("na,...na->...", self.scale_weights, g**2)
         return alpha, scale_sq
 
 
@@ -274,28 +275,49 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the stage algebra, stacked over member chains
+# the stage algebra, stacked over candidates and member chains
 # ---------------------------------------------------------------------------
 
 
-def continuation_centers(st: StageStats, t: int, rep: np.ndarray, policy: PolicyPair):
-    """Centers (chain, 4, blocks, q), moment means and outcome mean squares
-    (chain, 4) of the continuation blocks of next-stage (theta, gamma, omega,
-    zeta) tables ``rep`` (chain, next_cell, 4): its constant, own, partner and
-    interaction coefficients, those on the next actor's action times that
-    actor's policy mean (bob's after an even stage, alice's after an odd one).
+@dataclass
+class PolicyStack:
+    """Policy pairs stacked on a leading candidate axis: ``alice`` (candidate,
+    H, ns, nu, 2), ``bob`` (candidate, H, ns, 2) and ``init_bob`` (candidate,)."""
+
+    alice: np.ndarray
+    bob: np.ndarray
+    init_bob: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: list) -> "PolicyStack":
+        return cls(
+            np.array([p.alice for p in pairs]),
+            np.array([p.bob for p in pairs]),
+            np.array([p.init_bob for p in pairs], dtype=float),
+        )
+
+
+def continuation_centers(st: StageStats, t: int, rep: np.ndarray, policies: PolicyStack):
+    """Centers (candidate, chain, 4, blocks, q), moment means and outcome mean
+    squares (candidate, chain, 4) of the continuation blocks of next-stage
+    (theta, gamma, omega, zeta) tables ``rep`` (candidate or 1, chain,
+    next_cell, 4): its constant, own, partner and interaction coefficients,
+    those on the next actor's action times that actor's policy mean (bob's
+    after an even stage, alice's after an odd one).
     """
-    ones = np.ones((rep.shape[1], 2))
-    idx_s, idx_u = np.divmod(np.arange(rep.shape[1]), st.n_u)
+    cells = rep.shape[-2]
+    ones = np.ones((cells, 2))
+    idx_s, idx_u = np.divmod(np.arange(cells), st.n_u)
     if t % 2 == 0:
-        fac = policy.bob_mean(t // 2)[idx_s]
-        own, partner = ones, fac
+        fac = policies.bob[:, t // 2][:, idx_s]
+        own, partner = ones, fac[:, None]
     else:
-        fac = policy.alice_mean(t // 2 + 1)[idx_s, idx_u]
-        own, partner = fac, ones
-    theta, gamma, omega, zeta = (rep[:, :, i, None] for i in range(4))
-    g = np.empty((rep.shape[0], 4, rep.shape[1], 2))
-    g[:, 0], g[:, 1], g[:, 2], g[:, 3] = zeta * ones, theta * own, gamma * partner, omega * fac
+        fac = policies.alice[:, t // 2 + 1][:, idx_s, idx_u]
+        own, partner = fac[:, None], ones
+    theta, gamma, omega, zeta = (rep[..., i, None] for i in range(4))
+    g = np.empty((fac.shape[0], rep.shape[-3], 4, cells, 2))
+    g[:, :, 0], g[:, :, 1] = zeta * ones, theta * own
+    g[:, :, 2], g[:, :, 3] = gamma * partner, omega * fac[:, None]
     alpha, scale_sq = st.block_moments(g)
     try:
         return st.geometry4.solve(alpha), alpha, scale_sq
@@ -304,40 +326,44 @@ def continuation_centers(st: StageStats, t: int, rep: np.ndarray, policy: Policy
 
 
 def combine_blocks(t: int, reward_m, block_m, n_rows: int) -> np.ndarray:
-    """Block tables -> (chain, row, 4) stage representations, row by row.
+    """Block tables -> (candidate or 1, chain or 1, row, 4) stage
+    representations, row by row.
 
     ``reward_m[chain, row]`` is in (own action, instrument, interaction)
-    order; ``block_m[chain, block, row]`` holds the constant,
-    own-coefficient, partner-coefficient and interaction blocks of the
-    continuation, each in (action, instrument, interaction, constant) order of
-    the stage's own roles.  Either may be ``None``; with both ``None`` the
-    representation is zero.
+    order, the same for every candidate; ``block_m[candidate, chain, block,
+    row]`` holds the constant, own-coefficient, partner-coefficient and
+    interaction blocks of the continuation, each in (action, instrument,
+    interaction, constant) order of the stage's own roles.  Either may be
+    ``None``; with both ``None`` the representation is zero.
     """
-    kk = max([1] + [m.shape[0] for m in (reward_m, block_m) if m is not None])
-    rep = np.zeros((kk, n_rows, 4))
+    if block_m is not None:
+        lead = block_m.shape[:2]
+    else:
+        lead = (1,) + (reward_m.shape[:1] if reward_m is not None else (1,))
+    rep = np.zeros(lead + (n_rows, 4))
     even = t % 2 == 0
     if reward_m is not None:
         r_act, r_iv, r_int = (reward_m[..., i] for i in range(3))
-        rep[:, :, 0] += r_act if even else r_iv
-        rep[:, :, 1] += r_iv if even else r_act
-        rep[:, :, 2] += r_int
+        rep[..., 0] += r_act if even else r_iv
+        rep[..., 1] += r_iv if even else r_act
+        rep[..., 2] += r_int
     if block_m is None:
         return rep
-    b0, b1, b2, b3 = (block_m[:, j] for j in range(4))
+    b0, b1, b2, b3 = (block_m[..., j, :, :] for j in range(4))
     if even:
         # roles: act = alice's action (theta axis), iv = bob's previous action;
         # blocks 1 and 3 are post-multiplied by the action
-        rep[:, :, 0] += b0[..., 0] + b1[..., 0] + b1[..., 3] + b2[..., 0] + b3[..., 0] + b3[..., 3]
-        rep[:, :, 1] += b0[..., 1] + b2[..., 1]
-        rep[:, :, 2] += b0[..., 2] + b1[..., 1] + b1[..., 2] + b2[..., 2] + b3[..., 1] + b3[..., 2]
-        rep[:, :, 3] += b0[..., 3] + b2[..., 3]
+        rep[..., 0] += b0[..., 0] + b1[..., 0] + b1[..., 3] + b2[..., 0] + b3[..., 0] + b3[..., 3]
+        rep[..., 1] += b0[..., 1] + b2[..., 1]
+        rep[..., 2] += b0[..., 2] + b1[..., 1] + b1[..., 2] + b2[..., 2] + b3[..., 1] + b3[..., 2]
+        rep[..., 3] += b0[..., 3] + b2[..., 3]
     else:
         # roles: act = bob's action (gamma axis), iv = alice's previous action;
         # blocks 2 and 3 are post-multiplied by the action
-        rep[:, :, 1] += b0[..., 0] + b1[..., 0] + b2[..., 0] + b2[..., 3] + b3[..., 0] + b3[..., 3]
-        rep[:, :, 0] += b0[..., 1] + b1[..., 1]
-        rep[:, :, 2] += b0[..., 2] + b1[..., 2] + b2[..., 1] + b2[..., 2] + b3[..., 1] + b3[..., 2]
-        rep[:, :, 3] += b0[..., 3] + b1[..., 3]
+        rep[..., 1] += b0[..., 0] + b1[..., 0] + b2[..., 0] + b2[..., 3] + b3[..., 0] + b3[..., 3]
+        rep[..., 0] += b0[..., 1] + b1[..., 1]
+        rep[..., 2] += b0[..., 2] + b1[..., 2] + b2[..., 1] + b2[..., 2] + b3[..., 1] + b3[..., 2]
+        rep[..., 3] += b0[..., 3] + b1[..., 3]
     return rep
 
 
@@ -350,8 +376,8 @@ def combine_blocks(t: int, reward_m, block_m, n_rows: int) -> np.ndarray:
 class StageRegions:
     """Stage ``t`` of :func:`chain_recursion`: the reward region's (center,
     radius) when the side is paid here; when a stage follows, the
-    continuation regions' centers ``coef`` (chain, 4, blocks, q), moment
-    means, outcome mean squares and radii (chain, 4)."""
+    continuation regions' centers ``coef`` (candidate, chain, 4, blocks, q),
+    moment means, outcome mean squares and radii (candidate, chain, 4)."""
 
     st: StageStats
     t: int
@@ -364,37 +390,45 @@ class StageRegions:
 
     @cached_property
     def rep(self) -> np.ndarray:
-        """Stage tables (chain, cells, 4) the chains carry to the stage before:
-        member ``k`` of each region for chain ``k``, combined, as cell tables.
-        Built on first use: the learner never needs the first stage's."""
+        """Stage tables (candidate or 1, chain or 1, cells, 4) the chains carry
+        to the stage before: member ``k`` of each region for chain ``k``,
+        combined, as cell tables.  The reward members do not depend on the
+        policy and are built once.  Built on first use: the learner never
+        needs the first stage's."""
         index, k = np.arange(self.chains), self.st.basis.k
         reward_m = block_m = None
         if self.reward is not None:
             reward_m = self.st.geometry3.members(*self.reward, index).reshape(self.chains, k, -1)
         if self.coef is not None:
             block_m = self.st.geometry4.members(self.coef, self.radius, index[:, None])
-            block_m = block_m.reshape(self.chains, 4, k, -1)
+            block_m = block_m.reshape(block_m.shape[:-2] + (k, -1))
         return self.st.basis.tables(combine_blocks(self.t, reward_m, block_m, k))
 
 
-def chain_recursion(stats: list, policy: PolicyPair, side: str, chains: int = 1, radius_units=None) -> list:
-    """The backward recursion of one side, run by a stack of member chains:
-    every stage's :class:`StageRegions`, in stage order, each stage's centers
-    fitted to the next stage's chain tables.  ``radius_units[t]`` holds the
-    reward and continuation radii per unit outcome mean square (zero without
-    it).  Chain 0 takes every center: alone, it is the plug-in recursion."""
-    out = [None] * len(stats)
+def chain_recursion(
+    stats: list, policies: PolicyStack, side: str, chains: int = 1, radius_units=None
+):
+    """The backward recursion of one side for a stack of candidate policies,
+    run by a stack of member chains: yields every stage's
+    :class:`StageRegions`, last stage first, each stage's centers fitted to
+    the next stage's chain tables.  The recursion itself holds on to no stage
+    but the one it fits from, so a caller that keeps only the first stage
+    holds two stages' arrays at a time, whatever the horizon.
+    ``radius_units[t]`` holds the reward and continuation radii per unit
+    outcome mean square (zero without it).  Chain 0 takes every center:
+    alone, it is the plug-in recursion."""
+    nxt = None
     for t in reversed(range(len(stats))):
         st = stats[t]
         unit_reward, unit_next = radius_units[t] if radius_units is not None else (0.0, 0.0)
         reward = coef = alpha = scale_sq = radius = None
         if (t % 2 == 0) == (side == "alice"):
             reward = (st.reward_coef, unit_reward * st.reward_scale_sq)
-        if t + 1 < len(stats):
-            coef, alpha, scale_sq = continuation_centers(st, t, out[t + 1].rep, policy)
+        if nxt is not None:
+            coef, alpha, scale_sq = continuation_centers(st, t, nxt.rep, policies)
             radius = unit_next * scale_sq
-        out[t] = StageRegions(st, t, chains, reward, coef, alpha, scale_sq, radius)
-    return out
+        nxt = StageRegions(st, t, chains, reward, coef, alpha, scale_sq, radius)
+        yield nxt
 
 
 @dataclass
@@ -409,19 +443,21 @@ class OPEResult:
         return self.j_alice + self.j_bob
 
 
-def value_weight_tables(stats: StageStats, policy: PolicyPair) -> np.ndarray:
+def value_weight_tables(stats: StageStats, policies: PolicyStack) -> np.ndarray:
     """Occupancy-weighted feature expectations of the opening move.
 
     ``stats`` are the statistics of stage 0, whose cell mass is the opening
-    occupancy.  Returns (cells, 4) weights such that the estimated value of
-    either player is their elementwise dot product with the stage-one
-    (theta, gamma, omega, zeta) table.
+    occupancy.  Returns (candidate, cells, 4) weights such that the estimated
+    value of either player is their elementwise dot product with the
+    stage-one (theta, gamma, omega, zeta) table.
     """
     p1 = stats.mass / stats.mass.sum()
-    pi_b = policy.init_bob
-    pa = policy.alice_mean(0).reshape(-1, 2)  # (cell, b)
-    e_a = (1 - pi_b) * pa[:, 0] + pi_b * pa[:, 1]
-    return p1[:, None] * np.stack([e_a, np.full_like(p1, pi_b), pi_b * pa[:, 1], np.ones_like(p1)], axis=1)
+    pi_b = policies.init_bob[:, None]
+    pa = policies.alice[:, 0].reshape(pi_b.shape[0], -1, 2)  # (candidate, cell, b)
+    w = np.empty(pa.shape[:-1] + (4,))
+    w[..., 0] = (1 - pi_b) * pa[..., 0] + pi_b * pa[..., 1]
+    w[..., 1], w[..., 2], w[..., 3] = pi_b, pi_b * pa[..., 1], 1.0
+    return p1[:, None] * w
 
 
 def evaluate_policy(
@@ -438,13 +474,14 @@ def evaluate_policy(
     policy.check_grid(source.horizon, source.n_states, source.n_u)
     ns, nu = source.n_states, source.n_u
     stats = stage_statistics(source, basis)
-    w = value_weight_tables(stats[0], policy)
+    policies = PolicyStack.of([policy])
+    w = value_weight_tables(stats[0], policies)[0]
     reps, fits, value = {}, {}, {}
     for side in ("alice", "bob"):
-        stages = chain_recursion(stats, policy, side)
-        value[side] = float(sum((w[:, i] * stages[0].rep[0, :, i]).sum() for i in range(4)))
+        stages = list(chain_recursion(stats, policies, side))[::-1]
+        value[side] = float(sum((w[:, i] * stages[0].rep[0, 0, :, i]).sum() for i in range(4)))
         for t, (st, stage) in enumerate(zip(stats, stages)):
-            reps[(t, side)] = StageRep(*(stage.rep[0, :, i].reshape(ns, nu) for i in range(4)))
+            reps[(t, side)] = StageRep(*(stage.rep[0, 0, :, i].reshape(ns, nu) for i in range(4)))
             if stage.reward is not None:
                 fits[(t, side, "reward")] = fit_cell_moments(
                     st.geometry3, st.abar_reward, basis, float(np.sqrt(st.reward_scale_sq))
@@ -452,7 +489,7 @@ def evaluate_policy(
             if stage.coef is not None:
                 for j in range(4):
                     fits[(t, side, f"block{j}")] = fit_cell_moments(
-                        st.geometry4, stage.alpha[0, j], basis, float(np.sqrt(stage.scale_sq[0, j]))
+                        st.geometry4, stage.alpha[0, 0, j], basis, float(np.sqrt(stage.scale_sq[0, 0, j]))
                     )
     return OPEResult(qhat=reps, j_alice=value["alice"], j_bob=value["bob"], fits=fits)
 

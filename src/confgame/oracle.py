@@ -69,9 +69,11 @@ def stage_laws(
     behavior: Optional[BehaviorPolicyPair] = None,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> StageLaws:
-    """Forward-propagate the exact joint law stage by stage."""
+    """Forward-propagate the exact joint law stage by stage; :class:`MalformedSpec`
+    when the behavior pair is built for another grid."""
     if behavior is None:
         behavior = BehaviorPolicyPair.from_spec(spec)
+    behavior.check_grid(spec)
     ns, nu, nv1, nv2 = spec.n_states, spec.n_u, spec.n_v1, spec.n_v2
     per_stage = ns * nu * nv1 * nv2 * 4 * ns * nu
     if per_stage * spec.n_stages > cell_budget:

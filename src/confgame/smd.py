@@ -66,8 +66,8 @@ class BlockGeometry:
     ``d`` raises the criterion by exactly ``0.5 * sum_b d_b^T hess_b d_b``
     (:meth:`loss_gap`), so a confidence region ``{coef : gap <= eta}`` is an
     ellipsoid whose axis members (:meth:`members`) and minimum of a linear
-    functional (:meth:`min_linear`) are closed-form.  Centers and radii may
-    carry leading (chain, block, ...) axes.  ``hpinv`` holds the blocks'
+    functional (:meth:`min_linear`) are closed-form.  Centers, radii and
+    weights may carry leading (candidate, chain, ...) axes.  ``hpinv`` holds the blocks'
     pseudo-inverses, ``hdiag`` the flattened diagonal and ``order`` the axes
     with positive curvature, widest first.  Geometries of a least-squares
     criterion ``sum_b mass[b] * |design[b] @ coef[b] + alphabar[b]|^2`` also
@@ -142,7 +142,8 @@ class BlockGeometry:
         Raises :class:`IllPosedFit` when a singular block design meets a
         gradient that does not vanish, so that no coefficient minimizes it.
         """
-        coef = np.einsum("cpm,...cm->...cp", self.pinv, -alphabar)
+        coef = np.einsum("cpm,...cm->...cp", self.pinv, alphabar)
+        np.negative(coef, out=coef)
         bad = self.singular
         if bad.size:
             design = self.design[bad]
@@ -181,25 +182,33 @@ class BlockGeometry:
             flat[moved, axis] += sign * np.sqrt(2.0 * eta[moved] / self.hdiag[axis])
         return out
 
+    def flat_part(self, weight: np.ndarray) -> np.ndarray:
+        """The part (..., blocks, q) of ``weight`` (..., blocks, q) on directions
+        outside the Hessian's range, zero where it is within ``1e-8`` (times the
+        largest weight, at least 1) of vanishing.  These directions are flat in
+        the criterion and a region contains a line along them even at
+        ``eta = 0``, so a linear functional with a non-zero flat part is
+        unbounded below over it (the data do not pin the functional down)."""
+        step = np.einsum("cpq,...cq->...cp", self.hpinv, weight)
+        flat = weight - np.einsum("cpq,...cq->...cp", self.hess, step)
+        size = np.maximum(np.abs(weight).max(axis=(-2, -1), initial=0.0), 1.0)
+        loads = np.abs(flat).max(axis=(-2, -1), initial=0.0) > 1e-8 * size
+        return flat * loads[..., None, None]
+
     def min_linear(self, weight: np.ndarray, center: np.ndarray, eta):
         """Exact minimum of ``<weight, coef>`` over each region, and its argmin.
 
-        ``weight`` (blocks, q) is shared by all regions; returns the values
-        (...) and argmins (..., blocks, q).  Directions outside the Hessian's
-        range are flat in the criterion and the region contains a line along
-        them even at ``eta = 0``, so weight on them raises
-        :class:`UnboundedBelow` (the data do not pin down the functional).
+        ``weight`` (..., blocks, q), ``center`` (..., blocks, q) and ``eta``
+        broadcast over the leading axes; returns the values (...) and argmins
+        (..., blocks, q).  A region whose weight has a non-zero
+        :meth:`flat_part` has value ``-inf``.
         """
-        step = np.einsum("cpq,cq->cp", self.hpinv, weight)
-        quad = float(np.einsum("cp,cpq,cq->", weight, self.hpinv, weight))
-        flat = weight - np.einsum("cpq,cq->cp", self.hess, step)
-        if np.abs(flat).max() > 1e-8 * max(1.0, float(np.abs(weight).max())):
-            raise UnboundedBelow(
-                "objective has weight on a flat direction of the criterion", direction=flat
-            )
+        step = np.einsum("cpq,...cq->...cp", self.hpinv, weight)
+        quad = np.einsum("...cp,cpq,...cq->...", weight, self.hpinv, weight)
         eta = np.asarray(eta, dtype=float)
-        value = np.einsum("...cp,cp->...", center, weight) - np.sqrt(np.maximum(2.0 * eta * quad, 0.0))
-        reach = np.sqrt(np.maximum(2.0 * eta, 0.0) / quad) if quad > 0 else np.zeros_like(eta)
+        value = np.einsum("...cp,...cp->...", center, weight) - np.sqrt(np.maximum(2.0 * eta * quad, 0.0))
+        value = np.where(self.flat_part(weight).any(axis=(-2, -1)), -np.inf, value)
+        reach = np.sqrt(np.maximum(2.0 * eta, 0.0) / np.where(quad > 0, quad, np.inf))
         return value, center - reach[..., None, None] * step
 
 
@@ -332,12 +341,12 @@ class ConfidenceRegion:
         direction of the criterion, whatever ``eta`` is.
         """
         shape = self.center.coef.shape
-        try:
-            value, argmin = self.geometry.min_linear(
-                self._flat(weights), self._flat(self.center.coef), self.eta
+        flat = self.geometry.flat_part(self._flat(weights))
+        if flat.any():
+            raise UnboundedBelow(
+                "objective has weight on a flat direction of the criterion", direction=flat.reshape(shape)
             )
-        except UnboundedBelow as exc:
-            raise UnboundedBelow(str(exc), direction=exc.direction.reshape(shape)) from None
+        value, argmin = self.geometry.min_linear(self._flat(weights), self._flat(self.center.coef), self.eta)
         return float(value), argmin.reshape(shape)
 
     def members(self, k_max: int = 16) -> list[np.ndarray]:

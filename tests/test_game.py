@@ -122,3 +122,19 @@ def test_stationary_class_is_lex_sorted(t1):
     codes = [p.encode() for p in pairs]
     assert codes == sorted(codes)
     assert len(pairs) == 32
+
+
+def test_behavior_pair_for_another_grid_is_rejected(t1, t2):
+    from confgame import ope
+
+    t1_rules = game.BehaviorPolicyPair.from_spec(t1)
+    shapes = r"alice \(1, 1, 2, 2, 1, 2\), bob \(1, 1, 2, 2, 1, 2\); the game needs \(2, 1, 2, 2, 2, 2\)"
+    for call in (
+        lambda: oracle.stage_laws(t2, t1_rules),
+        lambda: game.simulate_dataset(t2, t1_rules, n=10, seed=0),
+        lambda: game.validate_spec(t2, t1_rules),
+        lambda: ope.PopulationSource(t2, t1_rules),
+    ):
+        with pytest.raises(MalformedSpec, match=shapes):
+            call()
+    game.BehaviorPolicyPair.from_spec(t2).check_grid(t2)

@@ -97,3 +97,33 @@ def test_policy_csv_export(tmp_path, t1):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,player,s,u,prev_action,action"
     assert len(lines) == 1 + 1 + 2 + 2  # header, opening rule, alice cells, bob cells
+
+
+def test_hidden_trace_rejects_bad_rows(tmp_path, t2):
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    hidden = path.with_name(path.name + ".hidden")
+    good = hidden.read_text().splitlines()  # header, then (traj, step) rows in order
+
+    def read_with(lines):
+        hidden.write_text("\n".join(lines) + "\n")
+        return gameio.read_dataset(str(path), with_hidden=True)
+
+    assert read_with(good).hidden == ds.hidden
+    out_of_range = good[:2] + ["9" + good[2][1:]] + good[3:]
+    with pytest.raises(SchemaMismatch, match="line 3: .*outside header n=3"):
+        read_with(out_of_range)
+    late_step = good[:1] + [good[1].replace(",1,", ",7,", 1)] + good[2:]
+    with pytest.raises(SchemaMismatch, match="line 2: .*outside header n=3, H=2"):
+        read_with(late_step)
+    not_int = good[:1] + [",".join(good[1].split(",")[:2] + ["x"] + good[1].split(",")[3:])] + good[2:]
+    with pytest.raises(CorruptRow) as err:
+        read_with(not_int)
+    assert err.value.line_number == 2
+    # one row dropped, another relabelled step 1 of its trajectory
+    relabelled = good[:1] + [good[1]] + [good[1].split(",")[0] + ",1," + good[2].split(",", 2)[2]] + good[4:]
+    with pytest.raises(SchemaMismatch, match="line 3: duplicate"):
+        read_with(relabelled)
+    with pytest.raises(SchemaMismatch, match=r"misses \(trajectory, step\) \(0, 2\)"):
+        read_with(good[:2] + good[3:])

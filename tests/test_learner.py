@@ -39,8 +39,7 @@ def test_zero_radius_regions_collapse_to_plug_in(t1, t1_basis, t1_ds, t2):
 
         def plug_in(basis):
             engine = learner.LearnerEngine(ds, basis, eta0)
-            regions = learner.build_q_regions(ds, pol, basis, eta0, engine=engine)
-            return engine, learner.pessimistic_value(ds, pol, regions)
+            return engine, learner.pessimistic_value(engine, pol)
 
         engine, pv = plug_in(basis)
         assert abs(pv.value - pv.plug_in) < 1e-12
@@ -58,8 +57,7 @@ def test_pessimistic_value_below_plug_in(t1, t1_basis, t1_ds, t1_engine):
         game.constant_policy_pair(t1, 0.0, 1.0, 1.0),
         game.constant_policy_pair(t1, 0.6, 0.2, 0.3),
     ):
-        regions = learner.build_q_regions(t1_ds, pol, t1_basis, engine=t1_engine)
-        pv = learner.pessimistic_value(t1_ds, pol, regions)
+        pv = learner.pessimistic_value(t1_engine, pol)
         assert pv.value <= pv.plug_in + 1e-12
 
 
@@ -69,8 +67,7 @@ def test_value_monotone_in_radius(t1, t1_basis, t1_ds):
     for c_eta in (0.5, 1.0, 2.0):
         eta = learner.EtaConfig(c_eta=c_eta)
         engine = learner.LearnerEngine(t1_ds, t1_basis, eta)
-        regions = learner.build_q_regions(t1_ds, pol, t1_basis, eta, engine=engine)
-        values.append(learner.pessimistic_value(t1_ds, pol, regions).value)
+        values.append(learner.pessimistic_value(engine, pol).value)
     assert values[0] >= values[1] >= values[2]
 
 
@@ -152,8 +149,7 @@ def test_value_monotone_in_chain_budget(t1, t1_basis, t1_ds):
     for k in (1, 4, 16):
         eta = learner.EtaConfig(k_members=k)
         engine = learner.LearnerEngine(t1_ds, t1_basis, eta)
-        regions = learner.build_q_regions(t1_ds, pol, t1_basis, eta, engine=engine)
-        values.append(learner.pessimistic_value(t1_ds, pol, regions).value)
+        values.append(learner.pessimistic_value(engine, pol).value)
     assert values[0] >= values[1] >= values[2]
 
 
@@ -171,8 +167,7 @@ def test_pessimistic_value_approaches_optimum_from_below(t1, t1_basis):
         for rep in range(reps):
             ds = game.simulate_dataset(t1, n=n, seed=70_000 + rep)
             engine = learner.LearnerEngine(ds, t1_basis, eta)
-            regions = learner.build_q_regions(ds, star, t1_basis, eta, engine=engine)
-            pv = learner.pessimistic_value(ds, star, regions)
+            pv = learner.pessimistic_value(engine, star)
             vals.append(pv.value)
             below += pv.value <= j_star + 1e-9
         medians.append(float(np.median(vals)))

@@ -62,8 +62,7 @@ def test_zero_radius_plug_in_matches_recursion(case):
     source = ope.PopulationSource(spec)
     eta = learner.EtaConfig(c_eta=0.0)
     engine = learner.LearnerEngine(source, basis, eta)
-    regions = learner.build_q_regions(source, policy, basis, eta, engine=engine)
-    pv = learner.pessimistic_value(source, policy, regions)
+    pv = learner.pessimistic_value(engine, policy)
     assert abs(pv.plug_in - ope.evaluate_policy(source, policy, basis).j_total) <= TOL
 
 
@@ -94,8 +93,7 @@ def test_reward_scale_equivariance(seed, n_states, c):
     engines = {id(d): learner.LearnerEngine(d, basis) for d in (ds, scaled)}
 
     def score(d, pair):
-        regions = learner.build_q_regions(d, pair, basis, engine=engines[id(d)])
-        return learner.pessimistic_value(d, pair, regions)
+        return learner.pessimistic_value(engines[id(d)], pair)
 
     values = []
     for pair in pairs:
