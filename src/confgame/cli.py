@@ -24,11 +24,9 @@ from .gameio import (
 )
 from .harness import ExperimentConfig, run_experiment
 from .learner import EtaConfig, compute_gap, learn_policy_pair
-from .moments import MomentData, assemble_system, estimate_nuisances
-from .ope import SampleSource, evaluate_policy
+from .ope import SampleSource, StageStats, evaluate_policy
 from . import oracle
 from .sieve import build_basis
-from .smd import fit_smd
 
 USAGE_EXIT = 64
 
@@ -106,14 +104,6 @@ def _require_spec(args):
     return spec
 
 
-def _stage0_fit(ds, basis, stage: int):
-    rows = SampleSource(ds).stage_rows(stage)
-    data = MomentData(y=rows.y_reward, s=rows.s, u=rows.u, act=rows.act, iv=rows.iv)
-    nuis = estimate_nuisances(data, basis)
-    system = assemble_system(data, nuis, n_states=ds.n_states, n_u=ds.n_u)
-    return fit_smd(system, basis)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -153,8 +143,8 @@ def _dispatch(args) -> int:
     if args.command == "identify":
         ds = read_dataset(args.data)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
-        fit_a = _stage0_fit(ds, basis, 0)
-        fit_b = _stage0_fit(ds, basis, 1)
+        source = SampleSource(ds)
+        fit_a, fit_b = (StageStats(source, t, basis).reward_fit() for t in (0, 1))
         print("alice reward block (per cell: action, instrument, interaction):")
         print(np.array_str(fit_a.coef_table(), precision=4))
         print("bob reward block:")
@@ -185,16 +175,13 @@ def _dispatch(args) -> int:
         basis = build_basis("saturated", ds.n_states, ds.n_u)
         eta = EtaConfig(alpha=args.alpha, varsigma=args.varsigma, d=args.d, c_eta=args.c_eta)
         spec = _load_spec(args)
-        meta_spec = spec
-        if meta_spec is None:
+        if spec is None:
             raise _UsageError("learn needs --spec or --fixture to enumerate the policy class")
-        pairs = stationary_deterministic_pairs(meta_spec)
+        pairs = stationary_deterministic_pairs(spec)
         best, pv = learn_policy_pair(ds, pairs, basis, eta)
         export_policy_csv(best, args.out)
         print(f"wrote {args.out}; pessimistic value {pv.value:.5f} (plug-in {pv.plug_in:.5f})")
-        if spec is not None:
-            gap = compute_gap(spec, best, pairs)
-            print(f"oracle gap: {gap:.5f}")
+        print(f"oracle gap: {compute_gap(spec, best, pairs):.5f}")
         return 0
 
     if args.command == "benchmark":

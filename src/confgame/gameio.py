@@ -80,9 +80,7 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
         arrays.update({k: np.zeros(shape, dtype=float) for k in ("r_a", "r_b")})
         b_init = np.zeros(n, dtype=np.int64)
         s_term = np.zeros(n, dtype=np.int64)
-        seen_init = np.zeros(n, dtype=bool)
-        seen_term = np.zeros(n, dtype=bool)
-        seen_steps = np.zeros(shape, dtype=bool)
+        seen = set()  # row slots: trajectory + n * (0 for init, 1 for term, 1 + step)
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line:
@@ -99,17 +97,18 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
             tag = parts[1]
             try:
                 if tag == "init":
+                    slot = traj
                     b_init[traj] = int(parts[8])
-                    seen_init[traj] = True
                 elif tag == "term":
+                    slot = n + traj
                     s_term[traj] = int(parts[2])
-                    seen_term[traj] = True
                 else:
                     h = int(tag) - 1
                     if not 0 <= h < horizon:
                         raise SchemaMismatch(
                             f"step {tag} outside header horizon H={horizon}"
                         )
+                    slot = (2 + h) * n + traj
                     for col, key in (
                         (2, "s"),
                         (3, "u"),
@@ -121,12 +120,14 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
                         arrays[key][traj, h] = int(parts[col])
                     arrays["r_a"][traj, h] = float(parts[5])
                     arrays["r_b"][traj, h] = float(parts[9])
-                    seen_steps[traj, h] = True
             except SchemaMismatch:
                 raise
             except ValueError as exc:
                 raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
-    if n and not (seen_init.all() and seen_term.all() and seen_steps.all()):
+            if slot in seen:
+                raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {tag})")
+            seen.add(slot)
+    if len(seen) < n * (horizon + 2):
         raise SchemaMismatch("dataset body does not cover every (trajectory, step)")
     if n:
         for key, bound in (("s", ns), ("u", nu), ("s_half", ns), ("u_half", nu)):

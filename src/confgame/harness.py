@@ -39,11 +39,9 @@ from .game import (
 )
 from .gameio import read_spec
 from .learner import EtaConfig, LearnerEngine, learn_policy_pair, truth_covered
-from .moments import MomentData, assemble_system, estimate_nuisances
-from .ope import SampleSource, evaluate_policy
+from .ope import evaluate_policy
 from . import oracle
 from .sieve import build_basis
-from .smd import fit_smd
 
 METRICS = ("rmse_theta", "coverage", "j_error", "gap", "pess_value")
 
@@ -133,16 +131,11 @@ def _run_cell(config, spec, behavior, basis, eta, targets, n, seed) -> _CellResu
     out = _CellResult(n=n, seed=seed)
     try:
         ds = simulate_dataset(spec, behavior, n=n, seed=seed)
-        rows = SampleSource(ds).stage_rows(0)
-        data = MomentData(y=rows.y_reward, s=rows.s, u=rows.u, act=rows.act, iv=rows.iv)
-        nuis = estimate_nuisances(data, basis)
-        system = assemble_system(data, nuis, n_states=spec.n_states, n_u=spec.n_u)
-        fit = fit_smd(system, basis)
-        truth = targets["alice_truth"]
-        rmse = float(np.abs(fit.coef_table() - truth).max())
+        engine = LearnerEngine(ds, basis, eta)
+        fit = engine.stats[0].reward_fit()
+        rmse = float(np.abs(fit.coef_table() - targets["alice_truth"]).max())
         out.rows.append(("rmse_theta", rmse))
 
-        engine = LearnerEngine(ds, basis, eta)
         covered = truth_covered(
             engine, spec, targets["eval_policy"], targets["exq"], targets["true_blocks"]
         )

@@ -88,21 +88,27 @@ class NuisanceSet:
         iv = np.asarray(iv)
         return np.clip(np.where(iv > 0.5, hi, lo), F_CLIP, 1.0 - F_CLIP)
 
+    def clipped(self, s, u, iv) -> np.ndarray:
+        """How many of ``f1`` and ``f2`` each row clips (0, 1 or 2)."""
+        lo, hi = (f.predict(s, u) for f in self.f2)
+        raw = np.stack([self.f1.predict(s, u), np.where(np.asarray(iv) > 0.5, hi, lo)])
+        return (np.abs(raw - np.clip(raw, F_CLIP, 1 - F_CLIP)) > 0).sum(axis=0)
+
 
 def _check_iv_variance(data: MomentData, basis: SieveBasis):
     cells = basis.cell_index(data.s, data.u)
     w = data.weights
-    for c in np.unique(cells):
-        m = cells == c
-        tot = w[m].sum()
-        if tot <= 0:
-            continue
-        mean = (w[m] * data.iv[m]).sum() / tot
-        var = (w[m] * (data.iv[m] - mean) ** 2).sum() / tot
-        if var < IV_VARIANCE_TOL:
-            raise DegenerateIV(
-                f"instrument variance {var:.2e} in cell {int(c)} is below {IV_VARIANCE_TOL}"
-            )
+    tot = np.bincount(cells, w)
+    reached = tot > 0
+    mean = np.bincount(cells, w * data.iv)
+    mean[reached] /= tot[reached]
+    var = np.bincount(cells, w * (data.iv - mean[cells]) ** 2)
+    var[reached] /= tot[reached]
+    low = np.flatnonzero(reached & (var < IV_VARIANCE_TOL))
+    if low.size:
+        raise DegenerateIV(
+            f"instrument variance {var[low[0]]:.2e} in cell {int(low[0])} is below {IV_VARIANCE_TOL}"
+        )
 
 
 def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
@@ -128,15 +134,8 @@ def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
                 data.s[m], data.u[m], data.act[m].astype(float), basis, w[m]
             )
         )
-    raw_f1 = f1.predict(data.s, data.u)
-    raw_f2 = np.where(
-        data.iv > 0.5,
-        arms[1].predict(data.s, data.u),
-        arms[0].predict(data.s, data.u),
-    )
-    clip_count = int((np.abs(raw_f1 - np.clip(raw_f1, F_CLIP, 1 - F_CLIP)) > 0).sum())
-    clip_count += int((np.abs(raw_f2 - np.clip(raw_f2, F_CLIP, 1 - F_CLIP)) > 0).sum())
-    nuis = NuisanceSet(f1=f1, f2=(arms[0], arms[1]), clip_count=clip_count)
+    nuis = NuisanceSet(f1=f1, f2=(arms[0], arms[1]), clip_count=0)
+    nuis.clip_count = int(nuis.clipped(data.s, data.u, data.iv).sum())
     total = w.sum()
     nuis.residual_means = {
         "w4": float((w * (data.iv - nuis.f1_at(data.s, data.u))).sum() / total),

@@ -36,7 +36,7 @@ from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair
 from .moments import MomentData, assemble_system, estimate_nuisances
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
-from .smd import BlockGeometry, cell_sums, fit_cell_moments
+from .smd import BlockGeometry, SmdFit, fit_cell_moments
 
 
 @dataclass
@@ -179,14 +179,16 @@ def as_source(data, cross_fit: bool = False) -> DataSource:
 # ---------------------------------------------------------------------------
 
 
-def _rows_data(rows: StageRows, w: np.ndarray, y: np.ndarray, take) -> MomentData:
-    return MomentData(
-        y=y[take], s=rows.s[take], u=rows.u[take], act=rows.act[take], iv=rows.iv[take], weights=w[take]
-    )
-
-
 class StageStats:
-    """Per-cell sufficient statistics of one stage, read in one pass over its rows.
+    """Per-cell sufficient statistics of one stage, read from its rows once.
+
+    Every feature of the moment system is a function of (cell, instrument,
+    action) and the reward enters linearly, so the stage's rows collapse into
+    one count table over (fold, cell, instrument, action, next cell): its
+    weights, the weighted reward sums per (fold, cell, instrument, action),
+    the weighted reward square sum and the row counts.  The nuisances and
+    features are then fitted and assembled once per fold on the ``4 * cells``
+    grid of (cell, instrument, action) keys, weighted by the table.
 
     ``mass[c]`` is cell ``c``'s share of the stage weight and ``phibar4[c]``
     the cell mean of the four-unknown design ``phi`` of
@@ -201,11 +203,12 @@ class StageStats:
 
     With cross-fitting the rows split into two folds; each fold's features
     use nuisances fitted on the other fold and the weighted sums of both folds
-    are added.  ``nuisances`` holds one :class:`NuisanceSet` per fold.
-    ``geometry3`` and ``geometry4`` are the reward and continuation criteria
-    over ``basis`` (:meth:`~confgame.smd.BlockGeometry.of_basis`), whose
-    blocks ``abar_reward`` and ``t_alpha`` follow; ``reward_coef`` is the
-    reward block's fit.
+    are added.  ``nuisances`` holds one :class:`NuisanceSet` per fold, whose
+    ``clip_count`` counts rows.  ``geometry3`` and ``geometry4`` are the
+    reward and continuation criteria over ``basis``
+    (:meth:`~confgame.smd.BlockGeometry.of_basis`), whose blocks
+    ``abar_reward`` and ``t_alpha`` follow; ``reward_coef`` is the reward
+    block's fit (:meth:`reward_fit`).
     """
 
     def __init__(self, source: DataSource, t: int, basis: SieveBasis):
@@ -213,43 +216,63 @@ class StageStats:
         self.basis = basis
         self.n_states, self.n_u = ns, nu = source.n_states, source.n_u
         k = ns * nu
-        n = rows.s.shape[0]
+        folds = 1 if rows.fold is None else 2
         w = rows.weights / rows.weights.sum()
-        if rows.fold is None:
-            parts = [(slice(None), slice(None))]
-        else:
-            parts = [(rows.fold == f, rows.fold != f) for f in (0, 1)]
-        cells = rows.s * nu + rows.u
-        next_cells = rows.next_s * nu + rows.next_u
-        transitions = (cells * k + next_cells) * 2 + rows.act
-        wy = w * rows.y_reward
-        phi_sum, reward_sum, t_sum = np.zeros((k, 4, 4)), np.zeros((k, 3)), np.zeros((k * k * 2, 4))
-        self.nuisances = []
-        for take, fit_on in parts:
-            nuis = estimate_nuisances(_rows_data(rows, w, np.zeros(n), fit_on), basis)
-            # at y = 1 the outcome moments alpha are the bare features
-            system = assemble_system(_rows_data(rows, w, np.ones(n), take), nuis, intercept=True)
-            phi_sum += cell_sums(cells[take], system.phi * w[take, None, None], k)
-            reward_sum += cell_sums(cells[take], system.alpha[:, :3] * wy[take, None], k)
-            t_sum += cell_sums(transitions[take], system.alpha * w[take, None], k * k * 2)
-            self.nuisances.append(nuis)
+        key = ((rows.s * nu + rows.u) * 2 + rows.iv) * 2 + rows.act
+        if rows.fold is not None:
+            key = key + 4 * k * rows.fold
+        table = (folds, k, 2, 2)
+        weight = np.bincount(key * k + rows.next_s * nu + rows.next_u, w, minlength=4 * folds * k * k)
+        weight = weight.reshape(table + (k,))
+        wy = np.bincount(key, w * rows.y_reward, minlength=4 * folds * k).reshape(table)
+        count = np.bincount(key, minlength=4 * folds * k).reshape(table)
+        self.reward_scale_sq = float((w * rows.y_reward**2).sum())
 
-        self.mass = mass = np.bincount(cells, w, minlength=k)
+        cell, iv, act = (a.ravel() for a in np.indices(table[1:]))
+        s, u = np.divmod(cell, nu)
+        self.nuisances, phi, alpha = [], [], []
+        for f in range(folds):
+            fit_on = folds - 1 - f  # the other fold; without cross-fitting, the only one
+            fit_rows = count[fit_on]
+            # the grid always has 4 * cells keys, so the row-count guards of
+            # estimate_nuisances run here on the table's counts, in its order
+            if fit_rows.sum() < basis.k:
+                raise InsufficientData(f"{fit_rows.sum()} rows for {basis.k} basis functions")
+            grid = MomentData(np.zeros(4 * k), s, u, act, iv, weight[fit_on].sum(axis=-1).ravel())
+            nuis = estimate_nuisances(grid, basis)
+            for arm_rows in fit_rows.sum(axis=(0, 2)):
+                if arm_rows < basis.k:
+                    raise InsufficientData(f"{arm_rows} rows for {basis.k} basis functions")
+            nuis.clip_count = int(fit_rows.ravel() @ nuis.clipped(s, u, iv))
+            self.nuisances.append(nuis)
+            # at y = 1 the outcome moments alpha are the bare features
+            system = assemble_system(MomentData(np.ones(4 * k), s, u, act, iv), nuis, intercept=True)
+            phi.append(system.phi)
+            alpha.append(system.alpha)
+        phi = np.reshape(phi, table + (4, 4))
+        alpha = np.reshape(alpha, table + (4,))
+
+        self.mass = mass = weight.sum(axis=(0, 2, 3, 4))
         nz = mass > 0
-        self.phibar4 = phi_sum
+        self.phibar4 = np.einsum("fcian,fciamp->cmp", weight, phi)
         self.phibar4[nz] /= mass[nz][:, None, None]
         self.phibar3 = self.phibar4[:, :3, :3]
+        reward_sum = np.einsum("fcia,fciam->cm", wy, alpha[..., :3])
         reward_sum[nz] /= mass[nz][:, None]
-        self.reward_scale_sq = float((w * rows.y_reward**2).sum())
-        t_alpha = np.ascontiguousarray(np.moveaxis(t_sum.reshape(k, k, 2, 4), 3, 1))
+        t_alpha = np.einsum("fcian,fciam->cmna", weight, alpha, order="C")
         t_alpha[nz] /= mass[nz][:, None, None, None]
-        self.scale_weights = np.bincount(next_cells * 2 + rows.act, w, minlength=2 * k).reshape(k, 2)
+        self.scale_weights = np.ascontiguousarray(weight.sum(axis=(0, 1, 2)).T)
 
         self.geometry3 = BlockGeometry.of_basis(mass, self.phibar3, basis)
         self.geometry4 = BlockGeometry.of_basis(mass, self.phibar4, basis)
         self.abar_reward = self.geometry3.moments(reward_sum)
         self.t_alpha = self.geometry4.moments(t_alpha)
         self.reward_coef = self.geometry3.solve(self.abar_reward)
+
+    def reward_fit(self) -> SmdFit:
+        """The reward block's fit record."""
+        scale = float(np.sqrt(self.reward_scale_sq))
+        return fit_cell_moments(self.geometry3, self.abar_reward, self.basis, scale)
 
     def block_moments(self, g: np.ndarray):
         """Moment means (..., blocks, m) and mean squares (...) of
@@ -483,9 +506,7 @@ def evaluate_policy(
         for t, (st, stage) in enumerate(zip(stats, stages)):
             reps[(t, side)] = StageRep(*(stage.rep[0, 0, :, i].reshape(ns, nu) for i in range(4)))
             if stage.reward is not None:
-                fits[(t, side, "reward")] = fit_cell_moments(
-                    st.geometry3, st.abar_reward, basis, float(np.sqrt(st.reward_scale_sq))
-                )
+                fits[(t, side, "reward")] = st.reward_fit()
             if stage.coef is not None:
                 for j in range(4):
                     fits[(t, side, f"block{j}")] = fit_cell_moments(

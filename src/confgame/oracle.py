@@ -64,11 +64,7 @@ def _fresh(spec: GameSpec, t: int, state_law=1.0) -> np.ndarray:
     )
 
 
-def stage_laws(
-    spec: GameSpec,
-    behavior: Optional[BehaviorPolicyPair] = None,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> StageLaws:
+def stage_laws(spec: GameSpec, behavior: Optional[BehaviorPolicyPair] = None) -> StageLaws:
     """Forward-propagate the exact joint law stage by stage; :class:`MalformedSpec`
     when the behavior pair is built for another grid."""
     if behavior is None:
@@ -76,9 +72,9 @@ def stage_laws(
     behavior.check_grid(spec)
     ns, nu, nv1, nv2 = spec.n_states, spec.n_u, spec.n_v1, spec.n_v2
     per_stage = ns * nu * nv1 * nv2 * 4 * ns * nu
-    if per_stage * spec.n_stages > cell_budget:
+    if per_stage * spec.n_stages > DEFAULT_CELL_BUDGET:
         raise SpaceTooLarge(
-            f"stage enumeration needs {per_stage * spec.n_stages} cells, budget {cell_budget}"
+            f"stage enumeration needs {per_stage * spec.n_stages} cells, budget {DEFAULT_CELL_BUDGET}"
         )
 
     joint, with_action, trans_joint = [], [], []
@@ -139,18 +135,13 @@ class JointLaw:
         return out
 
 
-def exact_joint_law(
-    spec: GameSpec,
-    behavior: Optional[BehaviorPolicyPair] = None,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    atom_tol: float = 0.0,
-) -> JointLaw:
+def exact_joint_law(spec: GameSpec, behavior: Optional[BehaviorPolicyPair] = None) -> JointLaw:
     """Enumerate every trajectory of positive probability with its mass."""
     if behavior is None:
         behavior = BehaviorPolicyPair.from_spec(spec)
     ns, nu, nv1, nv2 = spec.n_states, spec.n_u, spec.n_v1, spec.n_v2
     per_stage = nu * nv1 * nv2 * 2 * ns
-    if (2 * ns) * per_stage ** spec.n_stages > cell_budget:
+    if (2 * ns) * per_stage ** spec.n_stages > DEFAULT_CELL_BUDGET:
         raise SpaceTooLarge("full-path enumeration exceeds the cell budget")
     paths = {}
     heads = []
@@ -158,7 +149,7 @@ def exact_joint_law(
         p0 = behavior.init_bob if b0 == 1 else 1.0 - behavior.init_bob
         for s0 in range(ns):
             p = p0 * spec.init_state[s0]
-            if p > atom_tol:
+            if p > 0:
                 heads.append(((b0, s0), p, s0, b0))
     for t in range(spec.n_stages):
         table = behavior.table(t)
@@ -170,24 +161,24 @@ def exact_joint_law(
                     * spec.v1_law[t, state, v1]
                     * spec.v2_law[t, state, v2]
                 )
-                if p_draw <= atom_tol:
+                if p_draw <= 0:
                     continue
                 p_act1 = table[u, v1, v2, state, prev]
                 for act in range(2):
                     p_act = p_act1 if act == 1 else 1.0 - p_act1
-                    if p_act <= atom_tol:
+                    if p_act <= 0:
                         continue
                     a_bit, b_bit = (act, prev) if t % 2 == 0 else (prev, act)
                     for s_next in range(ns):
                         p_next = spec.trans[t, u, v1, v2, state, a_bit, b_bit, s_next]
-                        if p_next <= atom_tol:
+                        if p_next <= 0:
                             continue
                         q = p * p_draw * p_act * p_next
                         new_heads.append(
                             (prefix + ((u, v1, v2, act), s_next), q, s_next, act)
                         )
         heads = new_heads
-        if len(heads) > cell_budget:
+        if len(heads) > DEFAULT_CELL_BUDGET:
             raise SpaceTooLarge("full-path enumeration exceeds the cell budget")
     for prefix, p, _state, _prev in heads:
         paths[prefix] = paths.get(prefix, 0.0) + p

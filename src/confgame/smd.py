@@ -354,17 +354,3 @@ class ConfidenceRegion:
         count = max(1, min(k_max, 1 + 2 * self.geometry.order.size)) if self.eta > 0 else 1
         points = self.geometry.members(self._flat(self.center.coef), self.eta, np.arange(count))
         return [m.reshape(self.center.coef.shape) for m in points]
-
-
-FIT_SUMMARY_HEADER = "n,seed,err_action,err_instrument,err_interaction,loss,eta,covered"
-
-
-def fit_summary_row(
-    n: int, seed: int, fit: SmdFit, truth: np.ndarray, eta: float, covered: bool
-) -> str:
-    """One CSV row summarizing a fit against known truth."""
-    err = np.abs(fit.coef[:, :3] - np.asarray(truth)[:, :3]).max(axis=0)
-    return (
-        f"{n},{seed},{err[0]:.17g},{err[1]:.17g},{err[2]:.17g},"
-        f"{fit.loss:.17g},{eta:.17g},{int(covered)}"
-    )

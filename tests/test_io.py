@@ -127,3 +127,24 @@ def test_hidden_trace_rejects_bad_rows(tmp_path, t2):
         read_with(relabelled)
     with pytest.raises(SchemaMismatch, match=r"misses \(trajectory, step\) \(0, 2\)"):
         read_with(good[:2] + good[3:])
+
+
+def test_dataset_rejects_repeated_rows(tmp_path, t2):
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    good = path.read_text().splitlines()  # header, then init, steps and term per trajectory
+    assert good[1].startswith("0,init,") and good[2].startswith("0,1,") and good[4].startswith("0,term,")
+
+    def read_with(lines):
+        path.write_text("\n".join(lines) + "\n")
+        return gameio.read_dataset(str(path))
+
+    step = good[2].split(",")
+    step[5] = "123.0"  # a later copy would otherwise overwrite r_a
+    with pytest.raises(SchemaMismatch, match=r"line 4: duplicate \(trajectory, step\) \(0, 1\)"):
+        read_with(good[:3] + [",".join(step)] + good[3:])
+    with pytest.raises(SchemaMismatch, match=r"line 3: duplicate \(trajectory, step\) \(0, init\)"):
+        read_with(good[:2] + good[1:])
+    with pytest.raises(SchemaMismatch, match=r"line 6: duplicate \(trajectory, step\) \(0, term\)"):
+        read_with(good[:5] + good[4:])
