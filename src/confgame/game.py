@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MalformedSpec
+from .errors import MalformedDataset, MalformedSpec
 
 PROB_TOL = 1e-9
 
@@ -232,10 +232,6 @@ class BehaviorPolicyPair:
         """P(action=1) table of the player acting at ``stage``, indexed
         [u, v1, v2, s, prev]."""
         return self.alice[stage // 2] if stage % 2 == 0 else self.bob[stage // 2]
-
-    def action_prob(self, spec: GameSpec, stage: int, u, v1, v2, s, prev):
-        """P(action=1) of the acting player at ``stage`` for array inputs."""
-        return self.table(stage)[u, v1, v2, s, prev]
 
 
 @dataclass(frozen=True)
@@ -449,6 +445,37 @@ class OfflineDataset:
         return self.b_init if h == 0 else self.b[:, h - 1]
 
 
+def check_dataset(ds: OfflineDataset) -> None:
+    """Raise :class:`MalformedDataset` at the first out-of-range entry: a state
+    or private value outside the declared spaces, an action that is not
+    binary or a reward that is not finite."""
+    ns, nu = ds.n_states, ds.n_u
+    sizes = {"s": ns, "u": nu, "s_half": ns, "u_half": nu, "s_term": ns, "a": 2, "b": 2, "b_init": 2}
+    for name, size in sizes.items():
+        check_categorical(name, getattr(ds, name), size)
+    for name in ("r_a", "r_b"):
+        col = np.asarray(getattr(ds, name))
+        _raise_first(name, col, ~np.isfinite(col), "not finite")
+
+
+def check_categorical(name: str, col, size: int) -> None:
+    """Raise :class:`MalformedDataset` at the first entry of ``col`` outside
+    ``0..size-1``."""
+    col = np.asarray(col)
+    if col.dtype.kind in "biu" and (col.size == 0 or (col.min() >= 0 and col.max() < size)):
+        return  # integers within the bounds: the common case, in two passes
+    _raise_first(name, col, ~np.isin(col, np.arange(size)), f"not in 0..{size - 1}")
+
+
+def _raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Name the field, row (and step) and value of the first ``bad`` entry."""
+    if not bad.any():
+        return
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    where = f"row {idx[0]}" + (f", step {idx[1]}" if len(idx) > 1 else "")
+    raise MalformedDataset(f"field {name}, {where}: value {col[idx].item()!r} is {what}")
+
+
 def _sample_categorical(rows: np.ndarray, unif: np.ndarray) -> np.ndarray:
     """Draw one category per row from per-row probability vectors."""
     cum = np.cumsum(rows, axis=1)
@@ -461,7 +488,6 @@ def simulate_dataset(
     behavior: Optional[BehaviorPolicyPair] = None,
     n: int = 0,
     seed: int = 0,
-    include_hidden: bool = True,
 ) -> OfflineDataset:
     """Draw ``n`` i.i.d. trajectories under the behavior pair.
 
@@ -495,7 +521,7 @@ def simulate_dataset(
         cur_u = _sample_categorical(spec.u_law[t][state], rng.random(n))
         cur_v1 = _sample_categorical(spec.v1_law[t][state], rng.random(n))
         cur_v2 = _sample_categorical(spec.v2_law[t][state], rng.random(n))
-        p_act = behavior.action_prob(spec, t, cur_u, cur_v1, cur_v2, state, prev)
+        p_act = behavior.table(t)[cur_u, cur_v1, cur_v2, state, prev]
         act = (rng.random(n) < p_act).astype(np.int64)
         mean_r = spec.reward_mean(t, act, prev, cur_u, cur_v1, cur_v2, state)
         reward = mean_r + spec.reward_noise * (2.0 * rng.random(n) - 1.0)
@@ -518,14 +544,13 @@ def simulate_dataset(
         state = next_state
         prev = act
 
-    hidden = HiddenTrace(**hid) if include_hidden else None
     return OfflineDataset(
         horizon=h_tot,
         n_states=ns,
         n_u=nu,
         b_init=b_init,
         s_term=state,
-        hidden=hidden,
+        hidden=HiddenTrace(**hid),
         **out,
     )
 

@@ -22,7 +22,7 @@ import re
 import numpy as np
 
 from .errors import CorruptRow, SchemaMismatch
-from .game import GameSpec, HiddenTrace, OfflineDataset, PolicyPair
+from .game import GameSpec, HiddenTrace, OfflineDataset, PolicyPair, check_dataset
 
 
 def _fmt(x: float) -> str:
@@ -66,6 +66,11 @@ def write_dataset(ds: OfflineDataset, path: str) -> None:
 
 
 def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
+    """The dataset in ``path``: :class:`CorruptRow` for a row that does not
+    parse, :class:`SchemaMismatch` for a file that disagrees with its header
+    (field count, a step outside it, a repeated or missing row) and
+    :class:`~confgame.errors.MalformedDataset` for a value outside its space
+    or a reward that is not finite (:func:`~confgame.game.check_dataset`)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -129,28 +134,11 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
             seen.add(slot)
     if len(seen) < n * (horizon + 2):
         raise SchemaMismatch("dataset body does not cover every (trajectory, step)")
-    if n:
-        for key, bound in (("s", ns), ("u", nu), ("s_half", ns), ("u_half", nu)):
-            arr = arrays[key]
-            if arr.min() < 0 or arr.max() >= bound:
-                raise SchemaMismatch(f"column {key} leaves the declared space of size {bound}")
-        for key in ("a", "b"):
-            if arrays[key].min() < 0 or arrays[key].max() > 1:
-                raise SchemaMismatch(f"column {key} is not binary")
-        if s_term.min() < 0 or s_term.max() >= ns or b_init.min() < 0 or b_init.max() > 1:
-            raise SchemaMismatch("init/term rows leave the declared spaces")
-    hidden = None
+    ds = OfflineDataset(horizon=horizon, n_states=ns, n_u=nu, b_init=b_init, s_term=s_term, **arrays)
+    check_dataset(ds)
     if with_hidden and os.path.exists(hidden_path(path)):
-        hidden = _read_hidden(hidden_path(path), horizon, n)
-    return OfflineDataset(
-        horizon=horizon,
-        n_states=ns,
-        n_u=nu,
-        b_init=b_init,
-        s_term=s_term,
-        hidden=hidden,
-        **arrays,
-    )
+        ds.hidden = _read_hidden(hidden_path(path), horizon, n)
+    return ds
 
 
 def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:

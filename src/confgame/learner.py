@@ -43,8 +43,10 @@ from .game import GameSpec, PolicyPair
 from .ope import (
     PolicyStack,
     as_source,
+    block_slots,
     chain_recursion,
     continuation_centers,
+    stage_roles,
     stage_statistics,
     value_weight_tables,
 )
@@ -62,6 +64,10 @@ class EtaConfig:
     d: int = 1
     c_eta: float = 2.0
     k_members: int = 16
+
+    def __post_init__(self):
+        if self.k_members < 1:
+            raise ValueError(f"k_members must be at least 1 (the center chain), got {self.k_members}")
 
     def radius_unit(self, n: Optional[int], step_weight: float) -> float:
         """Schedule value before the outcome-scale factor."""
@@ -181,12 +187,15 @@ def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks
 def _stage0_weights(st, w_rep: np.ndarray):
     """Value weights (candidate, blocks, q) on the block coefficients of the
     first stage's reward block and four continuation blocks, from the value
-    weight tables ``w_rep`` (candidate, cells, 4)."""
-    post = np.stack([w_rep[..., 0], w_rep[..., 2], w_rep[..., 2], w_rep[..., 0]], axis=-1)
-    pull = st.basis.coefficient_weights
-    lead = w_rep.shape[:1]
-    w_blocks = [pull(w).reshape(lead + st.geometry4.hess.shape[:2]) for w in (w_rep, post, w_rep, post)]
-    return pull(w_rep[..., :3]).reshape(lead + st.reward_coef.shape), w_blocks
+    weight tables ``w_rep`` (candidate, cells, 4): the value is linear in the
+    stage table, so each block column takes the weight of the slot it folds
+    into (:func:`~confgame.ope.stage_roles`, :func:`~confgame.ope.block_slots`)."""
+    pull, lead = st.basis.coefficient_weights, w_rep.shape[:1]
+    shape = lead + st.geometry4.hess.shape[:2]
+    w_blocks = [pull(np.take(w_rep, slots, axis=-1)).reshape(shape) for slots in block_slots(0)]
+    # the reward block has the first three columns of the stage's roles
+    w_reward = pull(np.take(w_rep, stage_roles(0), axis=-1)[..., :3])
+    return w_reward.reshape(lead + st.reward_coef.shape), w_blocks
 
 
 def pessimistic_value(engine: LearnerEngine, policy: PolicyPair) -> PessimisticValue:
@@ -282,14 +291,13 @@ def truth_covered(
             return False
     for t in range(2 * engine.horizon - 1):
         st = engine.stats[t]
-        # the blocks' columns follow the stage's roles: (own, partner, interaction, constant)
-        roles = [0, 1, 2, 3] if t % 2 == 0 else [1, 0, 2, 3]
         for side in ("alice", "bob"):
             rep_true = exq.marginal[(t + 1, side)].stack().reshape(1, 1, -1, 4)
             coef, _, scale_sq = continuation_centers(st, t, rep_true, PolicyStack.of([policy]))
             etas = engine.radius_units[t][1] * scale_sq
             for j in range(4):
-                true4 = true_blocks[(t, side, j)].stack().reshape(-1, 4)[:, roles]
+                # the fitted blocks' columns are in the stage's roles, the truth's in slots
+                true4 = true_blocks[(t, side, j)].stack().reshape(-1, 4)[:, stage_roles(t)]
                 if st.geometry4.loss_gap(true4, coef[0, 0, j]) > float(etas[0, 0, j]) + 1e-12:
                     return False
     return True

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateIV, InsufficientData
+from .game import check_categorical
 from .sieve import SeriesFit, SieveBasis, project_conditional_mean
 
 F_CLIP = 1e-6
@@ -117,8 +118,11 @@ def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
     ``f2`` is fit separately on the two instrument arms (saturated in the
     instrument).  Raises :class:`DegenerateIV` when the instrument does not
     vary inside some cell and :class:`InsufficientData` when an arm has fewer
-    rows than basis functions.
+    rows than basis functions, and :class:`~confgame.errors.MalformedDataset`
+    for a row whose cell lies outside the basis grid.
     """
+    check_categorical("s", data.s, basis.n_states)
+    check_categorical("u", data.u, basis.n_u)
     if data.n < basis.k:
         raise InsufficientData(f"{data.n} rows for {basis.k} basis functions")
     _check_iv_variance(data, basis)

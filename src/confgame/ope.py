@@ -9,9 +9,13 @@ continuation blocks carrying the next stage's constant, own-action,
 partner-action and interaction coefficients through the transition, those on
 the next actor's action weighted by the evaluated policy (four unknowns each,
 since a conditional mean of a continuation generally has a constant part).
-The fitted blocks combine linearly into the stage representation; the
-combination tracks how post-multiplying by a binary action folds constants
-and partner coefficients into own-action and interaction slots.
+The fitted blocks combine linearly into the stage representation, where
+post-multiplying by a binary action folds constants and instrument
+coefficients into own-action and interaction slots.  This stage algebra is
+written once (:func:`stage_roles`, :data:`BLOCK_SLOTS`,
+:func:`contracted_blocks`, :func:`block_slots`); the outcomes of the blocks,
+their combination, the learner's first-stage value weights and its coverage
+check all follow from it.
 
 Every block fit needs only per-cell statistics of the stage's rows, so each
 stage reads its rows once into a :class:`StageStats`, which also holds the
@@ -26,13 +30,14 @@ composition algebra is tested against the brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData, MalformedDataset
-from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair
+from .errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData
+from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair, check_dataset
 from .moments import MomentData, assemble_system, estimate_nuisances
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
@@ -54,34 +59,6 @@ class StageRows:
     fold: Optional[np.ndarray] = None
 
 
-def _check_dataset(ds: OfflineDataset) -> None:
-    """Raise :class:`MalformedDataset` at the first out-of-range entry."""
-    categorical = (
-        ("s", ds.n_states),
-        ("u", ds.n_u),
-        ("s_half", ds.n_states),
-        ("u_half", ds.n_u),
-        ("s_term", ds.n_states),
-        ("a", 2),
-        ("b", 2),
-        ("b_init", 2),
-    )
-    for name, size in categorical:
-        col = np.asarray(getattr(ds, name))
-        _raise_first(name, col, ~np.isin(col, np.arange(size)), f"not in 0..{size - 1}")
-    for name in ("r_a", "r_b"):
-        col = np.asarray(getattr(ds, name))
-        _raise_first(name, col, ~np.isfinite(col), "not finite")
-
-
-def _raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None:
-    if not bad.any():
-        return
-    idx = tuple(int(i) for i in np.argwhere(bad)[0])
-    where = f"row {idx[0]}" + (f", step {idx[1]}" if len(idx) > 1 else "")
-    raise MalformedDataset(f"field {name}, {where}: value {col[idx].item()!r} is {what}")
-
-
 class SampleSource:
     """Adapter exposing an offline dataset stage by stage.
 
@@ -90,7 +67,7 @@ class SampleSource:
     """
 
     def __init__(self, dataset: OfflineDataset, cross_fit: bool = False):
-        _check_dataset(dataset)
+        check_dataset(dataset)
         self.dataset = dataset
         self.cross_fit = cross_fit
         self.horizon = dataset.horizon
@@ -98,39 +75,17 @@ class SampleSource:
         self.n_u = dataset.n_u
 
     def stage_rows(self, t: int) -> StageRows:
-        ds = self.dataset
-        h = t // 2
-        n = ds.n
+        ds, h, n = self.dataset, t // 2, self.dataset.n
         fold = (np.arange(n) % 2) if self.cross_fit else None
         w = np.full(n, 1.0 / max(n, 1))
-        if t % 2 == 0:
-            nxt_s, nxt_u = ds.s_half[:, h], ds.u_half[:, h]
-            return StageRows(
-                s=ds.s[:, h],
-                u=ds.u[:, h],
-                act=ds.a[:, h],
-                iv=ds.iv_at(h),
-                weights=w,
-                y_reward=ds.r_a[:, h],
-                next_s=nxt_s,
-                next_u=nxt_u,
-                fold=fold,
-            )
-        if h + 1 < self.horizon:
-            nxt_s, nxt_u = ds.s[:, h + 1], ds.u[:, h + 1]
-        else:
-            nxt_s, nxt_u = ds.s_term, np.zeros(n, dtype=np.int64)
-        return StageRows(
-            s=ds.s_half[:, h],
-            u=ds.u_half[:, h],
-            act=ds.b[:, h],
-            iv=ds.a[:, h],
-            weights=w,
-            y_reward=ds.r_b[:, h],
-            next_s=nxt_s,
-            next_u=nxt_u,
-            fold=fold,
-        )
+        if t % 2 == 0:  # alice acts, bob's half step follows
+            cur = ds.s[:, h], ds.u[:, h], ds.a[:, h], ds.iv_at(h), w, ds.r_a[:, h]
+            nxt = ds.s_half[:, h], ds.u_half[:, h]
+        else:  # bob acts, alice's next step or the terminal state follows
+            cur = ds.s_half[:, h], ds.u_half[:, h], ds.b[:, h], ds.a[:, h], w, ds.r_b[:, h]
+            last = h + 1 == self.horizon
+            nxt = (ds.s_term, np.zeros(n, dtype=np.int64)) if last else (ds.s[:, h + 1], ds.u[:, h + 1])
+        return StageRows(*cur, *nxt, fold)
 
 
 class PopulationSource:
@@ -153,24 +108,22 @@ class PopulationSource:
         s, u, v1, v2, prev, act, nxt_s, nxt_u = (a[keep] for a in idx)
         w = w[keep]
         y = self.spec.reward_mean(t, act.astype(float), prev.astype(float), u, v1, v2, s)
-        return StageRows(
-            s=s,
-            u=u,
-            act=act,
-            iv=prev,
-            weights=w,
-            y_reward=y,
-            next_s=nxt_s,
-            next_u=nxt_u,
-        )
+        return StageRows(s, u, act, prev, w, y, nxt_s, nxt_u)
 
 
 DataSource = Union[SampleSource, PopulationSource]
 
 
 def as_source(data, cross_fit: bool = False) -> DataSource:
+    """``data`` as a source; ``ValueError`` when ``cross_fit`` is asked of a
+    source that does not cross-fit, since the flag could not take effect."""
     if isinstance(data, OfflineDataset):
         return SampleSource(data, cross_fit=cross_fit)
+    if cross_fit and not getattr(data, "cross_fit", False):
+        raise ValueError(
+            f"cross_fit=True has no effect on a {type(data).__name__} that does not cross-fit; "
+            "pass the OfflineDataset or a SampleSource built with cross_fit=True"
+        )
     return data
 
 
@@ -298,8 +251,42 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the stage algebra, stacked over candidates and member chains
+# the stage algebra
 # ---------------------------------------------------------------------------
+
+THETA, GAMMA, OMEGA, ZETA = range(4)  # slots of a stage table: alice's action, bob's, interaction, constant
+BLOCK_SLOTS = (ZETA, THETA, GAMMA, OMEGA)  # the next-stage slot each continuation block carries
+
+
+def stage_roles(t: int) -> tuple:
+    """Slots of the (action, instrument, interaction, constant) columns of a
+    block fitted at stage ``t`` when nothing multiplies it: the acting
+    player's own action, the partner's previous action (the instrument),
+    their interaction and the constant.  Alice acts at even stages, bob at
+    odd ones; a reward block has the first three columns."""
+    return (THETA, GAMMA, OMEGA, ZETA) if t % 2 == 0 else (GAMMA, THETA, OMEGA, ZETA)
+
+
+def block_slots(t: int) -> tuple:
+    """Slot of every column of the four continuation blocks at stage ``t``.
+
+    A block that carries a coefficient of the acting player's own action
+    (the own or the interaction slot) is post-multiplied by that binary
+    action: its action column stays in the own slot, its constant joins it,
+    and its instrument column joins the interaction.  The other blocks fold
+    as :func:`stage_roles` says."""
+    roles = stage_roles(t)
+    own = roles[0]
+    post = (own, OMEGA, OMEGA, own)
+    return tuple(post if slot in (own, OMEGA) else roles for slot in BLOCK_SLOTS)
+
+
+def contracted_blocks(t: int) -> tuple:
+    """Whether the next actor's policy mean multiplies each continuation
+    block at stage ``t``: the next actor is the partner, so it weights the
+    blocks that carry the partner's action coefficient or the interaction."""
+    partner = stage_roles(t)[1]
+    return tuple(slot in (partner, OMEGA) for slot in BLOCK_SLOTS)
 
 
 @dataclass
@@ -319,28 +306,25 @@ class PolicyStack:
             np.array([p.init_bob for p in pairs], dtype=float),
         )
 
+    def actor_mean(self, t: int) -> np.ndarray:
+        """P(action = 1) of the player acting at stage ``t`` (alice at even
+        stages, bob at odd ones), (candidate, cell, partner's previous action)."""
+        if t % 2 == 0:
+            return self.alice[:, t // 2].reshape(self.alice.shape[0], -1, 2)
+        return np.repeat(self.bob[:, t // 2], self.alice.shape[3], axis=1)
+
 
 def continuation_centers(st: StageStats, t: int, rep: np.ndarray, policies: PolicyStack):
     """Centers (candidate, chain, 4, blocks, q), moment means and outcome mean
     squares (candidate, chain, 4) of the continuation blocks of next-stage
     (theta, gamma, omega, zeta) tables ``rep`` (candidate or 1, chain,
-    next_cell, 4): its constant, own, partner and interaction coefficients,
-    those on the next actor's action times that actor's policy mean (bob's
-    after an even stage, alice's after an odd one).
+    next_cell, 4): the slots of :data:`BLOCK_SLOTS`, those of
+    :func:`contracted_blocks` times the next actor's policy mean.
     """
-    cells = rep.shape[-2]
-    ones = np.ones((cells, 2))
-    idx_s, idx_u = np.divmod(np.arange(cells), st.n_u)
-    if t % 2 == 0:
-        fac = policies.bob[:, t // 2][:, idx_s]
-        own, partner = ones, fac[:, None]
-    else:
-        fac = policies.alice[:, t // 2 + 1][:, idx_s, idx_u]
-        own, partner = fac[:, None], ones
-    theta, gamma, omega, zeta = (rep[..., i, None] for i in range(4))
-    g = np.empty((fac.shape[0], rep.shape[-3], 4, cells, 2))
-    g[:, :, 0], g[:, :, 1] = zeta * ones, theta * own
-    g[:, :, 2], g[:, :, 3] = gamma * partner, omega * fac[:, None]
+    fac = policies.actor_mean(t + 1)[:, None]  # (candidate, 1, next_cell, act)
+    g = np.empty((fac.shape[0], rep.shape[-3], 4) + fac.shape[-2:])
+    for j, (slot, contracted) in enumerate(zip(BLOCK_SLOTS, contracted_blocks(t))):
+        g[:, :, j] = rep[..., slot, None] * fac if contracted else rep[..., slot, None]
     alpha, scale_sq = st.block_moments(g)
     try:
         return st.geometry4.solve(alpha), alpha, scale_sq
@@ -356,37 +340,25 @@ def combine_blocks(t: int, reward_m, block_m, n_rows: int) -> np.ndarray:
     order, the same for every candidate; ``block_m[candidate, chain, block,
     row]`` holds the constant, own-coefficient, partner-coefficient and
     interaction blocks of the continuation, each in (action, instrument,
-    interaction, constant) order of the stage's own roles.  Either may be
-    ``None``; with both ``None`` the representation is zero.
+    interaction, constant) order of the stage's own roles.  Each column adds
+    into its slot of :func:`stage_roles` and :func:`block_slots`.  Either may
+    be ``None``; with both ``None`` the representation is zero.
     """
     if block_m is not None:
         lead = block_m.shape[:2]
     else:
         lead = (1,) + (reward_m.shape[:1] if reward_m is not None else (1,))
     rep = np.zeros(lead + (n_rows, 4))
-    even = t % 2 == 0
     if reward_m is not None:
-        r_act, r_iv, r_int = (reward_m[..., i] for i in range(3))
-        rep[..., 0] += r_act if even else r_iv
-        rep[..., 1] += r_iv if even else r_act
-        rep[..., 2] += r_int
-    if block_m is None:
-        return rep
-    b0, b1, b2, b3 = (block_m[..., j, :, :] for j in range(4))
-    if even:
-        # roles: act = alice's action (theta axis), iv = bob's previous action;
-        # blocks 1 and 3 are post-multiplied by the action
-        rep[..., 0] += b0[..., 0] + b1[..., 0] + b1[..., 3] + b2[..., 0] + b3[..., 0] + b3[..., 3]
-        rep[..., 1] += b0[..., 1] + b2[..., 1]
-        rep[..., 2] += b0[..., 2] + b1[..., 1] + b1[..., 2] + b2[..., 2] + b3[..., 1] + b3[..., 2]
-        rep[..., 3] += b0[..., 3] + b2[..., 3]
-    else:
-        # roles: act = bob's action (gamma axis), iv = alice's previous action;
-        # blocks 2 and 3 are post-multiplied by the action
-        rep[..., 1] += b0[..., 0] + b1[..., 0] + b2[..., 0] + b2[..., 3] + b3[..., 0] + b3[..., 3]
-        rep[..., 0] += b0[..., 1] + b1[..., 1]
-        rep[..., 2] += b0[..., 2] + b1[..., 2] + b2[..., 1] + b2[..., 2] + b3[..., 1] + b3[..., 2]
-        rep[..., 3] += b0[..., 3] + b1[..., 3]
+        for col, slot in enumerate(stage_roles(t)[:3]):
+            rep[..., slot] += reward_m[..., col]
+    if block_m is not None:
+        terms = [[] for _ in range(4)]  # the block sum of each slot, added to the reward part at once
+        for j, slots in enumerate(block_slots(t)):
+            for c, slot in enumerate(slots):
+                terms[slot].append(block_m[..., j, :, c])
+        for slot, parts in enumerate(terms):
+            rep[..., slot] += reduce(add, parts)
     return rep
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +20,11 @@ def test_config_validation():
 def test_smoke_run_emits_all_metrics(tmp_path):
     cfg = ExperimentConfig(fixture="t1", n_grid=(100,), seeds=(0,), out_dir=str(tmp_path))
     paths = run_experiment(cfg)
-    lines = open(paths["report"]).read().splitlines()
+    lines = Path(paths["report"]).read_text().splitlines()
     assert lines[0] == "experiment,n,seed,metric,value,status"
     metrics = {line.split(",")[3] for line in lines[1:]}
     assert metrics == {"rmse_theta", "coverage", "j_error", "gap", "pess_value"}
-    manifest = json.load(open(paths["manifest"]))
+    manifest = json.loads(Path(paths["manifest"]).read_text())
     assert manifest["experiment_id"] == cfg.config_hash()
 
 
@@ -32,8 +33,8 @@ def test_reports_are_byte_deterministic(tmp_path):
     kw = dict(fixture="t1", n_grid=(100, 300), seeds=(0, 1))
     p1 = run_experiment(ExperimentConfig(out_dir=str(out1), **kw))
     p2 = run_experiment(ExperimentConfig(out_dir=str(out2), **kw))
-    assert open(p1["report"]).read() == open(p2["report"]).read()
-    assert open(p1["summary"]).read() == open(p2["summary"]).read()
+    assert Path(p1["report"]).read_text() == Path(p2["report"]).read_text()
+    assert Path(p1["summary"]).read_text() == Path(p2["summary"]).read_text()
 
 
 def test_thread_pool_does_not_change_bytes(tmp_path):
@@ -44,21 +45,21 @@ def test_thread_pool_does_not_change_bytes(tmp_path):
         p2 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "b"), **kw))
     finally:
         del os.environ["CONFGAME_THREADS"]
-    assert open(p1["report"]).read() == open(p2["report"]).read()
+    assert Path(p1["report"]).read_text() == Path(p2["report"]).read_text()
 
 
 def test_failed_cell_is_isolated(tmp_path):
     # a single-trajectory cell has a constant instrument -> DegenerateIV
     cfg = ExperimentConfig(fixture="t1", n_grid=(1, 300), seeds=(0,), out_dir=str(tmp_path))
     paths = run_experiment(cfg)
-    lines = open(paths["report"]).read().splitlines()[1:]
+    lines = Path(paths["report"]).read_text().splitlines()[1:]
     by_n = {}
     for line in lines:
         _, n, _, metric, value, status = line.split(",")
         by_n.setdefault(int(n), set()).add(status)
     assert by_n[1] == {"failed"}
     assert by_n[300] == {"ok"}
-    manifest = json.load(open(paths["manifest"]))
+    manifest = json.loads(Path(paths["manifest"]).read_text())
     assert len(manifest["failures"]) == 1
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confgame import game, gameio
-from confgame.errors import CorruptRow, SchemaMismatch
+from confgame.errors import CorruptRow, MalformedDataset, SchemaMismatch
 
 
 def test_dataset_round_trip(tmp_path, t1):
@@ -148,3 +148,24 @@ def test_dataset_rejects_repeated_rows(tmp_path, t2):
         read_with(good[:2] + good[1:])
     with pytest.raises(SchemaMismatch, match=r"line 6: duplicate \(trajectory, step\) \(0, term\)"):
         read_with(good[:5] + good[4:])
+
+
+@pytest.mark.parametrize(
+    "col, value, message",
+    [
+        (2, "5", "field s, row 1, step 0: value 5 is not in 0..1"),
+        (5, "nan", "field r_a, row 1, step 0: value nan is not finite"),
+    ],
+)
+def test_dataset_rejects_values_outside_their_space(tmp_path, t2, col, value, message):
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()
+    row = lines[6].split(",")  # trajectory 1, step 1
+    assert row[:2] == ["1", "1"]
+    row[col] = value
+    lines[6] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedDataset, match=f"^{message}$"):
+        gameio.read_dataset(str(path))

@@ -153,6 +153,12 @@ def test_value_monotone_in_chain_budget(t1, t1_basis, t1_ds):
     assert values[0] >= values[1] >= values[2]
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_chain_budget_below_one_is_rejected(k):
+    with pytest.raises(ValueError, match=f"k_members must be at least 1 .*got {k}"):
+        learner.EtaConfig(k_members=k)
+
+
 def test_pessimistic_value_approaches_optimum_from_below(t1, t1_basis):
     """At the in-class optimum, the lower bound stays below the true value
     and its median tightens as the sample grows."""

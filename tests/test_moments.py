@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confgame import fixtures, game, moments, ope, oracle, sieve
-from confgame.errors import DegenerateIV
+from confgame.errors import DegenerateIV, MalformedDataset
 
 
 def _stage0_data(ds):
@@ -130,3 +130,13 @@ def test_negative_control_biases_the_sampled_fit(t1_basis):
         fit.coef[0] - [truth.theta_a[0, 0], truth.theta_z[0, 0], truth.theta_az[0, 0]]
     ).max()
     assert bias >= 0.01
+
+
+@pytest.mark.parametrize("state", [-1, 2])
+def test_cell_outside_the_basis_grid_is_rejected(t2, t2_basis, state):
+    ds = game.simulate_dataset(t2, n=200, seed=0)
+    s = ds.s[:, 0].copy()
+    s[5::3] = state
+    data = moments.MomentData(y=ds.r_a[:, 0], s=s, u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init)
+    with pytest.raises(MalformedDataset, match=f"^field s, row 5: value {state} is not in 0..1$"):
+        moments.estimate_nuisances(data, t2_basis)

@@ -115,6 +115,18 @@ def test_cross_fitting_smoke(t1, t1_basis):
     assert abs(plain.j_total - crossed.j_total) < 0.05
 
 
+def test_cross_fit_flag_without_effect_is_rejected(t1, t1_basis):
+    """Population rows and a source that does not cross-fit cannot honour
+    ``cross_fit=True``; a source that cross-fits gives the dataset's result."""
+    ds = game.simulate_dataset(t1, n=2_000, seed=10)
+    pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
+    for source in (ope.PopulationSource(t1), ope.SampleSource(ds)):
+        with pytest.raises(ValueError, match=f"cross_fit=True has no effect on a {type(source).__name__}"):
+            ope.evaluate_policy(source, pol, t1_basis, cross_fit=True)
+    crossed = ope.evaluate_policy(ope.SampleSource(ds, cross_fit=True), pol, t1_basis, cross_fit=True)
+    assert crossed.j_total == ope.evaluate_policy(ds, pol, t1_basis, cross_fit=True).j_total
+
+
 def test_qhat_csv_dump(tmp_path, t1, t1_basis):
     ds = game.simulate_dataset(t1, n=1_000, seed=11)
     pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
