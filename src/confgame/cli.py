@@ -44,7 +44,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="confgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_args(p, required=False):
+    def add_spec_args(p):
         p.add_argument("--spec", help="path to a game spec file")
         p.add_argument(
             "--fixture", choices=sorted(FIXTURES), help="name of a built-in game"

@@ -43,6 +43,18 @@ def _check_dist(name, table, axis=-1):
     return table
 
 
+# The spec's coefficient tables, each indexed [u, v1, v2, s]: the action
+# models, then each player's reward model in (act, iv, inter, resid) order.
+COEF_TABLES = (
+    "alice_act_base", "alice_act_iv", "bob_act_base", "bob_act_iv",
+    "alice_rew_act", "alice_rew_iv", "alice_rew_inter", "alice_rew_resid",
+    "bob_rew_act", "bob_rew_iv", "bob_rew_inter", "bob_rew_resid",
+)
+# the action and reward tables per player, alice's (acting at even stages) first
+ACTION_TABLES = (COEF_TABLES[0:2], COEF_TABLES[2:4])
+REWARD_TABLES = (COEF_TABLES[4:8], COEF_TABLES[8:])
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """Full tabular ground truth of one game.
@@ -92,20 +104,7 @@ class GameSpec:
         if h < 1:
             raise MalformedSpec("horizon must be a positive integer")
         coef_shape = (nu, nv1, nv2, ns)
-        for name in (
-            "alice_act_base",
-            "alice_act_iv",
-            "bob_act_base",
-            "bob_act_iv",
-            "alice_rew_act",
-            "alice_rew_iv",
-            "alice_rew_inter",
-            "alice_rew_resid",
-            "bob_rew_act",
-            "bob_rew_iv",
-            "bob_rew_inter",
-            "bob_rew_resid",
-        ):
+        for name in COEF_TABLES:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != coef_shape:
                 raise MalformedSpec(f"{name}: expected shape {coef_shape}, got {arr.shape}")
@@ -123,9 +122,8 @@ class GameSpec:
         if trans.shape != (stages, nu, nv1, nv2, ns, 2, 2, ns):
             raise MalformedSpec("trans: wrong shape")
         object.__setattr__(self, "trans", trans)
-        for player in ("alice", "bob"):
-            base = getattr(self, f"{player}_act_base")
-            shift = getattr(self, f"{player}_act_iv")
+        for player, names in zip(("alice", "bob"), ACTION_TABLES):
+            base, shift = (getattr(self, name) for name in names)
             for prev in (0.0, 1.0):
                 p = base + shift * prev
                 if np.any(p < -PROB_TOL) or np.any(p > 1 + PROB_TOL):
@@ -146,14 +144,9 @@ class GameSpec:
     def n_cells(self) -> int:
         return self.n_states * self.n_u
 
-    def stage_is_alice(self, stage: int) -> bool:
-        return stage % 2 == 0
-
     def reward_tables(self, stage: int):
         """(act, iv, inter, resid) reward tables of the player acting at ``stage``."""
-        if self.stage_is_alice(stage):
-            return self.alice_rew_act, self.alice_rew_iv, self.alice_rew_inter, self.alice_rew_resid
-        return self.bob_rew_act, self.bob_rew_iv, self.bob_rew_inter, self.bob_rew_resid
+        return tuple(getattr(self, name) for name in REWARD_TABLES[stage % 2])
 
     def reward_mean(self, stage: int, own: np.ndarray, prev: np.ndarray, u, v1, v2, s):
         """Mean reward of the player acting at ``stage`` for given draws."""
@@ -163,18 +156,8 @@ class GameSpec:
 
     def scaled_rewards(self, factor: float) -> "GameSpec":
         """Same game with every reward (and reward noise) multiplied by factor."""
-        return replace(
-            self,
-            alice_rew_act=self.alice_rew_act * factor,
-            alice_rew_iv=self.alice_rew_iv * factor,
-            alice_rew_inter=self.alice_rew_inter * factor,
-            alice_rew_resid=self.alice_rew_resid * factor,
-            bob_rew_act=self.bob_rew_act * factor,
-            bob_rew_iv=self.bob_rew_iv * factor,
-            bob_rew_inter=self.bob_rew_inter * factor,
-            bob_rew_resid=self.bob_rew_resid * factor,
-            reward_noise=self.reward_noise * factor,
-        )
+        scaled = {name: getattr(self, name) * factor for names in REWARD_TABLES for name in names}
+        return replace(self, reward_noise=self.reward_noise * factor, **scaled)
 
 
 @dataclass(frozen=True)
@@ -206,16 +189,13 @@ class BehaviorPolicyPair:
     def from_spec(cls, spec: GameSpec, init_bob: float = 0.5) -> "BehaviorPolicyPair":
         """Behavior pair matching the spec's own action models at every step."""
         prev = np.arange(2, dtype=float)
-        alice = (
-            spec.alice_act_base[None, ..., None]
-            + spec.alice_act_iv[None, ..., None] * prev
+        alice, bob = (
+            np.broadcast_to(
+                getattr(spec, base)[..., None] + getattr(spec, iv)[..., None] * prev,
+                (spec.horizon, spec.n_u, spec.n_v1, spec.n_v2, spec.n_states, 2),
+            ).copy()
+            for base, iv in ACTION_TABLES
         )
-        bob = (
-            spec.bob_act_base[None, ..., None]
-            + spec.bob_act_iv[None, ..., None] * prev
-        )
-        alice = np.broadcast_to(alice, (spec.horizon,) + alice.shape[1:]).copy()
-        bob = np.broadcast_to(bob, (spec.horizon,) + bob.shape[1:]).copy()
         return cls(alice=alice, bob=bob, init_bob=init_bob)
 
     def check_grid(self, spec: GameSpec) -> None:
@@ -284,14 +264,6 @@ class PolicyPair:
             tuple(np.round(self.alice, 12).ravel().tolist()),
             tuple(np.round(self.bob, 12).ravel().tolist()),
         )
-
-    def alice_mean(self, h: int) -> np.ndarray:
-        """P(a=1) table at full step ``h+1``, indexed [s, u, b_prev]."""
-        return self.alice[h]
-
-    def bob_mean(self, h: int) -> np.ndarray:
-        """P(b=1) table at half step ``h+3/2``, indexed [s, a_prev]."""
-        return self.bob[h]
 
 
 def constant_policy_pair(
@@ -468,12 +440,17 @@ def check_categorical(name: str, col, size: int) -> None:
 
 
 def _raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None:
-    """Name the field, row (and step) and value of the first ``bad`` entry."""
+    """Name the field, row (and step) and value of the first ``bad`` entry.
+    The error carries the field as ``field``, the entry's array index as
+    ``index`` and what is wrong with its value as ``detail``."""
     if not bad.any():
         return
     idx = tuple(int(i) for i in np.argwhere(bad)[0])
     where = f"row {idx[0]}" + (f", step {idx[1]}" if len(idx) > 1 else "")
-    raise MalformedDataset(f"field {name}, {where}: value {col[idx].item()!r} is {what}")
+    detail = f"value {col[idx].item()!r} is {what}"
+    err = MalformedDataset(f"field {name}, {where}: {detail}")
+    err.field, err.index, err.detail = name, idx, detail
+    raise err
 
 
 def _sample_categorical(rows: np.ndarray, unif: np.ndarray) -> np.ndarray:
@@ -606,20 +583,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _v_law(spec: GameSpec, t: int) -> np.ndarray:
-    """(1, v1, v2, s) product law of the private draw at stage ``t``."""
-    return spec.v1_law[t].T[None, :, None, :] * spec.v2_law[t].T[None, None, :, :]
-
-
-def _cov_over_v(f: np.ndarray, g: np.ndarray, w: np.ndarray):
-    """Covariance of two (u, v1, v2, s) tables over the private-draw law ``w``
-    of :func:`_v_law`.  Returns an (u, s) table."""
-    mean_f = (f * w).sum(axis=(1, 2))
-    mean_g = (g * w).sum(axis=(1, 2))
-    mean_fg = (f * g * w).sum(axis=(1, 2))
-    return mean_fg - mean_f * mean_g
-
-
 ORTHO_TOL = 1e-12
 RELEVANCE_TOL = 1e-8
 
@@ -644,20 +607,23 @@ def validate_spec(
     behavior.check_grid(spec)
     report = ValidationReport()
 
-    def player(t):
-        return "alice" if spec.stage_is_alice(t) else "bob"
+    players = ("alice", "bob")  # by the parity of the stage
 
     # centered residual blocks (required for the mean moment to be valid),
     # alice's stages first
     for t in [*range(0, spec.n_stages, 2), *range(1, spec.n_stages, 2)]:
-        mean = (spec.reward_tables(t)[3] * _v_law(spec, t)).sum(axis=(1, 2))  # (u, s)
-        report.add(f"{player(t)}_reward_residual_mean", np.abs(mean).max(), ORTHO_TOL, stage=t)
+        mean = oracle.marginalize_over_v(spec, t, spec.reward_tables(t)[3])  # (s, u)
+        report.add(f"{players[t % 2]}_reward_residual_mean", np.abs(mean).max(), ORTHO_TOL, stage=t)
 
     for t in range(spec.n_stages):
         # effective action-side coefficients are behavior-induced
         table = behavior.table(t)
         act_base, act_iv = table[..., 0], table[..., 1] - table[..., 0]
-        w = _v_law(spec, t)
+
+        def cov(f, g):
+            """Covariance of two (u, v1, v2, s) tables over the private draw, an (s, u) table."""
+            mean = oracle.marginalize_over_v
+            return mean(spec, t, f * g) - mean(spec, t, f) * mean(spec, t, g)
 
         def seven_covariances(out_act, out_iv, out_inter, out_resid, label):
             pairs = [
@@ -670,59 +636,34 @@ def validate_spec(
                 ("inter~base", out_inter, act_base),
             ]
             for name, f, g in pairs:
-                cov = _cov_over_v(f, g, w)
-                report.add(f"orthogonality[{label}:{name}]", np.abs(cov).max(), ORTHO_TOL, stage=t)
+                report.add(f"orthogonality[{label}:{name}]", np.abs(cov(f, g)).max(), ORTHO_TOL, stage=t)
 
-        seven_covariances(*spec.reward_tables(t), f"{player(t)}_reward")
+        seven_covariances(*spec.reward_tables(t), f"{players[t % 2]}_reward")
         # transition blocks: indicator test functions of the next state span
         # every next-cell function, because u', v' laws depend on s' only
-        kern = spec.trans[t]  # (u, v1, v2, s, a, b, s')
-        theta = kern[..., 1, 0, :] - kern[..., 0, 0, :]  # alice-action coefficient
-        gamma = kern[..., 0, 1, :] - kern[..., 0, 0, :]  # bob-action coefficient
-        inter = kern[..., 1, 1, :] - kern[..., 1, 0, :] - kern[..., 0, 1, :] + kern[..., 0, 0, :]
-        resid = kern[..., 0, 0, :]
+        kern = oracle.StageRep.of_corners(np.moveaxis(spec.trans[t], -1, 4))  # (u, v1, v2, s, s')
         # the acting player's own action carries the "action" role
-        out_act, out_iv = (theta, gamma) if t % 2 == 0 else (gamma, theta)
+        out_act, out_iv = (kern.theta, kern.gamma) if t % 2 == 0 else (kern.gamma, kern.theta)
         for sp in range(spec.n_states):
-            seven_covariances(
-                out_act[..., sp], out_iv[..., sp], inter[..., sp], resid[..., sp], f"trans_s{sp}"
-            )
+            resid = kern.zeta[..., sp]
+            seven_covariances(out_act[..., sp], out_iv[..., sp], kern.omega[..., sp], resid, f"trans_s{sp}")
             # extra structural condition used by the intercept-bearing fits
-            cov = _cov_over_v(resid[..., sp], act_base, w)
-            report.add(
-                f"orthogonality[trans_s{sp}:resid~base]",
-                np.abs(cov).max(),
-                ORTHO_TOL,
-                stage=t,
-            )
+            gap = np.abs(cov(resid, act_base)).max()
+            report.add(f"orthogonality[trans_s{sp}:resid~base]", gap, ORTHO_TOL, stage=t)
 
     # data-law checks need the exact stage laws under the behavior pair
     laws = oracle.stage_laws(spec, behavior)
     for t in range(spec.n_stages):
         joint = laws.with_action[t]  # (s, u, v1, v2, prev, act)
-        p_su = joint.sum(axis=(2, 3, 4, 5))
-        for s_i in range(spec.n_states):
-            for u_i in range(spec.n_u):
-                mass = p_su[s_i, u_i]
-                if mass < 1e-12:
-                    continue
-                cell = joint[s_i, u_i] / mass  # (v1, v2, prev, act)
-                p_prev = cell.sum(axis=(0, 1, 3))
-                p_act_given = cell.sum(axis=(0, 1))  # (prev, act)
-                e_prev = p_prev[1]
-                e_act = p_act_given[:, 1].sum()
-                e_act_prev = p_act_given[1, 1]
-                relevance = e_act_prev - e_act * e_prev
-                report.add(
-                    "iv_relevance", relevance, -RELEVANCE_TOL, stage=t, cell=(s_i, u_i)
-                )
-                # instrument independent of the private draw given (s, u)
-                p_v_prev = cell.sum(axis=3)  # (v1, v2, prev)
-                p_v = p_v_prev.sum(axis=2)
-                indep_gap = np.abs(
-                    p_v_prev - p_v[..., None] * p_prev[None, None, :]
-                ).max()
-                report.add(
-                    "iv_independent_of_v", indep_gap, ORTHO_TOL, stage=t, cell=(s_i, u_i)
-                )
+        mass = joint.sum(axis=(2, 3, 4, 5))
+        reached = mass >= 1e-12
+        law = joint / np.where(reached, mass, 1.0)[..., None, None, None, None]
+        relevance = oracle.action_iv_cov(law)
+        # instrument independent of the private draw given (s, u)
+        p_v_prev = law.sum(axis=5)  # (s, u, v1, v2, prev)
+        p_prev = p_v_prev.sum(axis=(2, 3))[:, :, None, None, :]
+        indep_gap = np.abs(p_v_prev - p_v_prev.sum(axis=4, keepdims=True) * p_prev).max(axis=(2, 3, 4))
+        for cell in zip(*(idx.tolist() for idx in np.nonzero(reached))):
+            report.add("iv_relevance", relevance[cell], -RELEVANCE_TOL, stage=t, cell=cell)
+            report.add("iv_independent_of_v", indep_gap[cell], ORTHO_TOL, stage=t, cell=cell)
     return report

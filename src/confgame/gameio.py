@@ -21,8 +21,8 @@ import os
 import re
 import numpy as np
 
-from .errors import CorruptRow, SchemaMismatch
-from .game import GameSpec, HiddenTrace, OfflineDataset, PolicyPair, check_dataset
+from .errors import CorruptRow, MalformedDataset, SchemaMismatch
+from .game import COEF_TABLES, GameSpec, HiddenTrace, OfflineDataset, PolicyPair, check_dataset
 
 
 def _fmt(x: float) -> str:
@@ -70,7 +70,8 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
     parse, :class:`SchemaMismatch` for a file that disagrees with its header
     (field count, a step outside it, a repeated or missing row) and
     :class:`~confgame.errors.MalformedDataset` for a value outside its space
-    or a reward that is not finite (:func:`~confgame.game.check_dataset`)."""
+    or a reward that is not finite (:func:`~confgame.game.check_dataset`),
+    naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -135,10 +136,30 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
     if len(seen) < n * (horizon + 2):
         raise SchemaMismatch("dataset body does not cover every (trajectory, step)")
     ds = OfflineDataset(horizon=horizon, n_states=ns, n_u=nu, b_init=b_init, s_term=s_term, **arrays)
-    check_dataset(ds)
+    try:
+        check_dataset(ds)
+    except MalformedDataset as err:
+        traj = err.index[0]
+        step = {"b_init": "init", "s_term": "term"}.get(err.field) or str(err.index[1] + 1)
+        where = f"line {_line_of(path, traj, step)}: field {err.field}, trajectory {traj}, step {step}"
+        raise MalformedDataset(f"{where}: {err.detail}") from None
     if with_hidden and os.path.exists(hidden_path(path)):
         ds.hidden = _read_hidden(hidden_path(path), horizon, n)
     return ds
+
+
+def _line_of(path: str, traj: int, step: str) -> int:
+    """Line of the row of trajectory ``traj`` whose step column reads ``step``
+    (``init``, ``term`` or a step number) in a dataset file that
+    :func:`read_dataset` has parsed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()  # the header
+        for lineno, raw in enumerate(fh, start=2):
+            if not raw.strip():
+                continue
+            traj_id, tag = raw.split(",")[:2]
+            if (int(traj_id), tag if tag in ("init", "term") else str(int(tag))) == (traj, step):
+                return lineno
 
 
 def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
@@ -248,25 +269,7 @@ def _read_blocks(path: str, magic: str):
 SPEC_MAGIC = "#confgame-spec v1"
 POLICY_MAGIC = "#confgame-policy v1"
 
-_SPEC_ARRAYS = (
-    "init_state",
-    "u_law",
-    "v1_law",
-    "v2_law",
-    "alice_act_base",
-    "alice_act_iv",
-    "bob_act_base",
-    "bob_act_iv",
-    "alice_rew_act",
-    "alice_rew_iv",
-    "alice_rew_inter",
-    "alice_rew_resid",
-    "bob_rew_act",
-    "bob_rew_iv",
-    "bob_rew_inter",
-    "bob_rew_resid",
-    "trans",
-)
+_SPEC_ARRAYS = ("init_state", "u_law", "v1_law", "v2_law", *COEF_TABLES, "trans")
 
 
 def write_spec(spec: GameSpec, path: str) -> None:

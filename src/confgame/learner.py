@@ -133,7 +133,7 @@ class LearnerEngine:
         # reward and continuation radii of stage t (step t / 2 + 1 of the game)
         # per unit outcome mean square
         self.radius_units = [
-            (unit(self.n, 1.0), unit(self.n, horizon_weight(self.horizon, t / 2 + 1, "recursion")))
+            (unit(self.n, 1.0), unit(self.n, horizon_weight(self.horizon, t / 2 + 1)))
             for t in range(2 * self.horizon)
         ]
 

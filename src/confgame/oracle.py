@@ -32,14 +32,13 @@ SINGULAR_TOL = 1e-10
 class StageLaws:
     """Exact per-stage joint laws of one trajectory under a behavior pair.
 
-    ``joint[t][s, u, v1, v2, prev]`` is the law entering stage ``t`` before
-    the action; ``with_action[t]`` appends the action axis; ``trans_joint[t]``
-    appends the realized next state.  ``prev`` is the partner's previous
-    action, which plays the instrument role at stage ``t``.
+    ``with_action[t][s, u, v1, v2, prev, act]`` is the law of stage ``t``
+    through the action; ``trans_joint[t]`` appends the realized next state.
+    ``prev`` is the partner's previous action, which plays the instrument
+    role at stage ``t``.
     """
 
     spec: GameSpec
-    joint: list
     with_action: list
     trans_joint: list
 
@@ -77,11 +76,10 @@ def stage_laws(spec: GameSpec, behavior: Optional[BehaviorPolicyPair] = None) ->
             f"stage enumeration needs {per_stage * spec.n_stages} cells, budget {DEFAULT_CELL_BUDGET}"
         )
 
-    joint, with_action, trans_joint = [], [], []
+    with_action, trans_joint = [], []
     prev_dist = np.array([1.0 - behavior.init_bob, behavior.init_bob])
     cur = _fresh(spec, 0, spec.init_state)[..., None] * prev_dist  # (s, u, v1, v2, prev)
     for t in range(spec.n_stages):
-        joint.append(cur)
         # the behavior table is indexed (u, v1, v2, s, prev) -> move s first
         p1 = np.moveaxis(behavior.table(t), 3, 0)  # (s, u, v1, v2, prev)
         probs = np.stack([1.0 - p1, p1], axis=-1)  # (..., prev, act)
@@ -101,7 +99,7 @@ def stage_laws(spec: GameSpec, behavior: Optional[BehaviorPolicyPair] = None) ->
             arrive = arrive.sum(axis=0)  # (act, s')
             state_act = np.moveaxis(arrive, 0, 1)  # (s', act)
             cur = _fresh(spec, t + 1)[..., None] * state_act[:, None, None, None, :]
-    return StageLaws(spec=spec, joint=joint, with_action=with_action, trans_joint=trans_joint)
+    return StageLaws(spec=spec, with_action=with_action, trans_joint=trans_joint)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +313,7 @@ def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
                 nq = next_q[side]  # (s', u', v1', v2', a, b)
                 if t % 2 == 0:
                     # next actor is bob: draw b' from pi_b(s', a)
-                    pi_b = policy.bob_mean(h)  # (s', a)
+                    pi_b = policy.bob[h]  # (s', a)
                     mixed = (
                         nq[..., 0] * (1.0 - pi_b[:, None, None, None, :])
                         + nq[..., 1] * pi_b[:, None, None, None, :]
@@ -324,7 +322,7 @@ def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
                     cont = np.einsum("suvwabp,pa->suvwab", kern, avg)
                 else:
                     # next actor is alice step h+1: draw a' from pi_a(s', u', b)
-                    pi_a = policy.alice_mean(h + 1)  # (s', u', b)
+                    pi_a = policy.alice[h + 1]  # (s', u', b)
                     mixed = (
                         nq[:, :, :, :, 0, :] * (1.0 - pi_a[:, :, None, None, :])
                         + nq[:, :, :, :, 1, :] * pi_a[:, :, None, None, :]
@@ -345,7 +343,7 @@ def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
     # (u, v) fresh, a ~ alice's first rule
     j = {}
     fresh0 = _fresh(spec, 0)
-    pi_a0 = policy.alice_mean(0)  # (s, u, b)
+    pi_a0 = policy.alice[0]  # (s, u, b)
     b_dist = np.array([1.0 - policy.init_bob, policy.init_bob])
     for side in ("alice", "bob"):
         q0 = full[(0, side)]  # (s, u, v1, v2, a, b)
@@ -469,8 +467,14 @@ def _cell_system(p: np.ndarray, y: np.ndarray):
             mean_y(iv * b_til * a_til) - q * mean_y(a_til),
         ]
     )
-    relevance = mean(act * iv) - mean(act) * f1
-    return matrix, rhs, relevance
+    return matrix, rhs, action_iv_cov(p)
+
+
+def action_iv_cov(p: np.ndarray) -> np.ndarray:
+    """cov(action, instrument) under cell laws ``p[..., v1, v2, prev, act]``
+    that each sum to one."""
+    p_prev_act = p.sum(axis=(-4, -3))
+    return p_prev_act[..., 1, 1] - p_prev_act[..., :, 1].sum(axis=-1) * p_prev_act[..., 1, :].sum(axis=-1)
 
 
 def _row_gaps(matrix: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -610,10 +614,10 @@ def exact_block_coefficients(
     if contract is None:
         fac = np.ones((ns, u_next.shape[1], 2, 2))
     elif contract == "next_bob":
-        pi_b = policy.bob_mean(h)  # (s', a)
+        pi_b = policy.bob[h]  # (s', a)
         fac = np.broadcast_to(pi_b[:, None, :, None], (ns, u_next.shape[1], 2, 2)).copy()
     elif contract == "next_alice":
-        pi_a = policy.alice_mean(h + 1)  # (s', u', b)
+        pi_a = policy.alice[h + 1]  # (s', u', b)
         fac = np.broadcast_to(pi_a[:, :, None, :], (ns, u_next.shape[1], 2, 2)).copy()
     else:
         raise ValueError(f"unknown contraction {contract!r}")

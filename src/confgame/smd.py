@@ -297,12 +297,10 @@ def eta_schedule(
     return c_eta * horizon_weight * float(n) ** (-rate)
 
 
-def horizon_weight(horizon: int, step: float, block: str) -> float:
-    """Radius multiplier: 1 for reward blocks, (H - h)^4 floored at 1 for
-    recursion blocks (the floor reconciles the single-step schedule, whose
-    radius does not vanish, with the multi-step one)."""
-    if block == "reward":
-        return 1.0
+def horizon_weight(horizon: int, step: float) -> float:
+    """Radius multiplier of the recursion blocks at step ``h``: (H - h)^4 floored
+    at 1 (the floor reconciles the single-step schedule, whose radius does not
+    vanish, with the multi-step one).  Reward blocks take weight 1."""
     return max(float(horizon - step) ** 4, 1.0)
 
 

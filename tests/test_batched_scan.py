@@ -30,10 +30,10 @@ def ref_continuation_centers(st, t, rep, policy):
     ones = np.ones((rep.shape[1], 2))
     idx_s, idx_u = np.divmod(np.arange(rep.shape[1]), st.n_u)
     if t % 2 == 0:
-        fac = policy.bob_mean(t // 2)[idx_s]
+        fac = policy.bob[t // 2][idx_s]
         own, partner = ones, fac
     else:
-        fac = policy.alice_mean(t // 2 + 1)[idx_s, idx_u]
+        fac = policy.alice[t // 2 + 1][idx_s, idx_u]
         own, partner = fac, ones
     theta, gamma, omega, zeta = (rep[:, :, i, None] for i in range(4))
     g = np.empty((rep.shape[0], 4, rep.shape[1], 2))
@@ -109,7 +109,7 @@ def ref_score(engine, policy):
     st = engine.stats[0]
     p1 = st.mass / st.mass.sum()
     pi_b = policy.init_bob
-    pa = policy.alice_mean(0).reshape(-1, 2)
+    pa = policy.alice[0].reshape(-1, 2)
     e_a = (1 - pi_b) * pa[:, 0] + pi_b * pa[:, 1]
     w_rep = p1[:, None] * np.stack([e_a, np.full_like(p1, pi_b), pi_b * pa[:, 1], np.ones_like(p1)], axis=1)
     post = np.stack([w_rep[:, 0], w_rep[:, 2], w_rep[:, 2], w_rep[:, 0]], axis=1)

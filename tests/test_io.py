@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confgame import game, gameio
+from confgame import fixtures, game, gameio
 from confgame.errors import CorruptRow, MalformedDataset, SchemaMismatch
 
 
@@ -80,6 +80,37 @@ def test_spec_round_trip(tmp_path, t2):
     assert back.horizon == t2.horizon and back.reward_noise == t2.reward_noise
 
 
+def test_spec_file_layout_is_pinned(tmp_path):
+    path = tmp_path / "t2-h3.spec"
+    gameio.write_spec(fixtures.get_fixture("t2-h3"), str(path))
+    keys = [line for line in path.read_text().splitlines() if "=" in line]
+    assert keys == [
+        "horizon = 3",
+        "n_states = 2",
+        "n_u = 1",
+        "n_v1 = 2",
+        "n_v2 = 2",
+        "reward_noise = 0.10000000000000001",
+        "[init_state] shape=2",
+        "[u_law] shape=6,2,1",
+        "[v1_law] shape=6,2,2",
+        "[v2_law] shape=6,2,2",
+        "[alice_act_base] shape=1,2,2,2",
+        "[alice_act_iv] shape=1,2,2,2",
+        "[bob_act_base] shape=1,2,2,2",
+        "[bob_act_iv] shape=1,2,2,2",
+        "[alice_rew_act] shape=1,2,2,2",
+        "[alice_rew_iv] shape=1,2,2,2",
+        "[alice_rew_inter] shape=1,2,2,2",
+        "[alice_rew_resid] shape=1,2,2,2",
+        "[bob_rew_act] shape=1,2,2,2",
+        "[bob_rew_iv] shape=1,2,2,2",
+        "[bob_rew_inter] shape=1,2,2,2",
+        "[bob_rew_resid] shape=1,2,2,2",
+        "[trans] shape=6,1,2,2,2,2,2,2",
+    ]
+
+
 def test_policy_round_trip(tmp_path, t2):
     pair = game.constant_policy_pair(t2, 0.25, 0.75, 1.0)
     path = tmp_path / "p.policy"
@@ -151,21 +182,24 @@ def test_dataset_rejects_repeated_rows(tmp_path, t2):
 
 
 @pytest.mark.parametrize(
-    "col, value, message",
+    "line, col, value, message",
     [
-        (2, "5", "field s, row 1, step 0: value 5 is not in 0..1"),
-        (5, "nan", "field r_a, row 1, step 0: value nan is not finite"),
+        (7, 2, "5", "line 7: field s, trajectory 1, step 1: value 5 is not in 0..1"),
+        (7, 5, "nan", "line 7: field r_a, trajectory 1, step 1: value nan is not finite"),
+        (6, 8, "2", "line 6: field b_init, trajectory 1, step init: value 2 is not in 0..1"),
+        (9, 2, "-1", "line 9: field s_term, trajectory 1, step term: value -1 is not in 0..1"),
     ],
+    ids=["state", "reward", "opening_action", "terminal_state"],
 )
-def test_dataset_rejects_values_outside_their_space(tmp_path, t2, col, value, message):
+def test_dataset_rejects_values_outside_their_space(tmp_path, t2, line, col, value, message):
     ds = game.simulate_dataset(t2, n=3, seed=0)
     path = tmp_path / "d.csv"
     gameio.write_dataset(ds, str(path))
     lines = path.read_text().splitlines()
-    row = lines[6].split(",")  # trajectory 1, step 1
-    assert row[:2] == ["1", "1"]
+    row = lines[line - 1].split(",")  # trajectory 1: init, step 1, step 2, term on lines 6-9
+    assert row[0] == "1"
     row[col] = value
-    lines[6] = ",".join(row)
+    lines[line - 1] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MalformedDataset, match=f"^{message}$"):
         gameio.read_dataset(str(path))

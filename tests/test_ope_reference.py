@@ -50,9 +50,9 @@ def _block_outcomes(t, rows, rep, policy):
     cell = (rows.next_s, rows.next_u)
     theta, gamma, omega, zeta = rep.theta[cell], rep.gamma[cell], rep.omega[cell], rep.zeta[cell]
     if t % 2 == 0:  # bob acts next
-        fac = policy.bob_mean(h)[rows.next_s, rows.act]
+        fac = policy.bob[h][rows.next_s, rows.act]
         return [zeta, theta, gamma * fac, omega * fac]
-    fac = policy.alice_mean(h + 1)[rows.next_s, rows.next_u, rows.act]
+    fac = policy.alice[h + 1][rows.next_s, rows.next_u, rows.act]
     return [zeta, theta * fac, gamma, omega * fac]
 
 
@@ -105,7 +105,7 @@ def reference_evaluate(source, policy, basis):
     rows = source.stage_rows(0)
     occ = np.bincount(rows.s * nu + rows.u, rows.weights, minlength=ns * nu).reshape(ns, nu)
     occ /= occ.sum()
-    pa, pi_b = policy.alice_mean(0), policy.init_bob
+    pa, pi_b = policy.alice[0], policy.init_bob
     weights = {
         "theta": occ * ((1 - pi_b) * pa[..., 0] + pi_b * pa[..., 1]),
         "gamma": occ * pi_b,

@@ -68,8 +68,8 @@ def test_eta_schedule_values():
     eta = smd.eta_schedule(10_000, alpha=2.0, varsigma=0.0, d=1, c_eta=1.0, horizon_weight=1.0)
     assert abs(eta - 10_000 ** (-0.8)) < 1e-15
     assert abs(eta - 6.309573e-4) < 1e-9
-    assert smd.horizon_weight(3, 1, "recursion") == 16.0
-    assert smd.horizon_weight(5, 5, "recursion") == 1.0  # floored at one
+    assert smd.horizon_weight(3, 1) == 16.0
+    assert smd.horizon_weight(5, 5) == 1.0  # floored at one
     assert smd.eta_schedule(1, c_eta=3.0, horizon_weight=2.0) == 6.0
     with pytest.raises(ValueError):
         smd.eta_schedule(0)
