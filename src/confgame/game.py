@@ -33,14 +33,32 @@ from .errors import MalformedDataset, MalformedSpec
 PROB_TOL = 1e-9
 
 
+def _check_range(name, values, low=-np.inf, high=np.inf, what="a finite number"):
+    """``values`` as a float array; :class:`MalformedSpec` naming ``name``, the
+    first index and the value of an entry that is not finite or lies outside
+    [low, high]."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values) | (values < low) | (values > high)
+    _reject_first(name, "value", values, bad, f"is not {what}")
+    return values
+
+
+def _check_probabilities(name, values):
+    return _check_range(name, values, -PROB_TOL, 1 + PROB_TOL, "a probability in [0, 1]")
+
+
 def _check_dist(name, table, axis=-1):
-    table = np.asarray(table, dtype=float)
-    if np.any(table < -PROB_TOL) or np.any(table > 1 + PROB_TOL):
-        raise MalformedSpec(f"{name}: probabilities outside [0, 1]")
+    table = _check_probabilities(name, table)
     sums = table.sum(axis=axis)
-    if np.any(np.abs(sums - 1.0) > 1e-8):
-        raise MalformedSpec(f"{name}: rows do not sum to 1")
+    _reject_first(name, "row sum", sums, np.abs(sums - 1.0) > 1e-8, "is not 1")
     return table
+
+
+def _reject_first(name, label, values, bad, what):
+    if bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        at = f" at index {tuple(int(i) for i in idx)}" if bad.ndim else ""
+        raise MalformedSpec(f"{name}: {label} {values[idx].item()!r}{at} {what}")
 
 
 # The spec's coefficient tables, each indexed [u, v1, v2, s]: the action
@@ -104,8 +122,9 @@ class GameSpec:
         if h < 1:
             raise MalformedSpec("horizon must be a positive integer")
         coef_shape = (nu, nv1, nv2, ns)
+        _check_range("reward_noise", self.reward_noise)
         for name in COEF_TABLES:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _check_range(name, getattr(self, name))
             if arr.shape != coef_shape:
                 raise MalformedSpec(f"{name}: expected shape {coef_shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
@@ -124,14 +143,10 @@ class GameSpec:
         object.__setattr__(self, "trans", trans)
         for player, names in zip(("alice", "bob"), ACTION_TABLES):
             base, shift = (getattr(self, name) for name in names)
-            for prev in (0.0, 1.0):
-                p = base + shift * prev
-                if np.any(p < -PROB_TOL) or np.any(p > 1 + PROB_TOL):
-                    raise MalformedSpec(
-                        f"{player} action model leaves [0, 1] for prev={int(prev)}"
-                    )
+            for prev in (0, 1):
+                _check_probabilities(f"{player} action model for prev={prev}", base + shift * prev)
         if self.state_values is not None:
-            sv = np.asarray(self.state_values, dtype=float)
+            sv = _check_range("state_values", self.state_values)
             if sv.ndim != 2 or sv.shape[0] != ns:
                 raise MalformedSpec("state_values: expected shape (n_states, d)")
             object.__setattr__(self, "state_values", sv)
@@ -178,12 +193,8 @@ class BehaviorPolicyPair:
 
     def __post_init__(self):
         for name in ("alice", "bob"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if np.any(arr < -PROB_TOL) or np.any(arr > 1 + PROB_TOL):
-                raise MalformedSpec(f"behavior {name}: probabilities outside [0, 1]")
-            object.__setattr__(self, name, arr)
-        if not (-PROB_TOL <= self.init_bob <= 1 + PROB_TOL):
-            raise MalformedSpec("behavior init_bob outside [0, 1]")
+            object.__setattr__(self, name, _check_probabilities(f"behavior {name}", getattr(self, name)))
+        _check_probabilities("behavior init_bob", self.init_bob)
 
     @classmethod
     def from_spec(cls, spec: GameSpec, init_bob: float = 0.5) -> "BehaviorPolicyPair":
@@ -236,12 +247,8 @@ class PolicyPair:
         if bob.ndim != 3:
             raise TypeError("bob policy must be indexed [step, s, a_prev]; it may not depend on v")
         for name, arr in (("alice", alice), ("bob", bob)):
-            if np.any(arr < -PROB_TOL) or np.any(arr > 1 + PROB_TOL):
-                raise MalformedSpec(f"policy {name}: probabilities outside [0, 1]")
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
-        if not (-PROB_TOL <= self.init_bob <= 1 + PROB_TOL):
-            raise MalformedSpec("policy init_bob outside [0, 1]")
+            object.__setattr__(self, name, _check_probabilities(f"policy {name}", arr))
+        _check_probabilities("policy init_bob", self.init_bob)
 
     @property
     def horizon(self) -> int:

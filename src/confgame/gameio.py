@@ -9,6 +9,8 @@ unused fields stay empty.  Floats are written with 17 significant digits so a
 round trip is exact.  The hidden trace lives in a sibling file with suffix
 ``.hidden`` (header ``#confgame-hidden v1 ...``, rows
 ``traj,step,v1,v2,v1_half,v2_half``); the observed file has no column for it.
+Both files are written in trajectory order, but a reader accepts their rows in
+any order and skips blank lines.
 
 Spec and policy files are key-value texts: scalar lines ``name = value``
 followed by array blocks ``[name] shape=d1,d2,...`` whose flattened values
@@ -19,6 +21,9 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import chain
+from typing import NoReturn
+
 import numpy as np
 
 from .errors import CorruptRow, MalformedDataset, SchemaMismatch
@@ -36,104 +41,100 @@ def _fmt(x: float) -> str:
 _HEADER_RE = re.compile(r"^#confgame v1 H=(\d+) n=(\d+) ns=(\d+) nu=(\d+)$")
 _HIDDEN_HEADER_RE = re.compile(r"^#confgame-hidden v1 H=(\d+) n=(\d+)$")
 
+# Both directions work a block at a time, which bounds the memory they hold:
+# trajectories formatted per write, and the size hint in characters of the
+# lines parsed per read.
+_WRITE_BLOCK = 1024
+_READ_BLOCK = 1 << 16
+
+# the fields of a step row after (traj, step), and of a hidden row
+_STEP_FIELDS = ("s", "u", "a", "r_a", "s_half", "u_half", "b", "r_b")
+_HIDDEN_FIELDS = ("v1", "v2", "v1_half", "v2_half")
+_STEP_DTYPE = np.dtype(
+    [("traj", np.int64), ("step", np.int64)]
+    + [(k, float if k.startswith("r_") else np.int64) for k in _STEP_FIELDS]
+)
+_INIT_DTYPE = np.dtype([("traj", np.int64), ("b_init", np.int64)])  # fields 0 and 8
+_TERM_DTYPE = np.dtype([("traj", np.int64), ("s_term", np.int64)])  # fields 0 and 2
+_HIDDEN_DTYPE = np.dtype([(k, np.int64) for k in ("traj", "step", *_HIDDEN_FIELDS)])
+
 
 def hidden_path(path: str) -> str:
     return f"{path}.hidden"
 
 
 def write_dataset(ds: OfflineDataset, path: str) -> None:
-    lines = [f"#confgame v1 H={ds.horizon} n={ds.n} ns={ds.n_states} nu={ds.n_u}"]
-    for i in range(ds.n):
-        lines.append(f"{i},init,,,,,,,{ds.b_init[i]},")
-        for h in range(ds.horizon):
-            lines.append(
-                f"{i},{h + 1},{ds.s[i, h]},{ds.u[i, h]},{ds.a[i, h]},{_fmt(ds.r_a[i, h])},"
-                f"{ds.s_half[i, h]},{ds.u_half[i, h]},{ds.b[i, h]},{_fmt(ds.r_b[i, h])}"
-            )
-        lines.append(f"{i},term,{ds.s_term[i]},,,,,,,")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ``ds`` to ``path`` and, if it carries one, its hidden trace to
+    ``hidden_path(path)``."""
+    steps = range(ds.horizon)
+    _write_trajectories(
+        path,
+        f"#confgame v1 H={ds.horizon} n={ds.n} ns={ds.n_states} nu={ds.n_u}",
+        "%d,init,,,,,,,%s,\n"
+        + "".join(f"%d,{h + 1},%s,%s,%s,%.17g,%s,%s,%s,%.17g\n" for h in steps)
+        + "%d,term,%s,,,,,,,\n",
+        [None, ds.b_init]
+        + [col for h in steps for col in (None, *(getattr(ds, k)[:, h] for k in _STEP_FIELDS))]
+        + [None, ds.s_term],
+        ds.n,
+    )
     if ds.hidden is not None:
-        hl = [f"#confgame-hidden v1 H={ds.horizon} n={ds.n}"]
-        for i in range(ds.n):
-            for h in range(ds.horizon):
-                hl.append(
-                    f"{i},{h + 1},{ds.hidden.v1[i, h]},{ds.hidden.v2[i, h]},"
-                    f"{ds.hidden.v1_half[i, h]},{ds.hidden.v2_half[i, h]}"
-                )
-        with open(hidden_path(path), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(hl) + "\n")
+        _write_trajectories(
+            hidden_path(path),
+            f"#confgame-hidden v1 H={ds.horizon} n={ds.n}",
+            "".join(f"%d,{h + 1},%s,%s,%s,%s\n" for h in steps),
+            [col for h in steps for col in (None, *(getattr(ds.hidden, k)[:, h] for k in _HIDDEN_FIELDS))],
+            ds.n,
+        )
+
+
+def _write_trajectories(path: str, header: str, template: str, columns: list, n: int) -> None:
+    """Write ``header``, then ``template`` once per trajectory, its ``%``
+    fields filled from ``columns``: one array of length ``n`` per field, or
+    ``None`` for the trajectory id.  Integer fields are ``%s``, as ``str``
+    writes them, so that a column of another dtype is written as it is and
+    the reader rejects it rather than reading a truncated value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, n)
+            block = [range(lo, hi) if col is None else col[lo:hi].tolist() for col in columns]
+            fh.write((template * (hi - lo)) % tuple(chain.from_iterable(zip(*block))))
 
 
 def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
     """The dataset in ``path``: :class:`CorruptRow` for a row that does not
     parse, :class:`SchemaMismatch` for a file that disagrees with its header
-    (field count, a step outside it, a repeated or missing row) and
-    :class:`~confgame.errors.MalformedDataset` for a value outside its space
-    or a reward that is not finite (:func:`~confgame.game.check_dataset`),
-    naming its line."""
+    (field count, a trajectory or step outside it, a repeated or missing row)
+    and :class:`~confgame.errors.MalformedDataset` for a value outside its
+    space or a reward that is not finite (:func:`~confgame.game.check_dataset`),
+    naming its line.
+
+    The body is parsed by columns, a block of lines at a time; only a block
+    that fails is read again line by line, to name its first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
         if not m:
             raise SchemaMismatch(f"bad dataset header: {header!r}")
         horizon, n, ns, nu = (int(g) for g in m.groups())
-        shape = (n, horizon)
-        arrays = {
-            k: np.zeros(shape, dtype=np.int64)
-            for k in ("s", "u", "a", "s_half", "u_half", "b")
-        }
-        arrays.update({k: np.zeros(shape, dtype=float) for k in ("r_a", "r_b")})
+        arrays = {k: np.zeros((n, horizon), dtype=_STEP_DTYPE[k]) for k in _STEP_FIELDS}
         b_init = np.zeros(n, dtype=np.int64)
         s_term = np.zeros(n, dtype=np.int64)
-        seen = set()  # row slots: trajectory + n * (0 for init, 1 for term, 1 + step)
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 10:
-                raise CorruptRow(lineno, f"expected 10 fields, got {len(parts)}")
+        seen = np.zeros((n, horizon + 2), dtype=bool)  # row slots: init, steps 1..H, term
+        for first, block in _line_blocks(fh):
             try:
-                traj = int(parts[0])
-            except ValueError as exc:
-                raise CorruptRow(lineno, f"bad trajectory id {parts[0]!r}") from exc
-            if not 0 <= traj < n:
-                raise SchemaMismatch(f"trajectory id {traj} outside header n={n}")
-            tag = parts[1]
-            try:
-                if tag == "init":
-                    slot = traj
-                    b_init[traj] = int(parts[8])
-                elif tag == "term":
-                    slot = n + traj
-                    s_term[traj] = int(parts[2])
-                else:
-                    h = int(tag) - 1
-                    if not 0 <= h < horizon:
-                        raise SchemaMismatch(
-                            f"step {tag} outside header horizon H={horizon}"
-                        )
-                    slot = (2 + h) * n + traj
-                    for col, key in (
-                        (2, "s"),
-                        (3, "u"),
-                        (4, "a"),
-                        (6, "s_half"),
-                        (7, "u_half"),
-                        (8, "b"),
-                    ):
-                        arrays[key][traj, h] = int(parts[col])
-                    arrays["r_a"][traj, h] = float(parts[5])
-                    arrays["r_b"][traj, h] = float(parts[9])
-            except SchemaMismatch:
-                raise
-            except ValueError as exc:
-                raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
-            if slot in seen:
-                raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {tag})")
-            seen.add(slot)
-    if len(seen) < n * (horizon + 2):
+                init, term, steps = _parse_observed([line for line in block if line != "\n"])
+            except (ValueError, IndexError):
+                init = None
+            if init is None or not _claim_observed(seen, init, term, steps):
+                _locate_observed(block, first, n, horizon, seen)
+            b_init[init["traj"]] = init["b_init"]
+            s_term[term["traj"]] = term["s_term"]
+            at = (steps["traj"], steps["step"] - 1)
+            for key, col in arrays.items():
+                col[at] = steps[key]
+    if not seen.all():
         raise SchemaMismatch("dataset body does not cover every (trajectory, step)")
     ds = OfflineDataset(horizon=horizon, n_states=ns, n_u=nu, b_init=b_init, s_term=s_term, **arrays)
     try:
@@ -146,6 +147,112 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
     if with_hidden and os.path.exists(hidden_path(path)):
         ds.hidden = _read_hidden(hidden_path(path), horizon, n)
     return ds
+
+
+def _line_blocks(fh):
+    """(number of the first line, lines) of the rest of ``fh``, a block of
+    about ``_READ_BLOCK`` characters at a time; the header is line 1."""
+    first = 2
+    while block := fh.readlines(_READ_BLOCK):
+        yield first, block
+        first += len(block)
+
+
+def _parse_csv(lines: list, dtype: np.dtype, usecols=None) -> np.ndarray:
+    """``lines`` parsed into a structured array of ``dtype``, one record per
+    line; ValueError for a field that does not parse or, without
+    ``usecols``, a line whose field count is not the dtype's."""
+    if not lines:  # numpy's reader warns on no data
+        return np.zeros(0, dtype=dtype)
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+
+
+def _parse_observed(lines: list):
+    """The ``init``, ``term`` and step rows of the non-blank dataset
+    ``lines``, routed by the tag in field 2; ValueError or IndexError for a
+    line that does not parse."""
+    tags = [line.split(",", 2)[1] for line in lines]
+    init = [line for line, tag in zip(lines, tags) if tag == "init"]
+    term = [line for line, tag in zip(lines, tags) if tag == "term"]
+    if any(line.count(",") != 9 for line in init + term):
+        raise ValueError("an init or term row without 10 fields")
+    steps = [line for line, tag in zip(lines, tags) if tag != "init" and tag != "term"]
+    return (
+        _parse_csv(init, _INIT_DTYPE, usecols=(0, 8)),
+        _parse_csv(term, _TERM_DTYPE, usecols=(0, 2)),
+        _parse_csv(steps, _STEP_DTYPE),
+    )
+
+
+def _within(values: np.ndarray, size: int) -> bool:
+    return values.size == 0 or (values.min() >= 0 and values.max() < size)
+
+
+def _claim(seen: np.ndarray, traj: np.ndarray, slot: np.ndarray) -> bool:
+    """Mark the row slots ``(traj, slot)`` of one block in ``seen``, a mask of
+    shape (n, slots per trajectory); False, marking nothing, if one lies
+    outside it, repeats within the block or was marked before."""
+    n, width = seen.shape
+    if not (_within(traj, n) and _within(slot, width)):
+        return False
+    flat = traj * width + slot
+    mask = seen.reshape(-1)
+    ordered = np.sort(flat)
+    if mask[flat].any() or (ordered[1:] == ordered[:-1]).any():
+        return False
+    mask[flat] = True
+    return True
+
+
+def _claim_observed(seen: np.ndarray, init, term, steps) -> bool:
+    """:func:`_claim` for the rows of one dataset block, whose slots are 0
+    for ``init``, the step (which must lie in 1..H) for a step row and H + 1
+    for ``term``."""
+    last = seen.shape[1] - 1
+    traj = np.concatenate([init["traj"], steps["traj"], term["traj"]])
+    slot = np.concatenate([np.zeros(len(init), np.int64), steps["step"], np.full(len(term), last)])
+    return _within(steps["step"] - 1, last - 1) and _claim(seen, traj, slot)
+
+
+def _locate_observed(block: list, first: int, n: int, horizon: int, seen: np.ndarray) -> NoReturn:
+    """Raise the error of the first bad line of a dataset ``block`` whose
+    first line is number ``first``, given the row slots ``seen`` before it."""
+    for lineno, raw in enumerate(block, start=first):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 10:
+            raise CorruptRow(lineno, f"expected 10 fields, got {len(parts)}")
+        try:
+            traj = int(parts[0])
+        except ValueError as exc:
+            raise CorruptRow(lineno, f"bad trajectory id {parts[0]!r}") from exc
+        if not 0 <= traj < n:
+            raise SchemaMismatch(f"trajectory id {traj} outside header n={n}")
+        tag = parts[1]
+        try:
+            if tag == "init":
+                slot = 0
+                int(parts[8])
+            elif tag == "term":
+                slot = horizon + 1
+                int(parts[2])
+            else:
+                slot = int(tag)
+                if not 1 <= slot <= horizon:
+                    raise SchemaMismatch(f"step {tag} outside header horizon H={horizon}")
+                for col in (2, 3, 4, 6, 7, 8):
+                    int(parts[col])
+                float(parts[5])
+                float(parts[9])
+            _parse_observed([raw])  # what Python's int and float accept but the block parser does not
+        except ValueError as exc:
+            raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
+        if seen[traj, slot]:
+            raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {tag})")
+        seen[traj, slot] = True
+    raise CorruptRow(first, f"lines {first}-{first + len(block) - 1} do not parse")
 
 
 def _line_of(path: str, traj: int, step: str) -> int:
@@ -171,35 +278,47 @@ def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
         m = _HIDDEN_HEADER_RE.match(header)
         if not m or (int(m.group(1)), int(m.group(2))) != (horizon, n):
             raise SchemaMismatch(f"hidden-trace header disagrees: {header!r}")
-        arrays = {
-            k: np.zeros((n, horizon), dtype=np.int64)
-            for k in ("v1", "v2", "v1_half", "v2_half")
-        }
+        arrays = {k: np.zeros((n, horizon), dtype=np.int64) for k in _HIDDEN_FIELDS}
         seen = np.zeros((n, horizon), dtype=bool)
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise CorruptRow(lineno, f"expected 6 fields, got {len(parts)}")
+        for first, block in _line_blocks(fh):
             try:
-                traj, step, *values = (int(x) for x in parts)
-            except ValueError as exc:
-                raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
-            if not (0 <= traj < n and 1 <= step <= horizon):
-                raise SchemaMismatch(
-                    f"line {lineno}: (trajectory, step) ({traj}, {step}) outside header n={n}, H={horizon}"
-                )
-            if seen[traj, step - 1]:
-                raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {step})")
-            seen[traj, step - 1] = True
-            for key, value in zip(("v1", "v2", "v1_half", "v2_half"), values):
-                arrays[key][traj, step - 1] = value
+                rows = _parse_csv([line for line in block if line != "\n"], _HIDDEN_DTYPE)
+            except ValueError:
+                rows = None
+            if rows is None or not _claim(seen, rows["traj"], rows["step"] - 1):
+                _locate_hidden(block, first, n, horizon, seen)
+            at = (rows["traj"], rows["step"] - 1)
+            for key, col in arrays.items():
+                col[at] = rows[key]
     if not seen.all():
         traj, h = np.argwhere(~seen)[0]
         raise SchemaMismatch(f"hidden trace misses (trajectory, step) ({traj}, {h + 1})")
     return HiddenTrace(**arrays)
+
+
+def _locate_hidden(block: list, first: int, n: int, horizon: int, seen: np.ndarray) -> NoReturn:
+    """Raise the error of the first bad line of a hidden-trace ``block`` whose
+    first line is number ``first``, given the row slots ``seen`` before it."""
+    for lineno, raw in enumerate(block, start=first):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise CorruptRow(lineno, f"expected 6 fields, got {len(parts)}")
+        try:
+            traj, step, *_ = (int(x) for x in parts)
+            _parse_csv([raw], _HIDDEN_DTYPE)  # what Python's int accepts but the block parser does not
+        except ValueError as exc:
+            raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
+        if not (0 <= traj < n and 1 <= step <= horizon):
+            raise SchemaMismatch(
+                f"line {lineno}: (trajectory, step) ({traj}, {step}) outside header n={n}, H={horizon}"
+            )
+        if seen[traj, step - 1]:
+            raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {step})")
+        seen[traj, step - 1] = True
+    raise CorruptRow(first, f"lines {first}-{first + len(block) - 1} do not parse")
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +405,25 @@ def write_spec(spec: GameSpec, path: str) -> None:
     _write_blocks(path, SPEC_MAGIC, scalars, arrays)
 
 
+def _scalar(scalars: dict, key: str, kind: type):
+    """Scalar ``key`` of a spec or policy file as ``kind``: KeyError if it is
+    missing, :class:`SchemaMismatch` naming it if it does not parse."""
+    text = scalars[key]
+    try:
+        return kind(text)
+    except ValueError:
+        raise SchemaMismatch(f"scalar {key} = {text!r} does not parse as {kind.__name__}") from None
+
+
 def read_spec(path: str) -> GameSpec:
     scalars, arrays = _read_blocks(path, SPEC_MAGIC)
     try:
-        kwargs = {
-            "horizon": int(scalars["horizon"]),
-            "n_states": int(scalars["n_states"]),
-            "n_u": int(scalars["n_u"]),
-            "n_v1": int(scalars["n_v1"]),
-            "n_v2": int(scalars["n_v2"]),
-            "reward_noise": float(scalars.get("reward_noise", 0.1)),
-        }
-        for name in _SPEC_ARRAYS:
-            kwargs[name] = arrays[name]
+        kwargs = {key: _scalar(scalars, key, int) for key in ("horizon", "n_states", "n_u", "n_v1", "n_v2")}
+        kwargs.update((name, arrays[name]) for name in _SPEC_ARRAYS)
     except KeyError as exc:
         raise SchemaMismatch(f"spec file misses {exc}") from exc
+    if "reward_noise" in scalars:
+        kwargs["reward_noise"] = _scalar(scalars, "reward_noise", float)
     if "state_values" in arrays:
         kwargs["state_values"] = arrays["state_values"]
     return GameSpec(**kwargs)
@@ -316,13 +439,22 @@ def write_policy(pair: PolicyPair, path: str) -> None:
 
 
 def read_policy(path: str) -> PolicyPair:
+    """The policy pair in ``path``: :class:`SchemaMismatch` for a missing or
+    unparseable entry, a block of the wrong rank or a ``horizon`` that
+    disagrees with the blocks' leading axis."""
     scalars, arrays = _read_blocks(path, POLICY_MAGIC)
     try:
-        return PolicyPair(
-            alice=arrays["alice"], bob=arrays["bob"], init_bob=float(scalars["init_bob"])
-        )
+        alice, bob = arrays["alice"], arrays["bob"]
+        init_bob = _scalar(scalars, "init_bob", float)
     except KeyError as exc:
         raise SchemaMismatch(f"policy file misses {exc}") from exc
+    horizon = _scalar(scalars, "horizon", int) if "horizon" in scalars else None
+    for name, arr, axes in (("alice", alice, "[step, s, u, b_prev]"), ("bob", bob, "[step, s, a_prev]")):
+        if arr.ndim != axes.count(",") + 1:
+            raise SchemaMismatch(f"policy block [{name}] has shape {arr.shape}; it must be indexed {axes}")
+        if horizon is not None and arr.shape[0] != horizon:
+            raise SchemaMismatch(f"policy horizon = {horizon} disagrees with block [{name}] of shape {arr.shape}")
+    return PolicyPair(alice=alice, bob=bob, init_bob=init_bob)
 
 
 def export_policy_csv(pair: PolicyPair, path: str) -> None:

@@ -42,6 +42,32 @@ def test_malformed_probabilities_rejected(t1):
         replace(t1, alice_act_base=np.full_like(t1.alice_act_base, 0.9))  # 0.9+0.3 > 1
 
 
+@pytest.mark.parametrize(
+    "field, edit, message",
+    [
+        ("reward_noise", lambda spec: np.nan, "reward_noise: value nan is not a finite number"),
+        ("reward_noise", lambda spec: np.inf, "reward_noise: value inf is not a finite number"),
+        # every comparison with nan is false, so a range check alone lets it through
+        ("v1_law", lambda spec: np.where(np.arange(2) == 1, np.nan, spec.v1_law),
+         r"v1_law: value nan at index \(0, 0, 1\) is not a probability in \[0, 1\]"),
+        ("bob_rew_iv", lambda spec: np.where(np.arange(2) == 1, np.inf, spec.bob_rew_iv),
+         r"bob_rew_iv: value inf at index \(0, 0, 0, 1\) is not a finite number"),
+        ("init_state", lambda spec: np.array([0.5, 0.25]), "init_state: row sum 0.75 is not 1"),
+    ],
+    ids=["noise-nan", "noise-inf", "law-nan", "reward-inf", "row-sum"],
+)
+def test_spec_names_the_first_bad_value(t2, field, edit, message):
+    with pytest.raises(MalformedSpec, match=f"^{message}$"):
+        replace(t2, **{field: edit(t2)})
+
+
+def test_policy_probabilities_must_be_finite(t1):
+    with pytest.raises(MalformedSpec, match=r"^policy alice: value nan at index \(0, 0, 0, 0\)"):
+        game.constant_policy_pair(t1, np.nan, 0.0, 0.5)
+    with pytest.raises(MalformedSpec, match="^behavior init_bob: value nan is not a probability"):
+        game.BehaviorPolicyPair.from_spec(t1, init_bob=np.nan)
+
+
 def test_simulate_empty_dataset(t1):
     ds = game.simulate_dataset(t1, n=0, seed=3)
     assert ds.n == 0 and ds.s.shape == (0, 1) and ds.horizon == 1

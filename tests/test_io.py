@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,46 @@ def test_policy_round_trip(tmp_path, t2):
     assert back.init_bob == pair.init_bob
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("horizon = 2", "horizon = two", "^scalar horizon = 'two' does not parse as int$"),
+        ("n_states = 2", "n_states = 2.0", "^scalar n_states = '2.0' does not parse as int$"),
+        ("reward_noise = 0.10000000000000001", "reward_noise = x", "^scalar reward_noise = 'x' does not parse as float$"),
+        ("n_u = 1\n", "", "^spec file misses 'n_u'$"),
+    ],
+    ids=["horizon", "n_states", "reward_noise", "missing"],
+)
+def test_spec_scalars_are_checked(tmp_path, t2, old, new, message):
+    path = tmp_path / "t2.spec"
+    gameio.write_spec(t2, str(path))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(SchemaMismatch, match=message):
+        gameio.read_spec(str(path))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[bob] shape=1,1,2", "[bob] shape=1,2", r"^policy block \[bob\] has shape \(1, 2\); it must be indexed \[step, s, a_prev\]$"),
+        ("[alice] shape=1,1,1,2", "[alice] shape=2,1,1", r"^policy block \[alice\] has shape \(2, 1, 1\)"),
+        ("horizon = 1", "horizon = 7", r"^policy horizon = 7 disagrees with block \[alice\] of shape \(1, 1, 1, 2\)$"),
+        ("init_bob = 0.5", "init_bob = half", "^scalar init_bob = 'half' does not parse as float$"),
+    ],
+    ids=["bob-rank", "alice-rank", "horizon", "init_bob"],
+)
+def test_policy_file_is_checked(tmp_path, t1, old, new, message):
+    path = tmp_path / "p.policy"
+    gameio.write_policy(game.constant_policy_pair(t1, 1.0, 0.0, 0.5), str(path))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(SchemaMismatch, match=message):
+        gameio.read_policy(str(path))
+
+
 def test_policy_csv_export(tmp_path, t1):
     pair = game.constant_policy_pair(t1, 1.0, 0.0, 1.0)
     path = tmp_path / "pair.csv"
@@ -203,3 +246,147 @@ def test_dataset_rejects_values_outside_their_space(tmp_path, t2, line, col, val
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MalformedDataset, match=f"^{message}$"):
         gameio.read_dataset(str(path))
+
+
+def _row_writer(ds, path):
+    """The dataset writer as it was before it wrote by columns, one row at a
+    time: the reference for the file's bytes."""
+    lines = [f"#confgame v1 H={ds.horizon} n={ds.n} ns={ds.n_states} nu={ds.n_u}"]
+    for i in range(ds.n):
+        lines.append(f"{i},init,,,,,,,{ds.b_init[i]},")
+        for h in range(ds.horizon):
+            lines.append(
+                f"{i},{h + 1},{ds.s[i, h]},{ds.u[i, h]},{ds.a[i, h]},{ds.r_a[i, h]:.17g},"
+                f"{ds.s_half[i, h]},{ds.u_half[i, h]},{ds.b[i, h]},{ds.r_b[i, h]:.17g}"
+            )
+        lines.append(f"{i},term,{ds.s_term[i]},,,,,,,")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    hl = [f"#confgame-hidden v1 H={ds.horizon} n={ds.n}"]
+    for i in range(ds.n):
+        for h in range(ds.horizon):
+            hl.append(
+                f"{i},{h + 1},{ds.hidden.v1[i, h]},{ds.hidden.v2[i, h]},"
+                f"{ds.hidden.v1_half[i, h]},{ds.hidden.v2_half[i, h]}"
+            )
+    with open(gameio.hidden_path(path), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(hl) + "\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("name", ["t1", "t2", "t2-h3"])
+def test_writer_bytes_match_the_row_writer(tmp_path, name, n):
+    ds = game.simulate_dataset(fixtures.get_fixture(name), n=n, seed=n + 5)
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    _row_writer(ds, str(ref))
+    gameio.write_dataset(ds, str(out))
+    assert out.read_bytes() == ref.read_bytes()
+    assert Path(gameio.hidden_path(str(out))).read_bytes() == Path(gameio.hidden_path(str(ref))).read_bytes()
+
+
+def test_writer_writes_a_column_of_another_dtype_as_the_row_writer(tmp_path, t2):
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    ds.s = ds.s + 0.5  # float states: written as they are, never truncated to integers
+    ds.b = ds.b.astype(bool)
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    _row_writer(ds, str(ref))
+    gameio.write_dataset(ds, str(out))
+    assert out.read_bytes() == ref.read_bytes()
+    with pytest.raises(CorruptRow, match="^line 3: unparseable field: invalid literal for int"):
+        gameio.read_dataset(str(out))
+
+
+@pytest.mark.parametrize("block", [64, 1 << 18], ids=["small-blocks", "one-block"])
+def test_rows_in_any_order_with_blank_lines(tmp_path, t2, monkeypatch, block):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)
+    ds = game.simulate_dataset(t2, n=40, seed=3)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    rng = np.random.default_rng(0)
+    for p in (path, Path(gameio.hidden_path(str(path)))):
+        header, *rows = p.read_text().splitlines()
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        for at in sorted(rng.choice(len(rows), size=6, replace=False), reverse=True):
+            rows.insert(at, "")
+        p.write_text("\n".join([header, "", *rows, ""]) + "\n")
+    back = gameio.read_dataset(str(path), with_hidden=True)
+    assert back == ds and back.hidden == ds.hidden
+
+
+@pytest.mark.parametrize(
+    "line, col, value, error, message",
+    [
+        (2, 0, "-1", SchemaMismatch, "^trajectory id -1 outside header n=3$"),
+        (7, 0, "-1", SchemaMismatch, "^trajectory id -1 outside header n=3$"),
+        (9, 0, "3", SchemaMismatch, "^trajectory id 3 outside header n=3$"),
+        (7, 1, "0", SchemaMismatch, "^step 0 outside header horizon H=2$"),
+        (7, 1, "3", SchemaMismatch, "^step 3 outside header horizon H=2$"),
+        (7, 3, "1_0", CorruptRow, "^line 7: unparseable field: could not convert string '1_0'"),
+        (7, 5, "0.5x", CorruptRow, "^line 7: unparseable field: could not convert string to float: '0.5x'$"),
+        (6, 8, "b", CorruptRow, "^line 6: unparseable field: invalid literal for int"),
+        (6, 0, "x", CorruptRow, "^line 6: bad trajectory id 'x'$"),
+    ],
+    ids=["init-traj", "step-traj", "term-traj", "step-0", "step-past-H", "python-only-int",
+         "reward", "opening-action", "traj-id"],
+)
+def test_dataset_rejects_ids_and_fields(tmp_path, t2, line, col, value, error, message):
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")  # trajectory 1: init, step 1, step 2, term on lines 6-9
+    row[col] = value
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=message):
+        gameio.read_dataset(str(path))
+
+
+@pytest.mark.parametrize("fields", [9, 11])
+@pytest.mark.parametrize("line", [6, 9], ids=["init", "term"])
+def test_init_and_term_rows_need_ten_fields(tmp_path, t2, line, fields):
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    lines[line - 1] = ",".join(row[:fields] + [""] * (fields - len(row)))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRow, match=f"^line {line}: expected 10 fields, got {fields}$"):
+        gameio.read_dataset(str(path))
+
+
+@pytest.mark.parametrize("copy_of", [2, 3, 5], ids=["init", "step", "term"])
+@pytest.mark.parametrize("block", [1, 40, 200])
+def test_repeated_row_in_a_later_block_is_reported_at_its_line(tmp_path, t2, monkeypatch, block, copy_of):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)  # a size hint in characters: one to a few lines
+    ds = game.simulate_dataset(t2, n=6, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:14] + [lines[copy_of - 1]] + lines[14:]) + "\n")
+    with pytest.raises(SchemaMismatch, match=r"^line 15: duplicate \(trajectory, step\) \(0, "):
+        gameio.read_dataset(str(path))
+
+
+@pytest.mark.parametrize("block", [1, 40, 200])
+def test_repeated_hidden_row_in_a_later_block_is_reported_at_its_line(tmp_path, t2, monkeypatch, block):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)
+    ds = game.simulate_dataset(t2, n=6, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    hidden = Path(gameio.hidden_path(str(path)))
+    lines = hidden.read_text().splitlines()
+    hidden.write_text("\n".join(lines[:9] + [lines[1]] + lines[9:]) + "\n")
+    with pytest.raises(SchemaMismatch, match=r"^line 10: duplicate \(trajectory, step\) \(0, 1\)$"):
+        gameio.read_dataset(str(path), with_hidden=True)
+
+
+def test_empty_dataset_reads_without_warnings(tmp_path, t2):
+    path = tmp_path / "empty.csv"
+    gameio.write_dataset(game.simulate_dataset(t2, n=0, seed=0), str(path))
+    path.write_text(path.read_text() + "\n\n")  # a body of blank lines only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = gameio.read_dataset(str(path), with_hidden=True)
+    assert back.n == 0 and back.hidden.v1.shape == (0, 2)
