@@ -246,6 +246,10 @@ class PolicyPair:
             raise TypeError("alice policy must be indexed [step, s, u, b_prev]")
         if bob.ndim != 3:
             raise TypeError("bob policy must be indexed [step, s, a_prev]; it may not depend on v")
+        if alice.shape[0] != bob.shape[0]:
+            raise MalformedSpec(
+                f"policy tables have {alice.shape[0]} alice steps and {bob.shape[0]} bob steps"
+            )
         for name, arr in (("alice", alice), ("bob", bob)):
             object.__setattr__(self, name, _check_probabilities(f"policy {name}", arr))
         _check_probabilities("policy init_bob", self.init_bob)
@@ -271,6 +275,40 @@ class PolicyPair:
             tuple(np.round(self.alice, 12).ravel().tolist()),
             tuple(np.round(self.bob, 12).ravel().tolist()),
         )
+
+
+@dataclass
+class PolicyStack:
+    """Policy pairs stacked on a leading candidate axis: ``alice`` (candidate,
+    H, ns, nu, 2), ``bob`` (candidate, H, ns, 2) and ``init_bob`` (candidate,)."""
+
+    alice: np.ndarray
+    bob: np.ndarray
+    init_bob: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: list) -> "PolicyStack":
+        """Stack ``pairs``; :class:`MalformedSpec` naming the first pair whose
+        tables differ in shape from the first pair's."""
+        shapes = [(p.alice.shape, p.bob.shape) for p in pairs]
+        for i, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise MalformedSpec(
+                    f"policy pair {i} has shapes alice {shape[0]}, bob {shape[1]}; "
+                    f"pair 0 has alice {shapes[0][0]}, bob {shapes[0][1]}"
+                )
+        return cls(
+            np.array([p.alice for p in pairs]),
+            np.array([p.bob for p in pairs]),
+            np.array([p.init_bob for p in pairs], dtype=float),
+        )
+
+    def actor_mean(self, t: int) -> np.ndarray:
+        """P(action = 1) of the player acting at stage ``t`` (alice at even
+        stages, bob at odd ones), (candidate, cell, partner's previous action)."""
+        if t % 2 == 0:
+            return self.alice[:, t // 2].reshape(self.alice.shape[0], -1, 2)
+        return np.repeat(self.bob[:, t // 2], self.alice.shape[3], axis=1)
 
 
 def constant_policy_pair(

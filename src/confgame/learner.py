@@ -39,9 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisMismatch, EmptyClass
-from .game import GameSpec, PolicyPair
+from .game import GameSpec, PolicyPair, PolicyStack
 from .ope import (
-    PolicyStack,
     as_source,
     block_slots,
     chain_recursion,

@@ -37,7 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData
-from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair, check_dataset
+from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair, PolicyStack, check_dataset
 from .moments import MomentData, assemble_system, estimate_nuisances
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
@@ -289,31 +289,6 @@ def contracted_blocks(t: int) -> tuple:
     return tuple(slot in (partner, OMEGA) for slot in BLOCK_SLOTS)
 
 
-@dataclass
-class PolicyStack:
-    """Policy pairs stacked on a leading candidate axis: ``alice`` (candidate,
-    H, ns, nu, 2), ``bob`` (candidate, H, ns, 2) and ``init_bob`` (candidate,)."""
-
-    alice: np.ndarray
-    bob: np.ndarray
-    init_bob: np.ndarray
-
-    @classmethod
-    def of(cls, pairs: list) -> "PolicyStack":
-        return cls(
-            np.array([p.alice for p in pairs]),
-            np.array([p.bob for p in pairs]),
-            np.array([p.init_bob for p in pairs], dtype=float),
-        )
-
-    def actor_mean(self, t: int) -> np.ndarray:
-        """P(action = 1) of the player acting at stage ``t`` (alice at even
-        stages, bob at odd ones), (candidate, cell, partner's previous action)."""
-        if t % 2 == 0:
-            return self.alice[:, t // 2].reshape(self.alice.shape[0], -1, 2)
-        return np.repeat(self.bob[:, t // 2], self.alice.shape[3], axis=1)
-
-
 def continuation_centers(st: StageStats, t: int, rep: np.ndarray, policies: PolicyStack):
     """Centers (candidate, chain, 4, blocks, q), moment means and outcome mean
     squares (candidate, chain, 4) of the continuation blocks of next-stage
@@ -372,7 +347,8 @@ class StageRegions:
     """Stage ``t`` of :func:`chain_recursion`: the reward region's (center,
     radius) when the side is paid here; when a stage follows, the
     continuation regions' centers ``coef`` (candidate, chain, 4, blocks, q),
-    moment means, outcome mean squares and radii (candidate, chain, 4)."""
+    moment means (kept for a class of one only), outcome mean squares and
+    radii (candidate, chain, 4)."""
 
     st: StageStats
     t: int
@@ -421,6 +397,8 @@ def chain_recursion(
             reward = (st.reward_coef, unit_reward * st.reward_scale_sq)
         if nxt is not None:
             coef, alpha, scale_sq = continuation_centers(st, t, nxt.rep, policies)
+            if len(policies.init_bob) > 1:
+                alpha = None  # only a class of one reports its block fits
             radius = unit_next * scale_sq
         nxt = StageRegions(st, t, chains, reward, coef, alpha, scale_sq, radius)
         yield nxt

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularSystem, SpaceTooLarge
-from .game import BehaviorPolicyPair, GameSpec, PolicyPair
+from .errors import EmptyClass, SingularSystem, SpaceTooLarge
+from .game import BehaviorPolicyPair, GameSpec, PolicyPair, PolicyStack
 
 DEFAULT_CELL_BUDGET = 10**7
 SINGULAR_TOL = 1e-10
@@ -292,99 +292,86 @@ def _reward_table(spec: GameSpec, t: int) -> np.ndarray:
     return np.einsum("csuvw,cab->suvwab", coef, feats)
 
 
-def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
-    """Backward dynamic programming over the full-information chain."""
-    policy.check_grid(spec.horizon, spec.n_states, spec.n_u)
-    ns = spec.n_states
-    full, marginal = {}, {}
-    next_q = {"alice": None, "bob": None}
+def _backward(spec: GameSpec, policies: PolicyStack):
+    """Backward dynamic programming over the full-information chain, for a
+    stack of policy pairs at once.
+
+    Returns ``full[(t, side)]`` (candidate or 1, s, u, v1, v2, a, b), with
+    a leading 1 where the table does not depend on the policy, and the exact
+    values ``J_alice`` and ``J_bob``, each (candidate,).
+    """
+    full = {}
     for t in reversed(range(spec.n_stages)):
         h = t // 2
-        rewards = {
-            "alice": _reward_table(spec, t) if t % 2 == 0 else 0.0,
-            "bob": _reward_table(spec, t) if t % 2 == 1 else 0.0,
-        }
+        reward = _reward_table(spec, t)
         kern = np.moveaxis(spec.trans[t], 3, 0)  # (s, u, v1, v2, a, b, s')
         fresh = _fresh(spec, t + 1) if t + 1 < spec.n_stages else None
         for side in ("alice", "bob"):
-            if next_q[side] is None:
-                cont = 0.0
+            nq = full.get((t + 1, side))  # (c, s', u', v1', v2', a, b)
+            if nq is None:
+                cont = np.zeros((1,) + reward.shape)
+            elif t % 2 == 0:
+                # next actor is bob: draw b' from pi_b(s', a)
+                pi_b = policies.bob[:, h, :, None, None, None, :]  # (c, s', 1, 1, 1, a)
+                mixed = nq[..., 0] * (1.0 - pi_b) + nq[..., 1] * pi_b  # b axis replaced by the draw
+                avg = np.einsum("cpuvwa,puvw->cpa", mixed, fresh)
+                cont = np.einsum("suvwabp,cpa->csuvwab", kern, avg)
             else:
-                nq = next_q[side]  # (s', u', v1', v2', a, b)
-                if t % 2 == 0:
-                    # next actor is bob: draw b' from pi_b(s', a)
-                    pi_b = policy.bob[h]  # (s', a)
-                    mixed = (
-                        nq[..., 0] * (1.0 - pi_b[:, None, None, None, :])
-                        + nq[..., 1] * pi_b[:, None, None, None, :]
-                    )  # (s', u', v1', v2', a): b axis replaced by the draw
-                    avg = np.einsum("puvwa,puvw->pa", mixed, fresh)  # (s', a)
-                    cont = np.einsum("suvwabp,pa->suvwab", kern, avg)
-                else:
-                    # next actor is alice step h+1: draw a' from pi_a(s', u', b)
-                    pi_a = policy.alice[h + 1]  # (s', u', b)
-                    mixed = (
-                        nq[:, :, :, :, 0, :] * (1.0 - pi_a[:, :, None, None, :])
-                        + nq[:, :, :, :, 1, :] * pi_a[:, :, None, None, :]
-                    )  # (s', u', v1', v2', b)
-                    avg = np.einsum("puvwb,puvw->pb", mixed, fresh)  # (s', b)
-                    cont = np.einsum("suvwabp,pb->suvwab", kern, avg)
-            q = rewards[side] + cont
-            if np.isscalar(q):
-                q = np.zeros((ns, spec.n_u, spec.n_v1, spec.n_v2, 2, 2))
-            full[(t, side)] = q
-        next_q = {side: full[(t, side)] for side in ("alice", "bob")}
-
-    for (t, side), q in full.items():
-        w = _v_weights(spec, t)  # (s, v1, v2)
-        marginal[(t, side)] = StageRep.of_corners(np.einsum("suvwab,svw->suab", q, w))
+                # next actor is alice step h+1: draw a' from pi_a(s', u', b)
+                pi_a = policies.alice[:, h + 1, :, :, None, None, :]  # (c, s', u', 1, 1, b)
+                mixed = nq[..., 0, :] * (1.0 - pi_a) + nq[..., 1, :] * pi_a  # a axis replaced
+                avg = np.einsum("cpuvwb,puvw->cpb", mixed, fresh)
+                cont = np.einsum("suvwabp,cpb->csuvwab", kern, avg)
+            paid = (t % 2 == 0) == (side == "alice")
+            full[(t, side)] = (reward if paid else 0.0) + cont
 
     # integrate the opening distribution: b ~ init rule, s ~ init law,
     # (u, v) fresh, a ~ alice's first rule
-    j = {}
     fresh0 = _fresh(spec, 0)
-    pi_a0 = policy.alice[0]  # (s, u, b)
-    b_dist = np.array([1.0 - policy.init_bob, policy.init_bob])
+    pi_a0 = policies.alice[:, 0, :, :, None, None, :]  # (c, s, u, 1, 1, b)
+    b_dist = np.stack([1.0 - policies.init_bob, policies.init_bob], axis=-1)  # (c, b)
+    values = []
     for side in ("alice", "bob"):
-        q0 = full[(0, side)]  # (s, u, v1, v2, a, b)
-        mixed = (
-            q0[..., 0, :] * (1.0 - pi_a0[:, :, None, None, :])
-            + q0[..., 1, :] * pi_a0[:, :, None, None, :]
-        )  # (s, u, v1, v2, b)
-        val = np.einsum("suvwb,suvw,s,b->", mixed, fresh0, spec.init_state, b_dist)
-        j[side] = float(val)
-    return ExactQ(
-        spec=spec,
-        policy=policy,
-        full=full,
-        marginal=marginal,
-        j_alice=j["alice"],
-        j_bob=j["bob"],
-    )
+        q0 = full[(0, side)]
+        mixed = q0[..., 0, :] * (1.0 - pi_a0) + q0[..., 1, :] * pi_a0  # (c, s, u, v1, v2, b)
+        values.append(np.einsum("csuvwb,suvw,s,cb->c", mixed, fresh0, spec.init_state, b_dist))
+    return full, values[0], values[1]
+
+
+def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
+    """Exact action-value tables and values of one policy pair."""
+    policy.check_grid(spec.horizon, spec.n_states, spec.n_u)
+    full, ja, jb = _backward(spec, PolicyStack.of([policy]))
+    full = {key: q[0] for key, q in full.items()}
+    marginal = {
+        (t, side): StageRep.of_corners(np.einsum("suvwab,svw->suab", q, _v_weights(spec, t)))
+        for (t, side), q in full.items()
+    }
+    return ExactQ(spec, policy, full, marginal, float(ja[0]), float(jb[0]))
 
 
 def exact_policy_value(spec: GameSpec, policy: PolicyPair) -> tuple[float, float]:
     """Exact (J_alice, J_bob) for a policy pair."""
-    q = exact_q(spec, policy)
-    return q.j_alice, q.j_bob
+    policy.check_grid(spec.horizon, spec.n_states, spec.n_u)
+    _, ja, jb = _backward(spec, PolicyStack.of([policy]))
+    return float(ja[0]), float(jb[0])
 
 
 def exact_optimal_pair(spec: GameSpec, pairs: list[PolicyPair]) -> tuple[PolicyPair, float]:
-    """Exhaustive argmax of J_alice + J_bob over an ordered policy class.
+    """Exhaustive argmax of J_alice + J_bob over an ordered policy class, by
+    one backward pass over the whole class.
 
     Candidates must already be sorted by their lexicographic encoding; ties
     keep the earliest candidate.
     """
-    from .errors import EmptyClass
-
     if not pairs:
         raise EmptyClass("no candidate policy pairs")
-    best, best_val = None, -np.inf
     for pair in pairs:
-        ja, jb = exact_policy_value(spec, pair)
-        if ja + jb > best_val:
-            best, best_val = pair, ja + jb
-    return best, best_val
+        pair.check_grid(spec.horizon, spec.n_states, spec.n_u)
+    _, ja, jb = _backward(spec, PolicyStack.of(pairs))
+    total = ja + jb
+    best = int(np.argmax(total))  # the first maximum: ties keep the earliest pair
+    return pairs[best], float(total[best])
 
 
 # ---------------------------------------------------------------------------

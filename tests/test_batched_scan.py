@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confgame import fixtures, game, learner, sieve, smd
+from confgame import fixtures, game, learner, ope, sieve, smd
 from confgame.errors import UnboundedBelow
 
 # ---------------------------------------------------------------------------
@@ -254,3 +254,12 @@ def test_flat_direction_scores_minus_infinity(t1_class):
     assert np.array_equal(pv.unbounded_direction, direction)
     assert direction[:, 1].all() and np.abs(direction[:, [0, 2]]).max() <= 1e-12
     assert pv.plug_in == plain.plug_in[[p is best for p in pairs].index(True)]
+
+
+def test_only_a_class_of_one_keeps_its_moment_means(t1_class):
+    ds, basis, pairs = t1_class
+    engine = learner.LearnerEngine(ds, basis)
+    for cls, kept in ((pairs, False), (pairs[:1], True)):
+        policies = game.PolicyStack.of(cls)
+        stages = [s for s in ope.chain_recursion(engine.stats, policies, "bob", 2) if s.coef is not None]
+        assert stages and all((s.alpha is not None) == kept for s in stages)

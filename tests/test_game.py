@@ -68,6 +68,21 @@ def test_policy_probabilities_must_be_finite(t1):
         game.BehaviorPolicyPair.from_spec(t1, init_bob=np.nan)
 
 
+def test_policy_tables_must_have_the_same_steps():
+    with pytest.raises(MalformedSpec, match="^policy tables have 2 alice steps and 1 bob steps$"):
+        game.PolicyPair(alice=np.zeros((2, 1, 1, 2)), bob=np.zeros((1, 1, 2)), init_bob=0.5)
+
+
+def test_policy_stack_names_the_first_pair_of_another_shape(t1, t2):
+    pairs = [game.constant_policy_pair(t1, 1.0, 0.5, 0.5)] * 2 + [game.constant_policy_pair(t2, 1.0, 0.5, 0.5)]
+    with pytest.raises(
+        MalformedSpec,
+        match=r"^policy pair 2 has shapes alice \(2, 2, 1, 2\), bob \(2, 2, 2\); "
+        r"pair 0 has alice \(1, 1, 1, 2\), bob \(1, 1, 2\)$",
+    ):
+        game.PolicyStack.of(pairs)
+
+
 def test_simulate_empty_dataset(t1):
     ds = game.simulate_dataset(t1, n=0, seed=3)
     assert ds.n == 0 and ds.s.shape == (0, 1) and ds.horizon == 1

@@ -184,3 +184,141 @@ def test_optimal_value_dominates_class(t1):
     _, j_star = oracle.exact_optimal_pair(t1, pairs)
     for pair in pairs[::5]:
         assert j_star >= sum(oracle.exact_policy_value(t1, pair)) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched backward pass against the per-candidate recursion
+# ---------------------------------------------------------------------------
+
+
+def loop_exact_q(spec, policy):
+    """Reference: the backward recursion of one policy pair at a time, with
+    its marginals and opening integration; returns (full, marginal, J_alice,
+    J_bob)."""
+    full = {}
+    next_q = {"alice": None, "bob": None}
+    for t in reversed(range(spec.n_stages)):
+        h = t // 2
+        rewards = {
+            "alice": oracle._reward_table(spec, t) if t % 2 == 0 else 0.0,
+            "bob": oracle._reward_table(spec, t) if t % 2 == 1 else 0.0,
+        }
+        kern = np.moveaxis(spec.trans[t], 3, 0)
+        fresh = oracle._fresh(spec, t + 1) if t + 1 < spec.n_stages else None
+        for side in ("alice", "bob"):
+            if next_q[side] is None:
+                cont = 0.0
+            else:
+                nq = next_q[side]
+                if t % 2 == 0:
+                    pi_b = policy.bob[h]
+                    mixed = (
+                        nq[..., 0] * (1.0 - pi_b[:, None, None, None, :])
+                        + nq[..., 1] * pi_b[:, None, None, None, :]
+                    )
+                    avg = np.einsum("puvwa,puvw->pa", mixed, fresh)
+                    cont = np.einsum("suvwabp,pa->suvwab", kern, avg)
+                else:
+                    pi_a = policy.alice[h + 1]
+                    mixed = (
+                        nq[:, :, :, :, 0, :] * (1.0 - pi_a[:, :, None, None, :])
+                        + nq[:, :, :, :, 1, :] * pi_a[:, :, None, None, :]
+                    )
+                    avg = np.einsum("puvwb,puvw->pb", mixed, fresh)
+                    cont = np.einsum("suvwabp,pb->suvwab", kern, avg)
+            q = rewards[side] + cont
+            if np.isscalar(q):
+                q = np.zeros((spec.n_states, spec.n_u, spec.n_v1, spec.n_v2, 2, 2))
+            full[(t, side)] = q
+        next_q = {side: full[(t, side)] for side in ("alice", "bob")}
+    marginal = {
+        (t, side): oracle.StageRep.of_corners(
+            np.einsum("suvwab,svw->suab", q, oracle._v_weights(spec, t)))
+        for (t, side), q in full.items()
+    }
+    fresh0 = oracle._fresh(spec, 0)
+    pi_a0 = policy.alice[0]
+    b_dist = np.array([1.0 - policy.init_bob, policy.init_bob])
+    j = []
+    for side in ("alice", "bob"):
+        q0 = full[(0, side)]
+        mixed = (
+            q0[..., 0, :] * (1.0 - pi_a0[:, :, None, None, :])
+            + q0[..., 1, :] * pi_a0[:, :, None, None, :]
+        )
+        j.append(float(np.einsum("suvwb,suvw,s,b->", mixed, fresh0, spec.init_state, b_dist)))
+    return full, marginal, j[0], j[1]
+
+
+def loop_optimal_pair(spec, pairs):
+    """Reference: the strict-``>`` argmax over one recursion per candidate."""
+    best, best_val = None, -np.inf
+    for pair in pairs:
+        _, _, ja, jb = loop_exact_q(spec, pair)
+        if ja + jb > best_val:
+            best, best_val = pair, ja + jb
+    return best, best_val
+
+
+def _random_pairs(spec, seed, n=40):
+    rng = np.random.default_rng(seed)
+    h, ns, nu = spec.horizon, spec.n_states, spec.n_u
+    pairs = [
+        game.PolicyPair(rng.random((h, ns, nu, 2)), rng.random((h, ns, 2)), float(rng.random()))
+        for _ in range(n)
+    ]
+    return pairs + [game.constant_policy_pair(spec, *c) for c in ((1.0, 0.5, 0.5), (0.0, 1.0, 0.0))]
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_batched_values_match_the_loop_bit_for_bit(name):
+    spec = fixtures.get_fixture(name)
+    pairs = _random_pairs(spec, seed=len(name))
+    _, ja, jb = oracle._backward(spec, game.PolicyStack.of(pairs))
+    for i, pair in enumerate(pairs):
+        _, _, ref_a, ref_b = loop_exact_q(spec, pair)
+        assert (ja[i], jb[i]) == (ref_a, ref_b), (name, i)
+        assert oracle.exact_policy_value(spec, pair) == (ref_a, ref_b)
+    # the class's argmax is the loop's, value bits included
+    best, j_star = oracle.exact_optimal_pair(spec, pairs)
+    ref_best, ref_star = loop_optimal_pair(spec, pairs)
+    assert best is ref_best and j_star == ref_star
+
+
+@pytest.mark.parametrize("name, class_kw", [
+    ("t1", {}),
+    ("t2-h3", dict(alice_sees_prev=False, bob_sees_prev=False)),
+    ("t2-h3", {}),
+])
+def test_optimal_pair_matches_the_loop_on_deterministic_classes(name, class_kw):
+    spec = fixtures.get_fixture(name)
+    pairs = game.stationary_deterministic_pairs(spec, **class_kw)
+    best, j_star = oracle.exact_optimal_pair(spec, pairs)
+    ref_best, ref_star = loop_optimal_pair(spec, pairs)
+    assert best is ref_best
+    assert np.float64(j_star).tobytes() == np.float64(ref_star).tobytes()
+
+
+@pytest.mark.parametrize("name", ["t1", "t2", "t2-h3", "negative-control"])
+def test_exact_q_tables_match_the_loop_bit_for_bit(name):
+    spec = fixtures.get_fixture(name)
+    for pair in _random_pairs(spec, seed=3, n=3):
+        exq = oracle.exact_q(spec, pair)
+        full, marginal, ja, jb = loop_exact_q(spec, pair)
+        assert (exq.j_alice, exq.j_bob) == (ja, jb)
+        assert exq.full.keys() == full.keys()
+        for key, q in full.items():
+            assert exq.full[key].shape == q.shape
+            assert np.array_equal(exq.full[key], q), key
+            assert np.array_equal(exq.marginal[key].stack(), marginal[key].stack()), key
+
+
+def test_optimal_pair_rejects_a_wrong_grid_pair(t1, t2):
+    from confgame.errors import EmptyClass, MalformedSpec
+
+    pairs = game.stationary_deterministic_pairs(t1)
+    wrong = game.constant_policy_pair(t2, 1.0, 0.5, 0.5)
+    with pytest.raises(MalformedSpec, match=r"shapes alice \(2, 2, 1, 2\), bob \(2, 2, 2\); the game needs alice \(1, 1, 1, 2\)"):
+        oracle.exact_optimal_pair(t1, pairs[:3] + [wrong] + pairs[3:])
+    with pytest.raises(EmptyClass):
+        oracle.exact_optimal_pair(t1, [])
