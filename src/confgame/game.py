@@ -468,20 +468,19 @@ def check_dataset(ds: OfflineDataset) -> None:
     binary or a reward that is not finite."""
     ns, nu = ds.n_states, ds.n_u
     sizes = {"s": ns, "u": nu, "s_half": ns, "u_half": nu, "s_term": ns, "a": 2, "b": 2, "b_init": 2}
-    for name, size in sizes.items():
-        check_categorical(name, getattr(ds, name), size)
-    for name in ("r_a", "r_b"):
-        col = np.asarray(getattr(ds, name))
-        _raise_first(name, col, ~np.isfinite(col), "not finite")
+    for name, size in {**sizes, "r_a": None, "r_b": None}.items():
+        check_column(name, getattr(ds, name), size)
 
 
-def check_categorical(name: str, col, size: int) -> None:
+def check_column(name: str, col, size: Optional[int] = None) -> None:
     """Raise :class:`MalformedDataset` at the first entry of ``col`` outside
-    ``0..size-1``."""
+    ``0..size-1`` (integers within it, the common case, take two passes) or,
+    without a ``size``, at the first that is not finite."""
     col = np.asarray(col)
-    if col.dtype.kind in "biu" and (col.size == 0 or (col.min() >= 0 and col.max() < size)):
-        return  # integers within the bounds: the common case, in two passes
-    _raise_first(name, col, ~np.isin(col, np.arange(size)), f"not in 0..{size - 1}")
+    if size is None:
+        _raise_first(name, col, ~np.isfinite(col), "not finite")
+    elif col.dtype.kind not in "biu" or (col.size and (col.min() < 0 or col.max() >= size)):
+        _raise_first(name, col, ~np.isin(col, np.arange(size)), f"not in 0..{size - 1}")
 
 
 def _raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None:
@@ -498,11 +497,14 @@ def _raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None
     raise err
 
 
-def _sample_categorical(rows: np.ndarray, unif: np.ndarray) -> np.ndarray:
-    """Draw one category per row from per-row probability vectors."""
-    cum = np.cumsum(rows, axis=1)
-    idx = (unif[:, None] > cum).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
+def _sample_categorical(cum: np.ndarray, index, unif: np.ndarray) -> np.ndarray:
+    """Draw one category per row from the cumulative law ``cum[index]``
+    (..., k) of a table ``cum`` of cumulative probabilities: the number of
+    them below ``unif``, at most ``k - 1``."""
+    idx = np.zeros(unif.shape, dtype=np.int64)
+    for j in range(cum.shape[-1]):
+        idx += unif > cum[..., j][index]
+    return np.minimum(idx, cum.shape[-1] - 1)
 
 
 def simulate_dataset(
@@ -521,60 +523,36 @@ def simulate_dataset(
         behavior = BehaviorPolicyPair.from_spec(spec)
     behavior.check_grid(spec)
     rng = np.random.default_rng(seed)
-    h_tot, ns, nu = spec.horizon, spec.n_states, spec.n_u
-    shape = (n, h_tot)
-    out = {
-        "s": np.zeros(shape, dtype=np.int64),
-        "u": np.zeros(shape, dtype=np.int64),
-        "a": np.zeros(shape, dtype=np.int64),
-        "r_a": np.zeros(shape, dtype=float),
-        "s_half": np.zeros(shape, dtype=np.int64),
-        "u_half": np.zeros(shape, dtype=np.int64),
-        "b": np.zeros(shape, dtype=np.int64),
-        "r_b": np.zeros(shape, dtype=float),
-    }
-    hid = {k: np.zeros(shape, dtype=np.int64) for k in ("v1", "v2", "v1_half", "v2_half")}
-
+    # the columns a stage fills, alice's (even stages) first, and their stores
+    filled = (("s", "u", "a", "r_a", "v1", "v2"), ("s_half", "u_half", "b", "r_b", "v1_half", "v2_half"))
+    shape = (n, spec.horizon)
+    out = {k: np.zeros(shape, float if k.startswith("r_") else np.int64) for k in sum(filled, ())}
+    # every draw reads a row of cumulative probabilities, summed once per table
+    laws = ("init_state", "u_law", "v1_law", "v2_law", "trans")
+    cum = {name: np.cumsum(getattr(spec, name), axis=-1) for name in laws}
     b_init = (rng.random(n) < behavior.init_bob).astype(np.int64)
-    state = _sample_categorical(np.broadcast_to(spec.init_state, (n, ns)), rng.random(n))
+    state = _sample_categorical(cum["init_state"], (), rng.random(n))
     prev = b_init.copy()
 
     for t in range(spec.n_stages):
-        cur_u = _sample_categorical(spec.u_law[t][state], rng.random(n))
-        cur_v1 = _sample_categorical(spec.v1_law[t][state], rng.random(n))
-        cur_v2 = _sample_categorical(spec.v2_law[t][state], rng.random(n))
+        cur_u = _sample_categorical(cum["u_law"][t], state, rng.random(n))
+        cur_v1 = _sample_categorical(cum["v1_law"][t], state, rng.random(n))
+        cur_v2 = _sample_categorical(cum["v2_law"][t], state, rng.random(n))
         p_act = behavior.table(t)[cur_u, cur_v1, cur_v2, state, prev]
         act = (rng.random(n) < p_act).astype(np.int64)
         mean_r = spec.reward_mean(t, act, prev, cur_u, cur_v1, cur_v2, state)
         reward = mean_r + spec.reward_noise * (2.0 * rng.random(n) - 1.0)
-        if t % 2 == 0:
-            a_bit, b_bit = act, prev
-        else:
-            a_bit, b_bit = prev, act
-        next_state = _sample_categorical(
-            spec.trans[t][cur_u, cur_v1, cur_v2, state, a_bit, b_bit], rng.random(n)
-        )
-        h = t // 2
-        if t % 2 == 0:
-            out["s"][:, h], out["u"][:, h] = state, cur_u
-            out["a"][:, h], out["r_a"][:, h] = act, reward
-            hid["v1"][:, h], hid["v2"][:, h] = cur_v1, cur_v2
-        else:
-            out["s_half"][:, h], out["u_half"][:, h] = state, cur_u
-            out["b"][:, h], out["r_b"][:, h] = act, reward
-            hid["v1_half"][:, h], hid["v2_half"][:, h] = cur_v1, cur_v2
+        a_bit, b_bit = (act, prev) if t % 2 == 0 else (prev, act)
+        kernel = (cur_u, cur_v1, cur_v2, state, a_bit, b_bit)
+        next_state = _sample_categorical(cum["trans"][t], kernel, rng.random(n))
+        for name, col in zip(filled[t % 2], (state, cur_u, act, reward, cur_v1, cur_v2)):
+            out[name][:, t // 2] = col
         state = next_state
         prev = act
 
-    return OfflineDataset(
-        horizon=h_tot,
-        n_states=ns,
-        n_u=nu,
-        b_init=b_init,
-        s_term=state,
-        hidden=HiddenTrace(**hid),
-        **out,
-    )
+    hidden = HiddenTrace(**{k: out.pop(k) for k in ("v1", "v2", "v1_half", "v2_half")})
+    grid = (spec.horizon, spec.n_states, spec.n_u)
+    return OfflineDataset(*grid, b_init=b_init, s_term=state, hidden=hidden, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 Given rows ``(y, s, u, act, iv)`` where ``act`` is the acting player's binary
 action and ``iv`` the partner's previous action, this module fits the
-nuisance conditional means, assembles the per-row feature functions
-``rho1..rho10`` and stacks the moment components ``W = Phi * theta + alpha``
-whose conditional mean given (s, u) vanishes at the true marginalized
-coefficients.
+nuisance conditional means, evaluates the feature functions ``rho1..rho10``
+and stacks the moment components ``W = Phi * theta + alpha`` whose conditional
+mean given (s, u) vanishes at the true marginalized coefficients.  Every
+feature is a function of a row's (cell, instrument, action) key and the
+outcome enters linearly, so the rows are read once into a count table over
+the ``4 * cells`` keys (:class:`KeyTable`); the nuisances are fitted on that
+key grid (:func:`fit_nuisances`, which :class:`~confgame.ope.StageStats`
+calls too) and the features evaluated once per key.
 
 The roles are a parameter, not duplicated code: alice systems pass her action
 as ``act`` and the preceding bob action as ``iv``; bob systems swap them.
@@ -28,21 +32,53 @@ oracle property tests instead of being stacked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DegenerateIV, InsufficientData
-from .game import check_categorical
+from .game import check_column
 from .sieve import SeriesFit, SieveBasis, project_conditional_mean
 
 F_CLIP = 1e-6
 IV_VARIANCE_TOL = 1e-6
 
 
+def key_grid(n_states: int, n_u: int) -> tuple:
+    """(s, u, iv, act) of every key ``((s * n_u + u) * 2 + iv) * 2 + act``."""
+    cell, iv, act = (a.ravel() for a in np.indices((n_states * n_u, 2, 2)))
+    return np.divmod(cell, n_u) + (iv, act)
+
+
+def row_keys(s, u, iv, act, n_u: int) -> np.ndarray:
+    """Each row's key of :func:`key_grid`."""
+    return (((s * n_u + u) * 2 + iv) * 2 + act).astype(np.int64, copy=False)
+
+
+def mean_square(y: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted mean square of ``y``; 0 when the weights sum to 0."""
+    total = weights.sum()
+    return float((weights * y**2).sum() / total) if total > 0 else 0.0
+
+
+class KeyTable(NamedTuple):
+    """Each key's weight, row count and weighted outcome sum on the
+    (``n_states``, ``n_u``) grid, and the outcome's weighted mean square."""
+
+    weight: np.ndarray
+    count: np.ndarray
+    wy: np.ndarray
+    mean_square: float
+    n_states: int
+    n_u: int
+
+
 @dataclass
 class MomentData:
-    """One decision point's rows: outcome, cell, action and instrument."""
+    """One decision point's rows: outcome, cell, action and instrument.  Fits
+    read the rows' :class:`KeyTable`, built on the first :meth:`table` call
+    for a grid, so the arrays must not change in place after a fit."""
 
     y: np.ndarray
     s: np.ndarray
@@ -50,6 +86,7 @@ class MomentData:
     act: np.ndarray
     iv: np.ndarray
     weights: Optional[np.ndarray] = None
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.y)
@@ -61,6 +98,19 @@ class MomentData:
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+    def table(self, n_states: int, n_u: int) -> KeyTable:
+        """The rows' :class:`KeyTable` on the (``n_states``, ``n_u``) grid;
+        :class:`~confgame.errors.MalformedDataset`, naming the field and row,
+        at the first row off the grid, not binary or not finite."""
+        if (n_states, n_u) not in self._tables:
+            sizes = {"s": n_states, "u": n_u, "act": 2, "iv": 2, "y": None, "weights": None}
+            for name, size in sizes.items():
+                check_column(name, getattr(self, name), size)
+            key, size = row_keys(self.s, self.u, self.iv, self.act, n_u), 4 * n_states * n_u
+            sums = [np.bincount(key, w, minlength=size) for w in (self.weights, None, self.weights * self.y)]
+            self._tables[n_states, n_u] = KeyTable(*sums, mean_square(self.y, self.weights), n_states, n_u)
+        return self._tables[n_states, n_u]
 
 
 @dataclass
@@ -84,86 +134,104 @@ class NuisanceSet:
         return np.clip(self.f1.predict(s, u), F_CLIP, 1.0 - F_CLIP)
 
     def f2_at(self, s, u, iv) -> np.ndarray:
-        lo = self.f2[0].predict(s, u)
-        hi = self.f2[1].predict(s, u)
-        iv = np.asarray(iv)
-        return np.clip(np.where(iv > 0.5, hi, lo), F_CLIP, 1.0 - F_CLIP)
+        return np.clip(self.f2_raw(s, u, iv), F_CLIP, 1.0 - F_CLIP)
 
-    def clipped(self, s, u, iv) -> np.ndarray:
-        """How many of ``f1`` and ``f2`` each row clips (0, 1 or 2)."""
+    def f2_raw(self, s, u, iv) -> np.ndarray:
         lo, hi = (f.predict(s, u) for f in self.f2)
-        raw = np.stack([self.f1.predict(s, u), np.where(np.asarray(iv) > 0.5, hi, lo)])
-        return (np.abs(raw - np.clip(raw, F_CLIP, 1 - F_CLIP)) > 0).sum(axis=0)
+        return np.where(np.asarray(iv) > 0.5, hi, lo)
+
+    def features(self, s, u, iv, act, intercept: bool = False):
+        """Design ``phi`` (n, m, p) and outcome moments per unit outcome
+        ``alpha`` (n, m) of rows (s, u, iv, act), with m moment components and
+        p unknowns per cell (3, or 4 when an intercept is estimated); an
+        outcome ``y`` has outcome moments ``alpha * y``."""
+        f1v = self.f1_at(s, u)
+        f2v = self.f2_at(s, u, iv)
+        act = np.asarray(act, dtype=float)
+        iv = np.asarray(iv, dtype=float)
+        b_til = iv - f1v
+        a_til = act - f2v
+        rho2 = b_til * a_til * act
+        zero, one = np.zeros_like(act), np.ones_like(act)
+        m = p = 4 if intercept else 3
+        phi = np.stack(
+            [  # rows w1..w4, columns action, instrument, interaction and intercept
+                (-rho2, zero, -(iv * rho2), zero),
+                (-(b_til * act), -(iv * b_til), -(act * iv * b_til), zero),
+                (-act, -iv, -act * iv, -one),
+                (-act, -act * iv, -act * iv, -act),
+            ][:m]
+        )[:, :p]
+        alpha = np.stack([b_til * a_til, b_til, one, act][:m])
+        return np.moveaxis(phi, -1, 0), alpha.T
 
 
-def _check_iv_variance(data: MomentData, basis: SieveBasis):
-    cells = basis.cell_index(data.s, data.u)
-    w = data.weights
-    tot = np.bincount(cells, w)
-    reached = tot > 0
-    mean = np.bincount(cells, w * data.iv)
-    mean[reached] /= tot[reached]
-    var = np.bincount(cells, w * (data.iv - mean[cells]) ** 2)
-    var[reached] /= tot[reached]
-    low = np.flatnonzero(reached & (var < IV_VARIANCE_TOL))
+def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis) -> NuisanceSet:
+    """Fit the instrument mean ``f1`` and, per instrument arm, the action mean
+    ``f2`` on the key grid of ``basis`` (:func:`key_grid`), whose keys weigh
+    ``weight`` and hold ``count`` rows.  Raises, in this order,
+    :class:`InsufficientData` for fewer rows than basis functions,
+    :class:`DegenerateIV` for an instrument variance below
+    ``IV_VARIANCE_TOL`` in some cell, then per arm :class:`DegenerateIV`
+    without rows and :class:`InsufficientData` with fewer rows than basis
+    functions."""
+    n = int(count.sum())
+    if n < basis.k:
+        raise InsufficientData(f"{n} rows for {basis.k} basis functions")
+    arms = weight.reshape(-1, 2, 2).sum(axis=2)  # (cells, iv)
+    reached = np.flatnonzero(arms.sum(axis=1) > 0)
+    lo, hi = arms[reached].T
+    mean = hi / (lo + hi)
+    var = (lo * mean**2 + hi * (1.0 - mean) ** 2) / (lo + hi)
+    low = np.flatnonzero(var < IV_VARIANCE_TOL)
     if low.size:
-        raise DegenerateIV(
-            f"instrument variance {var[low[0]]:.2e} in cell {int(low[0])} is below {IV_VARIANCE_TOL}"
-        )
-
-
-def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
-    """Fit the instrument mean ``f1`` and the action mean ``f2`` by series projection.
-
-    ``f2`` is fit separately on the two instrument arms (saturated in the
-    instrument).  Raises :class:`DegenerateIV` when the instrument does not
-    vary inside some cell and :class:`InsufficientData` when an arm has fewer
-    rows than basis functions, and :class:`~confgame.errors.MalformedDataset`
-    for a row whose cell lies outside the basis grid.
-    """
-    check_categorical("s", data.s, basis.n_states)
-    check_categorical("u", data.u, basis.n_u)
-    if data.n < basis.k:
-        raise InsufficientData(f"{data.n} rows for {basis.k} basis functions")
-    _check_iv_variance(data, basis)
-    w = data.weights
-    f1 = project_conditional_mean(data.s, data.u, data.iv.astype(float), basis, w)
-    arms = []
+        low_var, cell = var[low[0]], reached[low[0]]
+        raise DegenerateIV(f"instrument variance {low_var:.2e} in cell {cell} is below {IV_VARIANCE_TOL}")
+    s, u, iv, act = key_grid(basis.n_states, basis.n_u)
+    f1 = project_conditional_mean(s, u, iv.astype(float), basis, weight)
+    arm_rows = count.reshape(-1, 2, 2).sum(axis=(0, 2))
+    f2 = []
     for b in (0, 1):
-        m = data.iv == b
-        if not m.any():
+        if arm_rows[b] == 0:
             raise DegenerateIV(f"no rows with instrument = {b}")
-        arms.append(
-            project_conditional_mean(
-                data.s[m], data.u[m], data.act[m].astype(float), basis, w[m]
-            )
-        )
-    nuis = NuisanceSet(f1=f1, f2=(arms[0], arms[1]), clip_count=0)
-    nuis.clip_count = int(nuis.clipped(data.s, data.u, data.iv).sum())
-    total = w.sum()
+        if arm_rows[b] < basis.k:
+            raise InsufficientData(f"{arm_rows[b]} rows for {basis.k} basis functions")
+        m = iv == b
+        f2.append(project_conditional_mean(s[m], u[m], act[m].astype(float), basis, weight[m]))
+    nuis = NuisanceSet(f1=f1, f2=tuple(f2), clip_count=0)
+    raw = np.stack([f1.predict(s, u), nuis.f2_raw(s, u, iv)])
+    nuis.clip_count = int(count @ (raw != np.clip(raw, F_CLIP, 1.0 - F_CLIP)).sum(axis=0))
+    total = weight.sum()
     nuis.residual_means = {
-        "w4": float((w * (data.iv - nuis.f1_at(data.s, data.u))).sum() / total),
-        "w5": float((w * (data.act - nuis.f2_at(data.s, data.u, data.iv))).sum() / total),
+        "w4": float((weight * (iv - nuis.f1_at(s, u))).sum() / total),
+        "w5": float((weight * (act - nuis.f2_at(s, u, iv))).sum() / total),
     }
     return nuis
 
 
+def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
+    """:func:`fit_nuisances` on the rows' :class:`KeyTable` over the grid of
+    ``basis`` (:meth:`MomentData.table` checks the rows)."""
+    table = data.table(basis.n_states, basis.n_u)
+    return fit_nuisances(table.weight, table.count, basis)
+
+
 @dataclass
 class MomentSystem:
-    """Per-row linear decomposition ``W_i = phi_i @ theta(s_i, u_i) + alpha_i``.
-
-    ``phi`` has shape (n, m, p) and ``alpha`` (n, m) with m moment components
-    and p unknowns per cell (3, or 4 when an intercept is estimated).
+    """Linear decomposition ``W_i = phi_i @ theta(s_i, u_i) + alpha_i`` of the
+    rows ``data``, held as their :class:`KeyTable` and each key's design
+    ``key_phi`` (4 * cells, m, p) and outcome moments per unit outcome
+    ``key_alpha`` (4 * cells, m): a fit reads only these (:meth:`cell_means`),
+    and the per-row :attr:`phi` and :attr:`alpha` are built on first use.
     ``outcome_scale`` is the weighted root mean square of the outcome; region
     radii are scaled by its square so that confidence regions transform
     exactly under a rescaling of all rewards.
     """
 
-    phi: np.ndarray
-    alpha: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
-    weights: np.ndarray
+    data: MomentData
+    table: KeyTable
+    key_phi: np.ndarray
+    key_alpha: np.ndarray
     n_states: int
     n_u: int
     intercept: bool
@@ -171,15 +239,37 @@ class MomentSystem:
 
     @property
     def n(self) -> int:
-        return self.alpha.shape[0]
+        return self.data.n
 
-    @property
-    def p(self) -> int:
-        return self.phi.shape[2]
+    @cached_property
+    def keys(self) -> np.ndarray:
+        d = self.data
+        return row_keys(d.s, d.u, d.iv, d.act, self.table.n_u)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.key_phi[self.keys]
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return self.key_alpha[self.keys] * self.data.y[:, None]
 
     def evaluate(self, theta_by_row: np.ndarray) -> np.ndarray:
         """W rows at per-row coefficient vectors (n, p) -> (n, m)."""
         return np.einsum("nmp,np->nm", self.phi, theta_by_row) + self.alpha
+
+    def cell_means(self):
+        """Cell masses (cells,) and weighted cell means of the design
+        (cells, m, p) and of the outcome moments (cells, m)."""
+        cells = self.table.weight.size // 4
+        weight, wy = self.table.weight.reshape(cells, 4), self.table.wy.reshape(cells, 4)
+        mass = weight.sum(axis=1)
+        phibar = np.einsum("ck,ckmp->cmp", weight, self.key_phi.reshape((cells, 4) + self.key_phi.shape[1:]))
+        alphabar = np.einsum("ck,ckm->cm", wy, self.key_alpha.reshape(cells, 4, -1))
+        nz = mass > 0
+        phibar[nz] /= mass[nz, None, None]
+        alphabar[nz] /= mass[nz, None]
+        return mass / mass.sum(), phibar, alphabar
 
 
 def assemble_system(
@@ -189,48 +279,16 @@ def assemble_system(
     n_states: Optional[int] = None,
     n_u: Optional[int] = None,
 ) -> MomentSystem:
-    """Stack the moment components for every row."""
-    f1v = nuis.f1_at(data.s, data.u)
-    f2v = nuis.f2_at(data.s, data.u, data.iv)
-    act = data.act.astype(float)
-    iv = data.iv.astype(float)
-    y = data.y.astype(float)
-    b_til = iv - f1v
-    a_til = act - f2v
-    rho2 = b_til * a_til * act
-    rho3 = iv * rho2
-    rho5 = b_til * act
-    rho6 = iv * b_til
-    rho7 = act * iv * b_til
-    p = 4 if intercept else 3
-    m = 4 if intercept else 3
-    phi = np.zeros((data.n, m, p))
-    alpha = np.zeros((data.n, m))
-    alpha[:, 0] = b_til * a_til * y
-    phi[:, 0, 0], phi[:, 0, 2] = -rho2, -rho3
-    alpha[:, 1] = b_til * y
-    phi[:, 1, 0], phi[:, 1, 1], phi[:, 1, 2] = -rho5, -rho6, -rho7
-    alpha[:, 2] = y
-    phi[:, 2, 0], phi[:, 2, 1], phi[:, 2, 2] = -act, -iv, -act * iv
-    if intercept:
-        phi[:, 2, 3] = -1.0
-        alpha[:, 3] = act * y
-        phi[:, 3, 0], phi[:, 3, 1], phi[:, 3, 2], phi[:, 3, 3] = (
-            -act,
-            -act * iv,
-            -act * iv,
-            -act,
-        )
-    total = data.weights.sum()
-    scale = float(np.sqrt((data.weights * y**2).sum() / total)) if total > 0 else 0.0
+    """The moment system of ``data``'s rows on the grid of ``nuis``' basis
+    (:meth:`MomentData.table` checks the rows)."""
+    grid = nuis.f1.basis
+    table = data.table(grid.n_states, grid.n_u)
     return MomentSystem(
-        phi=phi,
-        alpha=alpha,
-        s=data.s,
-        u=data.u,
-        weights=data.weights,
+        data,
+        table,
+        *nuis.features(*key_grid(grid.n_states, grid.n_u), intercept=intercept),
         n_states=n_states if n_states is not None else int(data.s.max(initial=0)) + 1,
         n_u=n_u if n_u is not None else int(data.u.max(initial=0)) + 1,
         intercept=intercept,
-        outcome_scale=scale,
+        outcome_scale=float(np.sqrt(table.mean_square)),
     )

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData
 from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair, PolicyStack, check_dataset
-from .moments import MomentData, assemble_system, estimate_nuisances
+from .moments import fit_nuisances, key_grid, mean_square, row_keys
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
 from .smd import BlockGeometry, SmdFit, fit_cell_moments
@@ -138,17 +138,17 @@ class StageStats:
     Every feature of the moment system is a function of (cell, instrument,
     action) and the reward enters linearly, so the stage's rows collapse into
     one count table over (fold, cell, instrument, action, next cell): its
-    weights, the weighted reward sums per (fold, cell, instrument, action),
-    the weighted reward square sum and the row counts.  The nuisances and
-    features are then fitted and assembled once per fold on the ``4 * cells``
-    grid of (cell, instrument, action) keys, weighted by the table.
+    weights, the weighted reward sums per (fold, cell, instrument, action)
+    and the row counts.  The nuisances are then fitted once per fold on the
+    ``4 * cells`` grid of (cell, instrument, action) keys, weighted by the
+    table (:func:`~confgame.moments.fit_nuisances`), and the features are
+    evaluated once per key.
 
     ``mass[c]`` is cell ``c``'s share of the stage weight and ``phibar4[c]``
-    the cell mean of the four-unknown design ``phi`` of
-    :func:`~confgame.moments.assemble_system`; ``phibar3`` is its top-left
-    block, the design of the intercept-free reward system.  Every outcome
-    moment is a feature times the outcome (the system's ``alpha`` at
-    ``y = 1``), so ``abar_reward`` holds the reward criterion's moment means
+    the cell mean of the four-unknown design ``phi``; ``phibar3`` is its
+    top-left block, the design of the intercept-free reward system.  Every
+    outcome moment is a feature times the outcome (``alpha`` per unit
+    outcome), so ``abar_reward`` holds the reward criterion's moment means
     and ``t_alpha[b, m, next_cell, act]`` turns any continuation outcome
     ``g(next_cell, act)`` into moment means by contraction, as
     ``scale_weights[next_cell, act]`` does for its mean square
@@ -171,7 +171,7 @@ class StageStats:
         k = ns * nu
         folds = 1 if rows.fold is None else 2
         w = rows.weights / rows.weights.sum()
-        key = ((rows.s * nu + rows.u) * 2 + rows.iv) * 2 + rows.act
+        key = row_keys(rows.s, rows.u, rows.iv, rows.act, nu)
         if rows.fold is not None:
             key = key + 4 * k * rows.fold
         table = (folds, k, 2, 2)
@@ -179,29 +179,12 @@ class StageStats:
         weight = weight.reshape(table + (k,))
         wy = np.bincount(key, w * rows.y_reward, minlength=4 * folds * k).reshape(table)
         count = np.bincount(key, minlength=4 * folds * k).reshape(table)
-        self.reward_scale_sq = float((w * rows.y_reward**2).sum())
+        self.reward_scale_sq = mean_square(rows.y_reward, rows.weights)
 
-        cell, iv, act = (a.ravel() for a in np.indices(table[1:]))
-        s, u = np.divmod(cell, nu)
-        self.nuisances, phi, alpha = [], [], []
-        for f in range(folds):
-            fit_on = folds - 1 - f  # the other fold; without cross-fitting, the only one
-            fit_rows = count[fit_on]
-            # the grid always has 4 * cells keys, so the row-count guards of
-            # estimate_nuisances run here on the table's counts, in its order
-            if fit_rows.sum() < basis.k:
-                raise InsufficientData(f"{fit_rows.sum()} rows for {basis.k} basis functions")
-            grid = MomentData(np.zeros(4 * k), s, u, act, iv, weight[fit_on].sum(axis=-1).ravel())
-            nuis = estimate_nuisances(grid, basis)
-            for arm_rows in fit_rows.sum(axis=(0, 2)):
-                if arm_rows < basis.k:
-                    raise InsufficientData(f"{arm_rows} rows for {basis.k} basis functions")
-            nuis.clip_count = int(fit_rows.ravel() @ nuis.clipped(s, u, iv))
-            self.nuisances.append(nuis)
-            # at y = 1 the outcome moments alpha are the bare features
-            system = assemble_system(MomentData(np.ones(4 * k), s, u, act, iv), nuis, intercept=True)
-            phi.append(system.phi)
-            alpha.append(system.alpha)
+        self.nuisances = []
+        for f in reversed(range(folds)):  # fitted on the other fold; without cross-fitting, the only one
+            self.nuisances.append(fit_nuisances(weight[f].sum(axis=-1).ravel(), count[f].ravel(), basis))
+        phi, alpha = zip(*(nuis.features(*key_grid(ns, nu), intercept=True) for nuis in self.nuisances))
         phi = np.reshape(phi, table + (4, 4))
         alpha = np.reshape(alpha, table + (4,))
 

@@ -226,35 +226,15 @@ def _stack_pinv(mats: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sums of per-row ``values`` (n, ...) grouped by ``index`` -> (size, ...)."""
-    m = int(np.prod(values.shape[1:]))
-    slots = (index[:, None] * m + np.arange(m)).ravel()
-    sums = np.bincount(slots, values.ravel(), minlength=size * m)
-    return sums.reshape((size,) + values.shape[1:])
-
-
-def _cell_averages(system: MomentSystem, basis: SieveBasis):
-    cells = basis.cell_index(system.s, system.u)
-    k = basis.n_cells
-    w = system.weights
-    total = w.sum()
-    mass = cell_sums(cells, w, k) / total
-    phibar = cell_sums(cells, system.phi * w[:, None, None], k)
-    alphabar = cell_sums(cells, system.alpha * w[:, None], k)
-    nz = mass > 0
-    phibar[nz] /= (mass[nz] * total)[:, None, None]
-    alphabar[nz] /= (mass[nz] * total)[:, None]
-    return mass, phibar, alphabar
-
-
 def fit_smd(system: MomentSystem, basis: SieveBasis) -> SmdFit:
-    """Minimize the projected moment criterion of a row-level system.
-
-    The criterion depends on the rows only through their per-cell averages,
-    so this is :func:`fit_cell_moments` on those averages.
-    """
-    mass, phibar, alphabar = _cell_averages(system, basis)
+    """Minimize the projected moment criterion of a row-level system: the
+    criterion depends on the rows only through their cell averages, read off
+    the system's count table, so this is :func:`fit_cell_moments` on those.
+    :class:`BasisMismatch` when ``basis`` is not built on the table's grid."""
+    have, grid = (basis.n_states, basis.n_u), (system.table.n_states, system.table.n_u)
+    if have != grid:
+        raise BasisMismatch(f"basis has (n_states, n_u) = {have}; the system has {grid}")
+    mass, phibar, alphabar = system.cell_means()
     geometry = BlockGeometry.of_basis(mass, phibar, basis)
     return fit_cell_moments(geometry, geometry.moments(alphabar), basis, system.outcome_scale)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import row_reference
 
 from confgame import fixtures, game, moments, ope, oracle, sieve
 from confgame.errors import DegenerateIV, MalformedDataset
@@ -50,21 +51,28 @@ def _one_row_system(nuis, act, iv):
     return moments.assemble_system(data, nuis, n_states=1, n_u=1)
 
 
+def _one_row_features(nuis, act, iv):
+    """Design and outcome moments of one row with outcome 2 (the feature map
+    itself: a row-level system accepts binary actions and instruments only)."""
+    phi, alpha = nuis.features(np.array([0]), np.array([0]), np.array([iv]), np.array([act]))
+    return phi, alpha * 2.0
+
+
 def test_rho_features_zero_when_instrument_residual_vanishes(t1_basis):
     # the feature map is pure arithmetic, so a synthetic row with the
     # instrument exactly at its fitted mean isolates the common factor:
     # every column carrying the instrument residual vanishes
     nuis = _crafted_nuisances(t1_basis, 0.5, 0.3, 0.6)
-    system = _one_row_system(nuis, 1.0, 0.5)
-    assert np.allclose(system.alpha[0, :2], 0.0, atol=1e-15)
-    assert np.allclose(system.phi[0, :2], 0.0, atol=1e-15)
+    phi, alpha = _one_row_features(nuis, 1.0, 0.5)
+    assert np.allclose(alpha[0, :2], 0.0, atol=1e-15)
+    assert np.allclose(phi[0, :2], 0.0, atol=1e-15)
 
 
 def test_rho_features_zero_when_action_residual_vanishes(t1_basis):
     nuis = _crafted_nuisances(t1_basis, 0.5, 0.6, 0.6)
-    system = _one_row_system(nuis, 0.6, 1.0)
-    assert abs(system.alpha[0, 0]) < 1e-15  # both-residual outcome product
-    assert np.allclose(system.phi[0, 0], 0.0, atol=1e-15)  # both-residual action products
+    phi, alpha = _one_row_features(nuis, 0.6, 1.0)
+    assert abs(alpha[0, 0]) < 1e-15  # both-residual outcome product
+    assert np.allclose(phi[0, 0], 0.0, atol=1e-15)  # both-residual action products
 
 
 def test_rho_arithmetic_on_a_fixture_row(t1_basis):
@@ -83,7 +91,7 @@ def test_population_moments_vanish_at_truth(t1, t1_basis):
     system = moments.assemble_system(data, nuis, n_states=1, n_u=1)
     truth = np.array([1.2, 0.5, 0.25])
     w_rows = system.evaluate(np.tile(truth, (system.n, 1)))
-    cond_mean = (system.weights[:, None] * w_rows).sum(axis=0) / system.weights.sum()
+    cond_mean = (data.weights[:, None] * w_rows).sum(axis=0) / data.weights.sum()
     assert np.abs(cond_mean).max() < 1e-10
 
 
@@ -101,8 +109,6 @@ def test_system_linearity_and_zero_reduction(t1, t1_basis):
 
 
 def test_duplicated_rows_leave_cell_averages_unchanged(t1, t1_basis):
-    from confgame.smd import _cell_averages
-
     ds = game.simulate_dataset(t1, n=1_000, seed=6)
     data = _stage0_data(ds)
     nuis = moments.estimate_nuisances(data, t1_basis)
@@ -112,7 +118,10 @@ def test_duplicated_rows_leave_cell_averages_unchanged(t1, t1_basis):
         act=np.tile(data.act, 2), iv=np.tile(data.iv, 2),
     )
     sys2 = moments.assemble_system(doubled, nuis, n_states=1, n_u=1)
-    for a, b in zip(_cell_averages(sys1, t1_basis), _cell_averages(sys2, t1_basis)):
+    rows1, rows2 = row_reference.rows_of(sys1), row_reference.rows_of(sys2)
+    for a, b in zip(row_reference.cell_averages(rows1, t1_basis), row_reference.cell_averages(rows2, t1_basis)):
+        assert np.allclose(a, b, atol=1e-12)
+    for a, b in zip(sys1.cell_means(), sys2.cell_means()):
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -140,3 +149,27 @@ def test_cell_outside_the_basis_grid_is_rejected(t2, t2_basis, state):
     data = moments.MomentData(y=ds.r_a[:, 0], s=s, u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init)
     with pytest.raises(MalformedDataset, match=f"^field s, row 5: value {state} is not in 0..1$"):
         moments.estimate_nuisances(data, t2_basis)
+
+
+@pytest.mark.parametrize(
+    "name, value, detail",
+    [
+        ("s", 1, "value 1 is not in 0..0"),
+        ("act", 2, "value 2 is not in 0..1"),
+        ("iv", -1, "value -1 is not in 0..1"),
+        ("y", np.nan, "value nan is not finite"),
+        ("weights", np.inf, "value inf is not finite"),
+    ],
+)
+def test_malformed_row_is_rejected(t1, t1_basis, name, value, detail):
+    ds = game.simulate_dataset(t1, n=500, seed=0)
+    good = _stage0_data(ds)
+    nuis = moments.estimate_nuisances(good, t1_basis)
+    cols = {key: np.array(getattr(good, key)) for key in ("y", "s", "u", "act", "iv", "weights")}
+    cols[name][3] = value
+    for fit in (
+        lambda: moments.estimate_nuisances(moments.MomentData(**cols), t1_basis),
+        lambda: moments.assemble_system(moments.MomentData(**cols), nuis),
+    ):
+        with pytest.raises(MalformedDataset, match=f"^field {name}, row 3: {detail}$"):
+            fit()

@@ -1,8 +1,8 @@
 """``evaluate_policy`` against a row-level reference of the same recursion.
 
-The reference below refits every block from the stage's rows with the public
-row-level pieces only -- ``MomentData``, ``estimate_nuisances``,
-``assemble_system`` and ``fit_smd`` -- and composes the block tables from the
+The reference below refits every block from the stage's rows with the
+row-by-row fit of ``row_reference`` -- nuisances, per-row features and cell
+averages of the rows themselves -- and composes the block tables from the
 action algebra directly.  Cross-fitting concatenates the two folds' systems,
 each built with nuisances fitted on the other fold.  ``evaluate_policy``
 computes the same fits from per-cell statistics read once per stage, so the
@@ -13,8 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import row_reference
 
-from confgame import fixtures, game, moments, ope, oracle, sieve, smd
+from confgame import fixtures, game, moments, ope, oracle, sieve
 
 TOL = 1e-10
 
@@ -26,9 +27,9 @@ def _rows_data(rows, y, take):
     )
 
 
-def _fit_rows(rows, parts, y, basis, intercept, ns, nu):
+def _fit_rows(rows, parts, y, basis, intercept):
     systems = [
-        moments.assemble_system(_rows_data(rows, y, take), nuis, intercept=intercept, n_states=ns, n_u=nu)
+        row_reference.assemble_system(_rows_data(rows, y, take), nuis, intercept=intercept)
         for take, nuis in parts
     ]
 
@@ -36,12 +37,11 @@ def _fit_rows(rows, parts, y, basis, intercept, ns, nu):
         return np.concatenate([getattr(s, name) for s in systems])
 
     w = rows.weights
-    system = moments.MomentSystem(
+    system = row_reference.RowSystem(
         phi=cat("phi"), alpha=cat("alpha"), s=cat("s"), u=cat("u"), weights=cat("weights"),
-        n_states=ns, n_u=nu, intercept=intercept,
         outcome_scale=float(np.sqrt((w * y**2).sum() / w.sum())),
     )
-    return smd.fit_smd(system, basis)
+    return row_reference.fit_smd(system, basis)
 
 
 def _block_outcomes(t, rows, rep, policy):
@@ -69,7 +69,7 @@ def reference_evaluate(source, policy, basis):
         else:
             splits = [(rows.fold == f, rows.fold != f) for f in (0, 1)]
         parts = [
-            (take, moments.estimate_nuisances(_rows_data(rows, np.zeros(n), fit_on), basis))
+            (take, row_reference.estimate_nuisances(_rows_data(rows, np.zeros(n), fit_on), basis))
             for take, fit_on in splits
         ]
         even = t % 2 == 0
@@ -77,7 +77,7 @@ def reference_evaluate(source, policy, basis):
         for side in ("alice", "bob"):
             rep = {name: np.zeros((ns, nu)) for name in ("theta", "gamma", "omega", "zeta")}
             if even == (side == "alice"):
-                fit = _fit_rows(rows, parts, rows.y_reward, basis, False, ns, nu)
+                fit = _fit_rows(rows, parts, rows.y_reward, basis, False)
                 fits[(t, side, "reward")] = fit
                 r = fit.predict(grid_s, grid_u).reshape(ns, nu, 3)
                 rep[own] += r[..., 0]
@@ -85,7 +85,7 @@ def reference_evaluate(source, policy, basis):
                 rep["omega"] += r[..., 2]
             if nxt[side] is not None:
                 for j, y in enumerate(_block_outcomes(t, rows, nxt[side], policy)):
-                    fit = _fit_rows(rows, parts, y, basis, True, ns, nu)
+                    fit = _fit_rows(rows, parts, y, basis, True)
                     fits[(t, side, f"block{j}")] = fit
                     b = fit.predict(grid_s, grid_u).reshape(ns, nu, 4)
                     # columns: own action, partner action, interaction, constant

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import row_reference
 
 from confgame import fixtures, game, moments, ope, sieve, smd
 from confgame.errors import BasisMismatch, IllPosedFit, UnboundedBelow
@@ -54,6 +55,14 @@ def test_general_basis_path_matches_cell_path(t1, t1_big):
     assert abs(fit_sat.loss - fit_poly.loss) < 1e-12
 
 
+def test_fit_on_another_grid_is_rejected(t2, t2_basis):
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    data = moments.MomentData(y=ds.r_a[:, 0], s=ds.s[:, 0], u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init)
+    system = moments.assemble_system(data, moments.estimate_nuisances(data, t2_basis))
+    with pytest.raises(BasisMismatch, match=r"the system has \(2, 1\)$"):
+        smd.fit_smd(system, sieve.build_basis("saturated", 1, 1))
+
+
 def test_near_singular_cell_is_ill_posed():
     # cell 1's design is singular to 1e-13 and its outcome loads on that
     # direction, so the criterion gradient cannot vanish there
@@ -101,7 +110,7 @@ def test_region_gap_matches_direct_loss(t1, t1_basis, t1_big):
 
 
 def _loss_at(system, basis, coef):
-    mass, phibar, alphabar = smd._cell_averages(system, basis)
+    mass, phibar, alphabar = row_reference.cell_averages(row_reference.rows_of(system), basis)
     loss = 0.0
     for c in range(basis.n_cells):
         if mass[c] <= 0:

@@ -1,8 +1,8 @@
 """``StageStats`` from its count table against a row-by-row construction.
 
 The reference below builds the same statistics the long way: nuisances and
-features for every row (``estimate_nuisances`` and ``assemble_system`` on
-the stage's rows), weighted per-row sums grouped by cell and by (cell, next
+features for every row (the row-by-row fit of ``row_reference`` on the
+stage's rows), weighted per-row sums grouped by cell and by (cell, next
 cell, action).  ``StageStats`` collapses the rows into a (fold, cell,
 instrument, action, next cell) table first and evaluates the features once
 per table key, so the two agree to rounding and raise the same errors.
@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import row_reference
 
 from confgame import errors, fixtures, game, moments, ope, sieve, smd
 
@@ -42,11 +43,11 @@ def row_stats(source, t, basis):
     phi_sum, reward_sum, t_sum = np.zeros((k, 4, 4)), np.zeros((k, 3)), np.zeros((k * k * 2, 4))
     clip_counts = []
     for take, fit_on in parts:
-        nuis = moments.estimate_nuisances(_rows_data(rows, w, np.zeros(n), fit_on), basis)
-        system = moments.assemble_system(_rows_data(rows, w, np.ones(n), take), nuis, intercept=True)
-        phi_sum += smd.cell_sums(cells[take], system.phi * w[take, None, None], k)
-        reward_sum += smd.cell_sums(cells[take], system.alpha[:, :3] * wy[take, None], k)
-        t_sum += smd.cell_sums(transitions[take], system.alpha * w[take, None], k * k * 2)
+        nuis = row_reference.estimate_nuisances(_rows_data(rows, w, np.zeros(n), fit_on), basis)
+        system = row_reference.assemble_system(_rows_data(rows, w, np.ones(n), take), nuis, intercept=True)
+        phi_sum += row_reference.cell_sums(cells[take], system.phi * w[take, None, None], k)
+        reward_sum += row_reference.cell_sums(cells[take], system.alpha[:, :3] * wy[take, None], k)
+        t_sum += row_reference.cell_sums(transitions[take], system.alpha * w[take, None], k * k * 2)
         clip_counts.append(nuis.clip_count)
 
     mass = np.bincount(cells, w, minlength=k)
