@@ -24,6 +24,7 @@ action plays the "action" role and the partner's previous action plays the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -338,38 +339,22 @@ def stationary_deterministic_pairs(
     from .errors import SpaceTooLarge
 
     ns, nu, h = spec.n_states, spec.n_u, spec.horizon
-    a_cells = ns * nu * (2 if alice_sees_prev else 1)
-    b_cells = ns * (2 if bob_sees_prev else 1)
+    a_shape, b_shape = (ns, nu, 2 if alice_sees_prev else 1), (ns, 2 if bob_sees_prev else 1)
+    a_full, b_full = (h, ns, nu, 2), (h, ns, 2)
+    a_cells, b_cells = int(np.prod(a_shape)), int(np.prod(b_shape))
     total = 2 ** a_cells * 2 ** b_cells * 2
     if total > cap:
         raise SpaceTooLarge(
             f"{total} deterministic pairs exceed the cap of {cap}; restrict the class"
         )
-    pairs = []
-    for init_bob in (0, 1):
-        for a_code in range(2 ** a_cells):
-            a_bits = [(a_code >> i) & 1 for i in range(a_cells)]
-            if alice_sees_prev:
-                a_tab = np.array(a_bits, dtype=float).reshape(ns, nu, 2)
-            else:
-                a_tab = np.repeat(
-                    np.array(a_bits, dtype=float).reshape(ns, nu, 1), 2, axis=2
-                )
-            for b_code in range(2 ** b_cells):
-                b_bits = [(b_code >> i) & 1 for i in range(b_cells)]
-                if bob_sees_prev:
-                    b_tab = np.array(b_bits, dtype=float).reshape(ns, 2)
-                else:
-                    b_tab = np.repeat(np.array(b_bits, dtype=float).reshape(ns, 1), 2, axis=1)
-                pairs.append(
-                    PolicyPair(
-                        alice=np.repeat(a_tab[None], h, axis=0),
-                        bob=np.repeat(b_tab[None], h, axis=0),
-                        init_bob=float(init_bob),
-                    )
-                )
-    pairs.sort(key=lambda p: p.encode())
-    return pairs
+    a_bits, b_bits = product((0, 1), repeat=a_cells), product((0, 1), repeat=b_cells)
+    a_tabs = [np.broadcast_to(np.reshape(a, a_shape), a_full).astype(float, order="C") for a in a_bits]
+    b_tabs = [np.broadcast_to(np.reshape(b, b_shape), b_full).astype(float, order="C") for b in b_bits]
+    # the tables hold 0 and 1, so first-bit-major order is the order of ``encode()``
+    return [
+        PolicyPair(alice=a_tab.copy(), bob=b_tab.copy(), init_bob=float(init_bob))
+        for init_bob, a_tab, b_tab in product((0, 1), a_tabs, b_tabs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +463,12 @@ def check_column(name: str, col, size: Optional[int] = None) -> None:
     without a ``size``, at the first that is not finite."""
     col = np.asarray(col)
     if size is None:
-        _raise_first(name, col, ~np.isfinite(col), "not finite")
+        raise_first(name, col, ~np.isfinite(col), "not finite")
     elif col.dtype.kind not in "biu" or (col.size and (col.min() < 0 or col.max() >= size)):
-        _raise_first(name, col, ~np.isin(col, np.arange(size)), f"not in 0..{size - 1}")
+        raise_first(name, col, ~np.isin(col, np.arange(size)), f"not in 0..{size - 1}")
 
 
-def _raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None:
+def raise_first(name: str, col: np.ndarray, bad: np.ndarray, what: str) -> None:
     """Name the field, row (and step) and value of the first ``bad`` entry.
     The error carries the field as ``field``, the entry's array index as
     ``index`` and what is wrong with its value as ``detail``."""

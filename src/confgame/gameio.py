@@ -229,7 +229,7 @@ def _locate_observed(block: list, first: int, n: int, horizon: int, seen: np.nda
         except ValueError as exc:
             raise CorruptRow(lineno, f"bad trajectory id {parts[0]!r}") from exc
         if not 0 <= traj < n:
-            raise SchemaMismatch(f"trajectory id {traj} outside header n={n}")
+            raise SchemaMismatch(f"line {lineno}: trajectory id {traj} outside header n={n}")
         tag = parts[1]
         try:
             if tag == "init":
@@ -241,7 +241,7 @@ def _locate_observed(block: list, first: int, n: int, horizon: int, seen: np.nda
             else:
                 slot = int(tag)
                 if not 1 <= slot <= horizon:
-                    raise SchemaMismatch(f"step {tag} outside header horizon H={horizon}")
+                    raise SchemaMismatch(f"line {lineno}: step {tag} outside header horizon H={horizon}")
                 for col in (2, 3, 4, 6, 7, 8):
                     int(parts[col])
                 float(parts[5])

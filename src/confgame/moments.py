@@ -7,9 +7,12 @@ and stacks the moment components ``W = Phi * theta + alpha`` whose conditional
 mean given (s, u) vanishes at the true marginalized coefficients.  Every
 feature is a function of a row's (cell, instrument, action) key and the
 outcome enters linearly, so the rows are read once into a count table over
-the ``4 * cells`` keys (:class:`KeyTable`); the nuisances are fitted on that
-key grid (:func:`fit_nuisances`, which :class:`~confgame.ope.StageStats`
-calls too) and the features evaluated once per key.
+those ``4 * cells`` keys, with a fold axis for cross-fitting and a next-cell
+axis for the continuation outcomes of the OPE recursion (:class:`KeyTable`).
+The row-level fit (:class:`MomentData`) and every stage of the recursion
+(:class:`~confgame.ope.StageStats`) build it (:meth:`KeyTable.of_rows`), fit
+the nuisances on it, evaluate the features once per key and take cell means
+off it through the same methods: the key layout is known only here.
 
 The roles are a parameter, not duplicated code: alice systems pass her action
 as ``act`` and the preceding bob action as ``iv``; bob systems swap them.
@@ -37,8 +40,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateIV, InsufficientData
-from .game import check_column
+from .errors import BasisMismatch, DegenerateIV, InsufficientData, MalformedDataset
+from .game import check_column, raise_first
 from .sieve import SeriesFit, SieveBasis, project_conditional_mean
 
 F_CLIP = 1e-6
@@ -56,15 +59,13 @@ def row_keys(s, u, iv, act, n_u: int) -> np.ndarray:
     return (((s * n_u + u) * 2 + iv) * 2 + act).astype(np.int64, copy=False)
 
 
-def mean_square(y: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted mean square of ``y``; 0 when the weights sum to 0."""
-    total = weights.sum()
-    return float((weights * y**2).sum() / total) if total > 0 else 0.0
-
-
 class KeyTable(NamedTuple):
-    """Each key's weight, row count and weighted outcome sum on the
-    (``n_states``, ``n_u``) grid, and the outcome's weighted mean square."""
+    """Rows tallied by (fold, cell, instrument, action) key: each key's share
+    ``weight`` (folds, cells, 2, 2, next cells) of the total weight, split by
+    the row's next cell, its row ``count`` and weighted outcome sum ``wy``
+    (folds, cells, 2, 2), and the outcome's weighted ``mean_square``, on the
+    (``n_states``, ``n_u``) grid.  Rows without folds or next cells have one
+    of each (:meth:`of_rows`)."""
 
     weight: np.ndarray
     count: np.ndarray
@@ -72,6 +73,49 @@ class KeyTable(NamedTuple):
     mean_square: float
     n_states: int
     n_u: int
+
+    @classmethod
+    def of_rows(cls, n_states, n_u, s, u, iv, act, y, weights, fold=None, next_cell=None) -> "KeyTable":
+        """The table of rows (s, u, iv, act, y) weighing ``weights``, with
+        their ``fold`` (0 or 1) and ``next_cell`` (``s * n_u + u``) if given."""
+        cells, folds = n_states * n_u, 1 if fold is None else 2
+        key = row_keys(s, u, iv, act, n_u)
+        key = key if fold is None else key + 4 * cells * fold
+        slot, nexts = (key, 1) if next_cell is None else (key * cells + next_cell, cells)
+        w = weights / (total := weights.sum())
+        keys, shape = 4 * folds * cells, (folds, cells, 2, 2)
+        weight = np.bincount(slot, w, minlength=keys * nexts).reshape(shape + (nexts,))
+        count = np.bincount(key, minlength=keys).reshape(shape)
+        wy = np.bincount(key, w * y, minlength=keys).reshape(shape)
+        mean_square = float((weights * y**2).sum() / total) if total > 0 else 0.0
+        return cls(weight, count, wy, mean_square, n_states, n_u)
+
+    def nuisances(self, basis: SieveBasis) -> list:
+        """One :class:`NuisanceSet` per fold, for that fold's features: fitted
+        on the other fold's keys (:func:`fit_nuisances`), or on all of them
+        without folds."""
+        weight = self.weight.sum(axis=-1)[::-1]
+        return [fit_nuisances(w.ravel(), count.ravel(), basis) for w, count in zip(weight, self.count[::-1])]
+
+    def features(self, nuisances: list, intercept: bool = False):
+        """Design (folds, cells, 2, 2, m, p) and outcome moments per unit
+        outcome (folds, cells, 2, 2, m) of every key
+        (:meth:`NuisanceSet.features`), fold ``f``'s from ``nuisances[f]``."""
+        grid, lead = key_grid(self.n_states, self.n_u), self.wy.shape
+        phi, alpha = zip(*(nuis.features(*grid, intercept) for nuis in nuisances))
+        return np.reshape(phi, lead + phi[0].shape[1:]), np.reshape(alpha, lead + alpha[0].shape[1:])
+
+    def cell_means(self, phi: np.ndarray, alpha: np.ndarray):
+        """Cell masses (cells,) and the weighted cell means (cells, m, p) of
+        the key designs ``phi`` and (cells, m) of the outcome moments
+        ``alpha * y``, for features per key as :meth:`features` gives them."""
+        mass = self.weight.sum(axis=(0, 2, 3, 4))
+        nz = mass > 0
+        phibar = np.einsum("fcian,fciamp->cmp", self.weight, phi)
+        phibar[nz] /= mass[nz][:, None, None]
+        alphabar = np.einsum("fcia,fciam->cm", self.wy, alpha)
+        alphabar[nz] /= mass[nz][:, None]
+        return mass, phibar, alphabar
 
 
 @dataclass
@@ -102,14 +146,17 @@ class MomentData:
     def table(self, n_states: int, n_u: int) -> KeyTable:
         """The rows' :class:`KeyTable` on the (``n_states``, ``n_u``) grid;
         :class:`~confgame.errors.MalformedDataset`, naming the field and row,
-        at the first row off the grid, not binary or not finite."""
+        at the first row off the grid, not binary, not finite or of negative
+        weight, and for weights that sum to 0."""
         if (n_states, n_u) not in self._tables:
             sizes = {"s": n_states, "u": n_u, "act": 2, "iv": 2, "y": None, "weights": None}
             for name, size in sizes.items():
                 check_column(name, getattr(self, name), size)
-            key, size = row_keys(self.s, self.u, self.iv, self.act, n_u), 4 * n_states * n_u
-            sums = [np.bincount(key, w, minlength=size) for w in (self.weights, None, self.weights * self.y)]
-            self._tables[n_states, n_u] = KeyTable(*sums, mean_square(self.y, self.weights), n_states, n_u)
+            raise_first("weights", self.weights, self.weights < 0, "negative")
+            if self.n and not self.weights.sum() > 0:
+                raise MalformedDataset("field weights: the weights sum to 0")
+            rows = (self.s, self.u, self.iv, self.act, self.y, self.weights)
+            self._tables[n_states, n_u] = KeyTable.of_rows(n_states, n_u, *rows)
         return self._tables[n_states, n_u]
 
 
@@ -212,16 +259,15 @@ def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis) -> N
 def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
     """:func:`fit_nuisances` on the rows' :class:`KeyTable` over the grid of
     ``basis`` (:meth:`MomentData.table` checks the rows)."""
-    table = data.table(basis.n_states, basis.n_u)
-    return fit_nuisances(table.weight, table.count, basis)
+    return data.table(basis.n_states, basis.n_u).nuisances(basis)[0]
 
 
 @dataclass
 class MomentSystem:
     """Linear decomposition ``W_i = phi_i @ theta(s_i, u_i) + alpha_i`` of the
     rows ``data``, held as their :class:`KeyTable` and each key's design
-    ``key_phi`` (4 * cells, m, p) and outcome moments per unit outcome
-    ``key_alpha`` (4 * cells, m): a fit reads only these (:meth:`cell_means`),
+    ``key_phi`` and outcome moments per unit outcome ``key_alpha``
+    (:meth:`KeyTable.features`): a fit reads only these (:meth:`cell_means`),
     and the per-row :attr:`phi` and :attr:`alpha` are built on first use.
     ``outcome_scale`` is the weighted root mean square of the outcome; region
     radii are scaled by its square so that confidence regions transform
@@ -232,9 +278,6 @@ class MomentSystem:
     table: KeyTable
     key_phi: np.ndarray
     key_alpha: np.ndarray
-    n_states: int
-    n_u: int
-    intercept: bool
     outcome_scale: float = 1.0
 
     @property
@@ -248,27 +291,20 @@ class MomentSystem:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return self.key_phi[self.keys]
+        return self.key_phi.reshape((-1,) + self.key_phi.shape[-2:])[self.keys]
 
     @cached_property
     def alpha(self) -> np.ndarray:
-        return self.key_alpha[self.keys] * self.data.y[:, None]
+        return self.key_alpha.reshape(-1, self.key_alpha.shape[-1])[self.keys] * self.data.y[:, None]
 
     def evaluate(self, theta_by_row: np.ndarray) -> np.ndarray:
         """W rows at per-row coefficient vectors (n, p) -> (n, m)."""
         return np.einsum("nmp,np->nm", self.phi, theta_by_row) + self.alpha
 
     def cell_means(self):
-        """Cell masses (cells,) and weighted cell means of the design
-        (cells, m, p) and of the outcome moments (cells, m)."""
-        cells = self.table.weight.size // 4
-        weight, wy = self.table.weight.reshape(cells, 4), self.table.wy.reshape(cells, 4)
-        mass = weight.sum(axis=1)
-        phibar = np.einsum("ck,ckmp->cmp", weight, self.key_phi.reshape((cells, 4) + self.key_phi.shape[1:]))
-        alphabar = np.einsum("ck,ckm->cm", wy, self.key_alpha.reshape(cells, 4, -1))
-        nz = mass > 0
-        phibar[nz] /= mass[nz, None, None]
-        alphabar[nz] /= mass[nz, None]
+        """Cell masses (cells,), summing to 1, and weighted cell means of the
+        design (cells, m, p) and of the outcome moments (cells, m)."""
+        mass, phibar, alphabar = self.table.cell_means(self.key_phi, self.key_alpha)
         return mass / mass.sum(), phibar, alphabar
 
 
@@ -280,15 +316,12 @@ def assemble_system(
     n_u: Optional[int] = None,
 ) -> MomentSystem:
     """The moment system of ``data``'s rows on the grid of ``nuis``' basis
-    (:meth:`MomentData.table` checks the rows)."""
+    (:meth:`MomentData.table` checks the rows); :class:`BasisMismatch` when
+    ``n_states`` or ``n_u`` is given and differs from that grid."""
     grid = nuis.f1.basis
-    table = data.table(grid.n_states, grid.n_u)
-    return MomentSystem(
-        data,
-        table,
-        *nuis.features(*key_grid(grid.n_states, grid.n_u), intercept=intercept),
-        n_states=n_states if n_states is not None else int(data.s.max(initial=0)) + 1,
-        n_u=n_u if n_u is not None else int(data.u.max(initial=0)) + 1,
-        intercept=intercept,
-        outcome_scale=float(np.sqrt(table.mean_square)),
-    )
+    have = (grid.n_states, grid.n_u)
+    want = (have[0] if n_states is None else n_states, have[1] if n_u is None else n_u)
+    if want != have:
+        raise BasisMismatch(f"nuisance basis has (n_states, n_u) = {have}; the system asks for {want}")
+    table = data.table(*have)
+    return MomentSystem(data, table, *table.features([nuis], intercept), float(np.sqrt(table.mean_square)))

@@ -18,11 +18,13 @@ their combination, the learner's first-stage value weights and its coverage
 check all follow from it.
 
 Every block fit needs only per-cell statistics of the stage's rows, so each
-stage reads its rows once into a :class:`StageStats`, which also holds the
-criterion geometry of its basis.  :func:`chain_recursion` is the one backward
-recursion, run on a :class:`PolicyStack` of candidates: evaluation runs it on
-a class of one with the single all-center chain, the pessimistic learner on
-its whole class with its member chains.  The rows come from a sampled
+stage reads its rows once into a :class:`StageStats`: the count table,
+nuisances, features and cell means of :mod:`confgame.moments`, the
+continuation contraction of the recursion and the criterion geometry of its
+basis.  :func:`chain_recursion` is the one backward recursion, run on a
+:class:`PolicyStack` of candidates: evaluation runs it on a class of one
+with the single all-center chain, the pessimistic learner on its whole class
+with its member chains.  The rows come from a sampled
 dataset or from exact-law weighted rows ("population mode"), which is how the
 composition algebra is tested against the brute-force oracle.
 """
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData
 from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair, PolicyStack, check_dataset
-from .moments import fit_nuisances, key_grid, mean_square, row_keys
+from .moments import KeyTable
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
 from .smd import BlockGeometry, SmdFit, fit_cell_moments
@@ -136,13 +138,11 @@ class StageStats:
     """Per-cell sufficient statistics of one stage, read from its rows once.
 
     Every feature of the moment system is a function of (cell, instrument,
-    action) and the reward enters linearly, so the stage's rows collapse into
-    one count table over (fold, cell, instrument, action, next cell): its
-    weights, the weighted reward sums per (fold, cell, instrument, action)
-    and the row counts.  The nuisances are then fitted once per fold on the
-    ``4 * cells`` grid of (cell, instrument, action) keys, weighted by the
-    table (:func:`~confgame.moments.fit_nuisances`), and the features are
-    evaluated once per key.
+    action) and the reward enters linearly, so the stage is five steps on
+    :class:`~confgame.moments.KeyTable`: the table of its rows over (fold,
+    cell, instrument, action, next cell); one nuisance fit per fold on the
+    other fold's key weights; the features of every key; their cell means;
+    and the continuation contraction below, which only the recursion needs.
 
     ``mass[c]`` is cell ``c``'s share of the stage weight and ``phibar4[c]``
     the cell mean of the four-unknown design ``phi``; ``phibar3`` is its
@@ -154,9 +154,8 @@ class StageStats:
     ``scale_weights[next_cell, act]`` does for its mean square
     (:meth:`block_moments`).
 
-    With cross-fitting the rows split into two folds; each fold's features
-    use nuisances fitted on the other fold and the weighted sums of both folds
-    are added.  ``nuisances`` holds one :class:`NuisanceSet` per fold, whose
+    With cross-fitting the weighted sums of both folds are added.
+    ``nuisances`` holds one :class:`NuisanceSet` per fold, whose
     ``clip_count`` counts rows.  ``geometry3`` and ``geometry4`` are the
     reward and continuation criteria over ``basis``
     (:meth:`~confgame.smd.BlockGeometry.of_basis`), whose blocks
@@ -168,39 +167,22 @@ class StageStats:
         rows = source.stage_rows(t)
         self.basis = basis
         self.n_states, self.n_u = ns, nu = source.n_states, source.n_u
-        k = ns * nu
-        folds = 1 if rows.fold is None else 2
-        w = rows.weights / rows.weights.sum()
-        key = row_keys(rows.s, rows.u, rows.iv, rows.act, nu)
-        if rows.fold is not None:
-            key = key + 4 * k * rows.fold
-        table = (folds, k, 2, 2)
-        weight = np.bincount(key * k + rows.next_s * nu + rows.next_u, w, minlength=4 * folds * k * k)
-        weight = weight.reshape(table + (k,))
-        wy = np.bincount(key, w * rows.y_reward, minlength=4 * folds * k).reshape(table)
-        count = np.bincount(key, minlength=4 * folds * k).reshape(table)
-        self.reward_scale_sq = mean_square(rows.y_reward, rows.weights)
-
-        self.nuisances = []
-        for f in reversed(range(folds)):  # fitted on the other fold; without cross-fitting, the only one
-            self.nuisances.append(fit_nuisances(weight[f].sum(axis=-1).ravel(), count[f].ravel(), basis))
-        phi, alpha = zip(*(nuis.features(*key_grid(ns, nu), intercept=True) for nuis in self.nuisances))
-        phi = np.reshape(phi, table + (4, 4))
-        alpha = np.reshape(alpha, table + (4,))
-
-        self.mass = mass = weight.sum(axis=(0, 2, 3, 4))
-        nz = mass > 0
-        self.phibar4 = np.einsum("fcian,fciamp->cmp", weight, phi)
-        self.phibar4[nz] /= mass[nz][:, None, None]
+        table = KeyTable.of_rows(
+            ns, nu, rows.s, rows.u, rows.iv, rows.act, rows.y_reward, rows.weights,
+            rows.fold, rows.next_s * nu + rows.next_u,
+        )
+        self.reward_scale_sq = table.mean_square
+        self.nuisances = table.nuisances(basis)
+        phi, alpha = table.features(self.nuisances, intercept=True)
+        self.mass, self.phibar4, reward_sum = table.cell_means(phi, alpha[..., :3])
         self.phibar3 = self.phibar4[:, :3, :3]
-        reward_sum = np.einsum("fcia,fciam->cm", wy, alpha[..., :3])
-        reward_sum[nz] /= mass[nz][:, None]
-        t_alpha = np.einsum("fcian,fciam->cmna", weight, alpha, order="C")
-        t_alpha[nz] /= mass[nz][:, None, None, None]
-        self.scale_weights = np.ascontiguousarray(weight.sum(axis=(0, 1, 2)).T)
+        nz = self.mass > 0
+        t_alpha = np.einsum("fcian,fciam->cmna", table.weight, alpha, order="C")
+        t_alpha[nz] /= self.mass[nz][:, None, None, None]
+        self.scale_weights = np.ascontiguousarray(table.weight.sum(axis=(0, 1, 2)).T)
 
-        self.geometry3 = BlockGeometry.of_basis(mass, self.phibar3, basis)
-        self.geometry4 = BlockGeometry.of_basis(mass, self.phibar4, basis)
+        self.geometry3 = BlockGeometry.of_basis(self.mass, self.phibar3, basis)
+        self.geometry4 = BlockGeometry.of_basis(self.mass, self.phibar4, basis)
         self.abar_reward = self.geometry3.moments(reward_sum)
         self.t_alpha = self.geometry4.moments(t_alpha)
         self.reward_coef = self.geometry3.solve(self.abar_reward)

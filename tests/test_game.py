@@ -165,6 +165,44 @@ def test_stationary_class_is_lex_sorted(t1):
     assert len(pairs) == 32
 
 
+def _sorted_class(spec, alice_sees_prev, bob_sees_prev):
+    """The stationary class as an explicit sort builds it: bit tables least
+    significant bit first, then sorted by ``encode()``."""
+    ns, nu, h = spec.n_states, spec.n_u, spec.horizon
+    a_cells, b_cells = ns * nu * (2 if alice_sees_prev else 1), ns * (2 if bob_sees_prev else 1)
+    pairs = []
+    for init_bob in (0, 1):
+        for a_code in range(2**a_cells):
+            a_tab = np.array([(a_code >> i) & 1 for i in range(a_cells)], dtype=float).reshape(ns, nu, -1)
+            for b_code in range(2**b_cells):
+                b_tab = np.array([(b_code >> i) & 1 for i in range(b_cells)], dtype=float).reshape(ns, -1)
+                pairs.append(
+                    game.PolicyPair(
+                        alice=np.repeat(np.broadcast_to(a_tab, (ns, nu, 2))[None], h, axis=0),
+                        bob=np.repeat(np.broadcast_to(b_tab, (ns, 2))[None], h, axis=0),
+                        init_bob=float(init_bob),
+                    )
+                )
+    return sorted(pairs, key=lambda p: p.encode())
+
+
+@pytest.mark.parametrize("bob_sees_prev", [True, False])
+@pytest.mark.parametrize("alice_sees_prev", [True, False])
+@pytest.mark.parametrize("fixture", sorted(fixtures.FIXTURES))
+def test_stationary_class_matches_a_sorted_enumeration(fixture, alice_sees_prev, bob_sees_prev):
+    spec = fixtures.get_fixture(fixture)
+    kw = {"alice_sees_prev": alice_sees_prev, "bob_sees_prev": bob_sees_prev}
+    pairs = game.stationary_deterministic_pairs(spec, **kw)
+    want = _sorted_class(spec, **kw)
+    assert len(pairs) == len(want)
+    for got, ref in zip(pairs, want):
+        assert got.init_bob == ref.init_bob
+        assert np.array_equal(got.alice, ref.alice) and np.array_equal(got.bob, ref.bob)
+        assert all(t.flags.writeable and t.flags.c_contiguous for t in (got.alice, got.bob))
+    tables = [t for p in pairs[:2] for t in (p.alice, p.bob)]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(tables) for b in tables[i + 1 :])
+
+
 def test_behavior_pair_for_another_grid_is_rejected(t1, t2):
     from confgame import ope
 

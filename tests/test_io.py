@@ -316,11 +316,11 @@ def test_rows_in_any_order_with_blank_lines(tmp_path, t2, monkeypatch, block):
 @pytest.mark.parametrize(
     "line, col, value, error, message",
     [
-        (2, 0, "-1", SchemaMismatch, "^trajectory id -1 outside header n=3$"),
-        (7, 0, "-1", SchemaMismatch, "^trajectory id -1 outside header n=3$"),
-        (9, 0, "3", SchemaMismatch, "^trajectory id 3 outside header n=3$"),
-        (7, 1, "0", SchemaMismatch, "^step 0 outside header horizon H=2$"),
-        (7, 1, "3", SchemaMismatch, "^step 3 outside header horizon H=2$"),
+        (2, 0, "-1", SchemaMismatch, "^line 2: trajectory id -1 outside header n=3$"),
+        (7, 0, "-1", SchemaMismatch, "^line 7: trajectory id -1 outside header n=3$"),
+        (9, 0, "3", SchemaMismatch, "^line 9: trajectory id 3 outside header n=3$"),
+        (7, 1, "0", SchemaMismatch, "^line 7: step 0 outside header horizon H=2$"),
+        (7, 1, "3", SchemaMismatch, "^line 7: step 3 outside header horizon H=2$"),
         (7, 3, "1_0", CorruptRow, "^line 7: unparseable field: could not convert string '1_0'"),
         (7, 5, "0.5x", CorruptRow, "^line 7: unparseable field: could not convert string to float: '0.5x'$"),
         (6, 8, "b", CorruptRow, "^line 6: unparseable field: invalid literal for int"),

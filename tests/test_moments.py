@@ -159,6 +159,7 @@ def test_cell_outside_the_basis_grid_is_rejected(t2, t2_basis, state):
         ("iv", -1, "value -1 is not in 0..1"),
         ("y", np.nan, "value nan is not finite"),
         ("weights", np.inf, "value inf is not finite"),
+        ("weights", -1.0, "value -1.0 is negative"),
     ],
 )
 def test_malformed_row_is_rejected(t1, t1_basis, name, value, detail):
@@ -172,4 +173,16 @@ def test_malformed_row_is_rejected(t1, t1_basis, name, value, detail):
         lambda: moments.assemble_system(moments.MomentData(**cols), nuis),
     ):
         with pytest.raises(MalformedDataset, match=f"^field {name}, row 3: {detail}$"):
+            fit()
+
+
+def test_weights_summing_to_zero_are_rejected(t1, t1_basis):
+    good = _stage0_data(game.simulate_dataset(t1, n=500, seed=0))
+    nuis = moments.estimate_nuisances(good, t1_basis)
+    cols = {key: getattr(good, key) for key in ("y", "s", "u", "act", "iv")}
+    for fit in (
+        lambda: moments.estimate_nuisances(moments.MomentData(**cols, weights=np.zeros(good.n)), t1_basis),
+        lambda: moments.assemble_system(moments.MomentData(**cols, weights=np.zeros(good.n)), nuis),
+    ):
+        with pytest.raises(MalformedDataset, match="^field weights: the weights sum to 0$"):
             fit()

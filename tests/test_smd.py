@@ -63,6 +63,16 @@ def test_fit_on_another_grid_is_rejected(t2, t2_basis):
         smd.fit_smd(system, sieve.build_basis("saturated", 1, 1))
 
 
+@pytest.mark.parametrize("grid", [{"n_states": 2}, {"n_u": 2}])
+def test_system_grid_must_match_the_nuisance_basis(t1, t1_basis, grid):
+    ds = game.simulate_dataset(t1, n=500, seed=0)
+    data = moments.MomentData(y=ds.r_a[:, 0], s=ds.s[:, 0], u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init)
+    nuis = moments.estimate_nuisances(data, t1_basis)
+    want = (grid.get("n_states", 1), grid.get("n_u", 1))
+    with pytest.raises(BasisMismatch, match=rf"= \(1, 1\); the system asks for \({want[0]}, {want[1]}\)$"):
+        moments.assemble_system(data, nuis, **grid)
+
+
 def test_near_singular_cell_is_ill_posed():
     # cell 1's design is singular to 1e-13 and its outcome loads on that
     # direction, so the criterion gradient cannot vanish there
