@@ -165,10 +165,12 @@ class GameSpec:
         return tuple(getattr(self, name) for name in REWARD_TABLES[stage % 2])
 
     def reward_mean(self, stage: int, own: np.ndarray, prev: np.ndarray, u, v1, v2, s):
-        """Mean reward of the player acting at ``stage`` for given draws."""
-        ra, ri, rx, rr = self.reward_tables(stage)
-        idx = (u, v1, v2, s)
-        return ra[idx] * own + ri[idx] * prev + rx[idx] * own * prev + rr[idx]
+        """Mean reward of the player acting at ``stage`` for given draws.  The
+        four tables share one shape, so one flat index gathers from them all."""
+        tables = self.reward_tables(stage)
+        flat = np.ravel_multi_index((u, v1, v2, s), tables[0].shape)
+        ra, ri, rx, rr = (table.ravel()[flat] for table in tables)
+        return ra * own + ri * prev + rx * own * prev + rr
 
     def scaled_rewards(self, factor: float) -> "GameSpec":
         """Same game with every reward (and reward noise) multiplied by factor."""
@@ -407,6 +409,14 @@ class OfflineDataset:
     hidden trace rides along as a sibling attribute so the oracle can audit
     simulations, but equality, the file format and every estimator use only
     the observed fields.
+
+    ``_stats`` is :func:`confgame.ope.stage_statistics`' memo of the
+    dataset's per-stage statistics, keyed by basis object and cross-fit
+    flag; only that function reads or writes it.  Storing an entry makes the
+    observed arrays read-only, so an in-place edit raises instead of leaving
+    the statistics stale; to change the data, assign new arrays (the memo
+    then rebuilds) or build a new dataset.  Equality, ``repr`` and
+    ``dataclasses.replace`` leave the memo out; ``replace`` starts empty.
     """
 
     horizon: int
@@ -423,6 +433,7 @@ class OfflineDataset:
     r_b: np.ndarray
     s_term: np.ndarray
     hidden: Optional[HiddenTrace] = None
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

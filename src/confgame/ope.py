@@ -21,7 +21,9 @@ Every block fit needs only per-cell statistics of the stage's rows, so each
 stage reads its rows once into a :class:`StageStats`: the count table,
 nuisances, features and cell means of :mod:`confgame.moments`, the
 continuation contraction of the recursion and the criterion geometry of its
-basis.  :func:`chain_recursion` is the one backward recursion, run on a
+basis.  None of it depends on the policy, so :func:`stage_statistics` builds
+a dataset's stages once and keeps them on the dataset for every later call.
+:func:`chain_recursion` is the one backward recursion, run on a
 :class:`PolicyStack` of candidates: evaluation runs it on a class of one
 with the single all-center chain, the pessimistic learner on its whole class
 with its member chains.  The rows come from a sampled
@@ -39,7 +41,15 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData
-from .game import BehaviorPolicyPair, GameSpec, OfflineDataset, PolicyPair, PolicyStack, check_dataset
+from .game import (
+    _OBSERVED_FIELDS,
+    BehaviorPolicyPair,
+    GameSpec,
+    OfflineDataset,
+    PolicyPair,
+    PolicyStack,
+    check_dataset,
+)
 from .moments import KeyTable
 from .oracle import StageRep, stage_laws
 from .sieve import SieveBasis
@@ -202,16 +212,43 @@ class StageStats:
 
 def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
     """:class:`StageStats` of every stage, in stage order; :class:`BasisMismatch`
-    when the basis is not built on the data's states and private values."""
+    when the basis is not built on the data's states and private values.
+
+    The statistics of a :class:`SampleSource` do not depend on the policy, so
+    they are built once per dataset and kept in its memo
+    (``OfflineDataset._stats``), keyed by the basis object and the source's
+    ``cross_fit`` flag; every later call for that key returns the same
+    objects, which callers must not modify.  An entry keeps its basis, which
+    must be the very object asked for (a sieve basis holds arrays and is not
+    hashable), and the observed arrays it was built from, which it makes
+    read-only: it is reused only while the dataset holds those same arrays,
+    still read-only, with the same horizon (the basis pins the states and
+    private values).  Reassigning an array, or a copy whose arrays are
+    writeable again (``copy.deepcopy``), rebuilds.  A
+    :class:`PopulationSource` is built on every call.
+    """
     want, have = (basis.n_states, basis.n_u), (source.n_states, source.n_u)
     if want != have:
         raise BasisMismatch(f"basis has (n_states, n_u) = {want}; the data have {have}")
+    ds = source.dataset if isinstance(source, SampleSource) else None
+    if ds is not None:
+        key, horizon = (id(basis), source.cross_fit), ds.horizon
+        observed = [getattr(ds, name) for name in _OBSERVED_FIELDS]
+        kept_basis, kept_horizon, kept, stats = ds._stats.get(key, (None, None, (), None))
+        if kept_basis is basis and kept_horizon == horizon and all(
+            old is now and not now.flags.writeable for old, now in zip(kept, observed)
+        ):
+            return stats
     stats = []
     for t in range(2 * source.horizon):
         try:
             stats.append(StageStats(source, t, basis))
         except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
             raise type(exc)(f"stage {t}: {exc}") from exc
+    if ds is not None:
+        for arr in observed:
+            arr.setflags(write=False)
+        ds._stats[key] = (basis, horizon, observed, stats)
     return stats
 
 

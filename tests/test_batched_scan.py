@@ -228,9 +228,11 @@ def test_chunks_match_one_piece(t1_class, monkeypatch):
 
 def test_flat_direction_scores_minus_infinity(t1_class):
     """A reward criterion blind to the instrument coefficient leaves every
-    candidate that opens with bob's action 1 unbounded below."""
+    candidate that opens with bob's action 1 unbounded below.  The engine is
+    built on a copy of the shared dataset, whose memo starts empty, so the
+    patched statistics stay out of the dataset's memo."""
     ds, basis, pairs = t1_class
-    engine = learner.LearnerEngine(ds, basis)
+    engine = learner.LearnerEngine(replace(ds), basis)
     plain = engine.score(pairs)
     st = engine.stats[0]
     hess = st.geometry3.hess.copy()

@@ -149,6 +149,27 @@ def test_reward_cell_means_match_exact_law(t1):
             assert abs(emp - exact) < 3 * se + 1e-9
 
 
+@pytest.mark.parametrize("fixture", ["t1", "t2-h3"])
+def test_reward_mean_matches_a_gather_per_table(fixture):
+    """The one flat gather of ``reward_mean`` gives bit for bit what four
+    separate four-array gathers give, on random draws and on the oracle's
+    broadcast grid."""
+    spec = fixtures.get_fixture(fixture)
+    rng = np.random.default_rng(31)
+    n = 1_000
+    draws = tuple(rng.integers(0, size, n) for size in (spec.n_u, spec.n_v1, spec.n_v2, spec.n_states))
+    own, prev = rng.integers(0, 2, n), rng.integers(0, 2, n).astype(float)
+    v1, v2 = (axis[..., None, None] for axis in np.ogrid[: spec.n_v1, : spec.n_v2])
+    grid_prev, grid_act = np.meshgrid(np.arange(2.0), np.arange(2.0), indexing="ij")
+    for t in range(spec.n_stages):
+        ra, ri, rx, rr = spec.reward_tables(t)
+        for args in ((own, prev, *draws), (grid_act, grid_prev, spec.n_u - 1, v1, v2, spec.n_states - 1)):
+            a, b, idx = args[0], args[1], args[2:]
+            want = ra[idx] * a + ri[idx] * b + rx[idx] * a * b + rr[idx]
+            got = spec.reward_mean(t, *args)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_policy_pair_rejects_v_dependent_bob(t1):
     with pytest.raises(TypeError):
         game.PolicyPair(
