@@ -453,19 +453,56 @@ class OfflineDataset:
             for f in _OBSERVED_FIELDS
         )
 
+    def __copy__(self) -> "OfflineDataset":
+        """A shallow copy with a copy of the memo, so that reassigning an
+        array of one never evicts the other's entries."""
+        clone = replace(self)
+        clone._stats = dict(self._stats)
+        return clone
+
     def iv_at(self, h: int) -> np.ndarray:
         """Bob's action preceding alice's full step ``h+1``."""
         return self.b_init if h == 0 else self.b[:, h - 1]
 
 
 def check_dataset(ds: OfflineDataset) -> None:
-    """Raise :class:`MalformedDataset` at the first out-of-range entry: a state
-    or private value outside the declared spaces, an action that is not
-    binary or a reward that is not finite."""
+    """Raise :class:`MalformedDataset` for an array of the wrong shape
+    (:func:`check_dataset_shapes`), then at the first out-of-range entry: a
+    state or private value outside the declared spaces, an action that is
+    not binary or a reward that is not finite."""
+    check_dataset_shapes(ds)
     ns, nu = ds.n_states, ds.n_u
     sizes = {"s": ns, "u": nu, "s_half": ns, "u_half": nu, "s_term": ns, "a": 2, "b": 2, "b_init": 2}
     for name, size in {**sizes, "r_a": None, "r_b": None}.items():
         check_column(name, getattr(ds, name), size)
+
+
+def check_dataset_shapes(ds: OfflineDataset, with_hidden: bool = False) -> None:
+    """:func:`check_shapes` of the observed arrays and, ``with_hidden``, of
+    the hidden trace's if there is one: ``b_init`` and ``s_term`` are
+    ``(n,)`` and every other array ``(n, k)``, where ``k`` may exceed the
+    horizon (the first ``horizon`` steps are read) but not fall short of it."""
+    arrays = {name: getattr(ds, name) for name in _OBSERVED_FIELDS}
+    if with_hidden and ds.hidden is not None:
+        arrays.update((f"hidden {name}", col) for name, col in vars(ds.hidden).items())
+    check_shapes(arrays, {name: ds.horizon for name in arrays if name not in ("b_init", "s_term")})
+
+
+def check_shapes(arrays: dict, steps: Optional[dict] = None) -> None:
+    """Raise :class:`MalformedDataset`, naming the field, its shape and the
+    shape expected, for the first of ``arrays`` (name: array) that is not
+    ``(n,)`` or, for a name in ``steps``, ``(n, k)`` with ``k`` at least
+    ``steps[name]``; ``n`` is the length most of the arrays have."""
+    steps = steps or {}
+    shapes = {name: np.shape(col) for name, col in arrays.items()}
+    lengths = [shape[:1] for shape in shapes.values()]
+    n = max(lengths, key=lengths.count)
+    for name, shape in shapes.items():
+        want = n
+        if name in steps:
+            want += (max([steps[name], *shape[1:2]]),)
+        if shape != want:
+            raise MalformedDataset(f"field {name}: shape {shape}, expected {want}")
 
 
 def check_column(name: str, col, size: Optional[int] = None) -> None:

@@ -27,7 +27,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import CorruptRow, MalformedDataset, SchemaMismatch
-from .game import COEF_TABLES, GameSpec, HiddenTrace, OfflineDataset, PolicyPair, check_dataset
+from .game import COEF_TABLES, GameSpec, HiddenTrace, OfflineDataset, PolicyPair, check_dataset, check_dataset_shapes
 
 
 def _fmt(x: float) -> str:
@@ -65,7 +65,9 @@ def hidden_path(path: str) -> str:
 
 def write_dataset(ds: OfflineDataset, path: str) -> None:
     """Write ``ds`` to ``path`` and, if it carries one, its hidden trace to
-    ``hidden_path(path)``."""
+    ``hidden_path(path)``; :class:`MalformedDataset` before anything is
+    written for an array of the wrong shape (:func:`check_dataset_shapes`)."""
+    check_dataset_shapes(ds, with_hidden=True)
     steps = range(ds.horizon)
     _write_trajectories(
         path,

@@ -17,15 +17,20 @@ off it through the same methods: the key layout is known only here.
 The roles are a parameter, not duplicated code: alice systems pass her action
 as ``act`` and the preceding bob action as ``iv``; bob systems swap them.
 
-Component layout (per row):
+Component layout (per row), by unknowns (action, instrument, interaction,
+intercept):
 
 * ``w1``  instrument-and-action residual product equation,
 * ``w2``  instrument residual equation,
 * ``w3``  plain mean equation, valid because residual blocks of well-formed
   games are centered over the private draw,
-* ``w4``  (optional, ``intercept=True``) action-weighted mean equation, which
-  additionally identifies a nonzero intercept; the backward recursion needs
-  it because continuation values carry constants.
+* ``w4``  action-weighted mean equation, which additionally identifies a
+  nonzero intercept; the backward recursion needs it because continuation
+  values carry constants.
+
+Reward residuals are centered, so the reward system is the intercept-free
+top-left block: ``w1..w3`` in the first three unknowns (:func:`assemble_system`,
+and the reward criterion of :class:`~confgame.ope.StageStats`).
 
 For a binary instrument the covariance-form identity is a ``(1 - f1)``
 multiple of ``w1`` and therefore adds no information; it is checked in the
@@ -35,13 +40,12 @@ oracle property tests instead of being stacked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BasisMismatch, DegenerateIV, InsufficientData, MalformedDataset
-from .game import check_column, raise_first
+from .game import check_column, check_shapes, raise_first
 from .sieve import SeriesFit, SieveBasis, project_conditional_mean
 
 F_CLIP = 1e-6
@@ -52,11 +56,6 @@ def key_grid(n_states: int, n_u: int) -> tuple:
     """(s, u, iv, act) of every key ``((s * n_u + u) * 2 + iv) * 2 + act``."""
     cell, iv, act = (a.ravel() for a in np.indices((n_states * n_u, 2, 2)))
     return np.divmod(cell, n_u) + (iv, act)
-
-
-def row_keys(s, u, iv, act, n_u: int) -> np.ndarray:
-    """Each row's key of :func:`key_grid`."""
-    return (((s * n_u + u) * 2 + iv) * 2 + act).astype(np.int64, copy=False)
 
 
 class KeyTable(NamedTuple):
@@ -79,7 +78,7 @@ class KeyTable(NamedTuple):
         """The table of rows (s, u, iv, act, y) weighing ``weights``, with
         their ``fold`` (0 or 1) and ``next_cell`` (``s * n_u + u``) if given."""
         cells, folds = n_states * n_u, 1 if fold is None else 2
-        key = row_keys(s, u, iv, act, n_u)
+        key = (((s * n_u + u) * 2 + iv) * 2 + act).astype(np.int64, copy=False)  # as in :func:`key_grid`
         key = key if fold is None else key + 4 * cells * fold
         slot, nexts = (key, 1) if next_cell is None else (key * cells + next_cell, cells)
         w = weights / (total := weights.sum())
@@ -97,12 +96,12 @@ class KeyTable(NamedTuple):
         weight = self.weight.sum(axis=-1)[::-1]
         return [fit_nuisances(w.ravel(), count.ravel(), basis) for w, count in zip(weight, self.count[::-1])]
 
-    def features(self, nuisances: list, intercept: bool = False):
-        """Design (folds, cells, 2, 2, m, p) and outcome moments per unit
-        outcome (folds, cells, 2, 2, m) of every key
+    def features(self, nuisances: list):
+        """Design (folds, cells, 2, 2, 4, 4) and outcome moments per unit
+        outcome (folds, cells, 2, 2, 4) of every key
         (:meth:`NuisanceSet.features`), fold ``f``'s from ``nuisances[f]``."""
         grid, lead = key_grid(self.n_states, self.n_u), self.wy.shape
-        phi, alpha = zip(*(nuis.features(*grid, intercept) for nuis in nuisances))
+        phi, alpha = zip(*(nuis.features(*grid) for nuis in nuisances))
         return np.reshape(phi, lead + phi[0].shape[1:]), np.reshape(alpha, lead + alpha[0].shape[1:])
 
     def cell_means(self, phi: np.ndarray, alpha: np.ndarray):
@@ -147,9 +146,12 @@ class MomentData:
         """The rows' :class:`KeyTable` on the (``n_states``, ``n_u``) grid;
         :class:`~confgame.errors.MalformedDataset`, naming the field and row,
         at the first row off the grid, not binary, not finite or of negative
-        weight, and for weights that sum to 0."""
+        weight, and for weights that sum to 0; before those, naming the field
+        and its shape, for a column that is not one-dimensional or whose
+        length differs from the others' (:func:`~confgame.game.check_shapes`)."""
         if (n_states, n_u) not in self._tables:
             sizes = {"s": n_states, "u": n_u, "act": 2, "iv": 2, "y": None, "weights": None}
+            check_shapes({name: getattr(self, name) for name in sizes})
             for name, size in sizes.items():
                 check_column(name, getattr(self, name), size)
             raise_first("weights", self.weights, self.weights < 0, "negative")
@@ -187,11 +189,12 @@ class NuisanceSet:
         lo, hi = (f.predict(s, u) for f in self.f2)
         return np.where(np.asarray(iv) > 0.5, hi, lo)
 
-    def features(self, s, u, iv, act, intercept: bool = False):
-        """Design ``phi`` (n, m, p) and outcome moments per unit outcome
-        ``alpha`` (n, m) of rows (s, u, iv, act), with m moment components and
-        p unknowns per cell (3, or 4 when an intercept is estimated); an
-        outcome ``y`` has outcome moments ``alpha * y``."""
+    def features(self, s, u, iv, act):
+        """Design ``phi`` (n, 4, 4) and outcome moments per unit outcome
+        ``alpha`` (n, 4) of rows (s, u, iv, act): equations ``w1..w4`` by
+        unknowns (action, instrument, interaction, intercept).  An outcome
+        ``y`` has outcome moments ``alpha * y``; the reward system is the
+        top-left block ``phi[..., :3, :3]``, ``alpha[..., :3]``."""
         f1v = self.f1_at(s, u)
         f2v = self.f2_at(s, u, iv)
         act = np.asarray(act, dtype=float)
@@ -200,16 +203,15 @@ class NuisanceSet:
         a_til = act - f2v
         rho2 = b_til * a_til * act
         zero, one = np.zeros_like(act), np.ones_like(act)
-        m = p = 4 if intercept else 3
         phi = np.stack(
             [  # rows w1..w4, columns action, instrument, interaction and intercept
                 (-rho2, zero, -(iv * rho2), zero),
                 (-(b_til * act), -(iv * b_til), -(act * iv * b_til), zero),
                 (-act, -iv, -act * iv, -one),
                 (-act, -act * iv, -act * iv, -act),
-            ][:m]
-        )[:, :p]
-        alpha = np.stack([b_til * a_til, b_til, one, act][:m])
+            ]
+        )
+        alpha = np.stack([b_til * a_til, b_til, one, act])
         return np.moveaxis(phi, -1, 0), alpha.T
 
 
@@ -264,17 +266,15 @@ def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
 
 @dataclass
 class MomentSystem:
-    """Linear decomposition ``W_i = phi_i @ theta(s_i, u_i) + alpha_i`` of the
-    rows ``data``, held as their :class:`KeyTable` and each key's design
-    ``key_phi`` and outcome moments per unit outcome ``key_alpha``
-    (:meth:`KeyTable.features`): a fit reads only these (:meth:`cell_means`),
-    and the per-row :attr:`phi` and :attr:`alpha` are built on first use.
-    ``outcome_scale`` is the weighted root mean square of the outcome; region
-    radii are scaled by its square so that confidence regions transform
-    exactly under a rescaling of all rewards.
+    """The reward system ``W = phi @ theta(s, u) + alpha * y`` of a decision
+    point's rows, held as their :class:`KeyTable` and each key's design
+    ``key_phi`` and outcome moments per unit outcome ``key_alpha``: the
+    top-left block of :meth:`KeyTable.features`.  A fit reads only their
+    cell means (:meth:`cell_means`).  ``outcome_scale`` is the weighted root
+    mean square of the outcome; region radii are scaled by its square so that
+    confidence regions transform exactly under a rescaling of all rewards.
     """
 
-    data: MomentData
     table: KeyTable
     key_phi: np.ndarray
     key_alpha: np.ndarray
@@ -282,24 +282,8 @@ class MomentSystem:
 
     @property
     def n(self) -> int:
-        return self.data.n
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        d = self.data
-        return row_keys(d.s, d.u, d.iv, d.act, self.table.n_u)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return self.key_phi.reshape((-1,) + self.key_phi.shape[-2:])[self.keys]
-
-    @cached_property
-    def alpha(self) -> np.ndarray:
-        return self.key_alpha.reshape(-1, self.key_alpha.shape[-1])[self.keys] * self.data.y[:, None]
-
-    def evaluate(self, theta_by_row: np.ndarray) -> np.ndarray:
-        """W rows at per-row coefficient vectors (n, p) -> (n, m)."""
-        return np.einsum("nmp,np->nm", self.phi, theta_by_row) + self.alpha
+        """The number of rows the table holds."""
+        return int(self.table.count.sum())
 
     def cell_means(self):
         """Cell masses (cells,), summing to 1, and weighted cell means of the
@@ -311,12 +295,12 @@ class MomentSystem:
 def assemble_system(
     data: MomentData,
     nuis: NuisanceSet,
-    intercept: bool = False,
     n_states: Optional[int] = None,
     n_u: Optional[int] = None,
 ) -> MomentSystem:
-    """The moment system of ``data``'s rows on the grid of ``nuis``' basis
-    (:meth:`MomentData.table` checks the rows); :class:`BasisMismatch` when
+    """The reward system of ``data``'s rows on the grid of ``nuis``' basis
+    (:meth:`MomentData.table` checks the rows): the top-left three equations
+    and unknowns of :meth:`KeyTable.features`.  :class:`BasisMismatch` when
     ``n_states`` or ``n_u`` is given and differs from that grid."""
     grid = nuis.f1.basis
     have = (grid.n_states, grid.n_u)
@@ -324,4 +308,5 @@ def assemble_system(
     if want != have:
         raise BasisMismatch(f"nuisance basis has (n_states, n_u) = {have}; the system asks for {want}")
     table = data.table(*have)
-    return MomentSystem(data, table, *table.features([nuis], intercept), float(np.sqrt(table.mean_square)))
+    phi, alpha = table.features([nuis])
+    return MomentSystem(table, phi[..., :3, :3], alpha[..., :3], float(np.sqrt(table.mean_square)))

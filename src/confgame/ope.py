@@ -183,7 +183,7 @@ class StageStats:
         )
         self.reward_scale_sq = table.mean_square
         self.nuisances = table.nuisances(basis)
-        phi, alpha = table.features(self.nuisances, intercept=True)
+        phi, alpha = table.features(self.nuisances)
         self.mass, self.phibar4, reward_sum = table.cell_means(phi, alpha[..., :3])
         self.phibar3 = self.phibar4[:, :3, :3]
         nz = self.mass > 0
@@ -428,7 +428,7 @@ def value_weight_tables(stats: StageStats, policies: PolicyStack) -> np.ndarray:
     """
     p1 = stats.mass / stats.mass.sum()
     pi_b = policies.init_bob[:, None]
-    pa = policies.alice[:, 0].reshape(pi_b.shape[0], -1, 2)  # (candidate, cell, b)
+    pa = policies.actor_mean(0)  # (candidate, cell, b)
     w = np.empty(pa.shape[:-1] + (4,))
     w[..., 0] = (1 - pi_b) * pa[..., 0] + pi_b * pa[..., 1]
     w[..., 1], w[..., 2], w[..., 3] = pi_b, pi_b * pa[..., 1], 1.0

@@ -106,12 +106,6 @@ def assemble_system(data, nuis, intercept=False):
     return RowSystem(phi, alpha, data.s, data.u, data.weights, scale)
 
 
-def rows_of(system):
-    """The per-row arrays of a :class:`confgame.moments.MomentSystem`."""
-    data = system.data
-    return RowSystem(system.phi, system.alpha, data.s, data.u, data.weights, system.outcome_scale)
-
-
 def cell_sums(index, values, size):
     """Sums of per-row ``values`` (n, ...) grouped by ``index`` -> (size, ...)."""
     m = int(np.prod(values.shape[1:]))

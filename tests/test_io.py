@@ -1,4 +1,6 @@
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +296,33 @@ def test_writer_writes_a_column_of_another_dtype_as_the_row_writer(tmp_path, t2)
     assert out.read_bytes() == ref.read_bytes()
     with pytest.raises(CorruptRow, match="^line 3: unparseable field: invalid literal for int"):
         gameio.read_dataset(str(out))
+
+
+WRITER_SHAPE_CASES = {  # t2 (two steps) with n = 500
+    "b_init": (lambda ds: {"b_init": ds.b_init[:-1]}, "field b_init: shape (499,), expected (500,)"),
+    "s_term": (lambda ds: {"s_term": ds.s_term[:-1]}, "field s_term: shape (499,), expected (500,)"),
+    "r_a": (lambda ds: {"r_a": ds.r_a[:-1]}, "field r_a: shape (499, 2), expected (500, 2)"),
+    "b": (lambda ds: {"b": ds.b[:, :1]}, "field b: shape (500, 1), expected (500, 2)"),
+    "u": (lambda ds: {"u": ds.u[:, 0]}, "field u: shape (500,), expected (500, 2)"),
+    "horizon": (lambda ds: {"horizon": 3}, "field s: shape (500, 2), expected (500, 3)"),
+    "hidden v1": (
+        lambda ds: {"hidden": replace(ds.hidden, v1=ds.hidden.v1[:-1])},
+        "field hidden v1: shape (499, 2), expected (500, 2)",
+    ),
+    "hidden v2_half": (
+        lambda ds: {"hidden": replace(ds.hidden, v2_half=ds.hidden.v2_half[:, :1])},
+        "field hidden v2_half: shape (500, 1), expected (500, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", WRITER_SHAPE_CASES.values(), ids=WRITER_SHAPE_CASES)
+def test_writer_rejects_arrays_of_the_wrong_shape_before_writing(tmp_path, t2, change, message):
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(MalformedDataset, match=f"^{re.escape(message)}$"):
+        gameio.write_dataset(replace(ds, **change(ds)), str(path))
+    assert not path.exists() and not Path(gameio.hidden_path(str(path))).exists()
 
 
 @pytest.mark.parametrize("block", [64, 1 << 18], ids=["small-blocks", "one-block"])

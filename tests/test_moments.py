@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import row_reference
@@ -78,7 +80,15 @@ def test_rho_features_zero_when_action_residual_vanishes(t1_basis):
 def test_rho_arithmetic_on_a_fixture_row(t1_basis):
     nuis = _crafted_nuisances(t1_basis, 0.5, 0.6, 0.6)
     system = _one_row_system(nuis, 1, 1)
-    assert abs(system.alpha[0, 0] - 0.5 * 0.4 * 2.0) < 1e-12
+    _, _, alphabar = system.cell_means()  # the one row's outcome moments
+    assert abs(alphabar[0, 0] - 0.5 * 0.4 * 2.0) < 1e-12
+
+
+def _row_moments(data, nuis):
+    """Per-row design (n, 3, 3) and outcome moments (n, 3) of the reward
+    system, from the feature map itself."""
+    phi, alpha = nuis.features(data.s, data.u, data.iv, data.act)
+    return phi[:, :3, :3], alpha[:, :3] * data.y[:, None]
 
 
 def test_population_moments_vanish_at_truth(t1, t1_basis):
@@ -90,8 +100,8 @@ def test_population_moments_vanish_at_truth(t1, t1_basis):
     nuis = moments.estimate_nuisances(data, t1_basis)
     system = moments.assemble_system(data, nuis, n_states=1, n_u=1)
     truth = np.array([1.2, 0.5, 0.25])
-    w_rows = system.evaluate(np.tile(truth, (system.n, 1)))
-    cond_mean = (data.weights[:, None] * w_rows).sum(axis=0) / data.weights.sum()
+    mass, phibar, alphabar = system.cell_means()
+    cond_mean = mass @ (phibar @ truth + alphabar)
     assert np.abs(cond_mean).max() < 1e-10
 
 
@@ -99,13 +109,22 @@ def test_system_linearity_and_zero_reduction(t1, t1_basis):
     ds = game.simulate_dataset(t1, n=2_000, seed=5)
     data = _stage0_data(ds)
     nuis = moments.estimate_nuisances(data, t1_basis)
-    system = moments.assemble_system(data, nuis, n_states=1, n_u=1)
-    t1v = np.tile([0.5, -1.0, 2.0], (system.n, 1))
-    t2v = np.tile([-0.25, 0.75, 0.0], (system.n, 1))
-    lhs = system.evaluate(t1v) - system.evaluate(t2v)
-    rhs = np.einsum("nmp,np->nm", system.phi, t1v - t2v)
+    phi, alpha = _row_moments(data, nuis)
+    n = data.n
+
+    def evaluate(theta_by_row):
+        return np.einsum("nmp,np->nm", phi, theta_by_row) + alpha
+
+    t1v = np.tile([0.5, -1.0, 2.0], (n, 1))
+    t2v = np.tile([-0.25, 0.75, 0.0], (n, 1))
+    lhs = evaluate(t1v) - evaluate(t2v)
+    rhs = np.einsum("nmp,np->nm", phi, t1v - t2v)
     assert np.allclose(lhs, rhs, atol=1e-12)
-    assert np.allclose(system.evaluate(np.zeros((system.n, 3))), system.alpha)
+    assert np.allclose(evaluate(np.zeros((n, 3))), alpha)
+    # the system's cell means are the row averages of the same components
+    system = moments.assemble_system(data, nuis, n_states=1, n_u=1)
+    _, phibar, alphabar = system.cell_means()
+    assert np.allclose(phibar[0] @ t1v[0] + alphabar[0], evaluate(t1v).mean(axis=0), atol=1e-12)
 
 
 def test_duplicated_rows_leave_cell_averages_unchanged(t1, t1_basis):
@@ -118,7 +137,7 @@ def test_duplicated_rows_leave_cell_averages_unchanged(t1, t1_basis):
         act=np.tile(data.act, 2), iv=np.tile(data.iv, 2),
     )
     sys2 = moments.assemble_system(doubled, nuis, n_states=1, n_u=1)
-    rows1, rows2 = row_reference.rows_of(sys1), row_reference.rows_of(sys2)
+    rows1, rows2 = row_reference.assemble_system(data, nuis), row_reference.assemble_system(doubled, nuis)
     for a, b in zip(row_reference.cell_averages(rows1, t1_basis), row_reference.cell_averages(rows2, t1_basis)):
         assert np.allclose(a, b, atol=1e-12)
     for a, b in zip(sys1.cell_means(), sys2.cell_means()):
@@ -185,4 +204,28 @@ def test_weights_summing_to_zero_are_rejected(t1, t1_basis):
         lambda: moments.assemble_system(moments.MomentData(**cols, weights=np.zeros(good.n)), nuis),
     ):
         with pytest.raises(MalformedDataset, match="^field weights: the weights sum to 0$"):
+            fit()
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("y", lambda col: col[:-1], "field y: shape (199,), expected (200,)"),
+        ("s", lambda col: col[:-1], "field s: shape (199,), expected (200,)"),
+        ("act", lambda col: col[:, None], "field act: shape (200, 1), expected (200,)"),
+        ("iv", lambda col: np.stack([col, col]), "field iv: shape (2, 200), expected (200,)"),
+        ("weights", lambda col: col[:-1], "field weights: shape (199,), expected (200,)"),
+    ],
+    ids=["y-short", "s-short", "act-2d", "iv-2d", "weights-short"],
+)
+def test_columns_of_another_length_or_rank_are_rejected(t1, t1_basis, name, change, message):
+    good = _stage0_data(game.simulate_dataset(t1, n=200, seed=0))
+    nuis = moments.estimate_nuisances(good, t1_basis)
+    cols = {key: getattr(good, key) for key in ("y", "s", "u", "act", "iv", "weights")}
+    cols[name] = change(cols[name])
+    for fit in (
+        lambda: moments.estimate_nuisances(moments.MomentData(**cols), t1_basis),
+        lambda: moments.assemble_system(moments.MomentData(**cols), nuis),
+    ):
+        with pytest.raises(MalformedDataset, match=f"^{re.escape(message)}$"):
             fit()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +157,28 @@ def test_malformed_dataset_is_rejected(t1, t1_basis, name, value, message):
         ope.evaluate_policy(bad, pol, t1_basis)
     with pytest.raises(MalformedDataset, match=message):
         learner.learn_policy_pair(bad, [pol], t1_basis)
+
+
+SHAPE_CASES = {  # t2 (two steps) with n = 500
+    "b_init": (lambda ds: {"b_init": ds.b_init[:-1]}, "field b_init: shape (499,), expected (500,)"),
+    "s_term": (lambda ds: {"s_term": ds.s_term[:-1]}, "field s_term: shape (499,), expected (500,)"),
+    "r_a": (lambda ds: {"r_a": ds.r_a[:-1]}, "field r_a: shape (499, 2), expected (500, 2)"),
+    "a": (lambda ds: {"a": ds.a[:, :1]}, "field a: shape (500, 1), expected (500, 2)"),
+    "r_b": (lambda ds: {"r_b": ds.r_b[:, :1]}, "field r_b: shape (500, 1), expected (500, 2)"),
+    "u": (lambda ds: {"u": ds.u[:, 0]}, "field u: shape (500,), expected (500, 2)"),
+    "horizon": (lambda ds: {"horizon": 3}, "field s: shape (500, 2), expected (500, 3)"),
+}
+
+
+@pytest.mark.parametrize("change, message", SHAPE_CASES.values(), ids=SHAPE_CASES)
+def test_dataset_of_the_wrong_shape_is_rejected(t2, t2_basis, change, message):
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    bad = replace(ds, **change(ds))
+    pol = game.constant_policy_pair(t2, 1.0, 0.5, 0.5)
+    with pytest.raises(MalformedDataset, match=f"^{re.escape(message)}$"):
+        ope.evaluate_policy(bad, pol, t2_basis)
+    with pytest.raises(MalformedDataset, match=f"^{re.escape(message)}$"):
+        learner.learn_policy_pair(bad, [pol], t2_basis)
 
 
 def test_unreached_state_leaves_other_cells_exact():

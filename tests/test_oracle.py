@@ -34,6 +34,30 @@ def test_joint_law_t2_marginal(t2):
     assert np.allclose(law.marginal_init_state(), t2.init_state, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        fixtures.t1_spec,
+        lambda: fixtures.t2_spec(horizon=1),
+        lambda: fixtures.random_valid_spec(3, n_states=2),
+        lambda: fixtures.random_valid_spec(5, n_states=3),
+    ],
+    ids=["t1", "t2-h1", "random-3", "random-5"],
+)
+def test_joint_law_matches_the_stage_laws(make):
+    """Summing the enumerated paths per stage gives ``stage_laws``' law of
+    (s, u, v1, v2, prev, act) at every stage.  A path reads (b_init, s_1,
+    draws and action of stage 0, next state, draws and action of stage 1, ...)."""
+    spec = make()
+    law = oracle.exact_joint_law(spec)
+    for t, want in enumerate(oracle.stage_laws(spec).with_action):
+        got = np.zeros_like(want)
+        for path, p in law.paths.items():
+            prev = path[0] if t == 0 else path[2 * t][3]
+            got[(path[1 + 2 * t], *path[2 + 2 * t][:3], prev, path[2 + 2 * t][3])] += p
+        assert np.abs(got - want).max() < 1e-15, t
+
+
 def test_true_coefficients_t1(t1):
     triple = oracle.true_coefficients(t1)["alice_reward"]
     assert np.allclose(

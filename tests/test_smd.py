@@ -8,10 +8,14 @@ from confgame.errors import BasisMismatch, IllPosedFit, UnboundedBelow
 TRUTH = np.array([1.2, 0.5, 0.25])
 
 
-def _fit_t1(ds, basis, **kw):
-    data = moments.MomentData(
+def _stage0_data(ds):
+    return moments.MomentData(
         y=ds.r_a[:, 0], s=ds.s[:, 0], u=ds.u[:, 0], act=ds.a[:, 0], iv=ds.b_init
     )
+
+
+def _fit_t1(ds, basis, **kw):
+    data = _stage0_data(ds)
     nuis = moments.estimate_nuisances(data, basis)
     system = moments.assemble_system(data, nuis, n_states=1, n_u=1, **kw)
     return smd.fit_smd(system, basis), system
@@ -110,17 +114,20 @@ def test_region_membership_basics(t1, t1_basis, t1_big):
 
 
 def test_region_gap_matches_direct_loss(t1, t1_basis, t1_big):
-    fit, system = _fit_t1(t1_big, t1_basis)
+    fit, _ = _fit_t1(t1_big, t1_basis)
+    data = _stage0_data(t1_big)
+    rows = row_reference.assemble_system(data, moments.estimate_nuisances(data, t1_basis))
     region = _region(fit, 1.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
         probe = fit.coef + rng.normal(scale=0.2, size=fit.coef.shape)
-        refit_loss = _loss_at(system, t1_basis, probe)
+        refit_loss = _loss_at(rows, t1_basis, probe)
         assert abs((refit_loss - fit.loss) - region.loss_gap(probe)) < 1e-9
 
 
-def _loss_at(system, basis, coef):
-    mass, phibar, alphabar = row_reference.cell_averages(row_reference.rows_of(system), basis)
+def _loss_at(rows, basis, coef):
+    """The criterion at ``coef``, from the per-row reference system ``rows``."""
+    mass, phibar, alphabar = row_reference.cell_averages(rows, basis)
     loss = 0.0
     for c in range(basis.n_cells):
         if mass[c] <= 0:

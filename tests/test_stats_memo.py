@@ -141,7 +141,7 @@ def test_copies_never_return_stale_statistics(t1):
     ds = game.simulate_dataset(t1, n=500, seed=7)
     original = ope.stage_statistics(ope.as_source(ds), basis)
 
-    shallow = copy.copy(ds)  # shares the arrays, read-only, and the memo
+    shallow = copy.copy(ds)  # shares the arrays, read-only, and starts with the memo's entries
     assert ope.stage_statistics(ope.as_source(shallow), basis) is original
     shallow.r_b = shallow.r_b + 1.0
     _assert_same_stats(ope.stage_statistics(ope.as_source(shallow), basis), _fresh(shallow, basis))
@@ -158,6 +158,19 @@ def test_copies_never_return_stale_statistics(t1):
     edited = replace(ds, r_a=ds.r_a + 1.0)
     _assert_same_stats(ope.stage_statistics(ope.as_source(edited), basis), _fresh(edited, basis))
     assert ope.stage_statistics(ope.as_source(replace(ds)), basis) is not original
+
+
+def test_a_shallow_copy_keeps_its_own_memo(t2h3, counted):
+    """Once the copy reassigns an array, the dataset and its copy each build
+    their statistics once, however often they alternate."""
+    spec, basis, _, _ = t2h3
+    ds = game.simulate_dataset(spec, n=2_000, seed=11)
+    shallow = copy.copy(ds)
+    shallow.r_b = shallow.r_b + 1.0
+    for _ in range(3):
+        for data in (ds, shallow):
+            ope.stage_statistics(ope.as_source(data), basis)
+    assert counted == Counter({t: 2 for t in range(2 * spec.horizon)})
 
 
 def test_an_entry_is_returned_for_its_own_basis_only(t1):
