@@ -12,15 +12,20 @@ minimum over each final region is closed-form and the pessimistic value is
 the minimum over chains of a sum of exact ellipsoid minima.  A value weight
 on a flat direction of some region makes the value unbounded below (``-inf``).
 
-The whole class is scored by one batched recursion per side:
+Candidates are scored by batched recursions per side:
 :func:`~confgame.ope.chain_recursion`, the same backward recursion that
 off-policy evaluation runs with a class of one and the all-center chain
 alone, run on the stacked policy tables of up to :data:`CHUNK` candidates
-with every array carrying leading (candidate, chain) axes.  It runs over the
+with every array carrying leading (candidate, chain) axes.  Since the
+pessimistic value never exceeds the plug-in value, a class of more than
+:data:`FIRST` candidates is first run through the all-center chain alone
+(:meth:`LearnerEngine.plug_in`), and the member chains score only the
+candidates whose plug-in value can still reach the best pessimistic value
+(:func:`learn_policy_pair`).  It runs over the
 per-stage statistics of :class:`~confgame.ope.StageStats`, which are
 policy-independent (design moments) or enter only through small contraction
 tables (outcome moments), so a scan costs a handful of numpy calls per stage
-for the whole chunk instead of passes over the rows or Python calls per
+for the whole batch instead of passes over the rows or Python calls per
 candidate.  Each stage's :class:`~confgame.smd.BlockGeometry`, for any sieve
 basis, gives the region centers by its guarded solve, the members of every
 (candidate, chain) in one call and the exact linear minimum, per candidate
@@ -96,6 +101,7 @@ class PessimisticValue:
 
 
 CHUNK = 512  # candidates scored per batched recursion; bounds the scan's memory
+FIRST = 64  # candidates scored before the plug-in bound prunes; a class this small is not pruned
 
 
 @dataclass
@@ -140,11 +146,7 @@ class LearnerEngine:
         """Pessimistic values of ``pairs`` by one batched chain recursion per
         side over (candidate, chain); chain ``k`` takes member ``k`` of every
         region it passes through."""
-        for pair in pairs:
-            pair.check_grid(self.horizon, self.source.n_states, self.source.n_u)
-        policies = PolicyStack.of(pairs)
-        st = self.stats[0]
-        weights = _stage0_weights(st, value_weight_tables(st, policies))
+        policies, weights = self._stack(pairs)
         scores = ClassScores(np.zeros(len(pairs)), np.zeros(len(pairs)), {}, {}, {}, {})
         for side in ("alice", "bob"):
             for regions in chain_recursion(self.stats, policies, side, self.eta.k_members, self.radius_units):
@@ -152,16 +154,37 @@ class LearnerEngine:
             _add_first_stage(scores, side, regions, *weights)
         return scores
 
+    def plug_in(self, pairs: list) -> np.ndarray:
+        """Plug-in values (candidate,) of ``pairs``: the all-center chain of
+        :meth:`score` alone, which gives its ``plug_in`` bit for bit at a
+        fraction of the cost."""
+        policies, weights = self._stack(pairs)
+        value = np.zeros(len(pairs))
+        for side in ("alice", "bob"):
+            for regions in chain_recursion(self.stats, policies, side):
+                pass
+            value += _center_value(regions, *weights)
+        return value
+
+    def _stack(self, pairs: list):
+        """The :class:`PolicyStack` of ``pairs`` and their first-stage value
+        weights (:func:`_stage0_weights`)."""
+        for pair in pairs:
+            pair.check_grid(self.horizon, self.source.n_states, self.source.n_u)
+        policies = PolicyStack.of(pairs)
+        st = self.stats[0]
+        return policies, _stage0_weights(st, value_weight_tables(st, policies))
+
 
 def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks) -> None:
     """Add one side's exact first-stage minima (candidate, chain) over its
     ``regions`` (:class:`~confgame.ope.StageRegions`) to ``scores``."""
     st, cand = regions.st, scores.value.shape[0]
+    scores.plug_in += _center_value(regions, w_reward, w_blocks)
     if regions.reward is not None:
         center, eta = regions.reward
         value, argmin = st.geometry3.min_linear(w_reward, center, eta)
         scores.value += value
-        scores.plug_in += np.einsum("cp,...cp->...", center, w_reward)
         scores.attaining[(side, "reward")] = argmin
         scores.region_sizes[(side, "reward")] = np.full(cand, eta)
         scores.flat[(side, "reward")] = st.geometry3.flat_part(w_reward)
@@ -180,7 +203,17 @@ def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks
         scores.region_sizes[(side, f"block{j}")] = eta
         scores.flat[(side, f"block{j}")] = st.geometry4.flat_part(w_blocks[j])
     scores.value += vals.min(axis=1)
-    scores.plug_in += sum(np.einsum("...cp,...cp->...", coef[:, 0, j], w_blocks[j]) for j in range(4))
+
+
+def _center_value(regions, w_reward, w_blocks) -> np.ndarray:
+    """One side's first-stage value (candidate,) at the region centers of
+    ``regions``, chain 0: the plug-in value."""
+    parts = []
+    if regions.reward is not None:
+        parts.append(np.einsum("cp,...cp->...", regions.reward[0], w_reward))
+    if regions.coef is not None:
+        parts.append(sum(np.einsum("...cp,...cp->...", regions.coef[:, 0, j], w_blocks[j]) for j in range(4)))
+    return sum(parts)
 
 
 def _stage0_weights(st, w_rep: np.ndarray):
@@ -227,22 +260,39 @@ def learn_policy_pair(
     eta: EtaConfig = EtaConfig(),
     engine: Optional[LearnerEngine] = None,
 ) -> tuple[PolicyPair, PessimisticValue]:
-    """Exhaustive pessimistic argmax over an ordered policy class.
+    """Pessimistic argmax over an ordered policy class.
 
-    The class is scored :data:`CHUNK` candidates at a time.  Candidates must
-    be sorted by their encoding; ties keep the earliest, so the tie-break is
-    lexicographic by construction.
+    No candidate's pessimistic value exceeds its plug-in value, so a class
+    of more than :data:`FIRST` candidates is pruned by a plug-in pass
+    (:meth:`LearnerEngine.plug_in`): the :data:`FIRST` best by plug-in value
+    (a stable sort, best first) are scored, then, :data:`CHUNK` at a time and
+    in that order, every other candidate whose plug-in value is at least the
+    best pessimistic value so far less a margin of ``1e-9`` times the largest
+    finite plug-in magnitude (at least 1), so that rounding cannot prune a
+    winner; a candidate whose plug-in value is not finite is always scored.
+    A smaller class is scored whole, :data:`CHUNK` at a time.  The winner is
+    the first maximum in class order among the scored candidates: candidates
+    must be sorted by their encoding, so the tie-break is lexicographic by
+    construction, and the result is that of scoring every candidate.
     """
     if not policy_class:
         raise EmptyClass("no candidate policy pairs")
     if engine is None:
         engine = LearnerEngine(data, basis, eta)
-    best, best_value = 0, -np.inf
-    for start in range(0, len(policy_class), CHUNK):
-        values = engine.score(policy_class[start : start + CHUNK]).value
-        top = int(np.argmax(values))
-        if values[top] > best_value:
-            best, best_value = start + top, values[top]
+    values = np.full(len(policy_class), -np.inf)
+    order, size, plug_in = np.arange(len(policy_class)), CHUNK, None
+    if len(policy_class) > FIRST:
+        plug_in = engine.plug_in(policy_class)
+        finite = np.isfinite(plug_in)
+        margin = 1e-9 * np.abs(plug_in[finite]).max(initial=1.0)
+        order, size = np.argsort(-plug_in, kind="stable"), FIRST
+    while order.size:
+        batch, order = order[:size], order[size:]
+        values[batch] = engine.score([policy_class[i] for i in batch]).value
+        if plug_in is not None:
+            order = order[~finite[order] | (plug_in[order] >= values.max() - margin)]
+        size = CHUNK
+    best = int(np.argmax(values))
     return policy_class[best], pessimistic_value(engine, policy_class[best])
 
 

@@ -89,12 +89,13 @@ class KeyTable(NamedTuple):
         mean_square = float((weights * y**2).sum() / total) if total > 0 else 0.0
         return cls(weight, count, wy, mean_square, n_states, n_u)
 
-    def nuisances(self, basis: SieveBasis) -> list:
+    def nuisances(self, basis: SieveBasis, row_name: str = "rows") -> list:
         """One :class:`NuisanceSet` per fold, for that fold's features: fitted
         on the other fold's keys (:func:`fit_nuisances`), or on all of them
         without folds."""
         weight = self.weight.sum(axis=-1)[::-1]
-        return [fit_nuisances(w.ravel(), count.ravel(), basis) for w, count in zip(weight, self.count[::-1])]
+        counts = self.count[::-1]
+        return [fit_nuisances(w.ravel(), count.ravel(), basis, row_name) for w, count in zip(weight, counts)]
 
     def features(self, nuisances: list):
         """Design (folds, cells, 2, 2, 4, 4) and outcome moments per unit
@@ -215,7 +216,9 @@ class NuisanceSet:
         return np.moveaxis(phi, -1, 0), alpha.T
 
 
-def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis) -> NuisanceSet:
+def fit_nuisances(
+    weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows"
+) -> NuisanceSet:
     """Fit the instrument mean ``f1`` and, per instrument arm, the action mean
     ``f2`` on the key grid of ``basis`` (:func:`key_grid`), whose keys weigh
     ``weight`` and hold ``count`` rows.  Raises, in this order,
@@ -223,10 +226,11 @@ def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis) -> N
     :class:`DegenerateIV` for an instrument variance below
     ``IV_VARIANCE_TOL`` in some cell, then per arm :class:`DegenerateIV`
     without rows and :class:`InsufficientData` with fewer rows than basis
-    functions."""
+    functions; the two row counts call the rows ``row_name`` (exact-law rows
+    are the law's atoms)."""
     n = int(count.sum())
     if n < basis.k:
-        raise InsufficientData(f"{n} rows for {basis.k} basis functions")
+        raise InsufficientData(f"{n} {row_name} for {basis.k} basis functions")
     arms = weight.reshape(-1, 2, 2).sum(axis=2)  # (cells, iv)
     reached = np.flatnonzero(arms.sum(axis=1) > 0)
     lo, hi = arms[reached].T
@@ -244,7 +248,7 @@ def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis) -> N
         if arm_rows[b] == 0:
             raise DegenerateIV(f"no rows with instrument = {b}")
         if arm_rows[b] < basis.k:
-            raise InsufficientData(f"{arm_rows[b]} rows for {basis.k} basis functions")
+            raise InsufficientData(f"{arm_rows[b]} {row_name} for {basis.k} basis functions")
         m = iv == b
         f2.append(project_conditional_mean(s[m], u[m], act[m].astype(float), basis, weight[m]))
     nuis = NuisanceSet(f1=f1, f2=tuple(f2), clip_count=0)

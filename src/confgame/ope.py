@@ -75,11 +75,20 @@ class SampleSource:
     """Adapter exposing an offline dataset stage by stage.
 
     Raises :class:`MalformedDataset` when a state or private value is out of
-    range, an action is not binary or a reward is not finite.
+    range, an action is not binary or a reward is not finite
+    (:func:`~confgame.game.check_dataset`).  A dataset that still holds the
+    read-only arrays of an entry in its memo (:func:`stage_statistics`), with
+    the same horizon and grid, was checked when the entry was stored and is
+    not checked again; ``checked`` is the :func:`_dataset_view` this source
+    vouches for.
     """
 
+    row_name = "rows"  # what the row-count guards count
+
     def __init__(self, dataset: OfflineDataset, cross_fit: bool = False):
-        check_dataset(dataset)
+        self.checked = _dataset_view(dataset)
+        if not any(_same_view(entry[1], self.checked) for entry in dataset._stats.values()):
+            check_dataset(dataset)
         self.dataset = dataset
         self.cross_fit = cross_fit
         self.horizon = dataset.horizon
@@ -101,7 +110,10 @@ class SampleSource:
 
 
 class PopulationSource:
-    """Exact-law weighted rows; every sample average becomes an expectation."""
+    """Exact-law weighted rows; every sample average becomes an expectation.
+    A row is an atom of the law, so the row-count guards count atoms."""
+
+    row_name = "law atoms (population mode)"
 
     def __init__(self, spec: GameSpec, behavior: Optional[BehaviorPolicyPair] = None):
         self.spec = spec
@@ -182,7 +194,7 @@ class StageStats:
             rows.fold, rows.next_s * nu + rows.next_u,
         )
         self.reward_scale_sq = table.mean_square
-        self.nuisances = table.nuisances(basis)
+        self.nuisances = table.nuisances(basis, source.row_name)
         phi, alpha = table.features(self.nuisances)
         self.mass, self.phibar4, reward_sum = table.cell_means(phi, alpha[..., :3])
         self.phibar3 = self.phibar4[:, :3, :3]
@@ -220,25 +232,26 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
     ``cross_fit`` flag; every later call for that key returns the same
     objects, which callers must not modify.  An entry keeps its basis, which
     must be the very object asked for (a sieve basis holds arrays and is not
-    hashable), and the observed arrays it was built from, which it makes
-    read-only: it is reused only while the dataset holds those same arrays,
-    still read-only, with the same horizon (the basis pins the states and
-    private values).  Reassigning an array, or a copy whose arrays are
-    writeable again (``copy.deepcopy``), rebuilds.  A
-    :class:`PopulationSource` is built on every call.
+    hashable), and the :func:`_dataset_view` it was built from, whose arrays
+    it makes read-only: it is reused only while the dataset holds those same
+    arrays, still read-only, with the same horizon, states and private
+    values.  Reassigning an array, or a copy whose arrays are writeable again
+    (``copy.deepcopy``), rebuilds.  Every entry holds checked arrays: a
+    dataset that no longer holds the arrays its source checked is checked
+    again before a build.  A :class:`PopulationSource` is built on every
+    call.
     """
     want, have = (basis.n_states, basis.n_u), (source.n_states, source.n_u)
     if want != have:
         raise BasisMismatch(f"basis has (n_states, n_u) = {want}; the data have {have}")
     ds = source.dataset if isinstance(source, SampleSource) else None
     if ds is not None:
-        key, horizon = (id(basis), source.cross_fit), ds.horizon
-        observed = [getattr(ds, name) for name in _OBSERVED_FIELDS]
-        kept_basis, kept_horizon, kept, stats = ds._stats.get(key, (None, None, (), None))
-        if kept_basis is basis and kept_horizon == horizon and all(
-            old is now and not now.flags.writeable for old, now in zip(kept, observed)
-        ):
+        key, view = (id(basis), source.cross_fit), _dataset_view(ds)
+        kept_basis, kept_view, stats = ds._stats.get(key, (None, None, None))
+        if kept_basis is basis and _same_view(kept_view, view):
             return stats
+        if not _same_view(source.checked, view, frozen=False):
+            check_dataset(ds)  # the dataset changed since the source checked it
     stats = []
     for t in range(2 * source.horizon):
         try:
@@ -246,10 +259,26 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
         except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
             raise type(exc)(f"stage {t}: {exc}") from exc
     if ds is not None:
-        for arr in observed:
+        for arr in view[1]:
             arr.setflags(write=False)
-        ds._stats[key] = (basis, horizon, observed, stats)
+        ds._stats[key] = (basis, view, stats)
     return stats
+
+
+def _dataset_view(ds: OfflineDataset) -> tuple:
+    """What :func:`~confgame.game.check_dataset` reads of ``ds``: its
+    (``n_states``, ``n_u``, ``horizon``) and its observed array objects."""
+    return (ds.n_states, ds.n_u, ds.horizon), [getattr(ds, name) for name in _OBSERVED_FIELDS]
+
+
+def _same_view(kept, now, frozen: bool = True) -> bool:
+    """Whether ``now`` has the grid and horizon of ``kept`` and the very same
+    array objects, still read-only if ``frozen`` (``kept`` may be ``None``)."""
+    return (
+        kept is not None
+        and kept[0] == now[0]
+        and all(old is arr and not (frozen and arr.flags.writeable) for old, arr in zip(kept[1], now[1]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,14 @@ plug-in and chain values.  On the full 512-candidate t2 (horizon 3) class, the
 the earliest candidate, within a chunk and across chunks; a candidate whose
 value weight loads on a flat direction scores ``-inf`` without stopping the
 scan; chunking does not change results.
+
+:func:`ref_learn` is the learner's scan as it was before the plug-in bound
+pruned it: every candidate scored with the full chains.  The pruned
+:func:`learn_policy_pair` returns the same pair and the same record bit for
+bit, on the t2 class at several sample sizes, on the small classes with
+``learner.FIRST`` patched small so that they prune too, at zero region
+radius (where the pessimistic value is the plug-in and ties are common), on
+unbounded classes and under rescaled rewards.
 """
 
 from dataclasses import replace
@@ -137,6 +145,19 @@ def ref_score(engine, policy):
     return total_min, total_plug, chain_values, unbounded, direction
 
 
+def ref_learn(engine, pairs):
+    """The unpruned scan: every candidate scored with the full chains,
+    :data:`~confgame.learner.CHUNK` at a time; the first maximum in class
+    order wins."""
+    best, best_value = 0, -np.inf
+    for start in range(0, len(pairs), learner.CHUNK):
+        values = engine.score(pairs[start : start + learner.CHUNK]).value
+        top = int(np.argmax(values))
+        if values[top] > best_value:
+            best, best_value = start + top, values[top]
+    return pairs[best], learner.pessimistic_value(engine, pairs[best])
+
+
 # ---------------------------------------------------------------------------
 # cases
 # ---------------------------------------------------------------------------
@@ -194,6 +215,7 @@ def test_scan_matches_per_candidate_loop(case, size, request):
     engine = learner.LearnerEngine(ds, basis)
     scores = _assert_matches_reference(engine, pairs)
     assert len(pairs) == size
+    assert np.array_equal(engine.plug_in(pairs), scores.plug_in)
     best, pv = learner.learn_policy_pair(ds, pairs, basis, engine=engine)
     ref = [ref_score(engine, p)[0] for p in pairs]
     assert best is pairs[int(np.argmax(ref))]
@@ -204,13 +226,16 @@ def test_scan_matches_per_candidate_loop(case, size, request):
         assert np.array_equal(pv.chain_values[side], vals)
 
 
-def test_equal_pairs_keep_the_first(t1_class):
+def test_equal_pairs_keep_the_first(t1_class, monkeypatch):
+    """Also when the twins are pruned by their plug-in values (``FIRST`` 1)."""
     ds, basis, pairs = t1_class
     engine = learner.LearnerEngine(ds, basis)
     best, _ = learner.learn_policy_pair(ds, pairs, basis, engine=engine)
     twin = game.PolicyPair(alice=best.alice.copy(), bob=best.bob.copy(), init_bob=best.init_bob)
-    for cls in ([best, twin], [twin, best]):
-        assert learner.learn_policy_pair(ds, cls, basis, engine=engine)[0] is cls[0]
+    for first in (learner.FIRST, 1):
+        monkeypatch.setattr(learner, "FIRST", first)
+        for cls in ([best, twin], [twin, best], [twin] + pairs):
+            assert learner.learn_policy_pair(ds, cls, basis, engine=engine)[0] is cls[0]
 
 
 def test_chunks_match_one_piece(t1_class, monkeypatch):
@@ -226,11 +251,13 @@ def test_chunks_match_one_piece(t1_class, monkeypatch):
         assert np.array_equal(chunked[1].chain_values[side], vals)
 
 
-def test_flat_direction_scores_minus_infinity(t1_class):
+def test_flat_direction_scores_minus_infinity(t1_class, monkeypatch):
     """A reward criterion blind to the instrument coefficient leaves every
     candidate that opens with bob's action 1 unbounded below.  The engine is
     built on a copy of the shared dataset, whose memo starts empty, so the
-    patched statistics stay out of the dataset's memo."""
+    patched statistics stay out of the dataset's memo.  With ``FIRST`` at 4
+    the pruned scan learns the same pairs, the first of the all-flat class
+    included."""
     ds, basis, pairs = t1_class
     engine = learner.LearnerEngine(replace(ds), basis)
     plain = engine.score(pairs)
@@ -257,6 +284,10 @@ def test_flat_direction_scores_minus_infinity(t1_class):
     assert direction[:, 1].all() and np.abs(direction[:, [0, 2]]).max() <= 1e-12
     assert pv.plug_in == plain.plug_in[[p is best for p in pairs].index(True)]
 
+    monkeypatch.setattr(learner, "FIRST", 4)
+    for cls in (pairs, flat):
+        _learn_counted(engine, cls, basis)
+
 
 def test_only_a_class_of_one_keeps_its_moment_means(t1_class):
     ds, basis, pairs = t1_class
@@ -265,3 +296,98 @@ def test_only_a_class_of_one_keeps_its_moment_means(t1_class):
         policies = game.PolicyStack.of(cls)
         stages = [s for s in ope.chain_recursion(engine.stats, policies, "bob", 2) if s.coef is not None]
         assert stages and all((s.alpha is not None) == kept for s in stages)
+
+
+# ---------------------------------------------------------------------------
+# the pruned scan against the unpruned one
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_record(pv, ref):
+    """Every field of two :class:`PessimisticValue` records, bit for bit."""
+    assert pv.policy is ref.policy
+    assert (pv.value, pv.plug_in, pv.unbounded) == (ref.value, ref.plug_in, ref.unbounded)
+    assert pv.chain_values.keys() == ref.chain_values.keys()
+    for side, vals in ref.chain_values.items():
+        assert np.array_equal(pv.chain_values[side], vals), side
+    if ref.unbounded_direction is None:
+        assert pv.unbounded_direction is None
+    else:
+        assert np.array_equal(pv.unbounded_direction, ref.unbounded_direction)
+    assert pv.diagnostics["region_sizes"] == ref.diagnostics["region_sizes"]
+    members = ref.diagnostics["attaining_members"]
+    assert pv.diagnostics["attaining_members"].keys() == members.keys()
+    for key, member in members.items():
+        assert np.array_equal(pv.diagnostics["attaining_members"][key], member), key
+
+
+def _learn_counted(engine, pairs, basis):
+    """:func:`learn_policy_pair` checked against :func:`ref_learn`; returns the
+    number of candidates the full-chain scorer saw, the winner's record
+    included."""
+    seen = []
+
+    def score(cls):
+        seen.append(len(cls))
+        return learner.LearnerEngine.score(engine, cls)
+
+    engine.score = score
+    try:
+        best, pv = learner.learn_policy_pair(None, pairs, basis, engine=engine)
+    finally:
+        del engine.score
+    ref_best, ref_pv = ref_learn(engine, pairs)
+    assert best is ref_best
+    _assert_same_record(pv, ref_pv)
+    return sum(seen)
+
+
+@pytest.mark.parametrize("n, seeds", [(2_000, (1, 2)), (12_000, (11, 12)), (30_000, (5, 6))])
+def test_pruned_scan_learns_as_the_unpruned_one(n, seeds):
+    spec = fixtures.t2_spec(horizon=3)
+    for seed in seeds:
+        ds, basis, pairs = _case(spec, n, seed)
+        seen = _learn_counted(learner.LearnerEngine(ds, basis), pairs, basis)
+        if n == 12_000:  # the class-t2h3 size: about a third of the class can win
+            assert seen < len(pairs) == 512
+
+
+@pytest.mark.parametrize("case", ["t2h3_class", "t1_class", "t2_poly_class"])
+@pytest.mark.parametrize("c_eta", [2.0, 0.0])
+def test_small_first_batches_prune_to_the_same_pair(case, c_eta, request, monkeypatch):
+    """With ``FIRST`` at 4 the 32-candidate classes prune too; at ``c_eta = 0``
+    every region is its center, so the pessimistic value is the plug-in and
+    the bound prunes only candidates strictly below the best."""
+    ds, basis, pairs = request.getfixturevalue(case)
+    engine = learner.LearnerEngine(ds, basis, learner.EtaConfig(c_eta=c_eta))
+    if case != "t2h3_class":
+        monkeypatch.setattr(learner, "FIRST", 4)
+    assert _learn_counted(engine, pairs, basis) < len(pairs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_a_candidate_without_a_finite_plug_in_is_scored(t2h3_class, bad):
+    """The winner's plug-in value replaced by ``bad`` sorts it away from the
+    first batch; it must still be scored and win, and the margin must ignore
+    it."""
+    ds, basis, pairs = t2h3_class
+    engine = learner.LearnerEngine(ds, basis)
+    best = ref_learn(engine, pairs)[0]
+    winner = [p is best for p in pairs].index(True)
+    plug_in = engine.plug_in(pairs)
+    plug_in[winner] = bad
+    engine.plug_in = lambda cls: plug_in
+    assert _learn_counted(engine, pairs, basis) < len(pairs)
+
+
+def test_pruned_scan_under_rescaled_rewards(t1_basis, monkeypatch):
+    """The scaled-reward datasets of the learner's equivariance test, and
+    scales far from 1, where the pruning margin scales with the plug-in
+    values."""
+    monkeypatch.setattr(learner, "FIRST", 4)
+    spec = fixtures.t1_spec()
+    pairs = game.stationary_deterministic_pairs(spec)
+    for lam in (1.0, 3.0, 1e-6, 1e6):
+        ds = game.simulate_dataset(spec.scaled_rewards(lam), n=8_000, seed=6)
+        _learn_counted(learner.LearnerEngine(ds, t1_basis), pairs, t1_basis)
+

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confgame import cli, fixtures, game, gameio, learner, ope, oracle, sieve, smd
-from confgame.errors import BasisMismatch, IllPosedFit, MalformedDataset, MalformedSpec
+from confgame.errors import BasisMismatch, IllPosedFit, InsufficientData, MalformedDataset, MalformedSpec
 
 
 def test_zero_reward_everything_vanishes(t1_basis):
@@ -193,6 +193,20 @@ def test_unreached_state_leaves_other_cells_exact():
     exq = oracle.exact_q(spec, pol)
     assert abs(res.j_alice - exq.j_alice) <= 1e-12
     assert abs(res.j_bob - exq.j_bob) <= 1e-12
+
+
+def test_population_row_guards_count_law_atoms():
+    """After the first move this spec reaches states 0 and 1 only, so its
+    exact law has 32 atoms at stage 1, fewer than the 64 basis functions; a
+    sample of the same game is short of rows."""
+    spec = fixtures.random_valid_spec(1, n_states=64)
+    basis = sieve.build_basis("saturated", spec.n_states, spec.n_u)
+    message = r"^stage 1: 32 law atoms \(population mode\) for 64 basis functions$"
+    with pytest.raises(InsufficientData, match=message):
+        ope.stage_statistics(ope.PopulationSource(spec), basis)
+    ds = game.simulate_dataset(spec, n=40, seed=0)
+    with pytest.raises(InsufficientData, match=r"^stage 0: 40 rows for 64 basis functions$"):
+        ope.stage_statistics(ope.as_source(ds), basis)
 
 
 def test_basis_must_match_the_data():

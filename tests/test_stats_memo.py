@@ -5,6 +5,8 @@ once per (basis object, cross-fit flag) and hands the same objects to every
 later evaluation and learner.  These tests count the builds, check that
 reuse changes no number, and that no edit of the data -- in place,
 by reassignment or through a copy -- can return statistics of other data.
+A memo entry also vouches for the dataset check: a dataset that still holds
+an entry's arrays is not checked again, and every edit is.
 """
 
 import copy
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from confgame import fixtures, game, harness, learner, ope, sieve
+from confgame.errors import MalformedDataset
 from confgame.game import _OBSERVED_FIELDS
 
 STAT_FIELDS = ("mass", "phibar4", "abar_reward", "t_alpha", "scale_weights", "reward_coef", "reward_scale_sq")
@@ -41,6 +44,19 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(ope, "StageStats", Counted)
     return built
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The datasets ``check_dataset`` checks, in order."""
+    checked, check = [], ope.check_dataset
+
+    def counted(ds):
+        checked.append(ds)
+        check(ds)
+
+    monkeypatch.setattr(ope, "check_dataset", counted)
+    return checked
 
 
 def _fresh(ds, basis, cross_fit=False):
@@ -207,3 +223,42 @@ def test_a_harness_cell_builds_its_statistics_once(tmp_path, monkeypatch, counte
     )
     harness.run_experiment(config)
     assert counted == Counter({0: 2 * builds, 1: 2 * builds})
+
+
+def test_a_memo_hit_skips_the_dataset_check(t2h3, checks):
+    spec, basis, pairs, policies = t2h3
+    ds = game.simulate_dataset(spec, n=4_000, seed=12)
+    for pol in policies:
+        ope.evaluate_policy(ds, pol, basis)
+    learner.learn_policy_pair(ds, pairs, basis)
+    ope.SampleSource(ds, cross_fit=True).stage_rows(0)  # the plain entry vouches for the arrays
+    assert checks == [ds]
+    ds.r_a = ds.r_a.copy()  # no entry holds the new array
+    ope.SampleSource(ds)
+    assert checks == [ds, ds]
+
+
+@pytest.mark.parametrize("edit", ["reassign", "reopen", "grid", "after the source"])
+def test_an_edit_after_a_fit_is_checked(t2, t2_basis, edit):
+    """A reassigned array, one made writeable and edited in place, a changed
+    grid, and a reassignment after the source was built (on a memo hit,
+    without a check) are each checked before they are read."""
+    ds = game.simulate_dataset(t2, n=500, seed=13)
+    pol = game.constant_policy_pair(t2, 1.0, 0.5, 0.5)
+    ope.evaluate_policy(ds, pol, t2_basis)
+    source = ope.SampleSource(ds)
+    message = "field r_a, row 0, step 1: value nan is not finite"
+    if edit == "reopen":
+        ds.r_a.setflags(write=True)
+        ds.r_a[0, 1] = np.nan
+    elif edit == "grid":
+        ds.n_states = 1
+        message = "field s, row ([0-9]+), step ([0-9]): value 1 is not in 0..0"
+    else:
+        ds.r_a = ds.r_a.copy()
+        ds.r_a[0, 1] = np.nan
+    with pytest.raises(MalformedDataset, match=f"^{message}$"):
+        if edit == "after the source":
+            ope.stage_statistics(source, t2_basis)
+        else:
+            ope.evaluate_policy(ds, pol, t2_basis)
