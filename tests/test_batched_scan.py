@@ -227,7 +227,7 @@ def test_scan_matches_per_candidate_loop(case, size, request):
 
 
 def test_equal_pairs_keep_the_first(t1_class, monkeypatch):
-    """Also when the twins are pruned by their plug-in values (``FIRST`` 1)."""
+    """Also on the pruned path (``FIRST`` 1), where the twins tie in plug-in value too."""
     ds, basis, pairs = t1_class
     engine = learner.LearnerEngine(ds, basis)
     best, _ = learner.learn_policy_pair(ds, pairs, basis, engine=engine)
