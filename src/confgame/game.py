@@ -480,8 +480,8 @@ def check_dataset(ds: OfflineDataset) -> None:
 def check_dataset_shapes(ds: OfflineDataset, with_hidden: bool = False) -> None:
     """:func:`check_shapes` of the observed arrays and, ``with_hidden``, of
     the hidden trace's if there is one: ``b_init`` and ``s_term`` are
-    ``(n,)`` and every other array ``(n, k)``, where ``k`` may exceed the
-    horizon (the first ``horizon`` steps are read) but not fall short of it."""
+    ``(n,)`` and every other array ``(n, horizon)``, so that ``s_term`` is
+    the state after the last step."""
     arrays = {name: getattr(ds, name) for name in _OBSERVED_FIELDS}
     if with_hidden and ds.hidden is not None:
         arrays.update((f"hidden {name}", col) for name, col in vars(ds.hidden).items())
@@ -491,16 +491,14 @@ def check_dataset_shapes(ds: OfflineDataset, with_hidden: bool = False) -> None:
 def check_shapes(arrays: dict, steps: Optional[dict] = None) -> None:
     """Raise :class:`MalformedDataset`, naming the field, its shape and the
     shape expected, for the first of ``arrays`` (name: array) that is not
-    ``(n,)`` or, for a name in ``steps``, ``(n, k)`` with ``k`` at least
-    ``steps[name]``; ``n`` is the length most of the arrays have."""
+    ``(n,)`` or, for a name in ``steps``, ``(n, steps[name])``; ``n`` is the
+    length most of the arrays have."""
     steps = steps or {}
     shapes = {name: np.shape(col) for name, col in arrays.items()}
     lengths = [shape[:1] for shape in shapes.values()]
     n = max(lengths, key=lengths.count)
     for name, shape in shapes.items():
-        want = n
-        if name in steps:
-            want += (max([steps[name], *shape[1:2]]),)
+        want = n + ((steps[name],) if name in steps else ())
         if shape != want:
             raise MalformedDataset(f"field {name}: shape {shape}, expected {want}")
 

@@ -187,19 +187,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     cells = [(n, seed) for n in config.n_grid for seed in config.seeds]
     workers = max(int(os.environ.get("CONFGAME_THREADS", "1")), 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _run_cell(config, spec, behavior, basis, eta, targets, *c),
-                    cells,
-                )
-            )
-    else:
-        results = [
-            _run_cell(config, spec, behavior, basis, eta, targets, n, seed)
-            for n, seed in cells
-        ]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda c: _run_cell(config, spec, behavior, basis, eta, targets, *c), cells))
     results.sort(key=lambda r: (r.n, r.seed))
 
     out_dir = Path(config.out_dir)

@@ -29,11 +29,13 @@ for the whole batch instead of passes over the rows or Python calls per
 candidate.  Each stage's :class:`~confgame.smd.BlockGeometry`, for any sieve
 basis, gives the region centers by its guarded solve, the members of every
 (candidate, chain) in one call and the exact linear minimum, per candidate
-weight, that scores the first stage.  The learned pair's full record comes
-from :func:`pessimistic_value`, the same scorer on a class of one.  Region
-radii are the rate schedule times the squared root mean square of the block
-outcome, which makes the whole construction exactly equivariant under a
-positive rescaling of all rewards.
+weight, that scores the first stage.  The scan keeps, per region, what one
+candidate's full record needs along its minimizing chain, and the learned
+pair's record (:meth:`ClassScores.record`) comes from the scan that chose
+it, so no candidate is scored twice.  Region radii are the rate schedule
+times the squared root mean square of the block outcome, which makes the
+whole construction exactly equivariant under a positive rescaling of all
+rewards.
 """
 
 from __future__ import annotations
@@ -109,19 +111,39 @@ class ClassScores:
     """Pessimistic values of a stacked class, candidate axis first.
 
     ``chain_values[side]`` (candidate, chain) holds each chain's sum of exact
-    block minima; ``attaining`` (candidate, blocks, q) and ``region_sizes``
-    (candidate,) hold, per (side, region), the minimizing member and radius
-    along the minimizing chain, and ``flat`` the value weight's
-    :meth:`~confgame.smd.BlockGeometry.flat_part`, non-zero where the value is
-    unbounded below.
+    block minima.  ``regions[(side, region)]`` holds what :meth:`record`
+    needs of each first-stage region: its geometry, the value weights
+    (candidate, blocks, q), and the center (candidate, blocks, q) and radius
+    (candidate,) along the candidate's minimizing chain.
     """
 
     value: np.ndarray
     plug_in: np.ndarray
     chain_values: dict
-    attaining: dict
-    region_sizes: dict
-    flat: dict
+    regions: dict
+
+    def record(self, i: int, policy: PolicyPair) -> PessimisticValue:
+        """The full record of candidate ``i``, ``policy``: the minimizing
+        member and the radius of every region along its minimizing chain
+        and, when its value is unbounded below, the flat part of the first
+        loaded region of the last side that has one."""
+        members, sizes, loaded = {}, {}, {}
+        for key, (geometry, weight, center, radius) in self.regions.items():
+            members[key] = geometry.min_linear(weight[i], center[i], radius[i])[1]
+            sizes[key] = float(radius[i])
+            flat = geometry.flat_part(weight[i])
+            if flat.any():
+                loaded.setdefault(key[0], flat)
+        direction = next(reversed(loaded.values()), None)
+        return PessimisticValue(
+            policy=policy,
+            value=float(self.value[i]),
+            plug_in=float(self.plug_in[i]),
+            chain_values={side: v[i].copy() for side, v in self.chain_values.items()},
+            unbounded=direction is not None,
+            unbounded_direction=direction,
+            diagnostics={"attaining_members": members, "region_sizes": sizes},
+        )
 
 
 class LearnerEngine:
@@ -147,7 +169,7 @@ class LearnerEngine:
         side over (candidate, chain); chain ``k`` takes member ``k`` of every
         region it passes through."""
         policies, weights = self._stack(pairs)
-        scores = ClassScores(np.zeros(len(pairs)), np.zeros(len(pairs)), {}, {}, {}, {})
+        scores = ClassScores(np.zeros(len(pairs)), np.zeros(len(pairs)), {}, {})
         for side in ("alice", "bob"):
             for regions in chain_recursion(self.stats, policies, side, self.eta.k_members, self.radius_units):
                 pass  # the first stage comes last; the recursion frees the others on its way
@@ -183,11 +205,9 @@ def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks
     scores.plug_in += _center_value(regions, w_reward, w_blocks)
     if regions.reward is not None:
         center, eta = regions.reward
-        value, argmin = st.geometry3.min_linear(w_reward, center, eta)
-        scores.value += value
-        scores.attaining[(side, "reward")] = argmin
-        scores.region_sizes[(side, "reward")] = np.full(cand, eta)
-        scores.flat[(side, "reward")] = st.geometry3.flat_part(w_reward)
+        scores.value += st.geometry3.min_linear(w_reward, center, eta)[0]
+        center = np.broadcast_to(center, w_reward.shape)
+        scores.regions[(side, "reward")] = st.geometry3, w_reward, center, np.full(cand, eta)
     if regions.coef is None:
         return
     coef, etas = regions.coef, regions.radius
@@ -195,14 +215,10 @@ def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks
     for j in range(4):
         vals += st.geometry4.min_linear(w_blocks[j][:, None], coef[:, :, j], etas[:, :, j])[0]
     scores.chain_values[side] = vals
-    # the minimizing chain's members, from its regions alone
-    pick = np.arange(cand), np.argmin(vals, axis=1)
-    for j in range(4):
-        center, eta = coef[pick + (j,)], etas[pick + (j,)]
-        scores.attaining[(side, f"block{j}")] = st.geometry4.min_linear(w_blocks[j], center, eta)[1]
-        scores.region_sizes[(side, f"block{j}")] = eta
-        scores.flat[(side, f"block{j}")] = st.geometry4.flat_part(w_blocks[j])
     scores.value += vals.min(axis=1)
+    pick = np.arange(cand), np.argmin(vals, axis=1)  # the minimizing chain
+    for j in range(4):
+        scores.regions[(side, f"block{j}")] = st.geometry4, w_blocks[j], coef[pick + (j,)], etas[pick + (j,)]
 
 
 def _center_value(regions, w_reward, w_blocks) -> np.ndarray:
@@ -232,25 +248,9 @@ def _stage0_weights(st, w_rep: np.ndarray):
 
 def pessimistic_value(engine: LearnerEngine, policy: PolicyPair) -> PessimisticValue:
     """Exact inner minimization of one pair's value over its nested regions:
-    :meth:`LearnerEngine.score` on a class of one."""
-    scores = engine.score([policy])
-    direction = None
-    for side in ("alice", "bob"):
-        loads = [f[0] for (s, _), f in scores.flat.items() if s == side and f[0].any()]
-        if loads:
-            direction = loads[0]
-    return PessimisticValue(
-        policy=policy,
-        value=float(scores.value[0]),
-        plug_in=float(scores.plug_in[0]),
-        chain_values={side: v[0] for side, v in scores.chain_values.items()},
-        unbounded=direction is not None,
-        unbounded_direction=direction,
-        diagnostics={
-            "attaining_members": {key: m[0] for key, m in scores.attaining.items()},
-            "region_sizes": {key: float(r[0]) for key, r in scores.region_sizes.items()},
-        },
-    )
+    the record (:meth:`ClassScores.record`) of :meth:`LearnerEngine.score`
+    on a class of one."""
+    return engine.score([policy]).record(0, policy)
 
 
 def learn_policy_pair(
@@ -273,7 +273,9 @@ def learn_policy_pair(
     A smaller class is scored whole, :data:`CHUNK` at a time.  The winner is
     the first maximum in class order among the scored candidates: candidates
     must be sorted by their encoding, so the tie-break is lexicographic by
-    construction, and the result is that of scoring every candidate.
+    construction, and the result is that of scoring every candidate.  The
+    winner's record (:meth:`ClassScores.record`) comes from the batch that
+    scored it: each candidate is scored once.
     """
     if not policy_class:
         raise EmptyClass("no candidate policy pairs")
@@ -288,12 +290,17 @@ def learn_policy_pair(
         order, size = np.argsort(-plug_in, kind="stable"), FIRST
     while order.size:
         batch, order = order[:size], order[size:]
-        values[batch] = engine.score([policy_class[i] for i in batch]).value
+        scores = engine.score([policy_class[i] for i in batch])
+        values[batch] = scores.value
+        best = int(np.argmax(values))
+        at = np.flatnonzero(batch == best)
+        if at.size:  # the first maximum so far is in this batch
+            record = scores.record(int(at[0]), policy_class[best])
+        del scores  # not alive while the next batch is scored
         if plug_in is not None:
             order = order[~finite[order] | (plug_in[order] >= values.max() - margin)]
         size = CHUNK
-    best = int(np.argmax(values))
-    return policy_class[best], pessimistic_value(engine, policy_class[best])
+    return record.policy, record
 
 
 def compute_gap(spec: GameSpec, policy: PolicyPair, policy_class: list[PolicyPair]) -> float:

@@ -18,7 +18,8 @@ pruned it: every candidate scored with the full chains.  The pruned
 bit, on the t2 class at several sample sizes, on the small classes with
 ``learner.FIRST`` patched small so that they prune too, at zero region
 radius (where the pessimistic value is the plug-in and ties are common), on
-unbounded classes and under rescaled rewards.
+unbounded classes and under rescaled rewards; its full-chain scorer sees no
+candidate twice, the winner included.
 """
 
 from dataclasses import replace
@@ -200,7 +201,7 @@ def _assert_matches_reference(engine, pairs):
     for i, pair in enumerate(pairs):
         value, plug_in, chain_values, unbounded, _ = ref_score(engine, pair)
         assert scores.value[i] == value, i
-        assert any(f[i].any() for f in scores.flat.values()) == unbounded
+        assert scores.record(i, pair).unbounded == unbounded
         if not unbounded:
             assert scores.plug_in[i] == plug_in, i
             assert scores.chain_values.keys() == chain_values.keys()
@@ -323,12 +324,12 @@ def _assert_same_record(pv, ref):
 
 def _learn_counted(engine, pairs, basis):
     """:func:`learn_policy_pair` checked against :func:`ref_learn`; returns the
-    number of candidates the full-chain scorer saw, the winner's record
-    included."""
+    number of candidates the full-chain scorer saw, call by call, and checks
+    that it saw none twice."""
     seen = []
 
     def score(cls):
-        seen.append(len(cls))
+        seen.append(cls)
         return learner.LearnerEngine.score(engine, cls)
 
     engine.score = score
@@ -339,7 +340,17 @@ def _learn_counted(engine, pairs, basis):
     ref_best, ref_pv = ref_learn(engine, pairs)
     assert best is ref_best
     _assert_same_record(pv, ref_pv)
-    return sum(seen)
+    scored = [id(p) for cls in seen for p in cls]
+    assert len(set(scored)) == len(scored)
+    return [len(cls) for cls in seen]
+
+
+def test_the_scan_that_chooses_the_pair_gives_its_record(t1_class):
+    """A class of at most ``FIRST`` candidates takes one full-chain scan,
+    and the learned pair's record comes from it: the winner is not scored
+    again."""
+    ds, basis, pairs = t1_class
+    assert _learn_counted(learner.LearnerEngine(ds, basis), pairs, basis) == [32]
 
 
 @pytest.mark.parametrize("n, seeds", [(2_000, (1, 2)), (12_000, (12, 13)), (30_000, (5, 6))])
@@ -347,7 +358,7 @@ def test_pruned_scan_learns_as_the_unpruned_one(n, seeds):
     spec = fixtures.t2_spec(horizon=3)
     for seed in seeds:
         ds, basis, pairs = _case(spec, n, seed)
-        seen = _learn_counted(learner.LearnerEngine(ds, basis), pairs, basis)
+        seen = sum(_learn_counted(learner.LearnerEngine(ds, basis), pairs, basis))
         if n == 12_000:  # the class-t2h3 size: about a third of the class can win
             assert seen < len(pairs) == 512
 
@@ -362,7 +373,7 @@ def test_small_first_batches_prune_to_the_same_pair(case, c_eta, request, monkey
     engine = learner.LearnerEngine(ds, basis, learner.EtaConfig(c_eta=c_eta))
     if case != "t2h3_class":
         monkeypatch.setattr(learner, "FIRST", 4)
-    assert _learn_counted(engine, pairs, basis) < len(pairs)
+    assert sum(_learn_counted(engine, pairs, basis)) < len(pairs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
@@ -377,7 +388,7 @@ def test_a_candidate_without_a_finite_plug_in_is_scored(t2h3_class, bad):
     plug_in = engine.plug_in(pairs)
     plug_in[winner] = bad
     engine.plug_in = lambda cls: plug_in
-    assert _learn_counted(engine, pairs, basis) < len(pairs)
+    assert sum(_learn_counted(engine, pairs, basis)) < len(pairs)
 
 
 def test_pruned_scan_under_rescaled_rewards(t1_basis, monkeypatch):

@@ -305,6 +305,7 @@ WRITER_SHAPE_CASES = {  # t2 (two steps) with n = 500
     "b": (lambda ds: {"b": ds.b[:, :1]}, "field b: shape (500, 1), expected (500, 2)"),
     "u": (lambda ds: {"u": ds.u[:, 0]}, "field u: shape (500,), expected (500, 2)"),
     "horizon": (lambda ds: {"horizon": 3}, "field s: shape (500, 2), expected (500, 3)"),
+    "extra steps": (lambda ds: {"horizon": 1}, "field s: shape (500, 2), expected (500, 1)"),
     "hidden v1": (
         lambda ds: {"hidden": replace(ds.hidden, v1=ds.hidden.v1[:-1])},
         "field hidden v1: shape (499, 2), expected (500, 2)",

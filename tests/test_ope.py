@@ -167,6 +167,7 @@ SHAPE_CASES = {  # t2 (two steps) with n = 500
     "r_b": (lambda ds: {"r_b": ds.r_b[:, :1]}, "field r_b: shape (500, 1), expected (500, 2)"),
     "u": (lambda ds: {"u": ds.u[:, 0]}, "field u: shape (500,), expected (500, 2)"),
     "horizon": (lambda ds: {"horizon": 3}, "field s: shape (500, 2), expected (500, 3)"),
+    "extra steps": (lambda ds: {"horizon": 1}, "field s: shape (500, 2), expected (500, 1)"),
 }
 
 

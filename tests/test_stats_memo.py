@@ -143,10 +143,20 @@ def test_reassigned_or_reopened_arrays_rebuild(t1):
 
 
 def test_a_reassigned_horizon_rebuilds(t2h3):
+    """A dataset holds exactly ``horizon`` steps: a shorter horizon over the
+    same arrays is rejected, also once a memo entry is stored, and with the
+    arrays of its first two steps and the state after them it rebuilds."""
     spec, basis, _, _ = t2h3
     ds = game.simulate_dataset(spec, n=2_000, seed=9)
     assert len(ope.stage_statistics(ope.as_source(ds), basis)) == 6
-    ds.horizon = 2  # the first two steps of the same arrays
+    ds.horizon = 2
+    with pytest.raises(MalformedDataset, match=r"^field s: shape \(2000, 3\), expected \(2000, 2\)$"):
+        ope.stage_statistics(ope.as_source(ds), basis)
+    s_term = ds.s[:, 2]
+    for name in _OBSERVED_FIELDS:
+        if name not in ("b_init", "s_term"):
+            setattr(ds, name, getattr(ds, name)[:, :2])
+    ds.s_term = s_term
     shorter = ope.stage_statistics(ope.as_source(ds), basis)
     assert len(shorter) == 4
     _assert_same_stats(shorter, _fresh(ds, basis))
