@@ -9,8 +9,11 @@ unused fields stay empty.  Floats are written with 17 significant digits so a
 round trip is exact.  The hidden trace lives in a sibling file with suffix
 ``.hidden`` (header ``#confgame-hidden v1 ...``, rows
 ``traj,step,v1,v2,v1_half,v2_half``); the observed file has no column for it.
-Both files are written in trajectory order, but a reader accepts their rows in
-any order and skips blank lines.
+Both files are written in trajectory order by one routine and read by one
+other, which accepts the rows of either in any order and skips blank lines: it
+parses a block of lines at a time by columns, reads a block that fails again
+line by line to name its first bad line, and names the first (trajectory,
+step) that no row fills.
 
 Spec and policy files are key-value texts: scalar lines ``name = value``
 followed by array blocks ``[name] shape=d1,d2,...`` whose flattened values
@@ -22,7 +25,6 @@ from __future__ import annotations
 import os
 import re
 from itertools import chain
-from typing import NoReturn
 
 import numpy as np
 
@@ -110,10 +112,7 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
     (field count, a trajectory or step outside it, a repeated or missing row)
     and :class:`~confgame.errors.MalformedDataset` for a value outside its
     space or a reward that is not finite (:func:`~confgame.game.check_dataset`),
-    naming its line.
-
-    The body is parsed by columns, a block of lines at a time; only a block
-    that fails is read again line by line, to name its first bad line."""
+    naming its line (:func:`_read_rows`)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         m = _HEADER_RE.match(header)
@@ -123,21 +122,13 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
         arrays = {k: np.zeros((n, horizon), dtype=_STEP_DTYPE[k]) for k in _STEP_FIELDS}
         b_init = np.zeros(n, dtype=np.int64)
         s_term = np.zeros(n, dtype=np.int64)
-        seen = np.zeros((n, horizon + 2), dtype=bool)  # row slots: init, steps 1..H, term
-        for first, block in _line_blocks(fh):
-            try:
-                init, term, steps = _parse_observed([line for line in block if line != "\n"])
-            except (ValueError, IndexError):
-                init = None
-            if init is None or not _claim_observed(seen, init, term, steps):
-                _locate_observed(block, first, n, horizon, seen)
+        tags = ["init", *range(1, horizon + 1), "term"]  # the row slots of a trajectory
+        for init, term, steps in _read_rows(fh, "dataset", n, horizon, tags, _parse_observed, _check_observed):
             b_init[init["traj"]] = init["b_init"]
             s_term[term["traj"]] = term["s_term"]
             at = (steps["traj"], steps["step"] - 1)
             for key, col in arrays.items():
                 col[at] = steps[key]
-    if not seen.all():
-        raise SchemaMismatch("dataset body does not cover every (trajectory, step)")
     ds = OfflineDataset(horizon=horizon, n_states=ns, n_u=nu, b_init=b_init, s_term=s_term, **arrays)
     try:
         check_dataset(ds)
@@ -151,13 +142,60 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
     return ds
 
 
-def _line_blocks(fh):
-    """(number of the first line, lines) of the rest of ``fh``, a block of
-    about ``_READ_BLOCK`` characters at a time; the header is line 1."""
-    first = 2
+def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
+    """Hidden trace of ``n`` trajectories of ``horizon`` steps: :class:`CorruptRow`
+    for a row that does not parse, :class:`SchemaMismatch` for a (trajectory,
+    step) outside the header, repeated or missing (:func:`_read_rows`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        m = _HIDDEN_HEADER_RE.match(header)
+        if not m or (int(m.group(1)), int(m.group(2))) != (horizon, n):
+            raise SchemaMismatch(f"hidden-trace header disagrees: {header!r}")
+        arrays = {k: np.zeros((n, horizon), dtype=np.int64) for k in _HIDDEN_FIELDS}
+        for rows in _read_rows(fh, "hidden trace", n, horizon, range(1, horizon + 1), _parse_hidden, _check_hidden):
+            at = (rows["traj"], rows["step"] - 1)
+            for key, col in arrays.items():
+                col[at] = rows[key]
+    return HiddenTrace(**arrays)
+
+
+def _read_rows(fh, what: str, n: int, horizon: int, tags, parse, check):
+    """The rows of the rest of ``fh``, the body of a ``what`` file, parsed by
+    columns a block of about ``_READ_BLOCK`` characters at a time.
+
+    ``parse(lines, horizon)`` gives the rows of a block's non-blank lines and
+    their (trajectory, slot)s, where ``tags[slot]`` names the slot's step; it
+    raises ValueError or IndexError for a line that does not parse.  Only a
+    block that fails, or whose slots :func:`_claim` refuses, is read again
+    line by line, to raise the error of its first bad line:
+    ``check(parts, line, lineno, n, horizon)`` gives the (trajectory, slot,
+    step) of one row split into ``parts``, or raises its error (ValueError
+    for a field that does not parse).  Once the body is read, a (trajectory,
+    slot) that no row filled raises :class:`SchemaMismatch` naming it."""
+    seen = np.zeros((n, len(tags)), dtype=bool)
+    first = 2  # the header is line 1
     while block := fh.readlines(_READ_BLOCK):
-        yield first, block
+        try:
+            rows, traj, slot = parse([line for line in block if line != "\n"], horizon)
+        except (ValueError, IndexError):
+            rows = None
+        if rows is None or not _claim(seen, traj, slot):
+            for lineno, line in enumerate(block, start=first):
+                if line == "\n":
+                    continue
+                try:
+                    traj, slot, step = check(line.rstrip("\n").split(","), line, lineno, n, horizon)
+                except ValueError as exc:
+                    raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
+                if seen[traj, slot]:
+                    raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {step})")
+                seen[traj, slot] = True
+            raise CorruptRow(first, f"lines {first}-{first + len(block) - 1} do not parse")
+        yield rows
         first += len(block)
+    if not seen.all():
+        traj, slot = np.argwhere(~seen)[0]
+        raise SchemaMismatch(f"{what} misses (trajectory, step) ({traj}, {tags[slot]})")
 
 
 def _parse_csv(lines: list, dtype: np.dtype, usecols=None) -> np.ndarray:
@@ -169,21 +207,76 @@ def _parse_csv(lines: list, dtype: np.dtype, usecols=None) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
 
 
-def _parse_observed(lines: list):
+def _parse_observed(lines: list, horizon: int):
     """The ``init``, ``term`` and step rows of the non-blank dataset
-    ``lines``, routed by the tag in field 2; ValueError or IndexError for a
-    line that does not parse."""
+    ``lines``, routed by the tag in field 2, and their (trajectory, slot)s:
+    slot 0 for ``init``, the step for a step row and H + 1 for ``term``;
+    ValueError or IndexError for a line that does not parse or a step
+    outside 1..H."""
     tags = [line.split(",", 2)[1] for line in lines]
     init = [line for line, tag in zip(lines, tags) if tag == "init"]
     term = [line for line, tag in zip(lines, tags) if tag == "term"]
     if any(line.count(",") != 9 for line in init + term):
         raise ValueError("an init or term row without 10 fields")
     steps = [line for line, tag in zip(lines, tags) if tag != "init" and tag != "term"]
-    return (
-        _parse_csv(init, _INIT_DTYPE, usecols=(0, 8)),
-        _parse_csv(term, _TERM_DTYPE, usecols=(0, 2)),
-        _parse_csv(steps, _STEP_DTYPE),
-    )
+    init = _parse_csv(init, _INIT_DTYPE, usecols=(0, 8))
+    term = _parse_csv(term, _TERM_DTYPE, usecols=(0, 2))
+    steps = _parse_csv(steps, _STEP_DTYPE)
+    if not _within(steps["step"] - 1, horizon):
+        raise ValueError("a step outside the header's horizon")
+    traj = np.concatenate([init["traj"], steps["traj"], term["traj"]])
+    slot = np.concatenate([np.zeros(len(init), np.int64), steps["step"], np.full(len(term), horizon + 1)])
+    return (init, term, steps), traj, slot
+
+
+def _check_observed(parts: list, line: str, lineno: int, n: int, horizon: int):
+    """The (trajectory, slot, step tag) of the dataset row ``line``, split
+    into ``parts``, for :func:`_read_rows`."""
+    if len(parts) != 10:
+        raise CorruptRow(lineno, f"expected 10 fields, got {len(parts)}")
+    try:
+        traj = int(parts[0])
+    except ValueError as exc:
+        raise CorruptRow(lineno, f"bad trajectory id {parts[0]!r}") from exc
+    if not 0 <= traj < n:
+        raise SchemaMismatch(f"line {lineno}: trajectory id {traj} outside header n={n}")
+    tag = parts[1]
+    if tag == "init":
+        slot = 0
+        int(parts[8])
+    elif tag == "term":
+        slot = horizon + 1
+        int(parts[2])
+    else:
+        slot = int(tag)
+        if not 1 <= slot <= horizon:
+            raise SchemaMismatch(f"line {lineno}: step {tag} outside header horizon H={horizon}")
+        for col in (2, 3, 4, 6, 7, 8):
+            int(parts[col])
+        float(parts[5])
+        float(parts[9])
+    _parse_observed([line], horizon)  # what Python's int and float accept but the block parser does not
+    return traj, slot, tag
+
+
+def _parse_hidden(lines: list, horizon: int):
+    """The rows of the non-blank hidden-trace ``lines`` and their
+    (trajectory, slot)s, slot h - 1 for step h; ValueError for a line that
+    does not parse."""
+    rows = _parse_csv(lines, _HIDDEN_DTYPE)
+    return rows, rows["traj"], rows["step"] - 1
+
+
+def _check_hidden(parts: list, line: str, lineno: int, n: int, horizon: int):
+    """The (trajectory, slot, step) of the hidden-trace row ``line``, split
+    into ``parts``, for :func:`_read_rows`."""
+    if len(parts) != 6:
+        raise CorruptRow(lineno, f"expected 6 fields, got {len(parts)}")
+    traj, step, *_ = (int(x) for x in parts)
+    _parse_hidden([line], horizon)  # what Python's int accepts but the block parser does not
+    if not (0 <= traj < n and 1 <= step <= horizon):
+        raise SchemaMismatch(f"line {lineno}: (trajectory, step) ({traj}, {step}) outside header n={n}, H={horizon}")
+    return traj, step - 1, step
 
 
 def _within(values: np.ndarray, size: int) -> bool:
@@ -206,57 +299,6 @@ def _claim(seen: np.ndarray, traj: np.ndarray, slot: np.ndarray) -> bool:
     return True
 
 
-def _claim_observed(seen: np.ndarray, init, term, steps) -> bool:
-    """:func:`_claim` for the rows of one dataset block, whose slots are 0
-    for ``init``, the step (which must lie in 1..H) for a step row and H + 1
-    for ``term``."""
-    last = seen.shape[1] - 1
-    traj = np.concatenate([init["traj"], steps["traj"], term["traj"]])
-    slot = np.concatenate([np.zeros(len(init), np.int64), steps["step"], np.full(len(term), last)])
-    return _within(steps["step"] - 1, last - 1) and _claim(seen, traj, slot)
-
-
-def _locate_observed(block: list, first: int, n: int, horizon: int, seen: np.ndarray) -> NoReturn:
-    """Raise the error of the first bad line of a dataset ``block`` whose
-    first line is number ``first``, given the row slots ``seen`` before it."""
-    for lineno, raw in enumerate(block, start=first):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise CorruptRow(lineno, f"expected 10 fields, got {len(parts)}")
-        try:
-            traj = int(parts[0])
-        except ValueError as exc:
-            raise CorruptRow(lineno, f"bad trajectory id {parts[0]!r}") from exc
-        if not 0 <= traj < n:
-            raise SchemaMismatch(f"line {lineno}: trajectory id {traj} outside header n={n}")
-        tag = parts[1]
-        try:
-            if tag == "init":
-                slot = 0
-                int(parts[8])
-            elif tag == "term":
-                slot = horizon + 1
-                int(parts[2])
-            else:
-                slot = int(tag)
-                if not 1 <= slot <= horizon:
-                    raise SchemaMismatch(f"line {lineno}: step {tag} outside header horizon H={horizon}")
-                for col in (2, 3, 4, 6, 7, 8):
-                    int(parts[col])
-                float(parts[5])
-                float(parts[9])
-            _parse_observed([raw])  # what Python's int and float accept but the block parser does not
-        except ValueError as exc:
-            raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
-        if seen[traj, slot]:
-            raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {tag})")
-        seen[traj, slot] = True
-    raise CorruptRow(first, f"lines {first}-{first + len(block) - 1} do not parse")
-
-
 def _line_of(path: str, traj: int, step: str) -> int:
     """Line of the row of trajectory ``traj`` whose step column reads ``step``
     (``init``, ``term`` or a step number) in a dataset file that
@@ -269,58 +311,6 @@ def _line_of(path: str, traj: int, step: str) -> int:
             traj_id, tag = raw.split(",")[:2]
             if (int(traj_id), tag if tag in ("init", "term") else str(int(tag))) == (traj, step):
                 return lineno
-
-
-def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
-    """Hidden trace of ``n`` trajectories of ``horizon`` steps: :class:`CorruptRow`
-    for a row that does not parse, :class:`SchemaMismatch` for a (trajectory,
-    step) outside the header, repeated or missing."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _HIDDEN_HEADER_RE.match(header)
-        if not m or (int(m.group(1)), int(m.group(2))) != (horizon, n):
-            raise SchemaMismatch(f"hidden-trace header disagrees: {header!r}")
-        arrays = {k: np.zeros((n, horizon), dtype=np.int64) for k in _HIDDEN_FIELDS}
-        seen = np.zeros((n, horizon), dtype=bool)
-        for first, block in _line_blocks(fh):
-            try:
-                rows = _parse_csv([line for line in block if line != "\n"], _HIDDEN_DTYPE)
-            except ValueError:
-                rows = None
-            if rows is None or not _claim(seen, rows["traj"], rows["step"] - 1):
-                _locate_hidden(block, first, n, horizon, seen)
-            at = (rows["traj"], rows["step"] - 1)
-            for key, col in arrays.items():
-                col[at] = rows[key]
-    if not seen.all():
-        traj, h = np.argwhere(~seen)[0]
-        raise SchemaMismatch(f"hidden trace misses (trajectory, step) ({traj}, {h + 1})")
-    return HiddenTrace(**arrays)
-
-
-def _locate_hidden(block: list, first: int, n: int, horizon: int, seen: np.ndarray) -> NoReturn:
-    """Raise the error of the first bad line of a hidden-trace ``block`` whose
-    first line is number ``first``, given the row slots ``seen`` before it."""
-    for lineno, raw in enumerate(block, start=first):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise CorruptRow(lineno, f"expected 6 fields, got {len(parts)}")
-        try:
-            traj, step, *_ = (int(x) for x in parts)
-            _parse_csv([raw], _HIDDEN_DTYPE)  # what Python's int accepts but the block parser does not
-        except ValueError as exc:
-            raise CorruptRow(lineno, f"unparseable field: {exc}") from exc
-        if not (0 <= traj < n and 1 <= step <= horizon):
-            raise SchemaMismatch(
-                f"line {lineno}: (trajectory, step) ({traj}, {step}) outside header n={n}, H={horizon}"
-            )
-        if seen[traj, step - 1]:
-            raise SchemaMismatch(f"line {lineno}: duplicate (trajectory, step) ({traj}, {step})")
-        seen[traj, step - 1] = True
-    raise CorruptRow(first, f"lines {first}-{first + len(block) - 1} do not parse")
 
 
 # ---------------------------------------------------------------------------

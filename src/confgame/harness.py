@@ -164,8 +164,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Run every (n, seed) cell and write the report files.
 
     A failing cell contributes NaN rows flagged ``failed`` without stopping
-    the others.  Returns the paths of the emitted files.
+    the others.  Returns the paths of the emitted files.  ``CONFGAME_THREADS``
+    (default 1, values below 1 read as 1) sets the number of cells run at
+    once; a value that is not an integer raises ``ValueError`` before any
+    work is done.
     """
+    threads = os.environ.get("CONFGAME_THREADS", "1")
+    try:
+        workers = max(int(threads), 1)
+    except ValueError:
+        raise ValueError(f"CONFGAME_THREADS={threads!r} is not an integer") from None
     spec = config.spec()
     behavior = BehaviorPolicyPair.from_spec(spec)
     basis = build_basis("saturated", spec.n_states, spec.n_u)
@@ -186,7 +194,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         targets["j_star"] = j_star
 
     cells = [(n, seed) for n in config.n_grid for seed in config.seeds]
-    workers = max(int(os.environ.get("CONFGAME_THREADS", "1")), 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda c: _run_cell(config, spec, behavior, basis, eta, targets, *c), cells))
     results.sort(key=lambda r: (r.n, r.seed))

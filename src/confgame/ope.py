@@ -125,12 +125,9 @@ class PopulationSource:
 
     def stage_rows(self, t: int) -> StageRows:
         tbl = self.laws.transition_rows(t)  # (s,u,v1,v2,prev,act,s',u')
-        shape = tbl.shape
-        idx = np.indices(shape).reshape(len(shape), -1)
-        w = tbl.ravel()
-        keep = w > 0
-        s, u, v1, v2, prev, act, nxt_s, nxt_u = (a[keep] for a in idx)
-        w = w[keep]
+        flat = np.flatnonzero(tbl > 0)
+        s, u, v1, v2, prev, act, nxt_s, nxt_u = np.unravel_index(flat, tbl.shape)
+        w = tbl.ravel()[flat]
         y = self.spec.reward_mean(t, act.astype(float), prev.astype(float), u, v1, v2, s)
         return StageRows(s, u, act, prev, w, y, nxt_s, nxt_u)
 

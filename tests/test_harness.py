@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,27 @@ def test_thread_pool_does_not_change_bytes(tmp_path):
         p2 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "b"), **kw))
     finally:
         del os.environ["CONFGAME_THREADS"]
+    assert Path(p1["report"]).read_text() == Path(p2["report"]).read_text()
+
+
+@pytest.mark.parametrize("value", ["x", "2.5", ""])
+def test_bad_thread_count_fails_fast_and_names_itself(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("CONFGAME_THREADS", value)
+    out = tmp_path / "out"
+    message = f"CONFGAME_THREADS={value!r} is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(ExperimentConfig(fixture="t1", n_grid=(100,), seeds=(0,), out_dir=str(out)))
+    assert not out.exists()
+    assert cli.main(["benchmark", "--fixture", "t1", "--n", "500", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert not out.exists()
+
+
+def test_thread_counts_below_one_run_one_cell_at_a_time(tmp_path, monkeypatch):
+    kw = dict(fixture="t1", n_grid=(100,), seeds=(0,))
+    p1 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "a"), **kw))
+    monkeypatch.setenv("CONFGAME_THREADS", "-3")
+    p2 = run_experiment(ExperimentConfig(out_dir=str(tmp_path / "b"), **kw))
     assert Path(p1["report"]).read_text() == Path(p2["report"]).read_text()
 
 

@@ -420,3 +420,56 @@ def test_empty_dataset_reads_without_warnings(tmp_path, t2):
         warnings.simplefilter("error")
         back = gameio.read_dataset(str(path), with_hidden=True)
     assert back.n == 0 and back.hidden.v1.shape == (0, 2)
+
+
+def _write_hidden_with(tmp_path, ds, line, edit):
+    """Write ``ds``, with the fields of its hidden trace's line ``line``
+    replaced by ``edit(fields)``; the dataset's path."""
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    hidden = Path(gameio.hidden_path(str(path)))
+    lines = hidden.read_text().splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    hidden.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("fields", [5, 7])
+def test_hidden_rows_need_six_fields(tmp_path, t2, fields):
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = _write_hidden_with(tmp_path, ds, 4, lambda row: row[:fields] + ["0"] * (fields - len(row)))
+    with pytest.raises(CorruptRow, match=f"^line 4: expected 6 fields, got {fields}$"):
+        gameio.read_dataset(path, with_hidden=True)
+
+
+@pytest.mark.parametrize(
+    "col, value, error, message",
+    [
+        (2, "x", CorruptRow, "^line 11: unparseable field: invalid literal for int"),
+        (4, "1_0", CorruptRow, "^line 11: unparseable field: could not convert string '1_0'"),
+        (0, "6", SchemaMismatch, r"^line 11: \(trajectory, step\) \(6, 2\) outside header n=6, H=2$"),
+    ],
+    ids=["not-int", "python-only-int", "trajectory"],
+)
+@pytest.mark.parametrize("block", [1, 40, 1 << 16], ids=["line-blocks", "later-block", "one-block"])
+def test_bad_hidden_field_is_reported_at_its_line(tmp_path, t2, monkeypatch, block, col, value, error, message):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)  # a size hint in characters: one line, a few, or all
+    ds = game.simulate_dataset(t2, n=6, seed=0)
+    path = _write_hidden_with(tmp_path, ds, 11, lambda row: row[:col] + [value] + row[col + 1 :])  # (4, 2)
+    with pytest.raises(error, match=message):
+        gameio.read_dataset(path, with_hidden=True)
+
+
+@pytest.mark.parametrize(
+    "line, missing", [(4, "(0, 2)"), (5, "(0, term)"), (6, "(1, init)")], ids=["step", "term", "init"]
+)
+@pytest.mark.parametrize("block", [40, 1 << 16])
+def test_dataset_names_its_first_missing_row(tmp_path, t2, monkeypatch, block, line, missing):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()  # trajectory 0: init, step 1, step 2, term on lines 2-5
+    path.write_text("\n".join(lines[: line - 1] + lines[line:]) + "\n")
+    with pytest.raises(SchemaMismatch, match=rf"^dataset misses \(trajectory, step\) {re.escape(missing)}$"):
+        gameio.read_dataset(str(path))

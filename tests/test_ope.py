@@ -198,8 +198,9 @@ def test_unreached_state_leaves_other_cells_exact():
 
 def test_population_row_guards_count_law_atoms():
     """After the first move this spec reaches states 0 and 1 only, so its
-    exact law has 32 atoms at stage 1, fewer than the 64 basis functions; a
-    sample of the same game is short of rows."""
+    exact law has 64 atoms at stage 1, 32 in each instrument arm: the
+    per-arm guard fires, since an arm has fewer atoms than the 64 basis
+    functions; a sample of the same game is short of rows."""
     spec = fixtures.random_valid_spec(1, n_states=64)
     basis = sieve.build_basis("saturated", spec.n_states, spec.n_u)
     message = r"^stage 1: 32 law atoms \(population mode\) for 64 basis functions$"
