@@ -12,7 +12,7 @@ The package is organized as a numpy library:
 * :mod:`confgame.moments` -- nuisance fits and the invalid-instrument moment
   stack;
 * :mod:`confgame.smd` -- sieve minimum-distance fitting, radius schedules and
-  confidence regions;
+  the criterion-gap geometry of confidence regions;
 * :mod:`confgame.ope` -- backward-recursion off-policy evaluation;
 * :mod:`confgame.learner` -- pessimistic policy search over nested regions;
 * :mod:`confgame.harness` / :mod:`confgame.cli` -- replication experiments
@@ -48,6 +48,6 @@ from .oracle import (
     true_coefficients,
 )
 from .sieve import build_basis, k_schedule, project_conditional_mean
-from .smd import ConfidenceRegion, eta_schedule, fit_smd
+from .smd import eta_schedule, fit_smd
 
 __version__ = "0.1.0"

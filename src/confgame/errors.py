@@ -51,16 +51,11 @@ class IllPosedFit(ConfgameError):
     """The minimum-distance problem has no well-defined minimizer."""
 
 
-class UnboundedBelow(ConfgameError):
-    """A linear objective is unbounded over a degenerate confidence region."""
-
-    def __init__(self, message, direction=None):
-        super().__init__(message)
-        self.direction = direction
-
-
 class BasisMismatch(ConfgameError):
-    """A coefficient vector does not match the region's basis."""
+    """A sieve basis does not fit its use: it is built on another grid of
+    states and private values than the data's, or a caller that reads cell
+    tables (``SmdFit.coef_table``, ``truth_covered``) gets a basis other than
+    the saturated one."""
 
 
 class EmptyClass(ConfgameError):

@@ -39,7 +39,7 @@ from .game import (
 )
 from .gameio import read_spec
 from .learner import EtaConfig, LearnerEngine, learn_policy_pair, truth_covered
-from .ope import evaluate_policy
+from .ope import SampleSource, evaluate_policy
 from . import oracle
 from .sieve import build_basis
 
@@ -141,7 +141,7 @@ def _run_cell(config, spec, behavior, basis, eta, targets, n, seed) -> _CellResu
         )
         out.rows.append(("coverage", float(covered)))
 
-        res = evaluate_policy(ds, targets["eval_policy"], basis, cross_fit=config.cross_fit)
+        res = evaluate_policy(SampleSource(ds, cross_fit=config.cross_fit), targets["eval_policy"], basis)
         out.rows.append(("j_error", abs(res.j_total - targets["j_eval"])))
 
         if config.run_learner:

@@ -226,8 +226,8 @@ def fit_nuisances(
     :class:`DegenerateIV` for an instrument variance below
     ``IV_VARIANCE_TOL`` in some cell, then per arm :class:`DegenerateIV`
     without rows and :class:`InsufficientData` with fewer rows than basis
-    functions; the two row counts call the rows ``row_name`` (exact-law rows
-    are the law's atoms)."""
+    functions, each naming the arm; the two row counts call the rows
+    ``row_name`` (exact-law rows are the law's atoms)."""
     n = int(count.sum())
     if n < basis.k:
         raise InsufficientData(f"{n} {row_name} for {basis.k} basis functions")
@@ -248,7 +248,9 @@ def fit_nuisances(
         if arm_rows[b] == 0:
             raise DegenerateIV(f"no rows with instrument = {b}")
         if arm_rows[b] < basis.k:
-            raise InsufficientData(f"{arm_rows[b]} {row_name} for {basis.k} basis functions")
+            raise InsufficientData(
+                f"{arm_rows[b]} {row_name} with instrument = {b} for {basis.k} basis functions"
+            )
         m = iv == b
         f2.append(project_conditional_mean(s[m], u[m], act[m].astype(float), basis, weight[m]))
     nuis = NuisanceSet(f1=f1, f2=tuple(f2), clip_count=0)

@@ -27,8 +27,10 @@ a dataset's stages once and keeps them on the dataset for every later call.
 :class:`PolicyStack` of candidates: evaluation runs it on a class of one
 with the single all-center chain, the pessimistic learner on its whole class
 with its member chains.  The rows come from a sampled
-dataset or from exact-law weighted rows ("population mode"), which is how the
-composition algebra is tested against the brute-force oracle.
+dataset (:class:`SampleSource`, which alone holds the cross-fitting option)
+or from exact-law weighted rows (:class:`PopulationSource`, "population
+mode"), which is how the composition algebra is tested against the
+brute-force oracle.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ class StageRows:
     act: np.ndarray
     iv: np.ndarray
     weights: np.ndarray
-    y_reward: Optional[np.ndarray]
-    next_s: Optional[np.ndarray]
-    next_u: Optional[np.ndarray]
+    y_reward: np.ndarray
+    next_s: np.ndarray
+    next_u: np.ndarray
     fold: Optional[np.ndarray] = None
 
 
@@ -135,17 +137,10 @@ class PopulationSource:
 DataSource = Union[SampleSource, PopulationSource]
 
 
-def as_source(data, cross_fit: bool = False) -> DataSource:
-    """``data`` as a source; ``ValueError`` when ``cross_fit`` is asked of a
-    source that does not cross-fit, since the flag could not take effect."""
-    if isinstance(data, OfflineDataset):
-        return SampleSource(data, cross_fit=cross_fit)
-    if cross_fit and not getattr(data, "cross_fit", False):
-        raise ValueError(
-            f"cross_fit=True has no effect on a {type(data).__name__} that does not cross-fit; "
-            "pass the OfflineDataset or a SampleSource built with cross_fit=True"
-        )
-    return data
+def as_source(data) -> DataSource:
+    """``data`` as a source: a dataset becomes a :class:`SampleSource` that
+    does not cross-fit, and a source is returned as it is."""
+    return SampleSource(data) if isinstance(data, OfflineDataset) else data
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +456,15 @@ def value_weight_tables(stats: StageStats, policies: PolicyStack) -> np.ndarray:
     return p1[:, None] * w
 
 
-def evaluate_policy(
-    data,
-    policy: PolicyPair,
-    basis: SieveBasis,
-    cross_fit: bool = False,
-) -> OPEResult:
+def evaluate_policy(data, policy: PolicyPair, basis: SieveBasis) -> OPEResult:
     """Fitted stage tables and value estimates: the all-center chain of
-    :func:`chain_recursion`, with a fit record of every block."""
+    :func:`chain_recursion`, with a fit record of every block.
+
+    ``data`` is an :class:`OfflineDataset` or a source (:func:`as_source`);
+    to cross-fit, pass ``SampleSource(dataset, cross_fit=True)``."""
     if not isinstance(policy, PolicyPair):
         raise TypeError("policy must be a PolicyPair (bob rules cannot see v)")
-    source = as_source(data, cross_fit=cross_fit)
+    source = as_source(data)
     policy.check_grid(source.horizon, source.n_states, source.n_u)
     ns, nu = source.n_states, source.n_u
     stats = stage_statistics(source, basis)
@@ -492,18 +485,3 @@ def evaluate_policy(
                     )
     return OPEResult(qhat=reps, j_alice=value["alice"], j_bob=value["bob"], fits=fits)
 
-
-def dump_qhat_csv(result: OPEResult, path) -> None:
-    """Write fitted stage tables as CSV (step, player, s, u, coefficients)."""
-    lines = ["step,player,s,u,theta,gamma,omega,zeta"]
-    for (t, side), rep in sorted(result.qhat.items()):
-        step = t // 2 + 1 if t % 2 == 0 else (t // 2 + 1) + 0.5
-        ns, nu = rep.theta.shape
-        for s in range(ns):
-            for u in range(nu):
-                lines.append(
-                    f"{step},{side},{s},{u},{rep.theta[s, u]:.17g},"
-                    f"{rep.gamma[s, u]:.17g},{rep.omega[s, u]:.17g},{rep.zeta[s, u]:.17g}"
-                )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -9,8 +9,10 @@ around the fit and therefore an ellipsoid that supports closed-form linear
 minimization.  :class:`BlockGeometry` is that ellipsoid and its guarded
 least-squares solve, written once for a stack of Hessian blocks: one block per
 cell for the saturated basis and a single block, the Gram-whitened projected
-design, for any other basis.  Fits, :class:`ConfidenceRegion`, off-policy
-evaluation and the pessimistic learner all use it.
+design, for any other basis.  A region is a (center, radius) pair on it, and
+fits, off-policy evaluation, the pessimistic learner and its coverage check
+all use it; the region of one fit is ``BlockGeometry(fit.hessian[None])``
+around ``fit.coef.reshape(1, -1)``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BasisMismatch, IllPosedFit, UnboundedBelow
+from .errors import BasisMismatch, IllPosedFit
 from .moments import MomentSystem
 from .sieve import SieveBasis
 
@@ -44,18 +46,11 @@ class SmdFit:
     hessian: np.ndarray
     outcome_scale: float
 
-    @property
-    def p(self) -> int:
-        return self.coef.shape[1]
-
-    def predict(self, s, u) -> np.ndarray:
-        return self.basis.evaluate(s, u) @ self.coef
-
     def coef_table(self) -> np.ndarray:
         """(n_states, n_u, p) table of fitted values (saturated basis)."""
         if self.basis.kind != "saturated":
             raise BasisMismatch("coef_table is only defined for the saturated basis")
-        return self.coef.reshape(self.basis.n_states, self.basis.n_u, self.p)
+        return self.coef.reshape(self.basis.n_states, self.basis.n_u, -1)
 
 
 class BlockGeometry:
@@ -282,53 +277,3 @@ def horizon_weight(horizon: int, step: float) -> float:
     at 1 (the floor reconciles the single-step schedule, whose radius does not
     vanish, with the multi-step one).  Reward blocks take weight 1."""
     return max(float(horizon - step) ** 4, 1.0)
-
-
-@dataclass
-class ConfidenceRegion:
-    """Sublevel set ``{coef : criterion(coef) - criterion(center) <= eta}``.
-
-    Its geometry is the fit's dense Hessian taken as one block.
-    """
-
-    center: SmdFit
-    eta: float
-
-    @cached_property
-    def geometry(self) -> BlockGeometry:
-        return BlockGeometry(self.center.hessian[None])
-
-    def _flat(self, coef: np.ndarray) -> np.ndarray:
-        coef = np.asarray(coef, dtype=float)
-        if coef.shape != self.center.coef.shape:
-            raise BasisMismatch(
-                f"coefficients of shape {coef.shape} do not match {self.center.coef.shape}"
-            )
-        return coef.reshape(1, -1)
-
-    def loss_gap(self, coef: np.ndarray) -> float:
-        return float(self.geometry.loss_gap(self._flat(coef), self._flat(self.center.coef)))
-
-    def contains(self, coef: np.ndarray) -> bool:
-        return self.loss_gap(coef) <= self.eta + 1e-12
-
-    def min_linear(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
-        """Exact minimum of ``<weights, coef>`` over the region and its argmin.
-
-        Raises :class:`UnboundedBelow` when the weights load on a flat
-        direction of the criterion, whatever ``eta`` is.
-        """
-        shape = self.center.coef.shape
-        flat = self.geometry.flat_part(self._flat(weights))
-        if flat.any():
-            raise UnboundedBelow(
-                "objective has weight on a flat direction of the criterion", direction=flat.reshape(shape)
-            )
-        value, argmin = self.geometry.min_linear(self._flat(weights), self._flat(self.center.coef), self.eta)
-        return float(value), argmin.reshape(shape)
-
-    def members(self, k_max: int = 16) -> list[np.ndarray]:
-        """Center plus axis-aligned boundary points, widest axes first, no repeats."""
-        count = max(1, min(k_max, 1 + 2 * self.geometry.order.size)) if self.eta > 0 else 1
-        points = self.geometry.members(self._flat(self.center.coef), self.eta, np.arange(count))
-        return [m.reshape(self.center.coef.shape) for m in points]

@@ -49,6 +49,8 @@ def estimate_nuisances(data, basis):
         m = data.iv == b
         if not m.any():
             raise DegenerateIV(f"no rows with instrument = {b}")
+        if m.sum() < basis.k:
+            raise InsufficientData(f"{m.sum()} rows with instrument = {b} for {basis.k} basis functions")
         arms.append(project_conditional_mean(data.s[m], data.u[m], data.act[m].astype(float), basis, w[m]))
     nuis = moments.NuisanceSet(f1=f1, f2=(arms[0], arms[1]), clip_count=0)
     lo, hi = (f.predict(data.s, data.u) for f in arms)

@@ -3,7 +3,7 @@
 The references below are the learner's scan as it was before the whole class
 ran one recursion: per candidate and side, the chain recursion over (chain,)
 arrays alone, the first-stage minima region by region, raising
-:class:`UnboundedBelow` on a flat direction, and the candidate's value,
+:class:`Unbounded` on a flat direction, and the candidate's value,
 plug-in and chain values.  On the full 512-candidate t2 (horizon 3) class, the
 32-candidate t1 class and a t2 class on the tensor-polynomial basis,
 :meth:`LearnerEngine.score`, :func:`pessimistic_value` and
@@ -28,11 +28,19 @@ import numpy as np
 import pytest
 
 from confgame import fixtures, game, learner, ope, sieve, smd
-from confgame.errors import UnboundedBelow
 
 # ---------------------------------------------------------------------------
 # references: one candidate at a time
 # ---------------------------------------------------------------------------
+
+
+class Unbounded(Exception):
+    """A reference minimum is unbounded below; ``direction`` is the weight's
+    flat part."""
+
+    def __init__(self, message, direction):
+        super().__init__(message)
+        self.direction = direction
 
 
 def ref_continuation_centers(st, t, rep, policy):
@@ -108,7 +116,7 @@ def ref_min_linear(geo, weight, center, eta):
     quad = float(np.einsum("cp,cpq,cq->", weight, geo.hpinv, weight))
     flat = weight - np.einsum("cpq,cq->cp", geo.hess, step)
     if np.abs(flat).max() > 1e-8 * max(1.0, float(np.abs(weight).max())):
-        raise UnboundedBelow("flat direction", direction=flat)
+        raise Unbounded("flat direction", direction=flat)
     eta = np.asarray(eta, dtype=float)
     return np.einsum("...cp,cp->...", center, weight) - np.sqrt(np.maximum(2.0 * eta * quad, 0.0))
 
@@ -140,7 +148,7 @@ def ref_score(engine, policy):
                 chain_values[side] = vals
                 total_min += float(vals.min())
                 total_plug += float(sum(np.einsum("cp,cp->", coef[0, j], w_blocks[j]) for j in range(4)))
-        except UnboundedBelow as exc:
+        except Unbounded as exc:
             unbounded, direction = True, exc.direction
             total_min = -np.inf
     return total_min, total_plug, chain_values, unbounded, direction

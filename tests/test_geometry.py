@@ -1,10 +1,11 @@
 """``smd.BlockGeometry`` against test-local copies of the code it replaced.
 
 The references below are the per-cell ``lstsq`` loop that fitted saturated
-cells, ``ConfidenceRegion``'s eigen-decomposition ``min_linear`` and its
-member loop, and the learner's per-call member, region-minimum and argmin
-helpers.  They run on random positive-definite and rank-deficient blocks and
-on the per-cell statistics of t1 and t2 (horizon 3) samples: coefficients,
+cells, the eigen-decomposition ``min_linear`` and member loop of the dense
+region of one fit (now ``BlockGeometry(fit.hessian[None])``), and the
+learner's per-call member, region-minimum and argmin helpers.  They run on
+random positive-definite and rank-deficient blocks and on the per-cell
+statistics of t1 and t2 (horizon 3) samples: coefficients,
 values and argmins agree to 1e-12 (relative to the larger of 1 and their
 size) and members exactly.  The dense ``lstsq`` fit that served every basis
 but the saturated one is pinned against the single-block geometry of
@@ -18,11 +19,16 @@ import numpy as np
 import pytest
 
 from confgame import fixtures, game, ope, sieve, smd
-from confgame.errors import IllPosedFit, UnboundedBelow
+from confgame.errors import IllPosedFit
 
 TOL = 1e-12
 DENSE_TOL = 1e-10
 HESSIAN_TOL = 1e-10
+
+
+class Unbounded(Exception):
+    """A reference minimum is unbounded below: the weight loads on a flat
+    direction of the criterion."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +83,7 @@ def ref_region_min_linear(hessian, center, eta, weights):
     keep = vals > HESSIAN_TOL * max(vals.max(initial=0.0), 1.0)
     w_spec = vecs.T @ w
     if np.linalg.norm(w_spec[~keep]) > 1e-10 and eta > 0:
-        raise UnboundedBelow("flat direction")
+        raise Unbounded("flat direction")
     center_val = float(w @ center.ravel())
     quad = float((w_spec[keep] ** 2 / vals[keep]).sum())
     if quad <= 0 or eta <= 0:
@@ -129,7 +135,7 @@ def ref_min_over_region(weight, center, hess, hpinv, eta):
     q = float(np.einsum("cp,cpq,cq->", weight, hpinv, weight))
     proj = np.einsum("cpq,cq->cp", hess, np.einsum("cpq,cq->cp", hpinv, weight))
     if float(np.abs(weight - proj).max()) > 1e-8 * max(1.0, float(np.abs(weight).max())):
-        raise UnboundedBelow("flat direction")
+        raise Unbounded("flat direction")
     base = np.einsum("...cp,cp->...", center, weight)
     return base - np.sqrt(np.maximum(2.0 * np.asarray(eta) * q, 0.0))
 
@@ -293,18 +299,19 @@ def test_confidence_region_matches_eigh_reference(cases, name):
         geo = smd.BlockGeometry.of_cells(mass, phibar)
         fit = smd.fit_cell_moments(geo, alphabar, _basis(mass), 1.0)
         hess = geo.hess
+        region, center = smd.BlockGeometry(fit.hessian[None]), fit.coef.reshape(1, -1)
         for eta in (0.0, 1e-3, 0.5):
-            region = smd.ConfidenceRegion(center=fit, eta=eta)
             for _ in range(5):
                 w = _in_range(hess, rng.normal(size=fit.coef.shape))
-                value, argmin = region.min_linear(w)
+                value, argmin = region.min_linear(w.reshape(1, -1), center, eta)
                 ref_value, ref_argmin = ref_region_min_linear(fit.hessian, fit.coef, eta, w)
-                assert _close(value, ref_value) and _close(argmin, ref_argmin)
+                assert _close(value, ref_value) and _close(argmin.reshape(fit.coef.shape), ref_argmin)
                 probe = fit.coef + rng.normal(scale=0.1, size=fit.coef.shape)
                 d = (probe - fit.coef).ravel()
-                assert _close(region.loss_gap(probe), 0.5 * d @ fit.hessian @ d)
+                assert _close(region.loss_gap(probe.reshape(1, -1), center), 0.5 * d @ fit.hessian @ d)
             for k_max in (1, 4, 16, 64):
-                got = region.members(k_max)
+                count = min(k_max, 1 + 2 * region.order.size) if eta > 0 else 1
+                got = region.members(center, eta, np.arange(count)).reshape((-1,) + fit.coef.shape)
                 want = ref_region_members(fit.hessian, fit.coef, eta, k_max)
                 assert len(got) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -339,8 +346,9 @@ def test_learner_region_helpers_match_references(cases, name):
 
 def test_flat_direction_raises_at_zero_radius():
     # the sublevel set at eta = 0 still contains the whole flat line, so the
-    # minimum is unbounded below whatever the radius; the eigen-decomposition
-    # reference returned the center value there
+    # minimum is unbounded below whatever the radius: the geometry scores it
+    # -inf and reports the weight's flat part, the learner's reference raises;
+    # the eigen-decomposition reference returned the center value there
     fit = smd.SmdFit(
         basis=sieve.build_basis("saturated", 1, 1),
         coef=np.zeros((1, 3)),
@@ -350,9 +358,9 @@ def test_flat_direction_raises_at_zero_radius():
     )
     w = np.array([[0.0, 0.0, 1.0]])
     assert ref_region_min_linear(fit.hessian, fit.coef, 0.0, w)[0] == 0.0
-    with pytest.raises(UnboundedBelow) as info:
-        smd.ConfidenceRegion(center=fit, eta=0.0).min_linear(w)
-    assert np.array_equal(info.value.direction, w)
-    with pytest.raises(UnboundedBelow):
+    region = smd.BlockGeometry(fit.hessian[None])
+    assert region.min_linear(w, fit.coef, 0.0)[0] == -np.inf
+    assert np.array_equal(region.flat_part(w), w)
+    with pytest.raises(Unbounded):
         ref_min_over_region(w, fit.coef, fit.hessian[None], np.linalg.pinv(fit.hessian)[None], 0.0)
 

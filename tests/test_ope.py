@@ -112,31 +112,21 @@ def test_cross_fitting_smoke(t1, t1_basis):
     ds = game.simulate_dataset(t1, n=20_000, seed=10)
     pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
     plain = ope.evaluate_policy(ds, pol, t1_basis)
-    crossed = ope.evaluate_policy(ds, pol, t1_basis, cross_fit=True)
+    crossed = ope.evaluate_policy(ope.SampleSource(ds, cross_fit=True), pol, t1_basis)
     assert abs(plain.j_total - crossed.j_total) < 0.05
 
 
-def test_cross_fit_flag_without_effect_is_rejected(t1, t1_basis):
-    """Population rows and a source that does not cross-fit cannot honour
-    ``cross_fit=True``; a source that cross-fits gives the dataset's result."""
+def test_cross_fit_is_set_on_the_source(t1, t1_basis):
+    """Cross-fitting is an option of the sample source: a source that
+    cross-fits gives the same result as a fresh copy of its dataset, and a
+    result other than the dataset's plain evaluation."""
     ds = game.simulate_dataset(t1, n=2_000, seed=10)
     pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
-    for source in (ope.PopulationSource(t1), ope.SampleSource(ds)):
-        with pytest.raises(ValueError, match=f"cross_fit=True has no effect on a {type(source).__name__}"):
-            ope.evaluate_policy(source, pol, t1_basis, cross_fit=True)
-    crossed = ope.evaluate_policy(ope.SampleSource(ds, cross_fit=True), pol, t1_basis, cross_fit=True)
-    assert crossed.j_total == ope.evaluate_policy(ds, pol, t1_basis, cross_fit=True).j_total
-
-
-def test_qhat_csv_dump(tmp_path, t1, t1_basis):
-    ds = game.simulate_dataset(t1, n=1_000, seed=11)
-    pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
-    res = ope.evaluate_policy(ds, pol, t1_basis)
-    path = tmp_path / "qhat.csv"
-    ope.dump_qhat_csv(res, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,player,s,u,theta,gamma,omega,zeta"
-    assert len(lines) == 1 + 4  # two stages, two players, one cell each
+    crossed, fresh = (
+        ope.evaluate_policy(ope.SampleSource(data, cross_fit=True), pol, t1_basis) for data in (ds, replace(ds))
+    )
+    assert crossed.j_total == fresh.j_total
+    assert crossed.j_total != ope.evaluate_policy(ds, pol, t1_basis).j_total
 
 
 @pytest.mark.parametrize(
@@ -203,7 +193,7 @@ def test_population_row_guards_count_law_atoms():
     functions; a sample of the same game is short of rows."""
     spec = fixtures.random_valid_spec(1, n_states=64)
     basis = sieve.build_basis("saturated", spec.n_states, spec.n_u)
-    message = r"^stage 1: 32 law atoms \(population mode\) for 64 basis functions$"
+    message = r"^stage 1: 32 law atoms \(population mode\) with instrument = 0 for 64 basis functions$"
     with pytest.raises(InsufficientData, match=message):
         ope.stage_statistics(ope.PopulationSource(spec), basis)
     ds = game.simulate_dataset(spec, n=40, seed=0)

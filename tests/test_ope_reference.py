@@ -79,7 +79,7 @@ def reference_evaluate(source, policy, basis):
             if even == (side == "alice"):
                 fit = _fit_rows(rows, parts, rows.y_reward, basis, False)
                 fits[(t, side, "reward")] = fit
-                r = fit.predict(grid_s, grid_u).reshape(ns, nu, 3)
+                r = (basis.evaluate(grid_s, grid_u) @ fit.coef).reshape(ns, nu, 3)
                 rep[own] += r[..., 0]
                 rep[partner] += r[..., 1]
                 rep["omega"] += r[..., 2]
@@ -87,7 +87,7 @@ def reference_evaluate(source, policy, basis):
                 for j, y in enumerate(_block_outcomes(t, rows, nxt[side], policy)):
                     fit = _fit_rows(rows, parts, y, basis, True)
                     fits[(t, side, f"block{j}")] = fit
-                    b = fit.predict(grid_s, grid_u).reshape(ns, nu, 4)
+                    b = (basis.evaluate(grid_s, grid_u) @ fit.coef).reshape(ns, nu, 4)
                     # columns: own action, partner action, interaction, constant
                     if j in ((1, 3) if even else (2, 3)):
                         # the block carries a coefficient of the current actor's
@@ -158,7 +158,7 @@ def test_evaluate_policy_matches_row_reference(case):
         source = ope.SampleSource(data, cross_fit=cross_fit)
     else:
         data = source = ope.PopulationSource(spec)
-    res = ope.evaluate_policy(data, policy, basis, cross_fit=cross_fit)
+    res = ope.evaluate_policy(source, policy, basis)
     reps, fits, j_a, j_b = reference_evaluate(source, policy, basis)
 
     assert res.qhat.keys() == reps.keys()

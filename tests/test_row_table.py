@@ -122,7 +122,12 @@ def _one_row_in_the_upper_arm(ds):
             1,
             (errors.DegenerateIV, "instrument variance 0.00e+00 in cell 1 is below 1e-06"),
         ),
-        (20, _one_row_in_the_upper_arm, 0, (errors.InsufficientData, "1 rows for 2 basis functions")),
+        (
+            20,
+            _one_row_in_the_upper_arm,
+            0,
+            (errors.InsufficientData, "1 rows with instrument = 1 for 2 basis functions"),
+        ),
         (1, lambda ds: None, 0, (errors.InsufficientData, "1 rows for 2 basis functions")),
     ],
     ids=["constant-instrument", "thin-arm", "too-few-rows"],

@@ -3,7 +3,7 @@ import pytest
 import row_reference
 
 from confgame import fixtures, game, moments, ope, sieve, smd
-from confgame.errors import BasisMismatch, IllPosedFit, UnboundedBelow
+from confgame.errors import BasisMismatch, IllPosedFit
 
 TRUTH = np.array([1.2, 0.5, 0.25])
 
@@ -98,31 +98,45 @@ def test_eta_schedule_values():
         smd.eta_schedule(0)
 
 
-def _region(fit, eta):
-    return smd.ConfidenceRegion(center=fit, eta=eta)
+def _geometry(fit):
+    """The region geometry of one fit: its dense Hessian as a single block."""
+    return smd.BlockGeometry(fit.hessian[None])
+
+
+def _flat(coef):
+    return np.asarray(coef, dtype=float).reshape(1, -1)
+
+
+def _gap(fit, coef):
+    """Criterion increase from ``fit``'s coefficients to ``coef``."""
+    return float(_geometry(fit).loss_gap(_flat(coef), _flat(fit.coef)))
+
+
+def _contains(fit, eta, coef):
+    return _gap(fit, coef) <= eta + 1e-12
+
+
+def _min_linear(fit, eta, weights):
+    value, argmin = _geometry(fit).min_linear(_flat(weights), _flat(fit.coef), eta)
+    return float(value), argmin.reshape(fit.coef.shape)
 
 
 def test_region_membership_basics(t1, t1_basis, t1_big):
     fit, _ = _fit_t1(t1_big, t1_basis)
-    region = _region(fit, 1e-3)
-    assert region.contains(fit.coef)
-    tight = _region(fit, 0.0)
+    assert _contains(fit, 1e-3, fit.coef)
     off = fit.coef + 0.05
-    assert not tight.contains(off)
-    with pytest.raises(BasisMismatch):
-        region.contains(np.zeros((2, 5)))
+    assert not _contains(fit, 0.0, off)
 
 
 def test_region_gap_matches_direct_loss(t1, t1_basis, t1_big):
     fit, _ = _fit_t1(t1_big, t1_basis)
     data = _stage0_data(t1_big)
     rows = row_reference.assemble_system(data, moments.estimate_nuisances(data, t1_basis))
-    region = _region(fit, 1.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
         probe = fit.coef + rng.normal(scale=0.2, size=fit.coef.shape)
         refit_loss = _loss_at(rows, t1_basis, probe)
-        assert abs((refit_loss - fit.loss) - region.loss_gap(probe)) < 1e-9
+        assert abs((refit_loss - fit.loss) - _gap(fit, probe)) < 1e-9
 
 
 def _loss_at(rows, basis, coef):
@@ -139,37 +153,35 @@ def _loss_at(rows, basis, coef):
 
 def test_region_monotone_in_eta(t1, t1_basis, t1_big):
     fit, _ = _fit_t1(t1_big, t1_basis)
-    small, large = _region(fit, 1e-4), _region(fit, 2e-4)
     rng = np.random.default_rng(1)
     for _ in range(50):
         probe = fit.coef + rng.normal(scale=0.05, size=fit.coef.shape)
-        if small.contains(probe):
-            assert large.contains(probe)
+        if _contains(fit, 1e-4, probe):
+            assert _contains(fit, 2e-4, probe)
 
 
-def _identity_region(center, eta, p=3):
-    fit = smd.SmdFit(
+def _identity_fit(center, p=3):
+    return smd.SmdFit(
         basis=sieve.build_basis("saturated", 1, 1),
         coef=np.asarray(center, dtype=float).reshape(1, p),
         loss=0.0,
         hessian=np.eye(p),
         outcome_scale=1.0,
     )
-    return smd.ConfidenceRegion(center=fit, eta=eta)
 
 
 def test_min_linear_closed_form():
-    region = _identity_region([0.0, 0.0, 0.0], 0.5)
-    value, argmin = region.min_linear(np.array([[1.0, 0.0, 0.0]]))
+    origin = _identity_fit([0.0, 0.0, 0.0])
+    value, argmin = _min_linear(origin, 0.5, np.array([[1.0, 0.0, 0.0]]))
     assert abs(value + 1.0) < 1e-12
     assert np.allclose(argmin, [[-1.0, 0.0, 0.0]])
 
-    point = _identity_region([2.0, -1.0, 0.5], 0.0)
-    value, argmin = point.min_linear(np.array([[1.0, 1.0, 1.0]]))
-    assert abs(value - 1.5) < 1e-12 and np.allclose(argmin, point.center.coef)
+    point = _identity_fit([2.0, -1.0, 0.5])
+    value, argmin = _min_linear(point, 0.0, np.array([[1.0, 1.0, 1.0]]))
+    assert abs(value - 1.5) < 1e-12 and np.allclose(argmin, point.coef)
 
-    value, argmin = region.min_linear(np.zeros((1, 3)))
-    assert value == 0.0 and np.allclose(argmin, region.center.coef)
+    value, argmin = _min_linear(origin, 0.5, np.zeros((1, 3)))
+    assert value == 0.0 and np.allclose(argmin, origin.coef)
 
 
 def test_min_linear_unbounded_on_flat_direction():
@@ -180,18 +192,18 @@ def test_min_linear_unbounded_on_flat_direction():
         hessian=np.diag([1.0, 1.0, 0.0]),
         outcome_scale=1.0,
     )
-    region = smd.ConfidenceRegion(center=fit, eta=0.5)
-    with pytest.raises(UnboundedBelow):
-        region.min_linear(np.array([[0.0, 0.0, 1.0]]))
+    w = _flat([[0.0, 0.0, 1.0]])
+    value, _ = _geometry(fit).min_linear(w, _flat(fit.coef), 0.5)
+    assert value == -np.inf
+    assert np.array_equal(_geometry(fit).flat_part(w), w)
 
 
 def test_min_linear_never_exceeds_center_value(t1, t1_basis, t1_big):
     fit, _ = _fit_t1(t1_big, t1_basis)
-    region = _region(fit, 5e-4)
     rng = np.random.default_rng(2)
     for _ in range(20):
         w = rng.normal(size=fit.coef.shape)
-        value, _ = region.min_linear(w)
+        value, _ = _min_linear(fit, 5e-4, w)
         assert value <= float((w * fit.coef).sum()) + 1e-12
 
 
@@ -215,7 +227,8 @@ def test_grid_state_polynomial_path(t2):
     fit_p = smd.fit_smd(moments.assemble_system(data, nuis_p, n_states=2, n_u=1), poly)
     grid_s = np.array([0, 1])
     grid_u = np.array([0, 0])
-    assert np.allclose(fit_p.predict(grid_s, grid_u), fit_s.predict(grid_s, grid_u), atol=1e-8)
+    at_poly, at_saturated = (f.basis.evaluate(grid_s, grid_u) @ f.coef for f in (fit_p, fit_s))
+    assert np.allclose(at_poly, at_saturated, atol=1e-8)
 
 
 def test_k_schedule_and_fit_summary():
@@ -231,16 +244,16 @@ def test_reward_region_covers_truth(t1, t1_basis):
         ds = game.simulate_dataset(t1, n=10_000, seed=50_000 + rep)
         fit, system = _fit_t1(ds, t1_basis)
         eta = smd.eta_schedule(ds.n) * system.outcome_scale**2
-        region = smd.ConfidenceRegion(center=fit, eta=eta)
-        hits += region.contains(TRUTH[None, :])
+        hits += _contains(fit, eta, TRUTH[None, :])
     assert hits >= int(0.9 * reps)
 
 
 def test_members_lie_on_the_boundary(t1, t1_basis, t1_big):
     fit, _ = _fit_t1(t1_big, t1_basis)
-    region = _region(fit, 1e-3)
-    members = region.members(16)
+    geometry, eta = _geometry(fit), 1e-3
+    index = np.arange(min(16, 1 + 2 * geometry.order.size))
+    members = geometry.members(_flat(fit.coef), eta, index).reshape((-1,) + fit.coef.shape)
     assert np.array_equal(members[0], fit.coef)
     assert len(members) <= 16
     for m in members[1:]:
-        assert abs(region.loss_gap(m) - region.eta) < 1e-12
+        assert abs(_gap(fit, m) - eta) < 1e-12

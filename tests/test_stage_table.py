@@ -141,7 +141,7 @@ def test_thin_instrument_arm_raises_like_rows():
     ds.b_init[3] = 1
     source = ope.SampleSource(ds)
     want = _raised(lambda: row_stats(source, 0, basis))
-    assert want == (errors.InsufficientData, "1 rows for 2 basis functions")
+    assert want == (errors.InsufficientData, "1 rows with instrument = 1 for 2 basis functions")
     assert _raised(lambda: ope.StageStats(source, 0, basis)) == want
 
 

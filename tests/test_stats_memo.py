@@ -110,8 +110,8 @@ def test_each_key_has_its_own_entry(t2h3, counted):
     assert counted == Counter({t: 3 for t in range(2 * spec.horizon)})
     _assert_same_stats(crossed, _fresh(ds, basis, cross_fit=True))
     _assert_same_result(
-        ope.evaluate_policy(ds, policies[0], basis, cross_fit=True),
-        ope.evaluate_policy(replace(ds), policies[0], basis, cross_fit=True),
+        ope.evaluate_policy(ope.SampleSource(ds, cross_fit=True), policies[0], basis),
+        ope.evaluate_policy(ope.SampleSource(replace(ds), cross_fit=True), policies[0], basis),
     )
 
 
