@@ -16,12 +16,14 @@ Candidates are scored by batched recursions per side:
 :func:`~confgame.ope.chain_recursion`, the same backward recursion that
 off-policy evaluation runs with a class of one and the all-center chain
 alone, run on the stacked policy tables of up to :data:`CHUNK` candidates
-with every array carrying leading (candidate, chain) axes.  Since the
-pessimistic value never exceeds the plug-in value, a class of more than
-:data:`FIRST` candidates is first run through the all-center chain alone
-(:meth:`LearnerEngine.plug_in`), and the member chains score only the
-candidates whose plug-in value can still reach the best pessimistic value
-(:func:`learn_policy_pair`).  It runs over the
+with every array carrying leading (candidate, chain) axes.  A run of the
+first chains alone reproduces the first columns of the full run, and the
+pessimistic value is a minimum over chains, so it never exceeds the
+all-center chain's sum of exact minima.  A class of more than :data:`PRUNE`
+candidates is first scored by that 1-chain bound, the :data:`FIRST` best by
+bound are scored with all chains, and the member chains then score only the
+candidates whose bound can still reach the best pessimistic value
+(:func:`learn_policy_pair`); a smaller class is not pruned.  It runs over the
 per-stage statistics of :class:`~confgame.ope.StageStats`, which are
 policy-independent (design moments) or enter only through small contraction
 tables (outcome moments), so a scan costs a handful of numpy calls per stage
@@ -61,7 +63,7 @@ from .smd import eta_schedule, horizon_weight
 from . import oracle as oracle_mod
 
 
-@dataclass
+@dataclass(frozen=True)
 class EtaConfig:
     """Region-size schedule parameters and the chain budget."""
 
@@ -103,7 +105,8 @@ class PessimisticValue:
 
 
 CHUNK = 512  # candidates scored per batched recursion; bounds the scan's memory
-FIRST = 64  # candidates scored before the plug-in bound prunes; a class this small is not pruned
+PRUNE = 64  # a class of more candidates than this is pruned by its 1-chain bound
+FIRST = 8  # candidates, best by bound, scored with all chains before the bound prunes
 
 
 @dataclass
@@ -164,29 +167,24 @@ class LearnerEngine:
             for t in range(2 * self.horizon)
         ]
 
-    def score(self, pairs: list) -> ClassScores:
+    def score(self, pairs: list, chains: Optional[int] = None) -> ClassScores:
         """Pessimistic values of ``pairs`` by one batched chain recursion per
         side over (candidate, chain); chain ``k`` takes member ``k`` of every
-        region it passes through."""
+        region it passes through.  ``chains`` (1 to ``eta.k_members``, all by
+        default) runs the first chains alone: their columns of
+        ``chain_values`` and the ``plug_in`` are those of the full run bit for
+        bit, so the ``value`` bounds the full one from above."""
+        if chains is None:
+            chains = self.eta.k_members
+        if not 1 <= chains <= self.eta.k_members:
+            raise ValueError(f"chains must be between 1 and k_members = {self.eta.k_members}, got {chains}")
         policies, weights = self._stack(pairs)
         scores = ClassScores(np.zeros(len(pairs)), np.zeros(len(pairs)), {}, {})
         for side in ("alice", "bob"):
-            for regions in chain_recursion(self.stats, policies, side, self.eta.k_members, self.radius_units):
+            for regions in chain_recursion(self.stats, policies, side, chains, self.radius_units):
                 pass  # the first stage comes last; the recursion frees the others on its way
             _add_first_stage(scores, side, regions, *weights)
         return scores
-
-    def plug_in(self, pairs: list) -> np.ndarray:
-        """Plug-in values (candidate,) of ``pairs``: the all-center chain of
-        :meth:`score` alone, which gives its ``plug_in`` bit for bit at a
-        fraction of the cost."""
-        policies, weights = self._stack(pairs)
-        value = np.zeros(len(pairs))
-        for side in ("alice", "bob"):
-            for regions in chain_recursion(self.stats, policies, side):
-                pass
-            value += _center_value(regions, *weights)
-        return value
 
     def _stack(self, pairs: list):
         """The :class:`PolicyStack` of ``pairs`` and their first-stage value
@@ -262,32 +260,36 @@ def learn_policy_pair(
 ) -> tuple[PolicyPair, PessimisticValue]:
     """Pessimistic argmax over an ordered policy class.
 
-    No candidate's pessimistic value exceeds its plug-in value, so a class
-    of more than :data:`FIRST` candidates is pruned by a plug-in pass
-    (:meth:`LearnerEngine.plug_in`): the :data:`FIRST` best by plug-in value
-    (a stable sort, best first) are scored, then, :data:`CHUNK` at a time and
-    in that order, every other candidate whose plug-in value is at least the
-    best pessimistic value so far less a margin of ``1e-9`` times the largest
-    finite plug-in magnitude (at least 1), so that rounding cannot prune a
-    winner; a candidate whose plug-in value is not finite is always scored.
-    A smaller class is scored whole, :data:`CHUNK` at a time.  The winner is
-    the first maximum in class order among the scored candidates: candidates
-    must be sorted by their encoding, so the tie-break is lexicographic by
+    A candidate's pessimistic value never exceeds its 1-chain bound, the
+    ``value`` of :meth:`LearnerEngine.score` with the all-center chain alone
+    (the reward-region minimum plus, per side, chain 0's sum of exact block
+    minima), so a class of more than :data:`PRUNE` candidates is pruned by a
+    bound pass, :data:`CHUNK` at a time: the :data:`FIRST` best by bound (a
+    stable sort, best first) are scored with all chains, then, :data:`CHUNK` at
+    a time and in that order, every other candidate whose bound is at least
+    the best pessimistic value so far less a margin of ``1e-9`` times the
+    largest finite bound magnitude (at least 1); a candidate whose bound is
+    not finite is always scored.  A smaller class is not pruned: it is scored
+    whole, :data:`CHUNK` at a time.  The winner is the first maximum in class
+    order among the candidates scored with all chains: candidates must be
+    sorted by their encoding, so the tie-break is lexicographic by
     construction, and the result is that of scoring every candidate.  The
-    winner's record (:meth:`ClassScores.record`) comes from the batch that
-    scored it: each candidate is scored once.
+    winner's record (:meth:`ClassScores.record`) comes from the full-chain
+    batch that scored it: no candidate is scored twice with all chains.
     """
     if not policy_class:
         raise EmptyClass("no candidate policy pairs")
     if engine is None:
         engine = LearnerEngine(data, basis, eta)
     values = np.full(len(policy_class), -np.inf)
-    order, size, plug_in = np.arange(len(policy_class)), CHUNK, None
-    if len(policy_class) > FIRST:
-        plug_in = engine.plug_in(policy_class)
-        finite = np.isfinite(plug_in)
-        margin = 1e-9 * np.abs(plug_in[finite]).max(initial=1.0)
-        order, size = np.argsort(-plug_in, kind="stable"), FIRST
+    order, size, bound = np.arange(len(policy_class)), CHUNK, None
+    if len(policy_class) > PRUNE:
+        bound = np.concatenate(
+            [engine.score(policy_class[i : i + CHUNK], 1).value for i in range(0, len(policy_class), CHUNK)]
+        )
+        finite = np.isfinite(bound)
+        margin = 1e-9 * np.abs(bound[finite]).max(initial=1.0)
+        order, size = np.argsort(-bound, kind="stable"), FIRST
     while order.size:
         batch, order = order[:size], order[size:]
         scores = engine.score([policy_class[i] for i in batch])
@@ -297,8 +299,8 @@ def learn_policy_pair(
         if at.size:  # the first maximum so far is in this batch
             record = scores.record(int(at[0]), policy_class[best])
         del scores  # not alive while the next batch is scored
-        if plug_in is not None:
-            order = order[~finite[order] | (plug_in[order] >= values.max() - margin)]
+        if bound is not None:
+            order = order[~finite[order] | (bound[order] >= values.max() - margin)]
         size = CHUNK
     return record.policy, record
 

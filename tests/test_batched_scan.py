@@ -12,14 +12,16 @@ the earliest candidate, within a chunk and across chunks; a candidate whose
 value weight loads on a flat direction scores ``-inf`` without stopping the
 scan; chunking does not change results.
 
-:func:`ref_learn` is the learner's scan as it was before the plug-in bound
-pruned it: every candidate scored with the full chains.  The pruned
-:func:`learn_policy_pair` returns the same pair and the same record bit for
-bit, on the t2 class at several sample sizes, on the small classes with
-``learner.FIRST`` patched small so that they prune too, at zero region
-radius (where the pessimistic value is the plug-in and ties are common), on
-unbounded classes and under rescaled rewards; its full-chain scorer sees no
-candidate twice, the winner included.
+:func:`ref_learn` is the learner's scan as it was before its 1-chain bound
+pruned it: every candidate scored with the full chains.  A run of the first
+chains gives the first columns of the full chain values bit for bit, so that
+bound is never below the full value.  The pruned :func:`learn_policy_pair`
+returns the same pair and the same record bit for bit, on the t2 class at
+several sample sizes, on the small classes with ``learner.PRUNE`` patched
+small so that they prune too, at zero region radius (where the pessimistic
+value is the plug-in and ties are common), on unbounded classes and under
+rescaled rewards; its full-chain scorer sees no candidate twice, the winner
+included.
 """
 
 from dataclasses import replace
@@ -224,7 +226,7 @@ def test_scan_matches_per_candidate_loop(case, size, request):
     engine = learner.LearnerEngine(ds, basis)
     scores = _assert_matches_reference(engine, pairs)
     assert len(pairs) == size
-    assert np.array_equal(engine.plug_in(pairs), scores.plug_in)
+    assert np.array_equal(engine.score(pairs, 1).plug_in, scores.plug_in)
     best, pv = learner.learn_policy_pair(ds, pairs, basis, engine=engine)
     ref = [ref_score(engine, p)[0] for p in pairs]
     assert best is pairs[int(np.argmax(ref))]
@@ -236,12 +238,13 @@ def test_scan_matches_per_candidate_loop(case, size, request):
 
 
 def test_equal_pairs_keep_the_first(t1_class, monkeypatch):
-    """Also on the pruned path (``FIRST`` 1), where the twins tie in plug-in value too."""
+    """Also on the pruned path (``PRUNE`` and ``FIRST`` 1), where the twins tie in bound too."""
     ds, basis, pairs = t1_class
     engine = learner.LearnerEngine(ds, basis)
     best, _ = learner.learn_policy_pair(ds, pairs, basis, engine=engine)
     twin = game.PolicyPair(alice=best.alice.copy(), bob=best.bob.copy(), init_bob=best.init_bob)
-    for first in (learner.FIRST, 1):
+    for prune, first in ((learner.PRUNE, learner.FIRST), (1, 1)):
+        monkeypatch.setattr(learner, "PRUNE", prune)
         monkeypatch.setattr(learner, "FIRST", first)
         for cls in ([best, twin], [twin, best], [twin] + pairs):
             assert learner.learn_policy_pair(ds, cls, basis, engine=engine)[0] is cls[0]
@@ -264,7 +267,7 @@ def test_flat_direction_scores_minus_infinity(t1_class, monkeypatch):
     """A reward criterion blind to the instrument coefficient leaves every
     candidate that opens with bob's action 1 unbounded below.  The engine is
     built on a copy of the shared dataset, whose memo starts empty, so the
-    patched statistics stay out of the dataset's memo.  With ``FIRST`` at 4
+    patched statistics stay out of the dataset's memo.  With ``PRUNE`` at 4
     the pruned scan learns the same pairs, the first of the all-flat class
     included."""
     ds, basis, pairs = t1_class
@@ -293,9 +296,29 @@ def test_flat_direction_scores_minus_infinity(t1_class, monkeypatch):
     assert direction[:, 1].all() and np.abs(direction[:, [0, 2]]).max() <= 1e-12
     assert pv.plug_in == plain.plug_in[[p is best for p in pairs].index(True)]
 
-    monkeypatch.setattr(learner, "FIRST", 4)
+    monkeypatch.setattr(learner, "PRUNE", 4)
     for cls in (pairs, flat):
         _learn_counted(engine, cls, basis)
+
+
+@pytest.mark.parametrize("case", ["t2h3_class", "t1_class", "t2_poly_class"])
+def test_the_first_chains_score_as_in_the_full_run(case, request):
+    """A run of the first ``k`` chains gives the first ``k`` columns of the
+    full chain values and the full plug-in value bit for bit, so its value
+    is never below the full one: the bound that prunes the class."""
+    ds, basis, pairs = request.getfixturevalue(case)
+    engine = learner.LearnerEngine(ds, basis)
+    full, k_members = engine.score(pairs), engine.eta.k_members
+    for k in (1, 2, 4, k_members):
+        part = engine.score(pairs, k)
+        assert part.chain_values.keys() == full.chain_values.keys()
+        for side, vals in full.chain_values.items():
+            assert np.array_equal(part.chain_values[side], vals[:, :k]), (k, side)
+        assert np.array_equal(part.plug_in, full.plug_in)
+        assert (part.value >= full.value).all()
+    for bad in (0, k_members + 1):
+        with pytest.raises(ValueError, match=f"chains must be between 1 and k_members = {k_members}, got {bad}"):
+            engine.score(pairs, bad)
 
 
 def test_only_a_class_of_one_keeps_its_moment_means(t1_class):
@@ -333,12 +356,14 @@ def _assert_same_record(pv, ref):
 def _learn_counted(engine, pairs, basis):
     """:func:`learn_policy_pair` checked against :func:`ref_learn`; returns the
     number of candidates the full-chain scorer saw, call by call, and checks
-    that it saw none twice."""
+    that it saw none twice.  Calls with fewer chains (the bound) are not
+    counted."""
     seen = []
 
-    def score(cls):
-        seen.append(cls)
-        return learner.LearnerEngine.score(engine, cls)
+    def score(cls, chains=None):
+        if chains in (None, engine.eta.k_members):
+            seen.append(cls)
+        return learner.LearnerEngine.score(engine, cls, chains)
 
     engine.score = score
     try:
@@ -354,7 +379,7 @@ def _learn_counted(engine, pairs, basis):
 
 
 def test_the_scan_that_chooses_the_pair_gives_its_record(t1_class):
-    """A class of at most ``FIRST`` candidates takes one full-chain scan,
+    """A class of at most ``PRUNE`` candidates takes one full-chain scan,
     and the learned pair's record comes from it: the winner is not scored
     again."""
     ds, basis, pairs = t1_class
@@ -367,35 +392,39 @@ def test_pruned_scan_learns_as_the_unpruned_one(n, seeds):
     for seed in seeds:
         ds, basis, pairs = _case(spec, n, seed)
         seen = sum(_learn_counted(learner.LearnerEngine(ds, basis), pairs, basis))
-        if n == 12_000:  # the class-t2h3 size: about a third of the class can win
-            assert seen < len(pairs) == 512
+        if n == 12_000:  # the class-t2h3 size: the bound leaves about ten that can win
+            assert seen <= 32 and len(pairs) == 512
 
 
 @pytest.mark.parametrize("case", ["t2h3_class", "t1_class", "t2_poly_class"])
 @pytest.mark.parametrize("c_eta", [2.0, 0.0])
 def test_small_first_batches_prune_to_the_same_pair(case, c_eta, request, monkeypatch):
-    """With ``FIRST`` at 4 the 32-candidate classes prune too; at ``c_eta = 0``
+    """With ``PRUNE`` at 4 the 32-candidate classes prune too; at ``c_eta = 0``
     every region is its center, so the pessimistic value is the plug-in and
     the bound prunes only candidates strictly below the best."""
     ds, basis, pairs = request.getfixturevalue(case)
     engine = learner.LearnerEngine(ds, basis, learner.EtaConfig(c_eta=c_eta))
     if case != "t2h3_class":
-        monkeypatch.setattr(learner, "FIRST", 4)
+        monkeypatch.setattr(learner, "PRUNE", 4)
     assert sum(_learn_counted(engine, pairs, basis)) < len(pairs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
-def test_a_candidate_without_a_finite_plug_in_is_scored(t2h3_class, bad):
-    """The winner's plug-in value replaced by ``bad`` sorts it away from the
-    first batch; it must still be scored and win, and the margin must ignore
-    it."""
+def test_a_candidate_without_a_finite_plug_in_is_scored(t2h3_class, bad, monkeypatch):
+    """The winner's bound replaced by ``bad`` sorts it away from the first
+    batch; it must still be scored and win, and the margin must ignore it."""
     ds, basis, pairs = t2h3_class
     engine = learner.LearnerEngine(ds, basis)
     best = ref_learn(engine, pairs)[0]
-    winner = [p is best for p in pairs].index(True)
-    plug_in = engine.plug_in(pairs)
-    plug_in[winner] = bad
-    engine.plug_in = lambda cls: plug_in
+    score = learner.LearnerEngine.score
+
+    def bounded(self, cls, chains=None):
+        scores = score(self, cls, chains)
+        if chains == 1:
+            scores.value[[p is best for p in cls]] = bad
+        return scores
+
+    monkeypatch.setattr(learner.LearnerEngine, "score", bounded)
     assert sum(_learn_counted(engine, pairs, basis)) < len(pairs)
 
 
@@ -403,7 +432,7 @@ def test_pruned_scan_under_rescaled_rewards(t1_basis, monkeypatch):
     """The scaled-reward datasets of the learner's equivariance test, and
     scales far from 1, where the pruning margin scales with the plug-in
     values."""
-    monkeypatch.setattr(learner, "FIRST", 4)
+    monkeypatch.setattr(learner, "PRUNE", 4)
     spec = fixtures.t1_spec()
     pairs = game.stationary_deterministic_pairs(spec)
     for lam in (1.0, 3.0, 1e-6, 1e6):

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,13 @@ def test_value_monotone_in_chain_budget(t1, t1_basis, t1_ds):
 def test_chain_budget_below_one_is_rejected(k):
     with pytest.raises(ValueError, match=f"k_members must be at least 1 .*got {k}"):
         learner.EtaConfig(k_members=k)
+
+
+def test_eta_config_is_frozen():
+    """Engines and the learner share one default instance: a field set
+    through one engine would change it for every later call."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        learner.EtaConfig().c_eta = 0.0
 
 
 def test_pessimistic_value_approaches_optimum_from_below(t1, t1_basis):
