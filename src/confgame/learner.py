@@ -34,10 +34,10 @@ basis, gives the region centers by its guarded solve, the members of every
 weight, that scores the first stage.  The scan keeps, per region, what one
 candidate's full record needs along its minimizing chain, and the learned
 pair's record (:meth:`ClassScores.record`) comes from the scan that chose
-it, so no candidate is scored twice.  Region radii are the rate schedule
-times the squared root mean square of the block outcome, which makes the
-whole construction exactly equivariant under a positive rescaling of all
-rewards.
+it, so no candidate is scored twice with all chains.  Region radii are the
+rate schedule times the squared root mean square of the block outcome,
+which makes the whole construction exactly equivariant under a positive
+rescaling of all rewards.
 """
 
 from __future__ import annotations

@@ -430,8 +430,7 @@ def test_a_candidate_without_a_finite_plug_in_is_scored(t2h3_class, bad, monkeyp
 
 def test_pruned_scan_under_rescaled_rewards(t1_basis, monkeypatch):
     """The scaled-reward datasets of the learner's equivariance test, and
-    scales far from 1, where the pruning margin scales with the plug-in
-    values."""
+    scales far from 1, where the pruning margin scales with the bounds."""
     monkeypatch.setattr(learner, "PRUNE", 4)
     spec = fixtures.t1_spec()
     pairs = game.stationary_deterministic_pairs(spec)
