@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfgameError
 from .fixtures import FIXTURES, get_fixture
-from .game import simulate_dataset, stationary_deterministic_pairs, validate_spec
+from .game import check_spec_grid, simulate_dataset, stationary_deterministic_pairs, validate_spec
 from .gameio import (
     export_policy_csv,
     read_dataset,
@@ -142,6 +142,9 @@ def _dispatch(args) -> int:
 
     if args.command == "identify":
         ds = read_dataset(args.data)
+        spec = _load_spec(args)
+        if spec is not None:
+            check_spec_grid(spec, ds.horizon, ds.n_states, ds.n_u)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
         source = SampleSource(ds)
         fit_a, fit_b = (StageStats(source, t, basis).reward_fit() for t in (0, 1))
@@ -149,7 +152,6 @@ def _dispatch(args) -> int:
         print(np.array_str(fit_a.coef_table(), precision=4))
         print("bob reward block:")
         print(np.array_str(fit_b.coef_table(), precision=4))
-        spec = _load_spec(args)
         if spec is not None:
             truths = oracle.true_coefficients(spec)
             for name, fit in (("alice_reward", fit_a), ("bob_reward", fit_b)):

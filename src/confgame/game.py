@@ -261,16 +261,6 @@ class PolicyPair:
     def horizon(self) -> int:
         return self.alice.shape[0]
 
-    def check_grid(self, horizon: int, n_states: int, n_u: int) -> None:
-        """Raise :class:`MalformedSpec` unless the pair is built for a game of
-        this horizon, number of states and number of private values."""
-        want = ((horizon, n_states, n_u, 2), (horizon, n_states, 2))
-        if (self.alice.shape, self.bob.shape) != want:
-            raise MalformedSpec(
-                f"policy tables have shapes alice {self.alice.shape}, bob {self.bob.shape}; "
-                f"the game needs alice {want[0]}, bob {want[1]}"
-            )
-
     def encode(self) -> tuple:
         """Stable encoding used for lexicographic tie-breaking."""
         return (
@@ -290,15 +280,16 @@ class PolicyStack:
     init_bob: np.ndarray
 
     @classmethod
-    def of(cls, pairs: list) -> "PolicyStack":
-        """Stack ``pairs``; :class:`MalformedSpec` naming the first pair whose
-        tables differ in shape from the first pair's."""
-        shapes = [(p.alice.shape, p.bob.shape) for p in pairs]
-        for i, shape in enumerate(shapes):
-            if shape != shapes[0]:
+    def of(cls, pairs: list, horizon: int, n_states: int, n_u: int) -> "PolicyStack":
+        """Stack ``pairs`` for a game of this horizon, number of states and
+        number of private values: the one place where a policy's tables meet a
+        game.  :class:`MalformedSpec` names the first pair built for another."""
+        want = ((horizon, n_states, n_u, 2), (horizon, n_states, 2))
+        for i, p in enumerate(pairs):
+            if (p.alice.shape, p.bob.shape) != want:
                 raise MalformedSpec(
-                    f"policy pair {i} has shapes alice {shape[0]}, bob {shape[1]}; "
-                    f"pair 0 has alice {shapes[0][0]}, bob {shapes[0][1]}"
+                    f"policy pair {i} has shapes alice {p.alice.shape}, bob {p.bob.shape}; "
+                    f"the game needs alice {want[0]}, bob {want[1]}"
                 )
         return cls(
             np.array([p.alice for p in pairs]),
@@ -312,6 +303,14 @@ class PolicyStack:
         if t % 2 == 0:
             return self.alice[:, t // 2].reshape(self.alice.shape[0], -1, 2)
         return np.repeat(self.bob[:, t // 2], self.alice.shape[3], axis=1)
+
+
+def check_spec_grid(spec: GameSpec, horizon: int, n_states: int, n_u: int) -> None:
+    """Raise :class:`MalformedSpec` unless ``spec`` is a game of this horizon,
+    number of states and number of private values (a dataset's)."""
+    have, want = (spec.horizon, spec.n_states, spec.n_u), (horizon, n_states, n_u)
+    if have != want:
+        raise MalformedSpec(f"the spec has (horizon, n_states, n_u) = {have}; the data have {want}")
 
 
 def constant_policy_pair(

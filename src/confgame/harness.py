@@ -73,6 +73,7 @@ class ExperimentConfig:
             raise ValueError("n grid must be strictly increasing")
         if self.spec_path is None and self.fixture not in FIXTURES:
             raise ValueError(f"unknown fixture {self.fixture!r}")
+        self.eta()  # a bad schedule or chain budget fails before any work
 
     def spec(self) -> GameSpec:
         if self.spec_path is not None:
@@ -80,13 +81,8 @@ class ExperimentConfig:
         return get_fixture(self.fixture)
 
     def eta(self) -> EtaConfig:
-        return EtaConfig(
-            alpha=self.alpha,
-            varsigma=self.varsigma,
-            d=self.d,
-            c_eta=self.c_eta,
-            k_members=self.k_members,
-        )
+        """The :class:`EtaConfig` of this config's fields of the same names."""
+        return EtaConfig(**{f.name: getattr(self, f.name) for f in fields(EtaConfig)})
 
     def canonical_json(self) -> str:
         payload = asdict(self)

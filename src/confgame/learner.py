@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BasisMismatch, EmptyClass
-from .game import GameSpec, PolicyPair, PolicyStack
+from .game import GameSpec, PolicyPair, PolicyStack, check_spec_grid
 from .ope import (
     as_source,
     block_slots,
@@ -59,7 +59,7 @@ from .ope import (
     value_weight_tables,
 )
 from .sieve import SieveBasis
-from .smd import eta_schedule, horizon_weight
+from .smd import check_schedule, eta_schedule, horizon_weight
 from . import oracle as oracle_mod
 
 
@@ -74,6 +74,7 @@ class EtaConfig:
     k_members: int = 16
 
     def __post_init__(self):
+        check_schedule(self.alpha, self.varsigma, self.d, self.c_eta)
         if self.k_members < 1:
             raise ValueError(f"k_members must be at least 1 (the center chain), got {self.k_members}")
 
@@ -81,14 +82,7 @@ class EtaConfig:
         """Schedule value before the outcome-scale factor."""
         if n is None or n <= 0:
             return 0.0
-        return eta_schedule(
-            n,
-            alpha=self.alpha,
-            varsigma=self.varsigma,
-            d=self.d,
-            c_eta=self.c_eta,
-            horizon_weight=step_weight,
-        )
+        return eta_schedule(n, self.alpha, self.varsigma, self.d, self.c_eta, horizon_weight=step_weight)
 
 
 @dataclass
@@ -158,6 +152,7 @@ class LearnerEngine:
         self.eta = eta
         self.n = self.source.dataset.n if hasattr(self.source, "dataset") else None
         self.horizon = self.source.horizon
+        self.grid = self.horizon, self.source.n_states, self.source.n_u  # policies and specs must match
         self.stats = stage_statistics(self.source, basis)
         unit = eta.radius_unit
         # reward and continuation radii of stage t (step t / 2 + 1 of the game)
@@ -178,22 +173,14 @@ class LearnerEngine:
             chains = self.eta.k_members
         if not 1 <= chains <= self.eta.k_members:
             raise ValueError(f"chains must be between 1 and k_members = {self.eta.k_members}, got {chains}")
-        policies, weights = self._stack(pairs)
+        policies = PolicyStack.of(pairs, *self.grid)
+        weights = _stage0_weights(self.stats[0], value_weight_tables(self.stats[0], policies))
         scores = ClassScores(np.zeros(len(pairs)), np.zeros(len(pairs)), {}, {})
         for side in ("alice", "bob"):
             for regions in chain_recursion(self.stats, policies, side, chains, self.radius_units):
                 pass  # the first stage comes last; the recursion frees the others on its way
             _add_first_stage(scores, side, regions, *weights)
         return scores
-
-    def _stack(self, pairs: list):
-        """The :class:`PolicyStack` of ``pairs`` and their first-stage value
-        weights (:func:`_stage0_weights`)."""
-        for pair in pairs:
-            pair.check_grid(self.horizon, self.source.n_states, self.source.n_u)
-        policies = PolicyStack.of(pairs)
-        st = self.stats[0]
-        return policies, _stage0_weights(st, value_weight_tables(st, policies))
 
 
 def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks) -> None:
@@ -332,10 +319,13 @@ def truth_covered(
     vectors, built from the true upstream tables rather than sampled members,
     must fall in the corresponding block regions.  The true tables are cell
     tables, so the engine's basis must be the saturated one
-    (:class:`BasisMismatch` otherwise).
+    (:class:`BasisMismatch` otherwise), and ``spec`` and ``policy`` must be
+    built for the engine's grid (:class:`MalformedSpec` otherwise).
     """
     if engine.basis.kind != "saturated":
         raise BasisMismatch("truth_covered compares cell tables and needs the saturated basis")
+    check_spec_grid(spec, *engine.grid)
+    policies = PolicyStack.of([policy], *engine.grid)
     if exq is None:
         exq = oracle_mod.exact_q(spec, policy)
     if true_blocks is None:
@@ -351,7 +341,7 @@ def truth_covered(
         st = engine.stats[t]
         for side in ("alice", "bob"):
             rep_true = exq.marginal[(t + 1, side)].stack().reshape(1, 1, -1, 4)
-            coef, _, scale_sq = continuation_centers(st, t, rep_true, PolicyStack.of([policy]))
+            coef, _, scale_sq = continuation_centers(st, t, rep_true, policies)
             etas = engine.radius_units[t][1] * scale_sq
             for j in range(4):
                 # the fitted blocks' columns are in the stage's roles, the truth's in slots

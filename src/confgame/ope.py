@@ -465,10 +465,9 @@ def evaluate_policy(data, policy: PolicyPair, basis: SieveBasis) -> OPEResult:
     if not isinstance(policy, PolicyPair):
         raise TypeError("policy must be a PolicyPair (bob rules cannot see v)")
     source = as_source(data)
-    policy.check_grid(source.horizon, source.n_states, source.n_u)
     ns, nu = source.n_states, source.n_u
+    policies = PolicyStack.of([policy], source.horizon, ns, nu)
     stats = stage_statistics(source, basis)
-    policies = PolicyStack.of([policy])
     w = value_weight_tables(stats[0], policies)[0]
     reps, fits, value = {}, {}, {}
     for side in ("alice", "bob"):

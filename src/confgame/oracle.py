@@ -340,8 +340,7 @@ def _backward(spec: GameSpec, policies: PolicyStack):
 
 def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
     """Exact action-value tables and values of one policy pair."""
-    policy.check_grid(spec.horizon, spec.n_states, spec.n_u)
-    full, ja, jb = _backward(spec, PolicyStack.of([policy]))
+    full, ja, jb = _backward(spec, PolicyStack.of([policy], spec.horizon, spec.n_states, spec.n_u))
     full = {key: q[0] for key, q in full.items()}
     marginal = {
         (t, side): StageRep.of_corners(np.einsum("suvwab,svw->suab", q, _v_weights(spec, t)))
@@ -352,8 +351,7 @@ def exact_q(spec: GameSpec, policy: PolicyPair) -> ExactQ:
 
 def exact_policy_value(spec: GameSpec, policy: PolicyPair) -> tuple[float, float]:
     """Exact (J_alice, J_bob) for a policy pair."""
-    policy.check_grid(spec.horizon, spec.n_states, spec.n_u)
-    _, ja, jb = _backward(spec, PolicyStack.of([policy]))
+    _, ja, jb = _backward(spec, PolicyStack.of([policy], spec.horizon, spec.n_states, spec.n_u))
     return float(ja[0]), float(jb[0])
 
 
@@ -366,9 +364,7 @@ def exact_optimal_pair(spec: GameSpec, pairs: list[PolicyPair]) -> tuple[PolicyP
     """
     if not pairs:
         raise EmptyClass("no candidate policy pairs")
-    for pair in pairs:
-        pair.check_grid(spec.horizon, spec.n_states, spec.n_u)
-    _, ja, jb = _backward(spec, PolicyStack.of(pairs))
+    _, ja, jb = _backward(spec, PolicyStack.of(pairs, spec.horizon, spec.n_states, spec.n_u))
     total = ja + jb
     best = int(np.argmax(total))  # the first maximum: ties keep the earliest pair
     return pairs[best], float(total[best])

@@ -184,7 +184,10 @@ class BlockGeometry:
         the criterion and a region contains a line along them even at
         ``eta = 0``, so a linear functional with a non-zero flat part is
         unbounded below over it (the data do not pin the functional down)."""
-        step = np.einsum("cpq,...cq->...cp", self.hpinv, weight)
+        return self._flat_part(weight, np.einsum("cpq,...cq->...cp", self.hpinv, weight))
+
+    def _flat_part(self, weight: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """:meth:`flat_part` of ``weight`` given its ``step``, ``hpinv · weight``."""
         flat = weight - np.einsum("cpq,...cq->...cp", self.hess, step)
         size = np.maximum(np.abs(weight).max(axis=(-2, -1), initial=0.0), 1.0)
         loads = np.abs(flat).max(axis=(-2, -1), initial=0.0) > 1e-8 * size
@@ -202,7 +205,7 @@ class BlockGeometry:
         quad = np.einsum("...cp,cpq,...cq->...", weight, self.hpinv, weight)
         eta = np.asarray(eta, dtype=float)
         value = np.einsum("...cp,...cp->...", center, weight) - np.sqrt(np.maximum(2.0 * eta * quad, 0.0))
-        value = np.where(self.flat_part(weight).any(axis=(-2, -1)), -np.inf, value)
+        value = np.where(self._flat_part(weight, step).any(axis=(-2, -1)), -np.inf, value)
         reach = np.sqrt(np.maximum(2.0 * eta, 0.0) / np.where(quad > 0, quad, np.inf))
         return value, center - reach[..., None, None] * step
 
@@ -257,6 +260,19 @@ def fit_cell_moments(
     )
 
 
+def check_schedule(alpha: float, varsigma: float, d: int, c_eta: float, n: int = 1) -> None:
+    """``ValueError`` naming the first parameter of :func:`eta_schedule` out of range."""
+    for name, value, ok, need in (
+        ("alpha", alpha, alpha > 0, "> 0"),
+        ("varsigma", varsigma, varsigma >= 0, ">= 0"),
+        ("d", d, d >= 1, ">= 1"),
+        ("c_eta", c_eta, c_eta >= 0, ">= 0"),
+        ("n", n, n >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {need}, got {value}")
+
+
 def eta_schedule(
     n: int,
     alpha: float = 2.0,
@@ -266,8 +282,7 @@ def eta_schedule(
     horizon_weight: float = 1.0,
 ) -> float:
     """Region radius ``c_eta * horizon_weight * n**(-2a / (2a + 2v + d))``."""
-    if alpha <= 0 or varsigma < 0 or d < 1 or n < 1:
-        raise ValueError("need alpha > 0, varsigma >= 0, d >= 1, n >= 1")
+    check_schedule(alpha, varsigma, d, c_eta, n)
     rate = 2.0 * alpha / (2.0 * alpha + 2.0 * varsigma + d)
     return c_eta * horizon_weight * float(n) ** (-rate)
 

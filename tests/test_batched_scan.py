@@ -325,7 +325,7 @@ def test_only_a_class_of_one_keeps_its_moment_means(t1_class):
     ds, basis, pairs = t1_class
     engine = learner.LearnerEngine(ds, basis)
     for cls, kept in ((pairs, False), (pairs[:1], True)):
-        policies = game.PolicyStack.of(cls)
+        policies = game.PolicyStack.of(cls, ds.horizon, ds.n_states, ds.n_u)
         stages = [s for s in ope.chain_recursion(engine.stats, policies, "bob", 2) if s.coef is not None]
         assert stages and all((s.alpha is not None) == kept for s in stages)
 

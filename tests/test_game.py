@@ -78,9 +78,25 @@ def test_policy_stack_names_the_first_pair_of_another_shape(t1, t2):
     with pytest.raises(
         MalformedSpec,
         match=r"^policy pair 2 has shapes alice \(2, 2, 1, 2\), bob \(2, 2, 2\); "
-        r"pair 0 has alice \(1, 1, 1, 2\), bob \(1, 1, 2\)$",
+        r"the game needs alice \(1, 1, 1, 2\), bob \(1, 1, 2\)$",
     ):
-        game.PolicyStack.of(pairs)
+        game.PolicyStack.of(pairs, t1.horizon, t1.n_states, t1.n_u)
+    longer = game.constant_policy_pair(fixtures.t2_spec(horizon=3), 1.0, 0.5, 0.5)
+    with pytest.raises(
+        MalformedSpec,
+        match=r"^policy pair 0 has shapes alice \(3, 2, 1, 2\), bob \(3, 2, 2\); "
+        r"the game needs alice \(2, 2, 1, 2\), bob \(2, 2, 2\)$",
+    ):
+        game.PolicyStack.of([longer], t2.horizon, t2.n_states, t2.n_u)
+
+
+def test_spec_for_another_grid_is_rejected(t1, t2):
+    game.check_spec_grid(t2, t2.horizon, t2.n_states, t2.n_u)
+    with pytest.raises(
+        MalformedSpec,
+        match=r"^the spec has \(horizon, n_states, n_u\) = \(1, 1, 1\); the data have \(2, 2, 1\)$",
+    ):
+        game.check_spec_grid(t1, t2.horizon, t2.n_states, t2.n_u)
 
 
 def test_simulate_empty_dataset(t1):

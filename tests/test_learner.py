@@ -1,10 +1,11 @@
 import dataclasses
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from confgame import fixtures, game, learner, ope, oracle, sieve
+from confgame import cli, fixtures, game, gameio, harness, learner, ope, oracle, sieve, smd
 from confgame.errors import BasisMismatch, EmptyClass
 
 
@@ -158,6 +159,39 @@ def test_value_monotone_in_chain_budget(t1, t1_basis, t1_ds):
 def test_chain_budget_below_one_is_rejected(k):
     with pytest.raises(ValueError, match=f"k_members must be at least 1 .*got {k}"):
         learner.EtaConfig(k_members=k)
+
+
+@pytest.mark.parametrize(
+    "name, value, need",
+    [("alpha", 0.0, "> 0"), ("alpha", np.nan, "> 0"), ("varsigma", -0.5, ">= 0"), ("d", 0, ">= 1"), ("c_eta", -1.0, ">= 0")],
+)
+def test_schedule_parameter_out_of_range_is_rejected(name, value, need, tmp_path):
+    """Every schedule parameter is checked when the config is built, by the
+    guard of :func:`~confgame.smd.eta_schedule`, and a benchmark config that
+    holds one fails before any output is written."""
+    message = re.escape(f"{name} must be {need}, got {value}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        learner.EtaConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        smd.eta_schedule(100, **{name: value})
+    out = tmp_path / "results"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        harness.ExperimentConfig(out_dir=str(out), **{name: value})
+    assert not out.exists()
+
+
+def test_cli_rejects_a_negative_radius_constant(t1, tmp_path, capsys):
+    """``c_eta < 0`` used to learn as ``c_eta = 0``, with pessimism off."""
+    assert learner.EtaConfig(c_eta=0.0).c_eta == 0.0
+    data, out = tmp_path / "t1.csv", tmp_path / "results"
+    gameio.write_dataset(game.simulate_dataset(t1, n=200, seed=1), str(data))
+    capsys.readouterr()
+    learn = ["learn", "--data", str(data), "--fixture", "t1", "--out", str(tmp_path / "p.csv"), "--c-eta", "-1"]
+    assert cli.main(learn) == 2
+    assert "ValueError: c_eta must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+    assert cli.main(["benchmark", "--fixture", "t1", "--c-eta", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_eta_config_is_frozen():

@@ -249,9 +249,44 @@ def test_policy_for_another_grid_is_rejected(t2, t2_basis, tmp_path, capsys):
         oracle.exact_policy_value(t2, one_state)
     with pytest.raises(MalformedSpec, match=r"alice \(3, 2, 1, 2\)"):
         oracle.exact_policy_value(t2, longer)
+    with pytest.raises(MalformedSpec, match=shapes):
+        oracle.exact_q(t2, one_state)
+    on_grid = game.constant_policy_pair(t2, 1.0, 0.5, 0.5)
+    with pytest.raises(MalformedSpec, match="^policy pair 1 has shapes " + shapes):
+        oracle.exact_optimal_pair(t2, [on_grid, one_state])
+    exq = oracle.exact_q(t2, on_grid)
+    blocks = oracle.exact_recursion_blocks(t2, on_grid, exq)
+    with pytest.raises(MalformedSpec, match="^policy pair 0 has shapes " + shapes):
+        learner.truth_covered(learner.LearnerEngine(ds, t2_basis), t2, one_state, exq, blocks)
 
     data = tmp_path / "t2.csv"
     gameio.write_dataset(ds, str(data))
     capsys.readouterr()
     assert cli.main(["learn", "--data", str(data), "--fixture", "t1", "--out", str(tmp_path / "p.csv")]) == 2
     assert "MalformedSpec" in capsys.readouterr().err
+
+
+def test_spec_for_another_grid_is_rejected(t1, t2, t2_basis, tmp_path, capsys):
+    """A spec is checked against the data's grid, also when its truth comes
+    precomputed with a policy that fits the data."""
+    ds = game.simulate_dataset(t2, n=3_000, seed=5)
+    engine = learner.LearnerEngine(ds, t2_basis)
+    on_grid = game.constant_policy_pair(t2, 1.0, 0.5, 0.5)
+    assert learner.truth_covered(engine, t2, on_grid) in (True, False)
+    t2h3 = fixtures.t2_spec(horizon=3)
+    grids = r"^the spec has \(horizon, n_states, n_u\) = {}; the data have \(2, 2, 1\)$"
+    for spec, have in ((t1, r"\(1, 1, 1\)"), (t2h3, r"\(3, 2, 1\)")):
+        pair = game.constant_policy_pair(spec, 1.0, 0.5, 0.5)
+        exq = oracle.exact_q(spec, pair)
+        blocks = oracle.exact_recursion_blocks(spec, pair, exq)
+        for args in ((pair,), (pair, exq, blocks), (on_grid, exq, blocks)):
+            with pytest.raises(MalformedSpec, match=grids.format(have)):
+                learner.truth_covered(engine, spec, *args)
+
+    data = tmp_path / "t2.csv"
+    gameio.write_dataset(ds, str(data))
+    capsys.readouterr()
+    assert cli.main(["identify", "--data", str(data), "--fixture", "t1"]) == 2
+    out, err = capsys.readouterr()
+    assert re.search(grids.format(r"\(1, 1, 1\)")[1:], err) and "MalformedSpec" in err and out == ""
+    assert cli.main(["identify", "--data", str(data), "--fixture", "t2"]) == 0

@@ -298,7 +298,7 @@ def _random_pairs(spec, seed, n=40):
 def test_batched_values_match_the_loop_bit_for_bit(name):
     spec = fixtures.get_fixture(name)
     pairs = _random_pairs(spec, seed=len(name))
-    _, ja, jb = oracle._backward(spec, game.PolicyStack.of(pairs))
+    _, ja, jb = oracle._backward(spec, game.PolicyStack.of(pairs, spec.horizon, spec.n_states, spec.n_u))
     for i, pair in enumerate(pairs):
         _, _, ref_a, ref_b = loop_exact_q(spec, pair)
         assert (ja[i], jb[i]) == (ref_a, ref_b), (name, i)
