@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MalformedDataset, MalformedSpec
+from .errors import EmptyClass, MalformedDataset, MalformedSpec
 
 PROB_TOL = 1e-9
 
@@ -283,7 +283,10 @@ class PolicyStack:
     def of(cls, pairs: list, horizon: int, n_states: int, n_u: int) -> "PolicyStack":
         """Stack ``pairs`` for a game of this horizon, number of states and
         number of private values: the one place where a policy's tables meet a
-        game.  :class:`MalformedSpec` names the first pair built for another."""
+        game.  :class:`MalformedSpec` names the first pair built for another;
+        :class:`EmptyClass` if there is none."""
+        if not pairs:
+            raise EmptyClass("no candidate policy pairs")
         want = ((horizon, n_states, n_u, 2), (horizon, n_states, 2))
         for i, p in enumerate(pairs):
             if (p.alice.shape, p.bob.shape) != want:

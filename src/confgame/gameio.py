@@ -9,11 +9,15 @@ unused fields stay empty.  Floats are written with 17 significant digits so a
 round trip is exact.  The hidden trace lives in a sibling file with suffix
 ``.hidden`` (header ``#confgame-hidden v1 ...``, rows
 ``traj,step,v1,v2,v1_half,v2_half``); the observed file has no column for it.
-Both files are written in trajectory order by one routine and read by one
-other, which accepts the rows of either in any order and skips blank lines: it
-parses a block of lines at a time by columns, reads a block that fails again
-line by line to name its first bad line, and names the first (trajectory,
-step) that no row fills.
+Both files are written in trajectory order by one routine, which takes each
+step's run of integer fields (``s,u,a``, ``s_half,u_half,b`` and the hidden
+``v1,v2,v1_half,v2_half``) from a table of their joined values when those
+span at most n combinations.  They are read by one other routine, which
+accepts the rows of either file in any order and skips blank lines: it parses
+a block of lines at a time by columns, routes the rows of a dataset block in
+the writer's layout by their positions and those of any other block by their
+tags, reads a block that fails again line by line to name its first bad line,
+and names the first (trajectory, step) that no row fills.
 
 Spec and policy files are key-value texts: scalar lines ``name = value``
 followed by array blocks ``[name] shape=d1,d2,...`` whose flattened values
@@ -22,9 +26,10 @@ followed by array blocks ``[name] shape=d1,d2,...`` whose flattened values
 
 from __future__ import annotations
 
+import math
 import os
 import re
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -56,8 +61,14 @@ _STEP_DTYPE = np.dtype(
     [("traj", np.int64), ("step", np.int64)]
     + [(k, float if k.startswith("r_") else np.int64) for k in _STEP_FIELDS]
 )
-_INIT_DTYPE = np.dtype([("traj", np.int64), ("b_init", np.int64)])  # fields 0 and 8
-_TERM_DTYPE = np.dtype([("traj", np.int64), ("s_term", np.int64)])  # fields 0 and 2
+# an init or term row: its tag, wide enough that a longer one never reads as
+# ``init`` or ``term``, its one integer field and eight fields it ignores
+_INIT_DTYPE = np.dtype(
+    [("traj", np.int64), ("tag", "U5")] + [(f"_{j}", "U1") for j in range(2, 8)] + [("b_init", np.int64), ("_9", "U1")]
+)
+_TERM_DTYPE = np.dtype(
+    [("traj", np.int64), ("tag", "U5"), ("s_term", np.int64)] + [(f"_{j}", "U1") for j in range(3, 10)]
+)
 _HIDDEN_DTYPE = np.dtype([(k, np.int64) for k in ("traj", "step", *_HIDDEN_FIELDS)])
 
 
@@ -70,26 +81,41 @@ def write_dataset(ds: OfflineDataset, path: str) -> None:
     ``hidden_path(path)``; :class:`MalformedDataset` before anything is
     written for an array of the wrong shape (:func:`check_dataset_shapes`)."""
     check_dataset_shapes(ds, with_hidden=True)
-    steps = range(ds.horizon)
-    _write_trajectories(
-        path,
-        f"#confgame v1 H={ds.horizon} n={ds.n} ns={ds.n_states} nu={ds.n_u}",
-        "%d,init,,,,,,,%s,\n"
-        + "".join(f"%d,{h + 1},%s,%s,%s,%.17g,%s,%s,%s,%.17g\n" for h in steps)
-        + "%d,term,%s,,,,,,,\n",
-        [None, ds.b_init]
-        + [col for h in steps for col in (None, *(getattr(ds, k)[:, h] for k in _STEP_FIELDS))]
-        + [None, ds.s_term],
-        ds.n,
-    )
+    n, steps = ds.n, range(ds.horizon)
+    template, columns = ["%d,init,,,,,,,%s,\n"], [None, ds.b_init]
+    for h in steps:
+        alice, alice_cols = _int_fields(n, ds.s[:, h], ds.u[:, h], ds.a[:, h])
+        bob, bob_cols = _int_fields(n, ds.s_half[:, h], ds.u_half[:, h], ds.b[:, h])
+        template.append(f"%d,{h + 1},{alice},%.17g,{bob},%.17g\n")
+        columns += [None, *alice_cols, ds.r_a[:, h], *bob_cols, ds.r_b[:, h]]
+    template.append("%d,term,%s,,,,,,,\n")
+    columns += [None, ds.s_term]
+    header = f"#confgame v1 H={ds.horizon} n={n} ns={ds.n_states} nu={ds.n_u}"
+    _write_trajectories(path, header, "".join(template), columns, n)
     if ds.hidden is not None:
-        _write_trajectories(
-            hidden_path(path),
-            f"#confgame-hidden v1 H={ds.horizon} n={ds.n}",
-            "".join(f"%d,{h + 1},%s,%s,%s,%s\n" for h in steps),
-            [col for h in steps for col in (None, *(getattr(ds.hidden, k)[:, h] for k in _HIDDEN_FIELDS))],
-            ds.n,
-        )
+        template, columns = [], []
+        for h in steps:
+            fields, cols = _int_fields(n, *(getattr(ds.hidden, k)[:, h] for k in _HIDDEN_FIELDS))
+            template.append(f"%d,{h + 1},{fields}\n")
+            columns += [None, *cols]
+        header = f"#confgame-hidden v1 H={ds.horizon} n={n}"
+        _write_trajectories(hidden_path(path), header, "".join(template), columns, n)
+
+
+def _int_fields(n: int, *cols: np.ndarray):
+    """The ``%`` fields of a template and their columns that write ``cols``,
+    arrays of length ``n``, as comma-separated fields: one ``%s`` taken from
+    a table of each combination of their values, written by ``str`` of
+    Python ints, when all are arrays of integers within int64 whose ranges
+    span at most ``n`` combinations; otherwise one ``%s`` per column."""
+    if n and all(col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64) for col in cols):
+        low = [int(col.min()) for col in cols]
+        dims = [int(col.max()) - lo + 1 for col, lo in zip(cols, low)]
+        if math.prod(dims) <= n:
+            table = [",".join(map(str, values)) for values in product(*(range(lo, lo + d) for lo, d in zip(low, dims)))]
+            at = np.ravel_multi_index([col.astype(np.int64) - lo for col, lo in zip(cols, low)], dims)
+            return "%s", [np.array(table, dtype=object)[at]]
+    return ",".join(["%s"] * len(cols)), list(cols)
 
 
 def _write_trajectories(path: str, header: str, template: str, columns: list, n: int) -> None:
@@ -126,9 +152,9 @@ def read_dataset(path: str, with_hidden: bool = False) -> OfflineDataset:
         for init, term, steps in _read_rows(fh, "dataset", n, horizon, tags, _parse_observed, _check_observed):
             b_init[init["traj"]] = init["b_init"]
             s_term[term["traj"]] = term["s_term"]
-            at = (steps["traj"], steps["step"] - 1)
+            at = steps["traj"] * horizon + steps["step"] - 1
             for key, col in arrays.items():
-                col[at] = steps[key]
+                col.reshape(-1)[at] = steps[key]
     ds = OfflineDataset(horizon=horizon, n_states=ns, n_u=nu, b_init=b_init, s_term=s_term, **arrays)
     try:
         check_dataset(ds)
@@ -153,9 +179,9 @@ def _read_hidden(path: str, horizon: int, n: int) -> HiddenTrace:
             raise SchemaMismatch(f"hidden-trace header disagrees: {header!r}")
         arrays = {k: np.zeros((n, horizon), dtype=np.int64) for k in _HIDDEN_FIELDS}
         for rows in _read_rows(fh, "hidden trace", n, horizon, range(1, horizon + 1), _parse_hidden, _check_hidden):
-            at = (rows["traj"], rows["step"] - 1)
+            at = rows["traj"] * horizon + rows["step"] - 1
             for key, col in arrays.items():
-                col[at] = rows[key]
+                col.reshape(-1)[at] = rows[key]
     return HiddenTrace(**arrays)
 
 
@@ -176,7 +202,8 @@ def _read_rows(fh, what: str, n: int, horizon: int, tags, parse, check):
     first = 2  # the header is line 1
     while block := fh.readlines(_READ_BLOCK):
         try:
-            rows, traj, slot = parse([line for line in block if line != "\n"], horizon)
+            lines = [line for line in block if line != "\n"] if "\n" in block else block
+            rows, traj, slot = parse(lines, horizon)
         except (ValueError, IndexError):
             rows = None
         if rows is None or not _claim(seen, traj, slot):
@@ -198,35 +225,64 @@ def _read_rows(fh, what: str, n: int, horizon: int, tags, parse, check):
         raise SchemaMismatch(f"{what} misses (trajectory, step) ({traj}, {tags[slot]})")
 
 
-def _parse_csv(lines: list, dtype: np.dtype, usecols=None) -> np.ndarray:
+def _parse_csv(lines: list, dtype: np.dtype) -> np.ndarray:
     """``lines`` parsed into a structured array of ``dtype``, one record per
-    line; ValueError for a field that does not parse or, without
-    ``usecols``, a line whose field count is not the dtype's."""
+    line; ValueError for a field that does not parse or a line whose field
+    count is not the dtype's."""
     if not lines:  # numpy's reader warns on no data
         return np.zeros(0, dtype=dtype)
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=1)
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
 def _parse_observed(lines: list, horizon: int):
     """The ``init``, ``term`` and step rows of the non-blank dataset
-    ``lines``, routed by the tag in field 2, and their (trajectory, slot)s:
-    slot 0 for ``init``, the step for a step row and H + 1 for ``term``;
-    ValueError or IndexError for a line that does not parse or a step
-    outside 1..H."""
-    tags = [line.split(",", 2)[1] for line in lines]
-    init = [line for line, tag in zip(lines, tags) if tag == "init"]
-    term = [line for line, tag in zip(lines, tags) if tag == "term"]
-    if any(line.count(",") != 9 for line in init + term):
-        raise ValueError("an init or term row without 10 fields")
-    steps = [line for line, tag in zip(lines, tags) if tag != "init" and tag != "term"]
-    init = _parse_csv(init, _INIT_DTYPE, usecols=(0, 8))
-    term = _parse_csv(term, _TERM_DTYPE, usecols=(0, 2))
-    steps = _parse_csv(steps, _STEP_DTYPE)
-    if not _within(steps["step"] - 1, horizon):
-        raise ValueError("a step outside the header's horizon")
+    ``lines`` and their (trajectory, slot)s: slot 0 for ``init``, the step
+    for a step row and H + 1 for ``term``; ValueError or IndexError for a
+    line that does not parse or a step outside 1..H.  Lines in the writer's
+    layout are routed by position (:func:`_parse_placed`), any others by
+    their tags (:func:`_parse_tagged`)."""
+    try:
+        rows = _parse_placed(lines, horizon)
+    except (ValueError, IndexError):
+        rows = None
+    init, term, steps = rows or _parse_tagged(lines, horizon)
     traj = np.concatenate([init["traj"], steps["traj"], term["traj"]])
     slot = np.concatenate([np.zeros(len(init), np.int64), steps["step"], np.full(len(term), horizon + 1)])
     return (init, term, steps), traj, slot
+
+
+def _parse_placed(lines: list, horizon: int):
+    """The ``init``, ``term`` and step rows of ``lines`` whose slots follow
+    each other as the writer lays them out, starting from the slot that the
+    first line's tag names: ``None`` if a row's tag or step is not its
+    position's.  Lines that hold a NUL are left to the tags, since a string
+    field drops trailing NULs and would read ``init\\0`` as ``init``."""
+    if "\0" in "".join(lines):
+        return None
+    width = horizon + 2
+    tag = lines[0].split(",", 2)[1]
+    first = 0 if tag == "init" else width - 1 if tag == "term" else int(tag)
+    at = [lines[(slot - first) % width :: width] for slot in range(width)]  # the lines of each slot
+    init = _parse_csv(at[0], _INIT_DTYPE)
+    term = _parse_csv(at[-1], _TERM_DTYPE)
+    if (init["tag"] != "init").any() or (term["tag"] != "term").any():
+        return None
+    steps = _parse_csv(list(chain.from_iterable(at[1:-1])), _STEP_DTYPE)
+    if (steps["step"] != np.repeat(np.arange(1, horizon + 1), [len(x) for x in at[1:-1]])).any():
+        return None
+    return init, term, steps
+
+
+def _parse_tagged(lines: list, horizon: int):
+    """The ``init``, ``term`` and step rows of ``lines`` in any order, routed
+    by the tag in field 2; ValueError for a step outside 1..H."""
+    tags = [line.split(",", 2)[1] for line in lines]
+    init = _parse_csv([line for line, tag in zip(lines, tags) if tag == "init"], _INIT_DTYPE)
+    term = _parse_csv([line for line, tag in zip(lines, tags) if tag == "term"], _TERM_DTYPE)
+    steps = _parse_csv([line for line, tag in zip(lines, tags) if tag != "init" and tag != "term"], _STEP_DTYPE)
+    if not _within(steps["step"] - 1, horizon):
+        raise ValueError("a step outside the header's horizon")
+    return init, term, steps
 
 
 def _check_observed(parts: list, line: str, lineno: int, n: int, horizon: int):
@@ -255,7 +311,7 @@ def _check_observed(parts: list, line: str, lineno: int, n: int, horizon: int):
             int(parts[col])
         float(parts[5])
         float(parts[9])
-    _parse_observed([line], horizon)  # what Python's int and float accept but the block parser does not
+    _parse_tagged([line], horizon)  # what Python's int and float accept but the block parser does not
     return traj, slot, tag
 
 

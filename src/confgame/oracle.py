@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyClass, SingularSystem, SpaceTooLarge
+from .errors import SingularSystem, SpaceTooLarge
 from .game import BehaviorPolicyPair, GameSpec, PolicyPair, PolicyStack
 
 DEFAULT_CELL_BUDGET = 10**7
@@ -362,8 +362,6 @@ def exact_optimal_pair(spec: GameSpec, pairs: list[PolicyPair]) -> tuple[PolicyP
     Candidates must already be sorted by their lexicographic encoding; ties
     keep the earliest candidate.
     """
-    if not pairs:
-        raise EmptyClass("no candidate policy pairs")
     _, ja, jb = _backward(spec, PolicyStack.of(pairs, spec.horizon, spec.n_states, spec.n_u))
     total = ja + jb
     best = int(np.argmax(total))  # the first maximum: ties keep the earliest pair
@@ -544,7 +542,9 @@ def exact_recursion_blocks(spec: GameSpec, policy: PolicyPair, exq: Optional["Ex
     policy mean where that actor's draw is integrated out).  Keys are
     ``(stage, side, j)`` for ``j`` in 0..3; values are the marginalized
     bilinear representations in (alice-recent, bob-recent) coordinates.
+    :class:`MalformedSpec` for a ``policy`` of another game than ``spec``.
     """
+    PolicyStack.of([policy], spec.horizon, spec.n_states, spec.n_u)
     if exq is None:
         exq = exact_q(spec, policy)
     out = {}
@@ -585,9 +585,12 @@ def exact_block_coefficients(
     the next actor's policy mean: ``"next_bob"`` uses the bob rule following
     an even stage, ``"next_alice"`` the alice rule following an odd stage,
     ``None`` no factor.  Returns the V-marginalized representation in
-    (alice-recent, bob-recent) coordinates.
+    (alice-recent, bob-recent) coordinates; :class:`MalformedSpec` for a
+    ``policy`` of another game than ``spec``.
     """
     ns, nu = spec.n_states, spec.n_u
+    if policy is not None:
+        PolicyStack.of([policy], spec.horizon, ns, nu)
     h = stage // 2
     kern = np.moveaxis(spec.trans[stage], 3, 0)  # (s, u, v1, v2, a, b, s')
     u_next = (

@@ -77,11 +77,20 @@ def _written(kind: str) -> list:
         return [Path(p).read_text(encoding="utf-8").splitlines() for p in _files(path)]
 
 
-@pytest.mark.parametrize(
-    "kind, target", [("spec", 0), ("policy", 0), ("dataset", 0), ("dataset", 1)],
-    ids=["spec", "policy", "dataset", "hidden-trace"],
-)
-def test_reader_rejects_or_round_trips_a_mutated_file(kind, target):
+CASES = {  # id: (kind, file of it to mutate, dataset read block or None for the default)
+    "spec": ("spec", 0, None),
+    "policy": ("policy", 0, None),
+    "dataset": ("dataset", 0, None),
+    "hidden-trace": ("dataset", 1, None),
+    **{f"dataset-block{b}": ("dataset", 0, b) for b in (1, 40)},
+    **{f"hidden-trace-block{b}": ("dataset", 1, b) for b in (1, 40)},
+}
+
+
+@pytest.mark.parametrize("kind, target, block", CASES.values(), ids=CASES)
+def test_reader_rejects_or_round_trips_a_mutated_file(monkeypatch, kind, target, block):
+    if block is not None:  # a size hint in characters: one line, or a few
+        monkeypatch.setattr(gameio, "_READ_BLOCK", block)
     _, write, read = KINDS[kind]
     texts = _written(kind)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from confgame import fixtures, game, oracle
-from confgame.errors import MalformedSpec
+from confgame import fixtures, game, learner, oracle
+from confgame.errors import EmptyClass, MalformedSpec
 
 
 def test_validate_t1_passes(t1):
@@ -88,6 +88,14 @@ def test_policy_stack_names_the_first_pair_of_another_shape(t1, t2):
         r"the game needs alice \(2, 2, 1, 2\), bob \(2, 2, 2\)$",
     ):
         game.PolicyStack.of([longer], t2.horizon, t2.n_states, t2.n_u)
+
+
+def test_empty_policy_stack_is_an_empty_class(t2, t2_basis):
+    with pytest.raises(EmptyClass, match="^no candidate policy pairs$"):
+        game.PolicyStack.of([], t2.horizon, t2.n_states, t2.n_u)
+    engine = learner.LearnerEngine(game.simulate_dataset(t2, n=500, seed=0), t2_basis)
+    with pytest.raises(EmptyClass, match="^no candidate policy pairs$"):
+        engine.score([])
 
 
 def test_spec_for_another_grid_is_rejected(t1, t2):

@@ -298,6 +298,20 @@ def test_writer_writes_a_column_of_another_dtype_as_the_row_writer(tmp_path, t2)
         gameio.read_dataset(str(out))
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["negative", "negative-and-wide"])
+def test_writer_writes_negative_and_wide_integers_as_the_row_writer(tmp_path, t2, wide):
+    ds = game.simulate_dataset(t2, n=50, seed=0)
+    ds.s[3, 1] = -1  # within the table's reach
+    ds.hidden.v2[4, 0] = -7
+    if wide:  # a range far wider than n: every field on its own
+        ds.s[5, 0] = 10**12
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    _row_writer(ds, str(ref))
+    gameio.write_dataset(ds, str(out))
+    assert out.read_bytes() == ref.read_bytes()
+    assert Path(gameio.hidden_path(str(out))).read_bytes() == Path(gameio.hidden_path(str(ref))).read_bytes()
+
+
 WRITER_SHAPE_CASES = {  # t2 (two steps) with n = 500
     "b_init": (lambda ds: {"b_init": ds.b_init[:-1]}, "field b_init: shape (499,), expected (500,)"),
     "s_term": (lambda ds: {"s_term": ds.s_term[:-1]}, "field s_term: shape (499,), expected (500,)"),
@@ -473,3 +487,64 @@ def test_dataset_names_its_first_missing_row(tmp_path, t2, monkeypatch, block, l
     path.write_text("\n".join(lines[: line - 1] + lines[line:]) + "\n")
     with pytest.raises(SchemaMismatch, match=rf"^dataset misses \(trajectory, step\) {re.escape(missing)}$"):
         gameio.read_dataset(str(path))
+
+
+def _count_tagged(monkeypatch) -> list:
+    """Route ``gameio._parse_tagged`` through a wrapper; the list it appends
+    one entry to per call."""
+    calls, parse = [], gameio._parse_tagged
+
+    def counted(lines, horizon):
+        calls.append(len(lines))
+        return parse(lines, horizon)
+
+    monkeypatch.setattr(gameio, "_parse_tagged", counted)
+    return calls
+
+
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+@pytest.mark.parametrize("name", ["t1", "t2-h3"])
+def test_the_writers_layout_is_routed_by_position(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)
+    ds = game.simulate_dataset(fixtures.get_fixture(name), n=60, seed=2)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    calls = _count_tagged(monkeypatch)
+    back = gameio.read_dataset(str(path), with_hidden=True)
+    assert back == ds and back.hidden == ds.hidden
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "line, tag",
+    [(6, "initial"), (6, " init"), (6, "init "), (6, "init\0"), (9, "term "), (9, "term\0")],
+    ids=["initial", "space-init", "init-space", "init-nul", "term-space", "term-nul"],
+)
+@pytest.mark.parametrize("block", [40, 1 << 16])
+def test_a_tag_that_only_looks_right_is_read_by_its_tag(tmp_path, t2, monkeypatch, block, line, tag):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()  # trajectory 1: init, step 1, step 2, term on lines 6-9
+    row = lines[line - 1].split(",")
+    row[1] = tag
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"line {line}: unparseable field: invalid literal for int() with base 10: {tag!r}"
+    with pytest.raises(CorruptRow, match=f"^{re.escape(message)}$"):
+        gameio.read_dataset(str(path))
+
+
+@pytest.mark.parametrize("block", [40, 1 << 16])
+def test_swapped_steps_are_read_by_their_tags(tmp_path, t2, monkeypatch, block):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()
+    lines[6], lines[7] = lines[7], lines[6]  # trajectory 1's steps 1 and 2
+    path.write_text("\n".join(lines) + "\n")
+    calls = _count_tagged(monkeypatch)
+    assert gameio.read_dataset(str(path)) == ds
+    assert calls

@@ -346,3 +346,17 @@ def test_optimal_pair_rejects_a_wrong_grid_pair(t1, t2):
         oracle.exact_optimal_pair(t1, pairs[:3] + [wrong] + pairs[3:])
     with pytest.raises(EmptyClass):
         oracle.exact_optimal_pair(t1, [])
+
+
+def test_recursion_blocks_reject_a_pair_of_another_game(t1, t2):
+    from confgame.errors import MalformedSpec
+
+    exq = oracle.exact_q(t2, game.constant_policy_pair(t2, 1.0, 0.5, 0.5))
+    wrong = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
+    message = r"^policy pair 0 has shapes alice \(1, 1, 1, 2\), bob \(1, 1, 2\); the game needs alice \(2, 2, 1, 2\)"
+    for given in (exq, None):
+        with pytest.raises(MalformedSpec, match=message):
+            oracle.exact_recursion_blocks(t2, wrong, given)
+    for contract in ("next_bob", None):
+        with pytest.raises(MalformedSpec, match=message):
+            oracle.exact_block_coefficients(t2, 0, exq.marginal[(1, "alice")].gamma, policy=wrong, contract=contract)
