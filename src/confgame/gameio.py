@@ -104,26 +104,42 @@ def write_dataset(ds: OfflineDataset, path: str) -> None:
 
 def _int_fields(n: int, *cols: np.ndarray):
     """The ``%`` fields of a template and their columns that write ``cols``,
-    arrays of length ``n``, as comma-separated fields: one ``%s`` taken from
-    a table of each combination of their values, written by ``str`` of
-    Python ints, when all are arrays of integers within int64 whose ranges
+    arrays of length ``n``, as comma-separated fields: one ``%s`` filled by
+    :class:`_Joined` when all are arrays of integers within int64 whose ranges
     span at most ``n`` combinations; otherwise one ``%s`` per column."""
     if n and all(col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64) for col in cols):
         low = [int(col.min()) for col in cols]
         dims = [int(col.max()) - lo + 1 for col, lo in zip(cols, low)]
         if math.prod(dims) <= n:
-            table = [",".join(map(str, values)) for values in product(*(range(lo, lo + d) for lo, d in zip(low, dims)))]
-            at = np.ravel_multi_index([col.astype(np.int64) - lo for col, lo in zip(cols, low)], dims)
-            return "%s", [np.array(table, dtype=object)[at]]
+            return "%s", [_Joined(cols, low, dims)]
     return ",".join(["%s"] * len(cols)), list(cols)
+
+
+class _Joined:
+    """Integer columns as one column of their comma-joined values, each taken
+    from a table of every combination in the columns' ranges, which ``str``
+    of Python ints writes; looked up a slice of rows at a time, so that no
+    column of strings as long as the data is held."""
+
+    def __init__(self, cols: tuple, low: list, dims: list):
+        self.cols, self.low, self.dims = cols, low, dims
+        self.table = np.array(
+            [",".join(map(str, values)) for values in product(*(range(lo, lo + d) for lo, d in zip(low, dims)))],
+            dtype=object,
+        )
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        at = np.ravel_multi_index([col[rows].astype(np.int64) - lo for col, lo in zip(self.cols, self.low)], self.dims)
+        return self.table[at]
 
 
 def _write_trajectories(path: str, header: str, template: str, columns: list, n: int) -> None:
     """Write ``header``, then ``template`` once per trajectory, its ``%``
-    fields filled from ``columns``: one array of length ``n`` per field, or
-    ``None`` for the trajectory id.  Integer fields are ``%s``, as ``str``
-    writes them, so that a column of another dtype is written as it is and
-    the reader rejects it rather than reading a truncated value."""
+    fields filled from ``columns``: one array of length ``n`` per field (or
+    a :class:`_Joined`, sliced as one), or ``None`` for the trajectory id.
+    Integer fields are ``%s``, as ``str`` writes them, so that a column of
+    another dtype is written as it is and the reader rejects it rather than
+    reading a truncated value."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for lo in range(0, n, _WRITE_BLOCK):
