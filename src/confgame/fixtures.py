@@ -7,25 +7,49 @@ makes every orthogonality covariance vanish structurally, so identification
 holds by construction rather than by numerical accident.  The deliberate
 negative control breaks exactly that: its action and reward effects share
 ``v1``.
+
+One private builder, :func:`_game`, owns what the fixtures share: the grid
+(one value of ``u``, two each of ``v1`` and ``v2``), their uniform laws, the
+transition law and the :class:`~confgame.game.GameSpec`; each fixture passes
+only its formulas.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
 from .game import GameSpec
 
 
-def _coef(fn, nu, nv1, nv2, ns):
-    u, v1, v2, s = np.indices((nu, nv1, nv2, ns), dtype=float)
-    return np.asarray(fn(u, v1, v2, s), dtype=float) * np.ones((nu, nv1, nv2, ns))
+def _game(horizon: int, init_state: np.ndarray, tables, p_state1=None, noise: float = 0.1) -> GameSpec:
+    """The game of ``horizon`` steps on ``len(init_state)`` states whose
+    private draws ``u``, ``v1`` and ``v2`` take 1, 2 and 2 values, each drawn
+    uniformly at every stage.
 
-
-def _flat_laws(stages, ns, widths):
-    out = []
-    for w in widths:
-        out.append(np.full((stages, ns, w), 1.0 / w))
-    return out
+    ``tables(v1, v2, s)`` gives the coefficient tables by name, as formulas
+    in the float index arrays of the [u, v1, v2, s] grid; each is broadcast
+    to the grid.  ``p_state1(a, b, v2, s)`` is the probability of moving to
+    state 1 after actions ``a`` and ``b`` (the rest moves to state 0);
+    without it every next state is equally likely.
+    """
+    ns, stages = len(init_state), 2 * horizon
+    grid = (1, 2, 2, ns)
+    _, v1, v2, s = np.indices(grid, dtype=float)
+    u_law, v1_law, v2_law = (np.full((stages, ns, width), 1.0 / width) for width in grid[:3])
+    trans = np.full((stages, *grid, 2, 2, ns), 1.0 / ns if p_state1 is None else 0.0)
+    if p_state1 is not None:
+        for a, b in product(range(2), repeat=2):
+            p1 = p_state1(a, b, v2, s)
+            trans[..., a, b, 1] = p1
+            trans[..., a, b, 0] = 1.0 - p1
+    coefs = {name: np.asarray(table, dtype=float) * np.ones(grid) for name, table in tables(v1, v2, s).items()}
+    return GameSpec(
+        horizon, ns, *grid[:3], init_state=init_state, u_law=u_law, v1_law=v1_law, v2_law=v2_law,
+        trans=trans, reward_noise=noise, **coefs,
+    )
 
 
 def t1_spec(noise: float = 0.1, reward_scale: float = 1.0) -> GameSpec:
@@ -36,35 +60,19 @@ def t1_spec(noise: float = 0.1, reward_scale: float = 1.0) -> GameSpec:
     the same shape with reward loadings (0.8, 0.3, 0.1).  The marginalized
     alice reward triple is (1.2, 0.5, 0.25).
     """
-    nu, nv1, nv2, ns, h = 1, 2, 2, 1, 1
-    u_law, v1_law, v2_law = _flat_laws(2 * h, ns, (nu, nv1, nv2))
     k = reward_scale
-    trans = np.ones((2 * h, nu, nv1, nv2, ns, 2, 2, ns))
-    return GameSpec(
-        horizon=h,
-        n_states=ns,
-        n_u=nu,
-        n_v1=nv1,
-        n_v2=nv2,
-        init_state=np.array([1.0]),
-        u_law=u_law,
-        v1_law=v1_law,
-        v2_law=v2_law,
-        alice_act_base=_coef(lambda u, v1, v2, s: 0.2 + 0.2 * v1, nu, nv1, nv2, ns),
-        alice_act_iv=_coef(lambda u, v1, v2, s: 0.3, nu, nv1, nv2, ns),
-        bob_act_base=_coef(lambda u, v1, v2, s: 0.2 + 0.2 * v1, nu, nv1, nv2, ns),
-        bob_act_iv=_coef(lambda u, v1, v2, s: 0.3, nu, nv1, nv2, ns),
-        alice_rew_act=_coef(lambda u, v1, v2, s: k * (1.0 + 0.4 * v2), nu, nv1, nv2, ns),
-        alice_rew_iv=_coef(lambda u, v1, v2, s: k * 0.5, nu, nv1, nv2, ns),
-        alice_rew_inter=_coef(lambda u, v1, v2, s: k * 0.25, nu, nv1, nv2, ns),
-        alice_rew_resid=_coef(lambda u, v1, v2, s: k * 0.6 * (v2 - 0.5), nu, nv1, nv2, ns),
-        bob_rew_act=_coef(lambda u, v1, v2, s: k * (0.8 + 0.4 * v2), nu, nv1, nv2, ns),
-        bob_rew_iv=_coef(lambda u, v1, v2, s: k * 0.3, nu, nv1, nv2, ns),
-        bob_rew_inter=_coef(lambda u, v1, v2, s: k * 0.1, nu, nv1, nv2, ns),
-        bob_rew_resid=_coef(lambda u, v1, v2, s: k * 0.6 * (v2 - 0.5), nu, nv1, nv2, ns),
-        trans=trans,
-        reward_noise=noise * abs(k),
-    )
+    return _game(1, np.array([1.0]), lambda v1, v2, s: {
+        "alice_act_base": 0.2 + 0.2 * v1, "alice_act_iv": 0.3,
+        "bob_act_base": 0.2 + 0.2 * v1, "bob_act_iv": 0.3,
+        "alice_rew_act": k * (1.0 + 0.4 * v2),
+        "alice_rew_iv": k * 0.5,
+        "alice_rew_inter": k * 0.25,
+        "alice_rew_resid": k * 0.6 * (v2 - 0.5),
+        "bob_rew_act": k * (0.8 + 0.4 * v2),
+        "bob_rew_iv": k * 0.3,
+        "bob_rew_inter": k * 0.1,
+        "bob_rew_resid": k * 0.6 * (v2 - 0.5),
+    }, noise=noise * abs(k))
 
 
 def t2_spec(horizon: int = 2, noise: float = 0.1) -> GameSpec:
@@ -75,40 +83,18 @@ def t2_spec(horizon: int = 2, noise: float = 0.1) -> GameSpec:
     corner.  Reward tables vary with the current state so the two sieve cells
     carry different targets.
     """
-    nu, nv1, nv2, ns, h = 1, 2, 2, 2, horizon
-    u_law, v1_law, v2_law = _flat_laws(2 * h, ns, (nu, nv1, nv2))
-    u, v1, v2, s = np.indices((nu, nv1, nv2, ns), dtype=float)
-    trans = np.zeros((2 * h, nu, nv1, nv2, ns, 2, 2, ns))
-    for a in range(2):
-        for b in range(2):
-            p1 = 0.25 + 0.1 * s + 0.2 * a + 0.15 * b - 0.1 * a * b + 0.2 * (v2 - 0.5)
-            trans[:, :, :, :, :, a, b, 1] = p1[None]
-            trans[:, :, :, :, :, a, b, 0] = 1.0 - p1[None]
-    return GameSpec(
-        horizon=h,
-        n_states=ns,
-        n_u=nu,
-        n_v1=nv1,
-        n_v2=nv2,
-        init_state=np.array([0.5, 0.5]),
-        u_law=u_law,
-        v1_law=v1_law,
-        v2_law=v2_law,
-        alice_act_base=0.2 + 0.2 * v1,
-        alice_act_iv=0.3 * np.ones_like(v1),
-        bob_act_base=0.2 + 0.2 * v1,
-        bob_act_iv=0.3 * np.ones_like(v1),
-        alice_rew_act=1.0 + 0.2 * s + 0.4 * (v2 - 0.5),
-        alice_rew_iv=0.5 + 0.1 * s + 0.0 * v2,
-        alice_rew_inter=0.25 * np.ones_like(v1),
-        alice_rew_resid=0.6 * (v2 - 0.5),
-        bob_rew_act=0.8 + 0.1 * s + 0.4 * (v2 - 0.5),
-        bob_rew_iv=0.3 * np.ones_like(v1),
-        bob_rew_inter=0.1 * np.ones_like(v1),
-        bob_rew_resid=0.6 * (v2 - 0.5),
-        trans=trans,
-        reward_noise=noise,
-    )
+    return _game(horizon, np.array([0.5, 0.5]), lambda v1, v2, s: {
+        "alice_act_base": 0.2 + 0.2 * v1, "alice_act_iv": 0.3,
+        "bob_act_base": 0.2 + 0.2 * v1, "bob_act_iv": 0.3,
+        "alice_rew_act": 1.0 + 0.2 * s + 0.4 * (v2 - 0.5),
+        "alice_rew_iv": 0.5 + 0.1 * s + 0.0 * v2,
+        "alice_rew_inter": 0.25,
+        "alice_rew_resid": 0.6 * (v2 - 0.5),
+        "bob_rew_act": 0.8 + 0.1 * s + 0.4 * (v2 - 0.5),
+        "bob_rew_iv": 0.3,
+        "bob_rew_inter": 0.1,
+        "bob_rew_resid": 0.6 * (v2 - 0.5),
+    }, lambda a, b, v2, s: 0.25 + 0.1 * s + 0.2 * a + 0.15 * b - 0.1 * a * b + 0.2 * (v2 - 0.5), noise)
 
 
 def negative_control_spec(noise: float = 0.1) -> GameSpec:
@@ -118,15 +104,8 @@ def negative_control_spec(noise: float = 0.1) -> GameSpec:
     ride on ``v1``, so their conditional covariance is 0.04 instead of 0 and
     the invalid-instrument identification is biased by design.
     """
-    spec = t1_spec(noise=noise)
-    u, v1, v2, s = np.indices((1, 2, 2, 1), dtype=float)
-    from dataclasses import replace
-
-    return replace(
-        spec,
-        alice_act_iv=0.2 + 0.2 * v1,
-        alice_rew_act=1.0 + 0.8 * (v1 - 0.5),
-    )
+    _, v1, _, _ = np.indices((1, 2, 2, 1), dtype=float)
+    return replace(t1_spec(noise=noise), alice_act_iv=0.2 + 0.2 * v1, alice_rew_act=1.0 + 0.8 * (v1 - 0.5))
 
 
 def random_valid_spec(seed: int, n_states: int = 1) -> GameSpec:
@@ -135,54 +114,34 @@ def random_valid_spec(seed: int, n_states: int = 1) -> GameSpec:
     Action models move only with ``v1``; reward fluctuations load on ``v2``,
     except the centered residual block which may load on ``v1`` whenever the
     instrument effect is constant (still orthogonal, but it exercises the
-    case where the residual co-moves with the action-model base).
+    case where the residual co-moves with the action-model base).  With more
+    than one state, play moves between states 0 and 1 only.
     """
     rng = np.random.default_rng(seed)
-    nu, nv1, nv2, ns, h = 1, 2, 2, n_states, 1
-    u, v1, v2, s = np.indices((nu, nv1, nv2, ns), dtype=float)
     a0 = rng.uniform(0.15, 0.3)
     a1 = rng.uniform(0.0, 0.2)
     flat_iv = rng.random() < 0.5
     c0 = rng.uniform(0.12, 0.25)
     c1 = 0.0 if flat_iv else rng.uniform(0.05, 0.1)
-    resid_coord = v1 if flat_iv else v2
-    def rand(lo, hi):
-        return rng.uniform(lo, hi)
 
-    u_law, v1_law, v2_law = _flat_laws(2 * h, ns, (nu, nv1, nv2))
-    trans = np.ones((2 * h, nu, nv1, nv2, ns, 2, 2, ns)) / ns
-    if ns > 1:
-        trans = np.zeros((2 * h, nu, nv1, nv2, ns, 2, 2, ns))
-        for a in range(2):
-            for b in range(2):
-                p1 = 0.3 + 0.15 * a + 0.1 * b - 0.05 * a * b + 0.15 * (v2 - 0.5)
-                trans[:, :, :, :, :, a, b, 1] = p1[None]
-                trans[:, :, :, :, :, a, b, 0] = 1.0 - p1[None]
-    return GameSpec(
-        horizon=h,
-        n_states=ns,
-        n_u=nu,
-        n_v1=nv1,
-        n_v2=nv2,
-        init_state=np.full(ns, 1.0 / ns),
-        u_law=u_law,
-        v1_law=v1_law,
-        v2_law=v2_law,
-        alice_act_base=a0 + a1 * v1,
-        alice_act_iv=(c0 + c1 * v1) * np.ones_like(v1),
-        bob_act_base=a0 + a1 * v1,
-        bob_act_iv=(c0 + c1 * v1) * np.ones_like(v1),
-        alice_rew_act=rand(0.5, 1.5) + rand(0.0, 0.6) * (v2 - 0.5),
-        alice_rew_iv=rand(-0.5, 0.8) + rand(0.0, 0.4) * (v2 - 0.5),
-        alice_rew_inter=rand(-0.4, 0.4) + rand(0.0, 0.3) * (v2 - 0.5),
-        alice_rew_resid=rand(0.2, 0.8) * (resid_coord - 0.5),
-        bob_rew_act=rand(0.3, 1.2) + rand(0.0, 0.5) * (v2 - 0.5),
-        bob_rew_iv=rand(-0.4, 0.6) * np.ones_like(v1),
-        bob_rew_inter=rand(-0.3, 0.3) * np.ones_like(v1),
-        bob_rew_resid=rand(0.2, 0.8) * (v2 - 0.5),
-        trans=trans,
-        reward_noise=0.1,
-    )
+    def tables(v1, v2, s):  # draws in the order of the tables
+        return {
+            "alice_act_base": a0 + a1 * v1, "alice_act_iv": c0 + c1 * v1,
+            "bob_act_base": a0 + a1 * v1, "bob_act_iv": c0 + c1 * v1,
+            "alice_rew_act": rng.uniform(0.5, 1.5) + rng.uniform(0.0, 0.6) * (v2 - 0.5),
+            "alice_rew_iv": rng.uniform(-0.5, 0.8) + rng.uniform(0.0, 0.4) * (v2 - 0.5),
+            "alice_rew_inter": rng.uniform(-0.4, 0.4) + rng.uniform(0.0, 0.3) * (v2 - 0.5),
+            "alice_rew_resid": rng.uniform(0.2, 0.8) * ((v1 if flat_iv else v2) - 0.5),
+            "bob_rew_act": rng.uniform(0.3, 1.2) + rng.uniform(0.0, 0.5) * (v2 - 0.5),
+            "bob_rew_iv": rng.uniform(-0.4, 0.6),
+            "bob_rew_inter": rng.uniform(-0.3, 0.3),
+            "bob_rew_resid": rng.uniform(0.2, 0.8) * (v2 - 0.5),
+        }
+
+    def p_state1(a, b, v2, s):
+        return 0.3 + 0.15 * a + 0.1 * b - 0.05 * a * b + 0.15 * (v2 - 0.5)
+
+    return _game(1, np.full(n_states, 1.0 / n_states), tables, p_state1 if n_states > 1 else None)
 
 
 FIXTURES = {

@@ -72,6 +72,10 @@ COEF_TABLES = (
 # the action and reward tables per player, alice's (acting at even stages) first
 ACTION_TABLES = (COEF_TABLES[0:2], COEF_TABLES[2:4])
 REWARD_TABLES = (COEF_TABLES[4:8], COEF_TABLES[8:])
+# Every table of a spec, in spec-file order: the laws of the initial state and
+# of the private draws u, v1 and v2, the coefficient tables, then the
+# transition law.  A law is a distribution over its last axis.
+SPEC_TABLES = ("init_state", "u_law", "v1_law", "v2_law", *COEF_TABLES, "trans")
 
 
 @dataclass(frozen=True)
@@ -113,35 +117,20 @@ class GameSpec:
     state_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        h, ns, nu, nv1, nv2 = (
-            self.horizon,
-            self.n_states,
-            self.n_u,
-            self.n_v1,
-            self.n_v2,
-        )
-        if h < 1:
+        if self.horizon < 1:
             raise MalformedSpec("horizon must be a positive integer")
-        coef_shape = (nu, nv1, nv2, ns)
         _check_range("reward_noise", self.reward_noise)
-        for name in COEF_TABLES:
-            arr = _check_range(name, getattr(self, name))
-            if arr.shape != coef_shape:
-                raise MalformedSpec(f"{name}: expected shape {coef_shape}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "init_state", _check_dist("init_state", self.init_state))
-        if self.init_state.shape != (ns,):
-            raise MalformedSpec("init_state: wrong length")
-        stages = 2 * h
-        for name, width in (("u_law", nu), ("v1_law", nv1), ("v2_law", nv2)):
-            arr = _check_dist(name, getattr(self, name))
-            if arr.shape != (stages, ns, width):
-                raise MalformedSpec(f"{name}: expected shape {(stages, ns, width)}")
-            object.__setattr__(self, name, arr)
-        trans = _check_dist("trans", self.trans)
-        if trans.shape != (stages, nu, nv1, nv2, ns, 2, 2, ns):
-            raise MalformedSpec("trans: wrong shape")
-        object.__setattr__(self, "trans", trans)
+        stages, ns = 2 * self.horizon, self.n_states
+        coef = (self.n_u, self.n_v1, self.n_v2, ns)
+        # the shape of each of SPEC_TABLES, in order
+        laws = [(stages, ns, width) for width in coef[:3]]
+        shapes = ((ns,), *laws, *[coef] * len(COEF_TABLES), (stages, *coef, 2, 2, ns))
+        for name, want in zip(SPEC_TABLES, shapes, strict=True):
+            table = np.asarray(getattr(self, name), dtype=float)
+            if table.shape != want:
+                raise MalformedSpec(f"{name}: expected shape {want}, got {table.shape}")
+            check = _check_range if name in COEF_TABLES else _check_dist
+            object.__setattr__(self, name, check(name, table))
         for player, names in zip(("alice", "bob"), ACTION_TABLES):
             base, shift = (getattr(self, name) for name in names)
             for prev in (0, 1):
@@ -560,9 +549,8 @@ def simulate_dataset(
     filled = (("s", "u", "a", "r_a", "v1", "v2"), ("s_half", "u_half", "b", "r_b", "v1_half", "v2_half"))
     shape = (n, spec.horizon)
     out = {k: np.zeros(shape, float if k.startswith("r_") else np.int64) for k in sum(filled, ())}
-    # every draw reads a row of cumulative probabilities, summed once per table
-    laws = ("init_state", "u_law", "v1_law", "v2_law", "trans")
-    cum = {name: np.cumsum(getattr(spec, name), axis=-1) for name in laws}
+    # every draw reads a row of cumulative probabilities, summed once per law
+    cum = {name: np.cumsum(getattr(spec, name), axis=-1) for name in SPEC_TABLES if name not in COEF_TABLES}
     b_init = (rng.random(n) < behavior.init_bob).astype(np.int64)
     state = _sample_categorical(cum["init_state"], (), rng.random(n))
     prev = b_init.copy()

@@ -5,9 +5,10 @@ nu=<|U|>`` followed by one comma-separated row per (trajectory, step) with
 fields ``traj,step,s,u,a,r_a,s_half,u_half,b,r_b``.  Each trajectory opens
 with a ``init`` row carrying the opening bob action in the ``b`` column and
 closes with a ``term`` row carrying the terminal state in the ``s`` column;
-unused fields stay empty.  Floats are written with 17 significant digits so a
-round trip is exact.  The hidden trace lives in a sibling file with suffix
-``.hidden`` (header ``#confgame-hidden v1 ...``, rows
+their other fields stay empty, and the reader rejects text in them.  Floats
+are written with 17 significant digits so a round trip is exact.  The hidden
+trace lives in a sibling file with suffix ``.hidden`` (header
+``#confgame-hidden v1 ...``, rows
 ``traj,step,v1,v2,v1_half,v2_half``); the observed file has no column for it.
 Both files are written in trajectory order by one routine, which takes each
 step's run of integer fields (``s,u,a``, ``s_half,u_half,b`` and the hidden
@@ -34,7 +35,7 @@ from itertools import chain, product
 import numpy as np
 
 from .errors import CorruptRow, MalformedDataset, SchemaMismatch
-from .game import COEF_TABLES, GameSpec, HiddenTrace, OfflineDataset, PolicyPair, check_dataset, check_dataset_shapes
+from .game import SPEC_TABLES, GameSpec, HiddenTrace, OfflineDataset, PolicyPair, check_dataset, check_dataset_shapes
 
 
 def _fmt(x: float) -> str:
@@ -56,19 +57,19 @@ _READ_BLOCK = 1 << 16
 
 # the fields of a step row after (traj, step), and of a hidden row
 _STEP_FIELDS = ("s", "u", "a", "r_a", "s_half", "u_half", "b", "r_b")
+_ROW_FIELDS = ("traj", "step", *_STEP_FIELDS)
 _HIDDEN_FIELDS = ("v1", "v2", "v1_half", "v2_half")
 _STEP_DTYPE = np.dtype(
     [("traj", np.int64), ("step", np.int64)]
     + [(k, float if k.startswith("r_") else np.int64) for k in _STEP_FIELDS]
 )
 # an init or term row: its tag, wide enough that a longer one never reads as
-# ``init`` or ``term``, its one integer field and eight fields it ignores
+# ``init`` or ``term``, its one integer field and the fields it leaves empty,
+# one character each, so that any text reads as a code point other than 0
 _INIT_DTYPE = np.dtype(
-    [("traj", np.int64), ("tag", "U5")] + [(f"_{j}", "U1") for j in range(2, 8)] + [("b_init", np.int64), ("_9", "U1")]
+    [("traj", np.int64), ("tag", "U5"), ("_empty", "U1", (6,)), ("b_init", np.int64), ("_last", "U1")]
 )
-_TERM_DTYPE = np.dtype(
-    [("traj", np.int64), ("tag", "U5"), ("s_term", np.int64)] + [(f"_{j}", "U1") for j in range(3, 10)]
-)
+_TERM_DTYPE = np.dtype([("traj", np.int64), ("tag", "U5"), ("s_term", np.int64), ("_empty", "U1", (7,))])
 _HIDDEN_DTYPE = np.dtype([(k, np.int64) for k in ("traj", "step", *_HIDDEN_FIELDS)])
 
 
@@ -254,14 +255,21 @@ def _parse_observed(lines: list, horizon: int):
     """The ``init``, ``term`` and step rows of the non-blank dataset
     ``lines`` and their (trajectory, slot)s: slot 0 for ``init``, the step
     for a step row and H + 1 for ``term``; ValueError or IndexError for a
-    line that does not parse or a step outside 1..H.  Lines in the writer's
-    layout are routed by position (:func:`_parse_placed`), any others by
-    their tags (:func:`_parse_tagged`)."""
+    line that does not parse, a step outside 1..H or an ``init`` or ``term``
+    row with text in a field it leaves empty.  Lines in the writer's layout
+    are routed by position (:func:`_parse_placed`), any others by their tags
+    (:func:`_parse_tagged`).  Lines that hold a NUL are refused, since a
+    string field drops trailing NULs and would read ``init\\0`` as ``init``."""
+    if "\0" in "".join(lines):
+        raise ValueError("a line holds a NUL")
     try:
         rows = _parse_placed(lines, horizon)
     except (ValueError, IndexError):
         rows = None
     init, term, steps = rows or _parse_tagged(lines, horizon)
+    for table in (init, term):
+        if any(table[name].view(np.uint32).any() for name in table.dtype.names if name.startswith("_")):
+            raise ValueError("text in a field that an init or term row leaves empty")
     traj = np.concatenate([init["traj"], steps["traj"], term["traj"]])
     slot = np.concatenate([np.zeros(len(init), np.int64), steps["step"], np.full(len(term), horizon + 1)])
     return (init, term, steps), traj, slot
@@ -271,10 +279,7 @@ def _parse_placed(lines: list, horizon: int):
     """The ``init``, ``term`` and step rows of ``lines`` whose slots follow
     each other as the writer lays them out, starting from the slot that the
     first line's tag names: ``None`` if a row's tag or step is not its
-    position's.  Lines that hold a NUL are left to the tags, since a string
-    field drops trailing NULs and would read ``init\\0`` as ``init``."""
-    if "\0" in "".join(lines):
-        return None
+    position's."""
     width = horizon + 2
     tag = lines[0].split(",", 2)[1]
     first = 0 if tag == "init" else width - 1 if tag == "term" else int(tag)
@@ -313,12 +318,12 @@ def _check_observed(parts: list, line: str, lineno: int, n: int, horizon: int):
     if not 0 <= traj < n:
         raise SchemaMismatch(f"line {lineno}: trajectory id {traj} outside header n={n}")
     tag = parts[1]
-    if tag == "init":
-        slot = 0
-        int(parts[8])
-    elif tag == "term":
-        slot = horizon + 1
-        int(parts[2])
+    if tag in ("init", "term"):
+        slot, used = (0, 8) if tag == "init" else (horizon + 1, 2)
+        int(parts[used])
+        for col, text in enumerate(parts[2:], start=2):
+            if text and col != used:
+                raise CorruptRow(lineno, f"{tag} row holds {text!r} in field {_ROW_FIELDS[col]}, which must be empty")
     else:
         slot = int(tag)
         if not 1 <= slot <= horizon:
@@ -452,8 +457,6 @@ def _read_blocks(path: str, magic: str):
 SPEC_MAGIC = "#confgame-spec v1"
 POLICY_MAGIC = "#confgame-policy v1"
 
-_SPEC_ARRAYS = ("init_state", "u_law", "v1_law", "v2_law", *COEF_TABLES, "trans")
-
 
 def write_spec(spec: GameSpec, path: str) -> None:
     scalars = {
@@ -464,7 +467,7 @@ def write_spec(spec: GameSpec, path: str) -> None:
         "n_v2": spec.n_v2,
         "reward_noise": _fmt(spec.reward_noise),
     }
-    arrays = {name: getattr(spec, name) for name in _SPEC_ARRAYS}
+    arrays = {name: getattr(spec, name) for name in SPEC_TABLES}
     arrays["state_values"] = spec.state_values
     _write_blocks(path, SPEC_MAGIC, scalars, arrays)
 
@@ -483,7 +486,7 @@ def read_spec(path: str) -> GameSpec:
     scalars, arrays = _read_blocks(path, SPEC_MAGIC)
     try:
         kwargs = {key: _scalar(scalars, key, int) for key in ("horizon", "n_states", "n_u", "n_v1", "n_v2")}
-        kwargs.update((name, arrays[name]) for name in _SPEC_ARRAYS)
+        kwargs.update((name, arrays[name]) for name in SPEC_TABLES)
     except KeyError as exc:
         raise SchemaMismatch(f"spec file misses {exc}") from exc
     if "reward_noise" in scalars:

@@ -330,10 +330,11 @@ def truth_covered(
         exq = oracle_mod.exact_q(spec, policy)
     if true_blocks is None:
         true_blocks = oracle_mod.exact_recursion_blocks(spec, policy, exq)
-    truths = oracle_mod.true_coefficients(spec)
     for t in range(2 * engine.horizon):
         st = engine.stats[t]
-        true3 = truths["alice_reward" if t % 2 == 0 else "bob_reward"].stack().reshape(-1, 3)
+        # the stage's own truth: its private-draw law may differ from the opening stages'
+        truth = oracle_mod.true_coefficients(spec, t)["alice_reward" if t % 2 == 0 else "bob_reward"]
+        true3 = truth.stack().reshape(-1, 3)
         eta_r = engine.radius_units[t][0] * st.reward_scale_sq
         if st.geometry3.loss_gap(true3, st.reward_coef) > eta_r + 1e-12:
             return False

@@ -244,17 +244,21 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
             return stats
         if not _same_view(source.checked, view, frozen=False):
             check_dataset(ds)  # the dataset changed since the source checked it
-    stats = []
-    for t in range(2 * source.horizon):
-        try:
-            stats.append(StageStats(source, t, basis))
-        except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
-            raise type(exc)(f"stage {t}: {exc}") from exc
+    stats = [build_stage(source, t, basis) for t in range(2 * source.horizon)]
     if ds is not None:
         for arr in view[1]:
             arr.setflags(write=False)
         ds._stats[key] = (basis, view, stats)
     return stats
+
+
+def build_stage(source: DataSource, t: int, basis: SieveBasis) -> StageStats:
+    """:class:`StageStats` of stage ``t``, whose guards' errors name the
+    stage (``stage t: ...``)."""
+    try:
+        return StageStats(source, t, basis)
+    except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
+        raise type(exc)(f"stage {t}: {exc}") from exc
 
 
 def _dataset_view(ds: OfflineDataset) -> tuple:

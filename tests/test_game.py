@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from confgame import fixtures, game, learner, oracle
+from confgame import fixtures, game, gameio, learner, oracle
 from confgame.errors import EmptyClass, MalformedSpec
 
 
@@ -59,6 +59,23 @@ def test_malformed_probabilities_rejected(t1):
 def test_spec_names_the_first_bad_value(t2, field, edit, message):
     with pytest.raises(MalformedSpec, match=f"^{message}$"):
         replace(t2, **{field: edit(t2)})
+
+
+def test_spec_names_a_table_of_the_wrong_shape(t2, tmp_path):
+    """A table's shape is checked before its values, in one message."""
+    with pytest.raises(
+        MalformedSpec, match=r"^trans: expected shape \(4, 1, 2, 2, 2, 2, 2, 2\), got \(4, 1, 2, 2, 2, 2, 2, 1\)$"
+    ):
+        replace(t2, trans=t2.trans[..., :1])
+    with pytest.raises(MalformedSpec, match=r"^init_state: expected shape \(2,\), got \(1,\)$"):
+        replace(t2, init_state=np.array([1.0]))
+    path = tmp_path / "t2.spec"
+    gameio.write_spec(t2, str(path))
+    text = path.read_text()
+    assert "[v1_law] shape=4,2,2\n" in text
+    path.write_text(text.replace("[v1_law] shape=4,2,2\n", "[v1_law] shape=2,4,2\n"))
+    with pytest.raises(MalformedSpec, match=r"^v1_law: expected shape \(4, 2, 2\), got \(2, 4, 2\)$"):
+        gameio.read_spec(str(path))
 
 
 def test_policy_probabilities_must_be_finite(t1):

@@ -386,6 +386,34 @@ def test_dataset_rejects_ids_and_fields(tmp_path, t2, line, col, value, error, m
         gameio.read_dataset(str(path))
 
 
+@pytest.mark.parametrize(
+    "line, col, value, message",
+    [
+        (6, 2, "x", "init row holds 'x' in field s"),
+        (6, 3, "7", "init row holds '7' in field u"),
+        (2, 9, " ", "init row holds ' ' in field r_b"),
+        (9, 9, "zz", "term row holds 'zz' in field r_b"),
+        (5, 3, "0", "term row holds '0' in field u"),
+        (9, 4, "\0", "term row holds '\\x00' in field a"),
+    ],
+    ids=["init-first", "init-number", "init-space", "term-last", "term-number", "term-nul"],
+)
+@pytest.mark.parametrize("block", [1, 40, 1 << 16], ids=["line-blocks", "later-block", "one-block"])
+def test_unused_init_and_term_fields_must_be_empty(tmp_path, t2, monkeypatch, block, line, col, value, message):
+    monkeypatch.setattr(gameio, "_READ_BLOCK", block)
+    ds = game.simulate_dataset(t2, n=3, seed=0)
+    path = tmp_path / "d.csv"
+    gameio.write_dataset(ds, str(path))
+    lines = path.read_text().splitlines()  # trajectory 0 on lines 2-5, trajectory 1 on lines 6-9
+    row = lines[line - 1].split(",")
+    assert row[col] == ""
+    row[col] = value
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRow, match=f"^line {line}: {re.escape(message)}, which must be empty$"):
+        gameio.read_dataset(str(path))
+
+
 @pytest.mark.parametrize("fields", [9, 11])
 @pytest.mark.parametrize("line", [6, 9], ids=["init", "term"])
 def test_init_and_term_rows_need_ten_fields(tmp_path, t2, line, fields):

@@ -144,6 +144,21 @@ def test_truth_coverage_on_moderate_sample(t1, t1_basis):
     assert hits >= 17
 
 
+def test_truth_coverage_compares_each_stage_with_its_own_truth(t2, t2_basis):
+    """Alice's second move draws v2 from (0.3, 0.7), so her stage-2 action
+    effect is 1.08 and 1.28 per state, not the opening stage's 1.0 and 1.2;
+    residuals on v1 keep the game valid.  A population engine with radius 0
+    fits the stage exactly, so the truth is covered."""
+    v2_law = t2.v2_law.copy()
+    v2_law[2] = (0.3, 0.7)
+    _, v1, _, _ = np.indices(t2.alice_rew_resid.shape, dtype=float)
+    spec = replace(t2, v2_law=v2_law, alice_rew_resid=0.6 * (v1 - 0.5), bob_rew_resid=0.6 * (v1 - 0.5))
+    assert game.validate_spec(spec).ok
+    engine = learner.LearnerEngine(ope.PopulationSource(spec), t2_basis)
+    assert np.allclose(engine.stats[2].reward_coef[:, 0], [1.08, 1.28], rtol=0, atol=1e-12)
+    assert learner.truth_covered(engine, spec, game.constant_policy_pair(spec, 1.0, 0.5, 0.5))
+
+
 def test_value_monotone_in_chain_budget(t1, t1_basis, t1_ds):
     """More sampled member chains can only deepen the inner minimum."""
     pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confgame import cli, fixtures, game, gameio, learner, ope, oracle, sieve, smd
-from confgame.errors import BasisMismatch, IllPosedFit, InsufficientData, MalformedDataset, MalformedSpec
+from confgame.errors import BasisMismatch, DegenerateIV, IllPosedFit, InsufficientData, MalformedDataset, MalformedSpec
 
 
 def test_zero_reward_everything_vanishes(t1_basis):
@@ -199,6 +199,21 @@ def test_population_row_guards_count_law_atoms():
     ds = game.simulate_dataset(spec, n=40, seed=0)
     with pytest.raises(InsufficientData, match=r"^stage 0: 40 rows for 64 basis functions$"):
         ope.stage_statistics(ope.as_source(ds), basis)
+
+
+def test_cli_identify_names_the_failing_stage(t2, t2_basis, tmp_path, capsys):
+    """The opening bob action is stage 0's instrument: held constant, it has
+    no variance, and identify names the stage as evaluation does."""
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    ds.b_init[:] = 1
+    message = "stage 0: instrument variance 0.00e+00 in cell 0 is below 1e-06"
+    with pytest.raises(DegenerateIV, match=f"^{re.escape(message)}$"):
+        ope.evaluate_policy(ds, game.constant_policy_pair(t2, 1.0, 0.5, 0.5), t2_basis)
+    data = tmp_path / "t2.csv"
+    gameio.write_dataset(ds, str(data))
+    capsys.readouterr()
+    assert cli.main(["identify", "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: DegenerateIV: {message}\n"
 
 
 def test_basis_must_match_the_data():
