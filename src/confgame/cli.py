@@ -24,7 +24,7 @@ from .gameio import (
 )
 from .harness import ExperimentConfig, run_experiment
 from .learner import EtaConfig, compute_gap, learn_policy_pair
-from .ope import SampleSource, build_stage, evaluate_policy
+from .ope import SampleSource, build_stages, evaluate_policy
 from . import oracle
 from .sieve import build_basis
 
@@ -147,7 +147,7 @@ def _dispatch(args) -> int:
             check_spec_grid(spec, ds.horizon, ds.n_states, ds.n_u)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
         source = SampleSource(ds)
-        fit_a, fit_b = (build_stage(source, t, basis).reward_fit() for t in (0, 1))
+        fit_a, fit_b = (st.reward_fit() for st in build_stages(source, (0, 1), basis))
         print("alice reward block (per cell: action, instrument, interaction):")
         print(np.array_str(fit_a.coef_table(), precision=4))
         print("bob reward block:")

@@ -23,6 +23,7 @@ action plays the "action" role and the partner's previous action plays the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
@@ -117,6 +118,10 @@ class GameSpec:
     state_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for name in ("horizon", "n_states", "n_u", "n_v1", "n_v2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise MalformedSpec(f"{name}: expected an integer, got {value!r}")
         if self.horizon < 1:
             raise MalformedSpec("horizon must be a positive integer")
         _check_range("reward_noise", self.reward_noise)

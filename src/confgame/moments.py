@@ -12,7 +12,10 @@ axis for the continuation outcomes of the OPE recursion (:class:`KeyTable`).
 The row-level fit (:class:`MomentData`) and every stage of the recursion
 (:class:`~confgame.ope.StageStats`) build it (:meth:`KeyTable.of_rows`), fit
 the nuisances on it, evaluate the features once per key and take cell means
-off it through the same methods: the key layout is known only here.
+off it through the same methods: the key layout is known only here.  The
+stages of a dataset stack their tables (:meth:`KeyTable.stack`) and run each
+step once for all of them; on the saturated basis the nuisances of every
+stage and fold are per-cell sums (:func:`~confgame.sieve.project_cell_means`).
 
 The roles are a parameter, not duplicated code: alice systems pass her action
 as ``act`` and the preceding bob action as ``iv``; bob systems swap them.
@@ -39,6 +42,7 @@ oracle property tests instead of being stacked here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -46,16 +50,21 @@ import numpy as np
 
 from .errors import BasisMismatch, DegenerateIV, InsufficientData, MalformedDataset
 from .game import check_column, check_shapes, raise_first
-from .sieve import SeriesFit, SieveBasis, project_conditional_mean
+from .sieve import SeriesFit, SieveBasis, project_cell_means, project_conditional_mean
 
 F_CLIP = 1e-6
 IV_VARIANCE_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=64)
 def key_grid(n_states: int, n_u: int) -> tuple:
-    """(s, u, iv, act) of every key ``((s * n_u + u) * 2 + iv) * 2 + act``."""
+    """(s, u, iv, act) of every key ``((s * n_u + u) * 2 + iv) * 2 + act``,
+    built once per grid and read-only."""
     cell, iv, act = (a.ravel() for a in np.indices((n_states * n_u, 2, 2)))
-    return np.divmod(cell, n_u) + (iv, act)
+    grid = np.divmod(cell, n_u) + (iv, act)
+    for column in grid:
+        column.setflags(write=False)
+    return grid
 
 
 class KeyTable(NamedTuple):
@@ -64,7 +73,9 @@ class KeyTable(NamedTuple):
     the row's next cell, its row ``count`` and weighted outcome sum ``wy``
     (folds, cells, 2, 2), and the outcome's weighted ``mean_square``, on the
     (``n_states``, ``n_u``) grid.  Rows without folds or next cells have one
-    of each (:meth:`of_rows`)."""
+    of each (:meth:`of_rows`).  The tables of several stages stack along a
+    leading stage axis (:meth:`stack`), which every array and
+    ``mean_square`` then has first; the methods below keep it."""
 
     weight: np.ndarray
     count: np.ndarray
@@ -89,31 +100,46 @@ class KeyTable(NamedTuple):
         mean_square = float((weights * y**2).sum() / total) if total > 0 else 0.0
         return cls(weight, count, wy, mean_square, n_states, n_u)
 
-    def nuisances(self, basis: SieveBasis, row_name: str = "rows") -> list:
-        """One :class:`NuisanceSet` per fold, for that fold's features: fitted
-        on the other fold's keys (:func:`fit_nuisances`), or on all of them
-        without folds."""
-        weight = self.weight.sum(axis=-1)[::-1]
-        counts = self.count[::-1]
-        return [fit_nuisances(w.ravel(), count.ravel(), basis, row_name) for w, count in zip(weight, counts)]
+    @classmethod
+    def stack(cls, tables: list) -> "KeyTable":
+        """The tables of stages on one grid, stacked along a leading stage axis."""
+        arrays = (np.stack([getattr(table, name) for table in tables]) for name in ("weight", "count", "wy"))
+        mean_square = np.array([table.mean_square for table in tables])
+        return cls(*arrays, mean_square, tables[0].n_states, tables[0].n_u)
+
+    def fit_keys(self):
+        """Weights and row counts (..., folds, keys) of the keys each fold's
+        nuisances are fitted on: the other fold's, or all without folds."""
+        lead = self.count.shape[:-3]
+        return tuple(np.flip(a, axis=-4).reshape(lead + (-1,)) for a in (self.weight.sum(axis=-1), self.count))
+
+    def nuisances(self, basis: SieveBasis, row_name: str = "rows") -> tuple:
+        """One :class:`NuisanceSet` per fold (of every stage, stage by stage),
+        for that fold's features: fitted on the other fold's keys, or on all
+        of them without folds (:func:`fit_nuisances`, which also returns the
+        first fit refused)."""
+        return fit_nuisances(*self.fit_keys(), basis, row_name)
 
     def features(self, nuisances: list):
-        """Design (folds, cells, 2, 2, 4, 4) and outcome moments per unit
-        outcome (folds, cells, 2, 2, 4) of every key
-        (:meth:`NuisanceSet.features`), fold ``f``'s from ``nuisances[f]``."""
-        grid, lead = key_grid(self.n_states, self.n_u), self.wy.shape
-        phi, alpha = zip(*(nuis.features(*grid) for nuis in nuisances))
-        return np.reshape(phi, lead + phi[0].shape[1:]), np.reshape(alpha, lead + alpha[0].shape[1:])
+        """Design (..., folds, cells, 2, 2, 4, 4) and outcome moments per unit
+        outcome (..., folds, cells, 2, 2, 4) of every key, fold ``f``'s from
+        its :class:`NuisanceSet` in ``nuisances`` (in :meth:`nuisances`'
+        order), by :func:`key_features` on the clipped fits."""
+        s, u, iv, act = key_grid(self.n_states, self.n_u)
+        fitted = np.clip(_at_keys(nuisances, s, u, iv), F_CLIP, 1.0 - F_CLIP)
+        phi, alpha = key_features(fitted[:, 0], fitted[:, 1], iv, act)
+        return phi.reshape(self.wy.shape + (4, 4)), alpha.reshape(self.wy.shape + (4,))
 
     def cell_means(self, phi: np.ndarray, alpha: np.ndarray):
-        """Cell masses (cells,) and the weighted cell means (cells, m, p) of
-        the key designs ``phi`` and (cells, m) of the outcome moments
-        ``alpha * y``, for features per key as :meth:`features` gives them."""
-        mass = self.weight.sum(axis=(0, 2, 3, 4))
+        """Cell masses (..., cells) and the weighted cell means (..., cells, m,
+        p) of the key designs ``phi`` and (..., cells, m) of the outcome
+        moments ``alpha * y``, for features per key as :meth:`features` gives
+        them."""
+        mass = self.weight.sum(axis=(-5, -3, -2, -1))
         nz = mass > 0
-        phibar = np.einsum("fcian,fciamp->cmp", self.weight, phi)
+        phibar = np.einsum("...fcian,...fciamp->...cmp", self.weight, phi)
         phibar[nz] /= mass[nz][:, None, None]
-        alphabar = np.einsum("fcia,fciam->cm", self.wy, alpha)
+        alphabar = np.einsum("...fcia,...fciam->...cm", self.wy, alpha)
         alphabar[nz] /= mass[nz][:, None]
         return mass, phibar, alphabar
 
@@ -192,82 +218,132 @@ class NuisanceSet:
 
     def features(self, s, u, iv, act):
         """Design ``phi`` (n, 4, 4) and outcome moments per unit outcome
-        ``alpha`` (n, 4) of rows (s, u, iv, act): equations ``w1..w4`` by
-        unknowns (action, instrument, interaction, intercept).  An outcome
-        ``y`` has outcome moments ``alpha * y``; the reward system is the
-        top-left block ``phi[..., :3, :3]``, ``alpha[..., :3]``."""
-        f1v = self.f1_at(s, u)
-        f2v = self.f2_at(s, u, iv)
-        act = np.asarray(act, dtype=float)
-        iv = np.asarray(iv, dtype=float)
-        b_til = iv - f1v
-        a_til = act - f2v
-        rho2 = b_til * a_til * act
-        zero, one = np.zeros_like(act), np.ones_like(act)
-        phi = np.stack(
-            [  # rows w1..w4, columns action, instrument, interaction and intercept
-                (-rho2, zero, -(iv * rho2), zero),
-                (-(b_til * act), -(iv * b_til), -(act * iv * b_til), zero),
-                (-act, -iv, -act * iv, -one),
-                (-act, -act * iv, -act * iv, -act),
-            ]
-        )
-        alpha = np.stack([b_til * a_til, b_til, one, act])
-        return np.moveaxis(phi, -1, 0), alpha.T
+        ``alpha`` (n, 4) of rows (s, u, iv, act) (:func:`key_features`)."""
+        return key_features(self.f1_at(s, u), self.f2_at(s, u, iv), iv, act)
 
 
-def fit_nuisances(
-    weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows"
-) -> NuisanceSet:
-    """Fit the instrument mean ``f1`` and, per instrument arm, the action mean
-    ``f2`` on the key grid of ``basis`` (:func:`key_grid`), whose keys weigh
-    ``weight`` and hold ``count`` rows.  Raises, in this order,
+def key_features(f1, f2, iv, act):
+    """Design ``phi`` (..., 4, 4) and outcome moments per unit outcome
+    ``alpha`` (..., 4) of rows (iv, act) whose clipped nuisances are ``f1``
+    and ``f2``, all broadcast together: equations ``w1..w4`` by unknowns
+    (action, instrument, interaction, intercept).  An outcome ``y`` has
+    outcome moments ``alpha * y``; the reward system is the top-left block
+    ``phi[..., :3, :3]``, ``alpha[..., :3]``."""
+    iv, act = np.asarray(iv, dtype=float), np.asarray(act, dtype=float)
+    b_til = iv - f1
+    a_til = act - f2
+    rho2 = b_til * a_til * act
+    shape = np.broadcast_shapes(b_til.shape, a_til.shape)
+    phi, alpha = np.zeros(shape + (4, 4)), np.empty(shape + (4,))
+    rows = (  # w1..w4 by action, instrument, interaction and intercept; None is zero
+        (-rho2, None, -(iv * rho2), None),
+        (-(b_til * act), -(iv * b_til), -(act * iv * b_til), None),
+        (-act, -iv, -act * iv, -1.0),
+        (-act, -act * iv, -act * iv, -act),
+    )
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if entry is not None:
+                phi[..., i, j] = entry
+    for j, entry in enumerate((b_til * a_til, b_til, 1.0, act)):
+        alpha[..., j] = entry
+    return phi, alpha
+
+
+def _at_keys(nuisances: list, s, u, iv) -> np.ndarray:
+    """Fitted ``f1`` and ``f2`` before clipping (sets, 2, keys) of every
+    :class:`NuisanceSet` in ``nuisances`` at keys (s, u, iv)."""
+    basis = nuisances[0].f1.basis
+    if basis.kind != "saturated":
+        return np.stack([(nuis.f1.predict(s, u), nuis.f2_raw(s, u, iv)) for nuis in nuisances])
+    # a saturated fit's coefficients are its values per cell (SeriesFit.predict)
+    coef = np.concatenate([f.coef for nuis in nuisances for f in (nuis.f1, *nuis.f2)], axis=1)
+    f1, lo, hi = coef[basis.cell_index(s, u)].reshape(len(s), -1, 3).T
+    return np.stack([f1, np.where(iv > 0.5, hi, lo)], axis=1)
+
+
+def nuisance_guard(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows"):
+    """The first fit :func:`fit_nuisances` refuses, in C order of the leading
+    axes of ``weight`` and ``count`` (..., keys), as (its index, the error),
+    or ``None``.  A fit is refused, in this order, with
     :class:`InsufficientData` for fewer rows than basis functions,
     :class:`DegenerateIV` for an instrument variance below
     ``IV_VARIANCE_TOL`` in some cell, then per arm :class:`DegenerateIV`
     without rows and :class:`InsufficientData` with fewer rows than basis
     functions, each naming the arm; the two row counts call the rows
     ``row_name`` (exact-law rows are the law's atoms)."""
-    n = int(count.sum())
-    if n < basis.k:
-        raise InsufficientData(f"{n} {row_name} for {basis.k} basis functions")
-    arms = weight.reshape(-1, 2, 2).sum(axis=2)  # (cells, iv)
-    reached = np.flatnonzero(arms.sum(axis=1) > 0)
-    lo, hi = arms[reached].T
-    mean = hi / (lo + hi)
-    var = (lo * mean**2 + hi * (1.0 - mean) ** 2) / (lo + hi)
-    low = np.flatnonzero(var < IV_VARIANCE_TOL)
-    if low.size:
-        low_var, cell = var[low[0]], reached[low[0]]
-        raise DegenerateIV(f"instrument variance {low_var:.2e} in cell {cell} is below {IV_VARIANCE_TOL}")
+    lead, k = count.shape[:-1], basis.k
+    n = count.sum(axis=-1)
+    arms = weight.reshape(lead + (-1, 2, 2)).sum(axis=-1)  # (..., cells, iv)
+    lo, hi = arms[..., 0], arms[..., 1]
+    total = lo + hi
+    with np.errstate(divide="ignore", invalid="ignore"):  # a cell without weight has no variance
+        mean = hi / total
+        var = (lo * mean**2 + hi * (1.0 - mean) ** 2) / total
+    low = (total > 0) & (var < IV_VARIANCE_TOL)
+    arm_rows = count.reshape(lead + (-1, 2, 2)).sum(axis=(-3, -1))
+    refused = (n < k) | low.any(axis=-1) | (arm_rows < k).any(axis=-1)
+    if not refused.any():
+        return None
+    at = np.unravel_index(np.argmax(refused), lead)
+    if n[at] < k:
+        return at, InsufficientData(f"{n[at]} {row_name} for {k} basis functions")
+    if low[at].any():
+        cell = np.argmax(low[at])
+        return at, DegenerateIV(f"instrument variance {var[at][cell]:.2e} in cell {cell} is below {IV_VARIANCE_TOL}")
+    b = np.argmax(arm_rows[at] < k)
+    if arm_rows[at][b] == 0:
+        return at, DegenerateIV(f"no rows with instrument = {b}")
+    return at, InsufficientData(f"{arm_rows[at][b]} {row_name} with instrument = {b} for {k} basis functions")
+
+
+def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows") -> tuple:
+    """Fit the instrument mean ``f1`` and, per instrument arm, the action mean
+    ``f2`` on the key grid of ``basis`` (:func:`key_grid`), whose keys weigh
+    ``weight`` and hold ``count`` rows (..., keys): one :class:`NuisanceSet`
+    per index of the leading axes, in C order, up to the first fit
+    :func:`nuisance_guard` refuses.  Returns the sets and that refusal, or
+    ``None``.  The saturated basis fits every set at once by per-cell sums
+    (:func:`~confgame.sieve.project_cell_means`); any other basis projects
+    each set's fits (:func:`~confgame.sieve.project_conditional_mean`)."""
+    refused = nuisance_guard(weight, count, basis, row_name)
     s, u, iv, act = key_grid(basis.n_states, basis.n_u)
-    f1 = project_conditional_mean(s, u, iv.astype(float), basis, weight)
-    arm_rows = count.reshape(-1, 2, 2).sum(axis=(0, 2))
-    f2 = []
-    for b in (0, 1):
-        if arm_rows[b] == 0:
-            raise DegenerateIV(f"no rows with instrument = {b}")
-        if arm_rows[b] < basis.k:
-            raise InsufficientData(
-                f"{arm_rows[b]} {row_name} with instrument = {b} for {basis.k} basis functions"
-            )
-        m = iv == b
-        f2.append(project_conditional_mean(s[m], u[m], act[m].astype(float), basis, weight[m]))
-    nuis = NuisanceSet(f1=f1, f2=tuple(f2), clip_count=0)
-    raw = np.stack([f1.predict(s, u), nuis.f2_raw(s, u, iv)])
-    nuis.clip_count = int(count @ (raw != np.clip(raw, F_CLIP, 1.0 - F_CLIP)).sum(axis=0))
-    total = weight.sum()
-    nuis.residual_means = {
-        "w4": float((weight * (iv - nuis.f1_at(s, u))).sum() / total),
-        "w5": float((weight * (act - nuis.f2_at(s, u, iv))).sum() / total),
-    }
-    return nuis
+    w, count = weight.reshape(-1, iv.size), count.reshape(-1, iv.size)
+    if refused is not None:  # fit the sets before it
+        first = np.ravel_multi_index(refused[0], weight.shape[:-1])
+        w, count = w[:first], count[:first]
+    if not (fits := len(w)):
+        return [], refused
+    if basis.kind == "saturated":  # f1 on each cell's 4 keys; f2 per arm on its 2, the arms stacked
+        by_arm = w.reshape(fits, -1, 2, 2).transpose(2, 0, 1, 3).reshape(2 * fits, -1, 2)
+        problems = [(w.reshape(fits, -1, 4), iv.reshape(-1, 4).astype(float)), (by_arm, act[:2].astype(float))]
+        f1, f2 = project_cell_means(problems, basis)
+        f2 = (f2[:fits], f2[fits:])
+    else:
+        f1 = [project_conditional_mean(s, u, iv.astype(float), basis, wf) for wf in w]
+        f2 = [
+            [project_conditional_mean(s[m], u[m], act[m].astype(float), basis, wf[m]) for wf in w]
+            for m in (iv == 0, iv == 1)
+        ]
+    sets = [NuisanceSet(f1=a, f2=(lo, hi), clip_count=0) for a, lo, hi in zip(f1, *f2)]
+    raw = _at_keys(sets, s, u, iv)
+    fitted = np.clip(raw, F_CLIP, 1.0 - F_CLIP)
+    clip_count = ((raw != fitted).sum(axis=1) * count).sum(axis=1)
+    total = w.sum(axis=1)
+    w4 = (w * (iv - fitted[:, 0])).sum(axis=1) / total
+    w5 = (w * (act - fitted[:, 1])).sum(axis=1) / total
+    for nuis, clipped, r4, r5 in zip(sets, clip_count, w4, w5):
+        nuis.clip_count, nuis.residual_means = int(clipped), {"w4": float(r4), "w5": float(r5)}
+    return sets, refused
 
 
 def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
     """:func:`fit_nuisances` on the rows' :class:`KeyTable` over the grid of
     ``basis`` (:meth:`MomentData.table` checks the rows)."""
-    return data.table(basis.n_states, basis.n_u).nuisances(basis)[0]
+    sets, refused = data.table(basis.n_states, basis.n_u).nuisances(basis)
+    if refused is not None:
+        raise refused[1]
+    return sets[0]
 
 
 @dataclass

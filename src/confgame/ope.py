@@ -21,8 +21,13 @@ Every block fit needs only per-cell statistics of the stage's rows, so each
 stage reads its rows once into a :class:`StageStats`: the count table,
 nuisances, features and cell means of :mod:`confgame.moments`, the
 continuation contraction of the recursion and the criterion geometry of its
-basis.  None of it depends on the policy, so :func:`stage_statistics` builds
-a dataset's stages once and keeps them on the dataset for every later call.
+basis.  The stages differ only in their rows, so :func:`build_stages` builds
+them in one pass: their count tables stack along a leading stage axis, the
+nuisances of every (stage, fold) are fitted together, and features, cell
+means and geometry run once on the stack; each :class:`StageStats` is one
+stage of that build.  None of it depends on the policy, so
+:func:`stage_statistics` builds a dataset's stages once and keeps them on the
+dataset for every later call.
 :func:`chain_recursion` is the one backward recursion, run on a
 :class:`PolicyStack` of candidates: evaluation runs it on a class of one
 with the single all-center chain, the pessimistic learner on its whole class
@@ -175,31 +180,20 @@ class StageStats:
     (:meth:`~confgame.smd.BlockGeometry.of_basis`), whose blocks
     ``abar_reward`` and ``t_alpha`` follow; ``reward_coef`` is the reward
     block's fit (:meth:`reward_fit`).
+
+    The steps never mix stages, so the stages of a source are built together
+    (:func:`build_stages`): their tables stack along a leading stage axis and
+    every step runs once on the stack.  Each ``StageStats`` is one stage of
+    that build, holding its own copy of the stage's arrays.
+    ``StageStats(source, t, basis)`` is the build of stage ``t`` alone, whose
+    guards raise their own errors, without naming the stage.
     """
 
     def __init__(self, source: DataSource, t: int, basis: SieveBasis):
-        rows = source.stage_rows(t)
-        self.basis = basis
-        self.n_states, self.n_u = ns, nu = source.n_states, source.n_u
-        table = KeyTable.of_rows(
-            ns, nu, rows.s, rows.u, rows.iv, rows.act, rows.y_reward, rows.weights,
-            rows.fold, rows.next_s * nu + rows.next_u,
-        )
-        self.reward_scale_sq = table.mean_square
-        self.nuisances = table.nuisances(basis, source.row_name)
-        phi, alpha = table.features(self.nuisances)
-        self.mass, self.phibar4, reward_sum = table.cell_means(phi, alpha[..., :3])
-        self.phibar3 = self.phibar4[:, :3, :3]
-        nz = self.mass > 0
-        t_alpha = np.einsum("fcian,fciam->cmna", table.weight, alpha, order="C")
-        t_alpha[nz] /= self.mass[nz][:, None, None, None]
-        self.scale_weights = np.ascontiguousarray(table.weight.sum(axis=(0, 1, 2)).T)
-
-        self.geometry3 = BlockGeometry.of_basis(self.mass, self.phibar3, basis)
-        self.geometry4 = BlockGeometry.of_basis(self.mass, self.phibar4, basis)
-        self.abar_reward = self.geometry3.moments(reward_sum)
-        self.t_alpha = self.geometry4.moments(t_alpha)
-        self.reward_coef = self.geometry3.solve(self.abar_reward)
+        stats, failure = _stacked_build(source, (t,), basis)
+        if failure is not None:
+            raise failure[1]
+        self.__dict__.update(vars(stats[0]))
 
     def reward_fit(self) -> SmdFit:
         """The reward block's fit record."""
@@ -214,9 +208,74 @@ class StageStats:
         return alpha, scale_sq
 
 
+def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> tuple:
+    """:class:`StageStats` of ``stages`` of ``source``, built in one pass on
+    their stacked :class:`~confgame.moments.KeyTable`, and the first failure:
+    (stage, error) of the first stage whose guard fails, or ``None``.  The
+    statistics are those of the stages before it, so an earlier stage's
+    later guard, its reward solve, is the first failure."""
+    ns, nu = source.n_states, source.n_u
+    tables = []
+    for t in stages:
+        rows = source.stage_rows(t)
+        tables.append(KeyTable.of_rows(
+            ns, nu, rows.s, rows.u, rows.iv, rows.act, rows.y_reward, rows.weights,
+            rows.fold, rows.next_s * nu + rows.next_u,
+        ))
+    table, failure, folds = KeyTable.stack(tables), None, tables[0].count.shape[0]
+    nuisances, refused = table.nuisances(basis, source.row_name)
+    if refused is not None:  # build the stages before it
+        (kept, _), error = refused
+        failure = (stages[kept], error)
+        if kept == 0:
+            return [], failure
+        table, nuisances = KeyTable.stack(tables[:kept]), nuisances[: kept * folds]
+    phi, alpha = table.features(nuisances)
+    mass, phibar4, reward_sum = table.cell_means(phi, alpha[..., :3])
+    nz = mass > 0
+    t_alpha = np.einsum("...fcian,...fciam->...cmna", table.weight, alpha, order="C")
+    t_alpha[nz] /= mass[nz][:, None, None, None]
+    scale_weights = table.weight.sum(axis=(-5, -4, -3))
+
+    # every stage holds its own arrays; phibar3 is a view of phibar4
+    masses, phibar4s = [m.copy() for m in mass], [p.copy() for p in phibar4]
+    phibar3s = [p[:, :3, :3] for p in phibar4s]
+    geometry3 = BlockGeometry.of_stages(masses, phibar3s, basis)
+    geometry4 = BlockGeometry.of_stages(masses, phibar4s, basis)
+    stats = []
+    for i, t in enumerate(stages[: len(mass)]):
+        st = StageStats.__new__(StageStats)
+        st.basis, st.n_states, st.n_u = basis, ns, nu
+        st.reward_scale_sq = float(table.mean_square[i])
+        st.nuisances = nuisances[i * folds : (i + 1) * folds]
+        st.mass, st.phibar4, st.phibar3 = masses[i], phibar4s[i], phibar3s[i]
+        st.scale_weights = np.ascontiguousarray(scale_weights[i].T)
+        st.geometry3, st.geometry4 = geometry3[i], geometry4[i]
+        st.abar_reward = st.geometry3.moments(reward_sum[i].copy())
+        st.t_alpha = st.geometry4.moments(t_alpha[i].copy())
+        try:
+            st.reward_coef = st.geometry3.solve(st.abar_reward)
+        except IllPosedFit as exc:
+            return stats, (t, exc)
+        stats.append(st)
+    return stats, failure
+
+
+def build_stages(source: DataSource, stages, basis: SieveBasis) -> list:
+    """:class:`StageStats` of ``stages`` of ``source``, built in one stacked
+    pass; the first stage whose guard fails raises its first guard's error,
+    naming the stage (``stage t: ...``)."""
+    stats, failure = _stacked_build(source, stages, basis)
+    if failure is not None:
+        t, exc = failure
+        raise type(exc)(f"stage {t}: {exc}") from exc
+    return stats
+
+
 def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
-    """:class:`StageStats` of every stage, in stage order; :class:`BasisMismatch`
-    when the basis is not built on the data's states and private values.
+    """:class:`StageStats` of every stage, in stage order (:func:`build_stages`);
+    :class:`BasisMismatch` when the basis is not built on the data's states
+    and private values.
 
     The statistics of a :class:`SampleSource` do not depend on the policy, so
     they are built once per dataset and kept in its memo
@@ -244,21 +303,12 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
             return stats
         if not _same_view(source.checked, view, frozen=False):
             check_dataset(ds)  # the dataset changed since the source checked it
-    stats = [build_stage(source, t, basis) for t in range(2 * source.horizon)]
+    stats = build_stages(source, range(2 * source.horizon), basis)
     if ds is not None:
         for arr in view[1]:
             arr.setflags(write=False)
         ds._stats[key] = (basis, view, stats)
     return stats
-
-
-def build_stage(source: DataSource, t: int, basis: SieveBasis) -> StageStats:
-    """:class:`StageStats` of stage ``t``, whose guards' errors name the
-    stage (``stage t: ...``)."""
-    try:
-        return StageStats(source, t, basis)
-    except (DegenerateIV, IllPosedFit, InsufficientData) as exc:
-        raise type(exc)(f"stage {t}: {exc}") from exc
 
 
 def _dataset_view(ds: OfflineDataset) -> tuple:

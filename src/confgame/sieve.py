@@ -147,7 +147,10 @@ class SeriesFit:
     ridge_used: bool = False
 
     def predict(self, s, u) -> np.ndarray:
-        out = self.basis.evaluate(s, u) @ self.coef
+        if self.basis.kind == "saturated":  # the design is one-hot: pick each row's cell
+            out = self.coef[self.basis.cell_index(np.atleast_1d(s), np.atleast_1d(u))]
+        else:
+            out = self.basis.evaluate(s, u) @ self.coef
         return out[:, 0] if self.coef.shape[1] == 1 else out
 
 
@@ -194,3 +197,55 @@ def project_conditional_mean(
     return SeriesFit(
         basis=basis, coef=coef, gram_cond=cond, resid_norm=resid_norm, ridge_used=ridge_used
     )
+
+
+def project_cell_means(problems: list, basis: SieveBasis) -> list:
+    """Saturated-basis projections of outcomes on keys grouped by cell.
+
+    ``problems`` holds (``weight``, ``y``) pairs: ``weight`` (fits, cells, j)
+    weighs each cell's ``j`` keys for every fit and ``y`` (cells, j) holds
+    their outcomes.  Returns one list of :class:`SeriesFit` per problem, each
+    fit :func:`project_conditional_mean` of ``y`` on the keys in that order.
+    Its Gram matrix is diagonal, and so is every step of the solve: a cell
+    sums its keys in key order, the Gram entry and the right-hand side are
+    those sums of ``w`` and ``w * y`` over the total weight, and the
+    coefficient is their quotient.  This gives ``project_conditional_mean``'s
+    fields bit for bit when every product ``w * y`` is exact, as for binary
+    outcomes.  The condition numbers of all the fits come from
+    ``np.linalg.cond``, stacked over the fits whose supported cells are as
+    many.
+    """
+    sizes = [len(weight) for weight, _ in problems]
+    total = np.concatenate([weight.reshape(len(weight), -1).sum(axis=1) for weight, _ in problems])[:, None]
+    gram = np.concatenate([weight.sum(axis=2) for weight, _ in problems]) / total
+    rhs = np.concatenate([(weight * y).sum(axis=2) for weight, y in problems]) / total
+    sup = gram > 0
+    cond = _diagonal_cond(gram, sup)
+    ridge = ~np.isfinite(cond) | (cond > COND_LIMIT)
+    if ridge.any():
+        gram[ridge] += RIDGE_LAMBDA * sup[ridge]
+        cond[ridge] = _diagonal_cond(gram[ridge], sup[ridge])
+    coef = np.divide(rhs, gram, out=np.zeros_like(rhs), where=sup)
+    fits, lo = [], 0
+    for (weight, y), size in zip(problems, sizes):
+        part = slice(lo, lo + size)
+        resid = (weight * (y - coef[part, :, None]) ** 2).reshape(size, -1).sum(axis=1)
+        resid_norm = np.sqrt(resid / total[part, 0])
+        fits.append([
+            SeriesFit(basis, c[:, None], float(g), float(r), bool(b))
+            for c, g, r, b in zip(coef[part], cond[part], resid_norm, ridge[part])
+        ])
+        lo += size
+    return fits
+
+
+def _diagonal_cond(gram: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """``np.linalg.cond`` of each row's supported entries of ``gram`` as a
+    diagonal matrix, stacked over the rows with as many of them; that of a
+    1 x 1 matrix is 1."""
+    cond, size = np.ones(len(gram)), sup.sum(axis=1)
+    for m in set(size[size > 1].tolist()):
+        rows = np.flatnonzero(size == m)
+        diag = gram[rows][sup[rows]].reshape(-1, m)
+        cond[rows] = np.linalg.cond(diag[:, :, None] * np.eye(m))
+    return cond

@@ -17,6 +17,7 @@ around ``fit.coef.reshape(1, -1)``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,6 +126,26 @@ class BlockGeometry:
         lift = half @ (q * mass[:, None]).T
         design = _lift(lift, phibar[:, :, None, :] * q[:, None, :, None])
         return cls.of_cells(np.ones(1), design.reshape(1, design.shape[1], -1), lift)
+
+    @classmethod
+    def of_stages(cls, masses: list, phibars: list, basis: SieveBasis) -> list:
+        """:meth:`of_basis` of every stage's cell masses and design means.  The
+        saturated blocks of all stages are built as one stack: each stage's
+        geometry holds its own run of the blocks' Hessians, pseudo-inverses and
+        singular flags, and the stage's own ``mass`` and ``phibar``."""
+        if basis.kind != "saturated":
+            return [cls.of_basis(mass, phibar, basis) for mass, phibar in zip(masses, phibars)]
+        whole = cls.of_cells(np.concatenate(masses), np.concatenate(phibars))
+        parts, lo = [], 0
+        for mass, phibar in zip(masses, phibars):
+            hi = lo + len(mass)
+            part = copy.copy(whole)
+            part.hess, part.pinv = whole.hess[lo:hi].copy(), whole.pinv[lo:hi].copy()
+            part.mass, part.design = mass, phibar
+            part.singular = whole.singular[(lo <= whole.singular) & (whole.singular < hi)] - lo
+            parts.append(part)
+            lo = hi
+        return parts
 
     def moments(self, x: np.ndarray) -> np.ndarray:
         """Block moment means (blocks, m', ...) of cell moment means (cells, m, ...)."""

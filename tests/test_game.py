@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,22 @@ def test_malformed_probabilities_rejected(t1):
 def test_spec_names_the_first_bad_value(t2, field, edit, message):
     with pytest.raises(MalformedSpec, match=f"^{message}$"):
         replace(t2, **{field: edit(t2)})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("horizon", 2.0), ("horizon", True), ("n_states", 2.0), ("n_u", np.float64(1.0)), ("n_v1", "2"), ("n_v2", None)],
+)
+def test_spec_sizes_must_be_integers(t2, field, value):
+    """A float size matches its table shapes (``4.0 == 4``), so only this
+    check keeps it from failing later as a raw ``TypeError``."""
+    with pytest.raises(MalformedSpec, match=f"^{field}: expected an integer, got {re.escape(repr(value))}$"):
+        replace(t2, **{field: value})
+
+
+def test_spec_sizes_may_be_numpy_integers(t2):
+    spec = replace(t2, horizon=np.int64(2), n_states=np.int32(2))
+    assert game.simulate_dataset(spec, n=10, seed=0).horizon == 2
 
 
 def test_spec_names_a_table_of_the_wrong_shape(t2, tmp_path):

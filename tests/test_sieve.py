@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confgame import sieve
+from confgame import fixtures, moments, ope, sieve
 from confgame.errors import InsufficientData, RankDeficientBasis
 
 
@@ -121,3 +121,76 @@ def test_ridge_fallback_on_degenerate_support():
     fit = sieve.project_conditional_mean(s, np.zeros(6, int), y, basis)
     assert fit.ridge_used
     assert np.isfinite(fit.coef).all()
+
+
+def _dense_one_hot_fit(weight, y):
+    """The least-squares fit of binary outcomes ``y`` on keys weighing
+    ``weight`` (cells, j), each cell's keys in order, through the dense
+    one-hot design: Gram matrix, right-hand side, condition number, ridge
+    fallback, solve and weighted residual norm."""
+    cells, j = weight.shape
+    q = np.repeat(np.eye(cells), j, axis=0)
+    w, y = weight.ravel(), np.broadcast_to(y, weight.shape).ravel()
+    total = w.sum()
+    gram = (q * w[:, None]).T @ q / total
+    rhs = (q * w[:, None]).T @ y[:, None] / total
+    sup = np.diag(gram) > 0
+    gram = gram[np.ix_(sup, sup)]
+    cond, ridge = float(np.linalg.cond(gram)), False
+    if not np.isfinite(cond) or cond > sieve.COND_LIMIT:
+        gram, ridge = gram + sieve.RIDGE_LAMBDA * np.eye(len(gram)), True
+        cond = float(np.linalg.cond(gram))
+    coef = np.zeros((cells, 1))
+    coef[sup] = np.linalg.solve(gram, rhs[sup])
+    resid = y[:, None] - q @ coef
+    return coef, cond, float(np.sqrt((w[:, None] * resid**2).sum() / total)), ridge
+
+
+def _population_key_weights():
+    """Every stage's key weights of the exact t2-h3 law, by cell and key."""
+    source = ope.PopulationSource(fixtures.get_fixture("t2-h3"))
+    for t in range(2 * source.horizon):
+        rows = source.stage_rows(t)
+        table = moments.KeyTable.of_rows(2, 1, rows.s, rows.u, rows.iv, rows.act, rows.y_reward, rows.weights)
+        yield table.fit_keys()[0].reshape(2, 4)
+
+
+def _cell_weights():
+    """Key weights (cells, 4) of many fits: random draws over 1 to 9 cells,
+    empty cells, a nearly empty cell that trips the ridge, and the exact law."""
+    rng = np.random.default_rng(26)
+    cases = []
+    for _ in range(200):
+        cells = int(rng.integers(1, 10))
+        weight = rng.integers(0, 50, size=(cells, 4)) / rng.integers(50, 5000)
+        weight[:, 0] += 1e-3  # every cell reached
+        cases.append(weight)
+    empty = cases[-1].copy()
+    empty[len(empty) // 2] = 0.0
+    thin = cases[-2].copy()
+    thin[0] *= 1e-14
+    return cases + [empty, thin] + list(_population_key_weights())
+
+
+def test_cell_means_match_the_dense_one_hot_solve_bit_for_bit():
+    """``project_cell_means`` sums each cell's keys instead of building the
+    one-hot design; for binary outcomes every field of every fit is the
+    dense solve's, on instrument-like (4 keys per cell) and action-like
+    (2 keys per cell) outcomes alike, however many fits one call stacks."""
+    iv, act = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0])
+    cases = _cell_weights()
+    assert any((w == 0).all(axis=1).any() for w in cases)
+    ridges = 0
+    for cells in {len(w) for w in cases}:
+        basis = sieve.build_basis("saturated", cells, 1)
+        weight = np.stack([w for w in cases if len(w) == cells])
+        arms = weight.reshape(len(weight), cells, 2, 2).transpose(0, 2, 1, 3).reshape(-1, cells, 2)
+        f1, arm_fits = sieve.project_cell_means([(weight, iv), (arms, act)], basis)
+        for fit, (w, y) in zip(f1 + arm_fits, [(w, iv) for w in weight] + [(w, act) for w in arms]):
+            coef, cond, resid_norm, ridge = _dense_one_hot_fit(w, y)
+            assert np.array_equal(fit.coef, coef) and fit.coef.shape == coef.shape
+            assert (fit.gram_cond, fit.resid_norm, fit.ridge_used) == (cond, resid_norm, ridge)
+            index = np.arange(cells)
+            assert np.array_equal(fit.predict(index, np.zeros_like(index)), (basis.grid @ coef)[:, 0])
+            ridges += ridge
+    assert ridges > 0

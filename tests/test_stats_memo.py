@@ -34,15 +34,14 @@ def t2h3():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """How many ``StageStats`` are built for each stage index."""
-    built = Counter()
+    """How many stacked builds of each run of stages ``stage_statistics`` makes."""
+    built, build = Counter(), ope.build_stages
 
-    class Counted(ope.StageStats):
-        def __init__(self, source, t, basis):
-            built[t] += 1
-            super().__init__(source, t, basis)
+    def counted_build(source, stages, basis):
+        built[tuple(stages)] += 1
+        return build(source, stages, basis)
 
-    monkeypatch.setattr(ope, "StageStats", Counted)
+    monkeypatch.setattr(ope, "build_stages", counted_build)
     return built
 
 
@@ -83,7 +82,7 @@ def test_a_round_builds_each_stage_once(t2h3, counted):
     ds = game.simulate_dataset(spec, n=6_000, seed=3)
     results = [ope.evaluate_policy(ds, pol, basis) for pol in policies]
     best, pv = learner.learn_policy_pair(ds, pairs, basis)
-    assert counted == Counter(range(2 * spec.horizon))
+    assert counted == Counter([tuple(range(2 * spec.horizon))])
 
     for pol, res in zip(policies, results):
         _assert_same_result(res, ope.evaluate_policy(replace(ds), pol, basis))
@@ -102,12 +101,12 @@ def test_each_key_has_its_own_entry(t2h3, counted):
     crossed = ope.stage_statistics(ope.SampleSource(ds, cross_fit=True), basis)
     other = ope.stage_statistics(ope.as_source(ds), twin)
     assert len({id(plain), id(crossed), id(other)}) == 3
-    assert counted == Counter({t: 3 for t in range(2 * spec.horizon)})
+    assert counted == Counter({tuple(range(2 * spec.horizon)): 3})
 
     assert ope.stage_statistics(ope.as_source(ds), basis) is plain
     assert ope.stage_statistics(ope.SampleSource(ds, cross_fit=True), basis) is crossed
     assert ope.stage_statistics(ope.as_source(ds), twin) is other
-    assert counted == Counter({t: 3 for t in range(2 * spec.horizon)})
+    assert counted == Counter({tuple(range(2 * spec.horizon)): 3})
     _assert_same_stats(crossed, _fresh(ds, basis, cross_fit=True))
     _assert_same_result(
         ope.evaluate_policy(ope.SampleSource(ds, cross_fit=True), policies[0], basis),
@@ -196,7 +195,7 @@ def test_a_shallow_copy_keeps_its_own_memo(t2h3, counted):
     for _ in range(3):
         for data in (ds, shallow):
             ope.stage_statistics(ope.as_source(data), basis)
-    assert counted == Counter({t: 2 for t in range(2 * spec.horizon)})
+    assert counted == Counter({tuple(range(2 * spec.horizon)): 2})
 
 
 def test_an_entry_is_returned_for_its_own_basis_only(t1):
@@ -232,7 +231,7 @@ def test_a_harness_cell_builds_its_statistics_once(tmp_path, monkeypatch, counte
         fixture="t1", n_grid=(500,), seeds=(0, 1), cross_fit=cross_fit, out_dir=str(tmp_path)
     )
     harness.run_experiment(config)
-    assert counted == Counter({0: 2 * builds, 1: 2 * builds})
+    assert counted == Counter({(0, 1): 2 * builds})
 
 
 def test_a_memo_hit_skips_the_dataset_check(t2h3, checks):
