@@ -42,7 +42,6 @@ oracle property tests instead of being stacked here.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -56,15 +55,10 @@ F_CLIP = 1e-6
 IV_VARIANCE_TOL = 1e-6
 
 
-@functools.lru_cache(maxsize=64)
 def key_grid(n_states: int, n_u: int) -> tuple:
-    """(s, u, iv, act) of every key ``((s * n_u + u) * 2 + iv) * 2 + act``,
-    built once per grid and read-only."""
+    """(s, u, iv, act) of every key ``((s * n_u + u) * 2 + iv) * 2 + act``."""
     cell, iv, act = (a.ravel() for a in np.indices((n_states * n_u, 2, 2)))
-    grid = np.divmod(cell, n_u) + (iv, act)
-    for column in grid:
-        column.setflags(write=False)
-    return grid
+    return np.divmod(cell, n_u) + (iv, act)
 
 
 class KeyTable(NamedTuple):
@@ -113,11 +107,10 @@ class KeyTable(NamedTuple):
         lead = self.count.shape[:-3]
         return tuple(np.flip(a, axis=-4).reshape(lead + (-1,)) for a in (self.weight.sum(axis=-1), self.count))
 
-    def nuisances(self, basis: SieveBasis, row_name: str = "rows") -> tuple:
+    def nuisances(self, basis: SieveBasis, row_name: str = "rows") -> list:
         """One :class:`NuisanceSet` per fold (of every stage, stage by stage),
         for that fold's features: fitted on the other fold's keys, or on all
-        of them without folds (:func:`fit_nuisances`, which also returns the
-        first fit refused)."""
+        of them without folds (:func:`fit_nuisances`)."""
         return fit_nuisances(*self.fit_keys(), basis, row_name)
 
     def features(self, nuisances: list):
@@ -253,19 +246,13 @@ def key_features(f1, f2, iv, act):
 def _at_keys(nuisances: list, s, u, iv) -> np.ndarray:
     """Fitted ``f1`` and ``f2`` before clipping (sets, 2, keys) of every
     :class:`NuisanceSet` in ``nuisances`` at keys (s, u, iv)."""
-    basis = nuisances[0].f1.basis
-    if basis.kind != "saturated":
-        return np.stack([(nuis.f1.predict(s, u), nuis.f2_raw(s, u, iv)) for nuis in nuisances])
-    # a saturated fit's coefficients are its values per cell (SeriesFit.predict)
-    coef = np.concatenate([f.coef for nuis in nuisances for f in (nuis.f1, *nuis.f2)], axis=1)
-    f1, lo, hi = coef[basis.cell_index(s, u)].reshape(len(s), -1, 3).T
-    return np.stack([f1, np.where(iv > 0.5, hi, lo)], axis=1)
+    return np.stack([(nuis.f1.predict(s, u), nuis.f2_raw(s, u, iv)) for nuis in nuisances])
 
 
 def nuisance_guard(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows"):
-    """The first fit :func:`fit_nuisances` refuses, in C order of the leading
-    axes of ``weight`` and ``count`` (..., keys), as (its index, the error),
-    or ``None``.  A fit is refused, in this order, with
+    """Raise for the first fit :func:`fit_nuisances` refuses, in C order of
+    the leading axes of ``weight`` and ``count`` (..., keys).  A fit is
+    refused, in this order, with
     :class:`InsufficientData` for fewer rows than basis functions,
     :class:`DegenerateIV` for an instrument variance below
     ``IV_VARIANCE_TOL`` in some cell, then per arm :class:`DegenerateIV`
@@ -284,36 +271,32 @@ def nuisance_guard(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row
     arm_rows = count.reshape(lead + (-1, 2, 2)).sum(axis=(-3, -1))
     refused = (n < k) | low.any(axis=-1) | (arm_rows < k).any(axis=-1)
     if not refused.any():
-        return None
+        return
     at = np.unravel_index(np.argmax(refused), lead)
     if n[at] < k:
-        return at, InsufficientData(f"{n[at]} {row_name} for {k} basis functions")
+        raise InsufficientData(f"{n[at]} {row_name} for {k} basis functions")
     if low[at].any():
         cell = np.argmax(low[at])
-        return at, DegenerateIV(f"instrument variance {var[at][cell]:.2e} in cell {cell} is below {IV_VARIANCE_TOL}")
+        raise DegenerateIV(f"instrument variance {var[at][cell]:.2e} in cell {cell} is below {IV_VARIANCE_TOL}")
     b = np.argmax(arm_rows[at] < k)
     if arm_rows[at][b] == 0:
-        return at, DegenerateIV(f"no rows with instrument = {b}")
-    return at, InsufficientData(f"{arm_rows[at][b]} {row_name} with instrument = {b} for {k} basis functions")
+        raise DegenerateIV(f"no rows with instrument = {b}")
+    raise InsufficientData(f"{arm_rows[at][b]} {row_name} with instrument = {b} for {k} basis functions")
 
 
-def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows") -> tuple:
+def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows") -> list:
     """Fit the instrument mean ``f1`` and, per instrument arm, the action mean
     ``f2`` on the key grid of ``basis`` (:func:`key_grid`), whose keys weigh
     ``weight`` and hold ``count`` rows (..., keys): one :class:`NuisanceSet`
-    per index of the leading axes, in C order, up to the first fit
-    :func:`nuisance_guard` refuses.  Returns the sets and that refusal, or
-    ``None``.  The saturated basis fits every set at once by per-cell sums
-    (:func:`~confgame.sieve.project_cell_means`); any other basis projects
-    each set's fits (:func:`~confgame.sieve.project_conditional_mean`)."""
-    refused = nuisance_guard(weight, count, basis, row_name)
+    per index of the leading axes, in C order.  :func:`nuisance_guard` raises
+    first for a fit it refuses.  The saturated basis fits every set at once
+    by per-cell sums (:func:`~confgame.sieve.project_cell_means`); any other
+    basis projects each set's fits
+    (:func:`~confgame.sieve.project_conditional_mean`)."""
+    nuisance_guard(weight, count, basis, row_name)
     s, u, iv, act = key_grid(basis.n_states, basis.n_u)
     w, count = weight.reshape(-1, iv.size), count.reshape(-1, iv.size)
-    if refused is not None:  # fit the sets before it
-        first = np.ravel_multi_index(refused[0], weight.shape[:-1])
-        w, count = w[:first], count[:first]
-    if not (fits := len(w)):
-        return [], refused
+    fits = len(w)
     if basis.kind == "saturated":  # f1 on each cell's 4 keys; f2 per arm on its 2, the arms stacked
         by_arm = w.reshape(fits, -1, 2, 2).transpose(2, 0, 1, 3).reshape(2 * fits, -1, 2)
         problems = [(w.reshape(fits, -1, 4), iv.reshape(-1, 4).astype(float)), (by_arm, act[:2].astype(float))]
@@ -334,16 +317,13 @@ def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_
     w5 = (w * (act - fitted[:, 1])).sum(axis=1) / total
     for nuis, clipped, r4, r5 in zip(sets, clip_count, w4, w5):
         nuis.clip_count, nuis.residual_means = int(clipped), {"w4": float(r4), "w5": float(r5)}
-    return sets, refused
+    return sets
 
 
 def estimate_nuisances(data: MomentData, basis: SieveBasis) -> NuisanceSet:
     """:func:`fit_nuisances` on the rows' :class:`KeyTable` over the grid of
     ``basis`` (:meth:`MomentData.table` checks the rows)."""
-    sets, refused = data.table(basis.n_states, basis.n_u).nuisances(basis)
-    if refused is not None:
-        raise refused[1]
-    return sets[0]
+    return data.table(basis.n_states, basis.n_u).nuisances(basis)[0]
 
 
 @dataclass

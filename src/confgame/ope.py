@@ -190,10 +190,7 @@ class StageStats:
     """
 
     def __init__(self, source: DataSource, t: int, basis: SieveBasis):
-        stats, failure = _stacked_build(source, (t,), basis)
-        if failure is not None:
-            raise failure[1]
-        self.__dict__.update(vars(stats[0]))
+        self.__dict__.update(vars(_stacked_build(source, (t,), basis)[0]))
 
     def reward_fit(self) -> SmdFit:
         """The reward block's fit record."""
@@ -208,12 +205,11 @@ class StageStats:
         return alpha, scale_sq
 
 
-def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> tuple:
+def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> list:
     """:class:`StageStats` of ``stages`` of ``source``, built in one pass on
-    their stacked :class:`~confgame.moments.KeyTable`, and the first failure:
-    (stage, error) of the first stage whose guard fails, or ``None``.  The
-    statistics are those of the stages before it, so an earlier stage's
-    later guard, its reward solve, is the first failure."""
+    their stacked :class:`~confgame.moments.KeyTable`.  A failing guard
+    raises its error without naming the stage: the nuisance guards of every
+    stage fire before any stage's reward solve."""
     ns, nu = source.n_states, source.n_u
     tables = []
     for t in stages:
@@ -222,14 +218,8 @@ def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> tuple:
             ns, nu, rows.s, rows.u, rows.iv, rows.act, rows.y_reward, rows.weights,
             rows.fold, rows.next_s * nu + rows.next_u,
         ))
-    table, failure, folds = KeyTable.stack(tables), None, tables[0].count.shape[0]
-    nuisances, refused = table.nuisances(basis, source.row_name)
-    if refused is not None:  # build the stages before it
-        (kept, _), error = refused
-        failure = (stages[kept], error)
-        if kept == 0:
-            return [], failure
-        table, nuisances = KeyTable.stack(tables[:kept]), nuisances[: kept * folds]
+    table, folds = KeyTable.stack(tables), tables[0].count.shape[0]
+    nuisances = table.nuisances(basis, source.row_name)
     phi, alpha = table.features(nuisances)
     mass, phibar4, reward_sum = table.cell_means(phi, alpha[..., :3])
     nz = mass > 0
@@ -243,7 +233,7 @@ def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> tuple:
     geometry3 = BlockGeometry.of_stages(masses, phibar3s, basis)
     geometry4 = BlockGeometry.of_stages(masses, phibar4s, basis)
     stats = []
-    for i, t in enumerate(stages[: len(mass)]):
+    for i in range(len(stages)):
         st = StageStats.__new__(StageStats)
         st.basis, st.n_states, st.n_u = basis, ns, nu
         st.reward_scale_sq = float(table.mean_square[i])
@@ -253,23 +243,28 @@ def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> tuple:
         st.geometry3, st.geometry4 = geometry3[i], geometry4[i]
         st.abar_reward = st.geometry3.moments(reward_sum[i].copy())
         st.t_alpha = st.geometry4.moments(t_alpha[i].copy())
-        try:
-            st.reward_coef = st.geometry3.solve(st.abar_reward)
-        except IllPosedFit as exc:
-            return stats, (t, exc)
+        st.reward_coef = st.geometry3.solve(st.abar_reward)
         stats.append(st)
-    return stats, failure
+    return stats
+
+
+_GUARDS = (DegenerateIV, IllPosedFit, InsufficientData)  # the errors a stage build raises for its data
 
 
 def build_stages(source: DataSource, stages, basis: SieveBasis) -> list:
     """:class:`StageStats` of ``stages`` of ``source``, built in one stacked
-    pass; the first stage whose guard fails raises its first guard's error,
+    pass.  When a guard fails, the stages are built again one at a time, so
+    that the first stage whose guard fails raises its first guard's error,
     naming the stage (``stage t: ...``)."""
-    stats, failure = _stacked_build(source, stages, basis)
-    if failure is not None:
-        t, exc = failure
-        raise type(exc)(f"stage {t}: {exc}") from exc
-    return stats
+    try:
+        return _stacked_build(source, stages, basis)
+    except _GUARDS:
+        for t in stages:
+            try:
+                StageStats(source, t, basis)
+            except _GUARDS as exc:
+                raise type(exc)(f"stage {t}: {exc}") from exc
+        raise
 
 
 def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
