@@ -146,8 +146,7 @@ def _dispatch(args) -> int:
         if spec is not None:
             check_spec_grid(spec, ds.horizon, ds.n_states, ds.n_u)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
-        source = SampleSource(ds)
-        fit_a, fit_b = (st.reward_fit() for st in build_stages(source, (0, 1), basis))
+        fit_a, fit_b = (st.reward_fit() for st in build_stages(SampleSource(ds), (0, 1), basis))
         print("alice reward block (per cell: action, instrument, interaction):")
         print(np.array_str(fit_a.coef_table(), precision=4))
         print("bob reward block:")

@@ -150,10 +150,10 @@ class LearnerEngine:
         self.source = as_source(data)
         self.basis = basis
         self.eta = eta
+        self.stats = stage_statistics(self.source, basis)  # checks the dataset before anything reads it
         self.n = self.source.dataset.n if hasattr(self.source, "dataset") else None
         self.horizon = self.source.horizon
         self.grid = self.horizon, self.source.n_states, self.source.n_u  # policies and specs must match
-        self.stats = stage_statistics(self.source, basis)
         unit = eta.radius_unit
         # reward and continuation radii of stage t (step t / 2 + 1 of the game)
         # per unit outcome mean square

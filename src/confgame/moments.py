@@ -43,6 +43,7 @@ oracle property tests instead of being stacked here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -118,8 +119,8 @@ class KeyTable(NamedTuple):
         outcome (..., folds, cells, 2, 2, 4) of every key, fold ``f``'s from
         its :class:`NuisanceSet` in ``nuisances`` (in :meth:`nuisances`'
         order), by :func:`key_features` on the clipped fits."""
-        s, u, iv, act = key_grid(self.n_states, self.n_u)
-        fitted = np.clip(_at_keys(nuisances, s, u, iv), F_CLIP, 1.0 - F_CLIP)
+        iv, act = key_grid(self.n_states, self.n_u)[2:]
+        fitted = np.clip(np.stack([nuis.at_keys for nuis in nuisances]), F_CLIP, 1.0 - F_CLIP)
         phi, alpha = key_features(fitted[:, 0], fitted[:, 1], iv, act)
         return phi.reshape(self.wy.shape + (4, 4)), alpha.reshape(self.wy.shape + (4,))
 
@@ -199,6 +200,14 @@ class NuisanceSet:
     clip_count: int
     residual_means: dict = field(default_factory=dict)
 
+    @cached_property
+    def at_keys(self) -> np.ndarray:
+        """``f1`` and ``f2`` before clipping (2, keys) at every key of their
+        basis' grid (:func:`key_grid`), evaluated once for the clip count,
+        the residual means and the features alike."""
+        s, u, iv, _ = key_grid(self.f1.basis.n_states, self.f1.basis.n_u)
+        return np.stack((self.f1.predict(s, u), self.f2_raw(s, u, iv)))
+
     def f1_at(self, s, u) -> np.ndarray:
         return np.clip(self.f1.predict(s, u), F_CLIP, 1.0 - F_CLIP)
 
@@ -241,12 +250,6 @@ def key_features(f1, f2, iv, act):
     for j, entry in enumerate((b_til * a_til, b_til, 1.0, act)):
         alpha[..., j] = entry
     return phi, alpha
-
-
-def _at_keys(nuisances: list, s, u, iv) -> np.ndarray:
-    """Fitted ``f1`` and ``f2`` before clipping (sets, 2, keys) of every
-    :class:`NuisanceSet` in ``nuisances`` at keys (s, u, iv)."""
-    return np.stack([(nuis.f1.predict(s, u), nuis.f2_raw(s, u, iv)) for nuis in nuisances])
 
 
 def nuisance_guard(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_name: str = "rows"):
@@ -298,9 +301,9 @@ def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_
     w, count = weight.reshape(-1, iv.size), count.reshape(-1, iv.size)
     fits = len(w)
     if basis.kind == "saturated":  # f1 on each cell's 4 keys; f2 per arm on its 2, the arms stacked
+        f1 = project_cell_means(w.reshape(fits, -1, 4), iv.reshape(-1, 4).astype(float), basis)
         by_arm = w.reshape(fits, -1, 2, 2).transpose(2, 0, 1, 3).reshape(2 * fits, -1, 2)
-        problems = [(w.reshape(fits, -1, 4), iv.reshape(-1, 4).astype(float)), (by_arm, act[:2].astype(float))]
-        f1, f2 = project_cell_means(problems, basis)
+        f2 = project_cell_means(by_arm, act[:2].astype(float), basis)
         f2 = (f2[:fits], f2[fits:])
     else:
         f1 = [project_conditional_mean(s, u, iv.astype(float), basis, wf) for wf in w]
@@ -309,7 +312,7 @@ def fit_nuisances(weight: np.ndarray, count: np.ndarray, basis: SieveBasis, row_
             for m in (iv == 0, iv == 1)
         ]
     sets = [NuisanceSet(f1=a, f2=(lo, hi), clip_count=0) for a, lo, hi in zip(f1, *f2)]
-    raw = _at_keys(sets, s, u, iv)
+    raw = np.stack([nuis.at_keys for nuis in sets])
     fitted = np.clip(raw, F_CLIP, 1.0 - F_CLIP)
     clip_count = ((raw != fitted).sum(axis=1) * count).sum(axis=1)
     total = w.sum(axis=1)

@@ -79,28 +79,20 @@ class StageRows:
 
 
 class SampleSource:
-    """Adapter exposing an offline dataset stage by stage.
-
-    Raises :class:`MalformedDataset` when a state or private value is out of
-    range, an action is not binary or a reward is not finite
-    (:func:`~confgame.game.check_dataset`).  A dataset that still holds the
-    read-only arrays of an entry in its memo (:func:`stage_statistics`), with
-    the same horizon and grid, was checked when the entry was stored and is
-    not checked again; ``checked`` is the :func:`_dataset_view` this source
-    vouches for.
-    """
+    """Adapter exposing an offline dataset stage by stage, with its
+    cross-fitting option.  It checks nothing; a stage build checks the
+    dataset before it reads a row (:func:`_stacked_build`).  The horizon and
+    grid are read from the dataset when used, so a source never holds a grid
+    its dataset no longer has."""
 
     row_name = "rows"  # what the row-count guards count
+    horizon = property(lambda self: self.dataset.horizon)
+    n_states = property(lambda self: self.dataset.n_states)
+    n_u = property(lambda self: self.dataset.n_u)
 
     def __init__(self, dataset: OfflineDataset, cross_fit: bool = False):
-        self.checked = _dataset_view(dataset)
-        if not any(_same_view(entry[1], self.checked) for entry in dataset._stats.values()):
-            check_dataset(dataset)
         self.dataset = dataset
         self.cross_fit = cross_fit
-        self.horizon = dataset.horizon
-        self.n_states = dataset.n_states
-        self.n_u = dataset.n_u
 
     def stage_rows(self, t: int) -> StageRows:
         ds, h, n = self.dataset, t // 2, self.dataset.n
@@ -207,10 +199,17 @@ class StageStats:
 
 def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> list:
     """:class:`StageStats` of ``stages`` of ``source``, built in one pass on
-    their stacked :class:`~confgame.moments.KeyTable`.  A failing guard
-    raises its error without naming the stage: the nuisance guards of every
-    stage fire before any stage's reward solve."""
+    their stacked :class:`~confgame.moments.KeyTable`.  Every build checks
+    what it reads, once, before it reads a row: a :class:`SampleSource`'s
+    dataset (:func:`~confgame.game.check_dataset`), then the basis grid
+    (:class:`BasisMismatch`).  A failing data guard raises its error without
+    naming the stage: the nuisance guards of every stage fire before any
+    stage's reward solve."""
+    if isinstance(source, SampleSource):
+        check_dataset(source.dataset)
     ns, nu = source.n_states, source.n_u
+    if (basis.n_states, basis.n_u) != (ns, nu):
+        raise BasisMismatch(f"basis has (n_states, n_u) = {basis.n_states, basis.n_u}; the data have {ns, nu}")
     tables = []
     for t in stages:
         rows = source.stage_rows(t)
@@ -252,10 +251,10 @@ _GUARDS = (DegenerateIV, IllPosedFit, InsufficientData)  # the errors a stage bu
 
 
 def build_stages(source: DataSource, stages, basis: SieveBasis) -> list:
-    """:class:`StageStats` of ``stages`` of ``source``, built in one stacked
-    pass.  When a guard fails, the stages are built again one at a time, so
-    that the first stage whose guard fails raises its first guard's error,
-    naming the stage (``stage t: ...``)."""
+    """:class:`StageStats` of ``stages`` of ``source``, built and checked in
+    one stacked pass (:func:`_stacked_build`).  When a data guard fails, the
+    stages are built again one at a time, so that the first stage whose guard
+    fails raises its first guard's error, naming the stage (``stage t: ...``)."""
     try:
         return _stacked_build(source, stages, basis)
     except _GUARDS:
@@ -268,9 +267,8 @@ def build_stages(source: DataSource, stages, basis: SieveBasis) -> list:
 
 
 def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
-    """:class:`StageStats` of every stage, in stage order (:func:`build_stages`);
-    :class:`BasisMismatch` when the basis is not built on the data's states
-    and private values.
+    """:class:`StageStats` of every stage, in stage order: the memo's entry
+    or a new build (:func:`build_stages`), which checks what it reads.
 
     The statistics of a :class:`SampleSource` do not depend on the policy, so
     they are built once per dataset and kept in its memo
@@ -281,28 +279,22 @@ def stage_statistics(source: DataSource, basis: SieveBasis) -> list:
     hashable), and the :func:`_dataset_view` it was built from, whose arrays
     it makes read-only: it is reused only while the dataset holds those same
     arrays, still read-only, with the same horizon, states and private
-    values.  Reassigning an array, or a copy whose arrays are writeable again
-    (``copy.deepcopy``), rebuilds.  Every entry holds checked arrays: a
-    dataset that no longer holds the arrays its source checked is checked
-    again before a build.  A :class:`PopulationSource` is built on every
-    call.
+    values.  So a hit returns statistics of data a build checked, and checks
+    nothing again; reassigning an array, or a copy whose arrays are writeable
+    again (``copy.deepcopy``), misses and is built and checked anew.  A
+    :class:`PopulationSource` is built on every call.
     """
-    want, have = (basis.n_states, basis.n_u), (source.n_states, source.n_u)
-    if want != have:
-        raise BasisMismatch(f"basis has (n_states, n_u) = {want}; the data have {have}")
-    ds = source.dataset if isinstance(source, SampleSource) else None
-    if ds is not None:
-        key, view = (id(basis), source.cross_fit), _dataset_view(ds)
-        kept_basis, kept_view, stats = ds._stats.get(key, (None, None, None))
-        if kept_basis is basis and _same_view(kept_view, view):
-            return stats
-        if not _same_view(source.checked, view, frozen=False):
-            check_dataset(ds)  # the dataset changed since the source checked it
+    if not isinstance(source, SampleSource):
+        return build_stages(source, range(2 * source.horizon), basis)
+    ds = source.dataset
+    key, view = (id(basis), source.cross_fit), _dataset_view(ds)
+    kept_basis, kept_view, stats = ds._stats.get(key, (None, None, None))
+    if kept_basis is basis and _same_view(kept_view, view):
+        return stats
     stats = build_stages(source, range(2 * source.horizon), basis)
-    if ds is not None:
-        for arr in view[1]:
-            arr.setflags(write=False)
-        ds._stats[key] = (basis, view, stats)
+    for arr in view[1]:
+        arr.setflags(write=False)
+    ds._stats[key] = (basis, view, stats)
     return stats
 
 
@@ -312,13 +304,13 @@ def _dataset_view(ds: OfflineDataset) -> tuple:
     return (ds.n_states, ds.n_u, ds.horizon), [getattr(ds, name) for name in _OBSERVED_FIELDS]
 
 
-def _same_view(kept, now, frozen: bool = True) -> bool:
+def _same_view(kept, now) -> bool:
     """Whether ``now`` has the grid and horizon of ``kept`` and the very same
-    array objects, still read-only if ``frozen`` (``kept`` may be ``None``)."""
+    array objects, still read-only (``kept`` may be ``None``)."""
     return (
         kept is not None
         and kept[0] == now[0]
-        and all(old is arr and not (frozen and arr.flags.writeable) for old, arr in zip(kept[1], now[1]))
+        and all(old is arr and not arr.flags.writeable for old, arr in zip(kept[1], now[1]))
     )
 
 
@@ -510,13 +502,16 @@ def evaluate_policy(data, policy: PolicyPair, basis: SieveBasis) -> OPEResult:
     :func:`chain_recursion`, with a fit record of every block.
 
     ``data`` is an :class:`OfflineDataset` or a source (:func:`as_source`);
-    to cross-fit, pass ``SampleSource(dataset, cross_fit=True)``."""
+    to cross-fit, pass ``SampleSource(dataset, cross_fit=True)``.  The
+    statistics come first (:func:`stage_statistics`), as in the learner: the
+    dataset check, the basis check and the data guards of a build raise
+    before a policy of another grid does."""
     if not isinstance(policy, PolicyPair):
         raise TypeError("policy must be a PolicyPair (bob rules cannot see v)")
     source = as_source(data)
+    stats = stage_statistics(source, basis)
     ns, nu = source.n_states, source.n_u
     policies = PolicyStack.of([policy], source.horizon, ns, nu)
-    stats = stage_statistics(source, basis)
     w = value_weight_tables(stats[0], policies)[0]
     reps, fits, value = {}, {}, {}
     for side in ("alice", "bob"):

@@ -249,9 +249,6 @@ class StageRep:
     omega: np.ndarray
     zeta: np.ndarray
 
-    def value(self, a, b):
-        return self.theta * a + self.gamma * b + self.omega * (a * b) + self.zeta
-
     def stack(self) -> np.ndarray:
         return np.stack([self.theta, self.gamma, self.omega, self.zeta], axis=-1)
 

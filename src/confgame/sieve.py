@@ -199,26 +199,24 @@ def project_conditional_mean(
     )
 
 
-def project_cell_means(problems: list, basis: SieveBasis) -> list:
+def project_cell_means(weight: np.ndarray, y: np.ndarray, basis: SieveBasis) -> list:
     """Saturated-basis projections of outcomes on keys grouped by cell.
 
-    ``problems`` holds (``weight``, ``y``) pairs: ``weight`` (fits, cells, j)
-    weighs each cell's ``j`` keys for every fit and ``y`` (cells, j) holds
-    their outcomes.  Returns one list of :class:`SeriesFit` per problem, each
-    fit :func:`project_conditional_mean` of ``y`` on the keys in that order.
-    Its Gram matrix is diagonal, and so is every step of the solve: a cell
-    sums its keys in key order, the Gram entry and the right-hand side are
-    those sums of ``w`` and ``w * y`` over the total weight, and the
-    coefficient is their quotient.  This gives ``project_conditional_mean``'s
-    fields bit for bit when every product ``w * y`` is exact, as for binary
-    outcomes.  The condition numbers of all the fits come from
-    ``np.linalg.cond``, stacked over the fits whose supported cells are as
-    many.
+    ``weight`` (fits, cells, j) weighs each cell's ``j`` keys for every fit
+    and ``y`` (cells, j) holds their outcomes.  Returns one
+    :class:`SeriesFit` per fit, :func:`project_conditional_mean` of ``y`` on
+    the keys in that order.  Its Gram matrix is diagonal, and so is every
+    step of the solve: a cell sums its keys in key order, the Gram entry and
+    the right-hand side are those sums of ``w`` and ``w * y`` over the total
+    weight, and the coefficient is their quotient.  This gives
+    ``project_conditional_mean``'s fields bit for bit when every product
+    ``w * y`` is exact, as for binary outcomes.  The condition numbers of all
+    the fits come from ``np.linalg.cond``, stacked over the fits whose
+    supported cells are as many.
     """
-    sizes = [len(weight) for weight, _ in problems]
-    total = np.concatenate([weight.reshape(len(weight), -1).sum(axis=1) for weight, _ in problems])[:, None]
-    gram = np.concatenate([weight.sum(axis=2) for weight, _ in problems]) / total
-    rhs = np.concatenate([(weight * y).sum(axis=2) for weight, y in problems]) / total
+    total = weight.reshape(len(weight), -1).sum(axis=1)[:, None]
+    gram = weight.sum(axis=2) / total
+    rhs = (weight * y).sum(axis=2) / total
     sup = gram > 0
     cond = _diagonal_cond(gram, sup)
     ridge = ~np.isfinite(cond) | (cond > COND_LIMIT)
@@ -226,17 +224,12 @@ def project_cell_means(problems: list, basis: SieveBasis) -> list:
         gram[ridge] += RIDGE_LAMBDA * sup[ridge]
         cond[ridge] = _diagonal_cond(gram[ridge], sup[ridge])
     coef = np.divide(rhs, gram, out=np.zeros_like(rhs), where=sup)
-    fits, lo = [], 0
-    for (weight, y), size in zip(problems, sizes):
-        part = slice(lo, lo + size)
-        resid = (weight * (y - coef[part, :, None]) ** 2).reshape(size, -1).sum(axis=1)
-        resid_norm = np.sqrt(resid / total[part, 0])
-        fits.append([
-            SeriesFit(basis, c[:, None], float(g), float(r), bool(b))
-            for c, g, r, b in zip(coef[part], cond[part], resid_norm, ridge[part])
-        ])
-        lo += size
-    return fits
+    resid = (weight * (y - coef[:, :, None]) ** 2).reshape(len(weight), -1).sum(axis=1)
+    resid_norm = np.sqrt(resid / total[:, 0])
+    return [
+        SeriesFit(basis, c[:, None], float(g), float(r), bool(b))
+        for c, g, r, b in zip(coef, cond, resid_norm, ridge)
+    ]
 
 
 def _diagonal_cond(gram: np.ndarray, sup: np.ndarray) -> np.ndarray:

@@ -226,6 +226,74 @@ def test_basis_must_match_the_data():
         ope.evaluate_policy(ds, pol, wrong)
     with pytest.raises(BasisMismatch, match=message):
         learner.learn_policy_pair(ds, [pol], wrong)
+    # the direct builders check the basis too, on either source and for a
+    # smaller or a larger grid, where reading rows would fail in numpy
+    for grid in ((2, 2), (1, 1), (3, 1)):
+        other = sieve.build_basis("saturated", *grid)
+        message = f"^{re.escape(f'basis has (n_states, n_u) = {grid}; the data have (2, 1)')}$"
+        for source in (ope.SampleSource(ds), ope.PopulationSource(spec)):
+            with pytest.raises(BasisMismatch, match=message):
+                ope.build_stages(source, (0, 1), other)
+            with pytest.raises(BasisMismatch, match=message):
+                ope.StageStats(source, 0, other)
+            with pytest.raises(BasisMismatch, match=message):
+                ope.stage_statistics(source, other)
+
+
+def test_a_source_builds_on_the_grid_its_dataset_has_now(t2, t2_basis):
+    """A grid reassigned after a source was made is the grid the source
+    builds on, so the basis built for the old grid is rejected, also once
+    the memo holds an entry for it."""
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    source = ope.SampleSource(ds)
+    ope.stage_statistics(source, t2_basis)
+    ds.n_states = 3  # every state is still in range
+    pol = game.PolicyPair(alice=np.full((2, 3, 1, 2), 0.7), bob=np.full((2, 3, 2), 0.4), init_bob=0.5)
+    message = r"^basis has \(n_states, n_u\) = \(2, 1\); the data have \(3, 1\)$"
+    with pytest.raises(BasisMismatch, match=message):
+        ope.stage_statistics(source, t2_basis)
+    with pytest.raises(BasisMismatch, match=message):
+        ope.evaluate_policy(ds, pol, t2_basis)
+    with pytest.raises(BasisMismatch, match=message):
+        learner.learn_policy_pair(ds, [pol], t2_basis)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        SHAPE_CASES["a"],
+        (lambda ds: {"r_a": np.where(np.arange(2) == 1, np.nan, ds.r_a)}, "field r_a, row 0, step 1: value nan is not finite"),
+    ],
+    ids=["shape", "value"],
+)
+def test_every_stage_build_checks_its_dataset(t2, t2_basis, change, message):
+    """A source checks nothing; the build does, before the basis: on a
+    malformed dataset every builder raises the dataset's error, also for a
+    basis of another grid."""
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    source = ope.SampleSource(replace(ds, **change(ds)))
+    builds = (
+        lambda basis: ope.build_stages(source, (0, 1), basis),
+        lambda basis: ope.StageStats(source, 1, basis),
+        lambda basis: ope.stage_statistics(source, basis),
+    )
+    for build in builds:
+        for basis in (t2_basis, sieve.build_basis("saturated", 2, 2)):
+            with pytest.raises(MalformedDataset, match=f"^{re.escape(message)}$"):
+                build(basis)
+
+
+def test_evaluation_raises_a_data_guard_before_an_off_grid_policy(t2, t2_basis):
+    """Evaluation builds its statistics first, as the learner does, so a
+    degenerate instrument raises before a policy of another horizon."""
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    ds.b_init[:] = 1
+    pol = game.constant_policy_pair(fixtures.t2_spec(horizon=3), 1.0, 0.5, 0.5)
+    message = "stage 0: instrument variance 0.00e+00 in cell 0 is below 1e-06"
+    with pytest.raises(DegenerateIV, match=f"^{re.escape(message)}$"):
+        ope.evaluate_policy(ds, pol, t2_basis)
+    with pytest.raises(DegenerateIV, match=f"^{re.escape(message)}$"):
+        learner.learn_policy_pair(ds, [pol], t2_basis)
 
 
 def test_near_singular_continuation_is_ill_posed_in_every_chain(t1, t1_basis, monkeypatch):

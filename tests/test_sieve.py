@@ -185,7 +185,7 @@ def test_cell_means_match_the_dense_one_hot_solve_bit_for_bit():
         basis = sieve.build_basis("saturated", cells, 1)
         weight = np.stack([w for w in cases if len(w) == cells])
         arms = weight.reshape(len(weight), cells, 2, 2).transpose(0, 2, 1, 3).reshape(-1, cells, 2)
-        f1, arm_fits = sieve.project_cell_means([(weight, iv), (arms, act)], basis)
+        f1, arm_fits = sieve.project_cell_means(weight, iv, basis), sieve.project_cell_means(arms, act, basis)
         for fit, (w, y) in zip(f1 + arm_fits, [(w, iv) for w in weight] + [(w, act) for w in arms]):
             coef, cond, resid_norm, ridge = _dense_one_hot_fit(w, y)
             assert np.array_equal(fit.coef, coef) and fit.coef.shape == coef.shape

@@ -5,8 +5,8 @@ once per (basis object, cross-fit flag) and hands the same objects to every
 later evaluation and learner.  These tests count the builds, check that
 reuse changes no number, and that no edit of the data -- in place,
 by reassignment or through a copy -- can return statistics of other data.
-A memo entry also vouches for the dataset check: a dataset that still holds
-an entry's arrays is not checked again, and every edit is.
+Every build checks the dataset it reads, and only a build does: a memo hit
+builds nothing and checks nothing, and every edit misses, so it is checked.
 """
 
 import copy
@@ -240,10 +240,10 @@ def test_a_memo_hit_skips_the_dataset_check(t2h3, checks):
     for pol in policies:
         ope.evaluate_policy(ds, pol, basis)
     learner.learn_policy_pair(ds, pairs, basis)
-    ope.SampleSource(ds, cross_fit=True).stage_rows(0)  # the plain entry vouches for the arrays
+    ope.SampleSource(ds, cross_fit=True).stage_rows(0)  # a source checks nothing
     assert checks == [ds]
     ds.r_a = ds.r_a.copy()  # no entry holds the new array
-    ope.SampleSource(ds)
+    ope.stage_statistics(ope.SampleSource(ds), basis)
     assert checks == [ds, ds]
 
 
