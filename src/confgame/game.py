@@ -456,10 +456,6 @@ class OfflineDataset:
         clone._stats = dict(self._stats)
         return clone
 
-    def iv_at(self, h: int) -> np.ndarray:
-        """Bob's action preceding alice's full step ``h+1``."""
-        return self.b_init if h == 0 else self.b[:, h - 1]
-
 
 def check_dataset(ds: OfflineDataset) -> None:
     """Raise :class:`MalformedDataset` for an array of the wrong shape
@@ -485,25 +481,26 @@ def check_dataset_shapes(ds: OfflineDataset, with_hidden: bool = False) -> None:
 
 
 def check_shapes(arrays: dict, steps: Optional[dict] = None) -> None:
-    """Raise :class:`MalformedDataset`, naming the field, its shape and the
-    shape expected, for the first of ``arrays`` (name: array) that is not
-    ``(n,)`` or, for a name in ``steps``, ``(n, steps[name])``; ``n`` is the
-    length most of the arrays have."""
+    """Raise :class:`MalformedDataset` for the first of ``arrays`` (name:
+    array) that is not a numpy array, then, naming its shape and the shape
+    expected, for the first that is not ``(n,)`` or, for a name in ``steps``,
+    ``(n, steps[name])``; ``n`` is the length most of the arrays have."""
     steps = steps or {}
-    shapes = {name: np.shape(col) for name, col in arrays.items()}
-    lengths = [shape[:1] for shape in shapes.values()]
+    for name, col in arrays.items():
+        if not isinstance(col, np.ndarray):
+            raise MalformedDataset(f"field {name}: expected a numpy array, got {type(col).__name__}")
+    lengths = [col.shape[:1] for col in arrays.values()]
     n = max(lengths, key=lengths.count)
-    for name, shape in shapes.items():
+    for name, col in arrays.items():
         want = n + ((steps[name],) if name in steps else ())
-        if shape != want:
-            raise MalformedDataset(f"field {name}: shape {shape}, expected {want}")
+        if col.shape != want:
+            raise MalformedDataset(f"field {name}: shape {col.shape}, expected {want}")
 
 
 def check_column(name: str, col, size: Optional[int] = None) -> None:
     """Raise :class:`MalformedDataset` at the first entry of ``col`` outside
     ``0..size-1`` (integers within it, the common case, take two passes) or,
     without a ``size``, at the first that is not finite."""
-    col = np.asarray(col)
     if size is None:
         raise_first(name, col, ~np.isfinite(col), "not finite")
     elif col.dtype.kind not in "biu" or (col.size and (col.min() < 0 or col.max() >= size)):
@@ -544,8 +541,10 @@ def simulate_dataset(
 
     Deterministic given ``seed``: draws are consumed in a fixed order (u, v1,
     v2, action, reward noise, next state) stage by stage, so equal inputs
-    produce byte-identical datasets.
+    produce byte-identical datasets.  ``ValueError`` for a negative or non-integer ``n``.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n}")
     if behavior is None:
         behavior = BehaviorPolicyPair.from_spec(spec)
     behavior.check_grid(spec)

@@ -42,6 +42,7 @@ rescaling of all rewards.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,6 +76,8 @@ class EtaConfig:
 
     def __post_init__(self):
         check_schedule(self.alpha, self.varsigma, self.d, self.c_eta)
+        if isinstance(self.k_members, bool) or not isinstance(self.k_members, numbers.Integral):
+            raise ValueError(f"k_members must be an integer, got {self.k_members}")
         if self.k_members < 1:
             raise ValueError(f"k_members must be at least 1 (the center chain), got {self.k_members}")
 

@@ -99,7 +99,8 @@ class SampleSource:
         fold = (np.arange(n) % 2) if self.cross_fit else None
         w = np.full(n, 1.0 / max(n, 1))
         if t % 2 == 0:  # alice acts, bob's half step follows
-            cur = ds.s[:, h], ds.u[:, h], ds.a[:, h], ds.iv_at(h), w, ds.r_a[:, h]
+            iv = ds.b_init if h == 0 else ds.b[:, h - 1]  # bob's action before alice's step h + 1
+            cur = ds.s[:, h], ds.u[:, h], ds.a[:, h], iv, w, ds.r_a[:, h]
             nxt = ds.s_half[:, h], ds.u_half[:, h]
         else:  # bob acts, alice's next step or the terminal state follows
             cur = ds.s_half[:, h], ds.u_half[:, h], ds.b[:, h], ds.a[:, h], w, ds.r_b[:, h]
@@ -185,9 +186,9 @@ class StageStats:
         self.__dict__.update(vars(_stacked_build(source, (t,), basis)[0]))
 
     def reward_fit(self) -> SmdFit:
-        """The reward block's fit record."""
+        """The reward block's fit record, centered at the build's ``reward_coef``."""
         scale = float(np.sqrt(self.reward_scale_sq))
-        return fit_cell_moments(self.geometry3, self.abar_reward, self.basis, scale)
+        return fit_cell_moments(self.geometry3, self.reward_coef, self.abar_reward, self.basis, scale)
 
     def block_moments(self, g: np.ndarray):
         """Moment means (..., blocks, m) and mean squares (...) of
@@ -499,7 +500,7 @@ def value_weight_tables(stats: StageStats, policies: PolicyStack) -> np.ndarray:
 
 def evaluate_policy(data, policy: PolicyPair, basis: SieveBasis) -> OPEResult:
     """Fitted stage tables and value estimates: the all-center chain of
-    :func:`chain_recursion`, with a fit record of every block.
+    :func:`chain_recursion`, with a fit record of every block's center.
 
     ``data`` is an :class:`OfflineDataset` or a source (:func:`as_source`);
     to cross-fit, pass ``SampleSource(dataset, cross_fit=True)``.  The
@@ -522,9 +523,8 @@ def evaluate_policy(data, policy: PolicyPair, basis: SieveBasis) -> OPEResult:
             if stage.reward is not None:
                 fits[(t, side, "reward")] = st.reward_fit()
             if stage.coef is not None:
-                for j in range(4):
-                    fits[(t, side, f"block{j}")] = fit_cell_moments(
-                        st.geometry4, stage.alpha[0, 0, j], basis, float(np.sqrt(stage.scale_sq[0, 0, j]))
-                    )
+                blocks = zip(stage.coef[0, 0], stage.alpha[0, 0], np.sqrt(stage.scale_sq[0, 0]))
+                for j, (coef, alpha, scale) in enumerate(blocks):
+                    fits[(t, side, f"block{j}")] = fit_cell_moments(st.geometry4, coef, alpha, basis, float(scale))
     return OPEResult(qhat=reps, j_alice=value["alice"], j_bob=value["bob"], fits=fits)
 

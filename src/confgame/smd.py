@@ -11,8 +11,8 @@ least-squares solve, written once for a stack of Hessian blocks: one block per
 cell for the saturated basis and a single block, the Gram-whitened projected
 design, for any other basis.  A region is a (center, radius) pair on it, and
 fits, off-policy evaluation, the pessimistic learner and its coverage check
-all use it; the region of one fit is ``BlockGeometry(fit.hessian[None])``
-around ``fit.coef.reshape(1, -1)``.
+all use it; the region of one fit is ``fit.geometry`` around ``fit.coef`` in
+its blocks, ``fit.coef.reshape(fit.geometry.hess.shape[:2])``.
 """
 
 from __future__ import annotations
@@ -33,18 +33,18 @@ PINV_RCOND = 1e-12
 
 @dataclass
 class SmdFit:
-    """Fitted sieve coefficients of one moment system.
+    """Fitted sieve coefficients of one moment system: a center on the
+    criterion ``geometry`` it was fitted on (shared, not copied).
 
     ``coef`` has shape (k, p): one column per unknown (action effect,
-    instrument effect, interaction, and optionally the intercept).  The
-    criterion is exactly ``loss + 0.5 * d^T hessian d`` for a coefficient
-    perturbation ``d = (coef' - coef).ravel()``.
+    instrument effect, interaction, and optionally the intercept).  In the
+    geometry's (blocks, q) layout the criterion is ``loss + geometry.loss_gap(coef', coef)``.
     """
 
     basis: SieveBasis
     coef: np.ndarray
     loss: float
-    hessian: np.ndarray
+    geometry: BlockGeometry
     outcome_scale: float
 
     def coef_table(self) -> np.ndarray:
@@ -248,41 +248,35 @@ def _stack_pinv(mats: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def fit_smd(system: MomentSystem, basis: SieveBasis) -> SmdFit:
     """Minimize the projected moment criterion of a row-level system: the
     criterion depends on the rows only through their cell averages, read off
-    the system's count table, so this is :func:`fit_cell_moments` on those.
-    :class:`BasisMismatch` when ``basis`` is not built on the table's grid."""
+    the system's count table, so this is :func:`fit_cell_moments` at their
+    solve.  :class:`BasisMismatch` when ``basis`` is not built on the table's grid."""
     have, grid = (basis.n_states, basis.n_u), (system.table.n_states, system.table.n_u)
     if have != grid:
         raise BasisMismatch(f"basis has (n_states, n_u) = {have}; the system has {grid}")
     mass, phibar, alphabar = system.cell_means()
     geometry = BlockGeometry.of_basis(mass, phibar, basis)
-    return fit_cell_moments(geometry, geometry.moments(alphabar), basis, system.outcome_scale)
+    alphabar = geometry.moments(alphabar)
+    return fit_cell_moments(geometry, geometry.solve(alphabar), alphabar, basis, system.outcome_scale)
 
 
 def fit_cell_moments(
     geometry: BlockGeometry,
+    coef: np.ndarray,
     alphabar: np.ndarray,
     basis: SieveBasis,
     outcome_scale: float,
 ) -> SmdFit:
     """Fit record of criterion ``geometry`` (:meth:`BlockGeometry.of_basis`) at
-    block moment means ``alphabar`` (blocks, m): its guarded solve's
-    coefficients (:class:`IllPosedFit` without a minimizer), loss and Hessian."""
-    coef = geometry.solve(alphabar)
+    block moment means ``alphabar`` (blocks, m), centered at ``coef`` (blocks,
+    q), which its guarded :meth:`~BlockGeometry.solve` gave; solves nothing."""
     resid = np.einsum("cmp,cp->cm", geometry.design, coef) + alphabar
-    blocks, q = coef.shape
-    hessian = np.zeros((blocks, q, blocks, q))
-    hessian[np.arange(blocks), :, np.arange(blocks)] = geometry.hess
-    return SmdFit(
-        basis=basis,
-        coef=coef.reshape(basis.k, -1),
-        loss=float(geometry.mass @ (resid**2).sum(axis=1)),
-        hessian=hessian.reshape(blocks * q, blocks * q),
-        outcome_scale=outcome_scale,
-    )
+    loss = float(geometry.mass @ (resid**2).sum(axis=1))
+    return SmdFit(basis, coef.reshape(basis.k, -1), loss, geometry, outcome_scale)
 
 
 def check_schedule(alpha: float, varsigma: float, d: int, c_eta: float, n: int = 1) -> None:
-    """``ValueError`` naming the first parameter of :func:`eta_schedule` out of range."""
+    """``ValueError`` naming the first parameter of :func:`eta_schedule` out of
+    range, then the first that is not finite."""
     for name, value, ok, need in (
         ("alpha", alpha, alpha > 0, "> 0"),
         ("varsigma", varsigma, varsigma >= 0, ">= 0"),
@@ -292,6 +286,9 @@ def check_schedule(alpha: float, varsigma: float, d: int, c_eta: float, n: int =
     ):
         if not ok:
             raise ValueError(f"{name} must be {need}, got {value}")
+    for name, value in (("alpha", alpha), ("varsigma", varsigma), ("d", d), ("c_eta", c_eta)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def eta_schedule(

@@ -136,7 +136,18 @@ def fit_smd(system, basis):
     """The criterion fit from the per-row cell averages."""
     mass, phibar, alphabar = cell_averages(system, basis)
     geometry = smd.BlockGeometry.of_basis(mass, phibar, basis)
-    return smd.fit_cell_moments(geometry, geometry.moments(alphabar), basis, system.outcome_scale)
+    alphabar = geometry.moments(alphabar)
+    return smd.fit_cell_moments(geometry, geometry.solve(alphabar), alphabar, basis, system.outcome_scale)
+
+
+def dense_hessian(fit):
+    """The (blocks·q)² criterion Hessian of ``fit``: its geometry's diagonal
+    blocks scattered into one dense matrix."""
+    hess = fit.geometry.hess
+    blocks, q, _ = hess.shape
+    dense = np.zeros((blocks, q, blocks, q))
+    dense[np.arange(blocks), :, np.arange(blocks)] = hess
+    return dense.reshape(blocks * q, blocks * q)
 
 
 def reward_fit(data, basis):

@@ -146,6 +146,16 @@ def test_simulate_empty_dataset(t1):
     assert ds.n == 0 and ds.s.shape == (0, 1) and ds.horizon == 1
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, True, np.float64(3.0)])
+def test_simulate_rejects_a_row_count_that_is_not_a_non_negative_integer(t1, n):
+    with pytest.raises(ValueError, match=f"^n must be a non-negative integer, got {re.escape(str(n))}$"):
+        game.simulate_dataset(t1, n=n, seed=3)
+
+
+def test_simulate_accepts_a_numpy_row_count(t1):
+    assert game.simulate_dataset(t1, n=np.int64(5), seed=3) == game.simulate_dataset(t1, n=5, seed=3)
+
+
 def test_simulate_action_frequency_matches_exact_value(t1):
     ds = game.simulate_dataset(t1, n=100_000, seed=7)
     mask = ds.b_init == 1

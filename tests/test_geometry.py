@@ -2,8 +2,9 @@
 
 The references below are the per-cell ``lstsq`` loop that fitted saturated
 cells, the eigen-decomposition ``min_linear`` and member loop of the dense
-region of one fit (now ``BlockGeometry(fit.hessian[None])``), and the
-learner's per-call member, region-minimum and argmin helpers.  They run on
+region of one fit (here one block, ``row_reference.dense_hessian(fit)``,
+the dense form of the fit's own region ``fit.geometry``), and the learner's
+per-call member, region-minimum and argmin helpers.  They run on
 random positive-definite and rank-deficient blocks and on the per-cell
 statistics of t1 and t2 (horizon 3) samples: coefficients,
 values and argmins agree to 1e-12 (relative to the larger of 1 and their
@@ -17,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import row_reference
 
 from confgame import fixtures, game, ope, sieve, smd
 from confgame.errors import IllPosedFit
@@ -239,10 +241,11 @@ def _in_range(hess, w):
 @pytest.mark.parametrize("name", CASES)
 def test_cell_fit_matches_lstsq_loop(cases, name):
     for mass, phibar, alphabar in cases[name]:
-        fit = smd.fit_cell_moments(smd.BlockGeometry.of_cells(mass, phibar), alphabar, _basis(mass), 1.0)
+        geo = smd.BlockGeometry.of_cells(mass, phibar)
+        fit = smd.fit_cell_moments(geo, geo.solve(alphabar), alphabar, _basis(mass), 1.0)
         coef, loss, hessian = ref_fit_cells(mass, phibar, alphabar)
         assert _close(fit.coef, coef) and _close(fit.loss, loss)
-        assert _close(fit.hessian, hessian)
+        assert _close(row_reference.dense_hessian(fit), hessian)
 
 
 # cell statistics -> (states, private values, state coordinates) of their
@@ -268,7 +271,8 @@ def _dense_cells(cases, name):
 
 def _sieve_fit(mass, phibar, alphabar, basis):
     geo = smd.BlockGeometry.of_basis(mass, phibar, basis)
-    return smd.fit_cell_moments(geo, geo.moments(alphabar), basis, 1.0)
+    alphabar = geo.moments(alphabar)
+    return smd.fit_cell_moments(geo, geo.solve(alphabar), alphabar, basis, 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(DENSE_CASES))
@@ -286,7 +290,7 @@ def test_sieve_fit_matches_dense_lstsq(cases, name):
                 raised += 1
                 continue
             fit = _sieve_fit(mass, phibar, alphabar, basis)
-            for got, want in ((fit.coef, coef), (fit.loss, loss), (fit.hessian, hessian)):
+            for got, want in ((fit.coef, coef), (fit.loss, loss), (row_reference.dense_hessian(fit), hessian)):
                 want = np.asarray(want)
                 assert np.abs(got - want).max() <= DENSE_TOL * max(1.0, float(np.abs(want).max()))
     assert raised == (len(sizes) if name == "near-singular" else 0)
@@ -297,22 +301,22 @@ def test_confidence_region_matches_eigh_reference(cases, name):
     rng = np.random.default_rng(7)
     for mass, phibar, alphabar in cases[name]:
         geo = smd.BlockGeometry.of_cells(mass, phibar)
-        fit = smd.fit_cell_moments(geo, alphabar, _basis(mass), 1.0)
-        hess = geo.hess
-        region, center = smd.BlockGeometry(fit.hessian[None]), fit.coef.reshape(1, -1)
+        fit = smd.fit_cell_moments(geo, geo.solve(alphabar), alphabar, _basis(mass), 1.0)
+        hess, hessian = geo.hess, row_reference.dense_hessian(fit)
+        region, center = smd.BlockGeometry(hessian[None]), fit.coef.reshape(1, -1)
         for eta in (0.0, 1e-3, 0.5):
             for _ in range(5):
                 w = _in_range(hess, rng.normal(size=fit.coef.shape))
                 value, argmin = region.min_linear(w.reshape(1, -1), center, eta)
-                ref_value, ref_argmin = ref_region_min_linear(fit.hessian, fit.coef, eta, w)
+                ref_value, ref_argmin = ref_region_min_linear(hessian, fit.coef, eta, w)
                 assert _close(value, ref_value) and _close(argmin.reshape(fit.coef.shape), ref_argmin)
                 probe = fit.coef + rng.normal(scale=0.1, size=fit.coef.shape)
                 d = (probe - fit.coef).ravel()
-                assert _close(region.loss_gap(probe.reshape(1, -1), center), 0.5 * d @ fit.hessian @ d)
+                assert _close(region.loss_gap(probe.reshape(1, -1), center), 0.5 * d @ hessian @ d)
             for k_max in (1, 4, 16, 64):
                 count = min(k_max, 1 + 2 * region.order.size) if eta > 0 else 1
                 got = region.members(center, eta, np.arange(count)).reshape((-1,) + fit.coef.shape)
-                want = ref_region_members(fit.hessian, fit.coef, eta, k_max)
+                want = ref_region_members(hessian, fit.coef, eta, k_max)
                 assert len(got) == len(want)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -353,14 +357,15 @@ def test_flat_direction_raises_at_zero_radius():
         basis=sieve.build_basis("saturated", 1, 1),
         coef=np.zeros((1, 3)),
         loss=0.0,
-        hessian=np.diag([1.0, 1.0, 0.0]),
+        geometry=smd.BlockGeometry(np.diag([1.0, 1.0, 0.0])[None]),
         outcome_scale=1.0,
     )
+    hessian = row_reference.dense_hessian(fit)
     w = np.array([[0.0, 0.0, 1.0]])
-    assert ref_region_min_linear(fit.hessian, fit.coef, 0.0, w)[0] == 0.0
-    region = smd.BlockGeometry(fit.hessian[None])
+    assert ref_region_min_linear(hessian, fit.coef, 0.0, w)[0] == 0.0
+    region = smd.BlockGeometry(hessian[None])
     assert region.min_linear(w, fit.coef, 0.0)[0] == -np.inf
     assert np.array_equal(region.flat_part(w), w)
     with pytest.raises(Unbounded):
-        ref_min_over_region(w, fit.coef, fit.hessian[None], np.linalg.pinv(fit.hessian)[None], 0.0)
+        ref_min_over_region(w, fit.coef, hessian[None], np.linalg.pinv(hessian)[None], 0.0)
 

@@ -93,6 +93,13 @@ def test_cli_validate_exit_codes(tmp_path):
     assert cli.main(["identify", "--data", str(tmp_path / "missing.csv")]) == 2
 
 
+def test_cli_simulate_rejects_a_negative_row_count(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert cli.main(["simulate", "--fixture", "t1", "--n", "-1", "--out", str(out)]) == 2
+    assert "ValueError: n must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_pipeline(tmp_path):
     data = tmp_path / "d.csv"
     assert cli.main(["simulate", "--fixture", "t1", "--n", "3000", "--seeds", "1", "--out", str(data)]) == 0

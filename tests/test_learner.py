@@ -195,6 +195,43 @@ def test_schedule_parameter_out_of_range_is_rejected(name, value, need, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["alpha", "varsigma", "d", "c_eta"])
+def test_schedule_parameter_that_is_not_finite_is_rejected(name, tmp_path):
+    """``c_eta = inf`` learned a value of ``nan`` with only warnings; every
+    schedule parameter must be finite, checked after its range."""
+    message = f"^{name} must be finite, got inf$"
+    with pytest.raises(ValueError, match=message):
+        learner.EtaConfig(**{name: np.inf})
+    with pytest.raises(ValueError, match=message):
+        smd.eta_schedule(100, **{name: np.inf})
+    out = tmp_path / "results"
+    with pytest.raises(ValueError, match=message):
+        harness.ExperimentConfig(out_dir=str(out), **{name: np.inf})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [2.0, True, np.float64(4.0), "16"])
+def test_chain_budget_must_be_an_integer(k, tmp_path):
+    """A float budget raised a raw ``IndexError`` from the region members and
+    ``True`` a raw ``TypeError``; ``bool`` is rejected as for a spec's sizes."""
+    message = f"^k_members must be an integer, got {re.escape(str(k))}$"
+    with pytest.raises(ValueError, match=message):
+        learner.EtaConfig(k_members=k)
+    out = tmp_path / "results"
+    with pytest.raises(ValueError, match=message):
+        harness.ExperimentConfig(out_dir=str(out), k_members=k)
+    assert not out.exists()
+
+
+def test_chain_budget_may_be_a_numpy_integer(t1, t1_basis, t1_ds):
+    pol = game.constant_policy_pair(t1, 1.0, 0.5, 0.5)
+    values = [
+        learner.pessimistic_value(learner.LearnerEngine(t1_ds, t1_basis, learner.EtaConfig(k_members=k)), pol).value
+        for k in (4, np.int64(4))
+    ]
+    assert values[0] == values[1]
+
+
 def test_cli_rejects_a_negative_radius_constant(t1, tmp_path, capsys):
     """``c_eta < 0`` used to learn as ``c_eta = 0``, with pessimism off."""
     assert learner.EtaConfig(c_eta=0.0).c_eta == 0.0

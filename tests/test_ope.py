@@ -172,6 +172,26 @@ def test_dataset_of_the_wrong_shape_is_rejected(t2, t2_basis, change, message):
         learner.learn_policy_pair(bad, [pol], t2_basis)
 
 
+def test_a_list_column_is_rejected(t2, t2_basis, tmp_path):
+    """A column must be a numpy array: a list passed the dataset check and
+    then raised a raw ``AttributeError`` or ``TypeError`` from the estimator
+    or the writer."""
+    ds = game.simulate_dataset(t2, n=500, seed=0)
+    pol = game.constant_policy_pair(t2, 1.0, 0.5, 0.5)
+    path = tmp_path / "d.csv"
+    b_init = replace(ds, b_init=ds.b_init.tolist())
+    with pytest.raises(MalformedDataset, match="^field b_init: expected a numpy array, got list$"):
+        ope.evaluate_policy(b_init, pol, t2_basis)
+    with pytest.raises(MalformedDataset, match="^field b_init: expected a numpy array, got list$"):
+        gameio.write_dataset(b_init, str(path))
+    with pytest.raises(MalformedDataset, match="^field r_a: expected a numpy array, got list$"):
+        learner.learn_policy_pair(replace(ds, r_a=ds.r_a.tolist()), [pol], t2_basis)
+    hidden = replace(ds, hidden=replace(ds.hidden, v1=ds.hidden.v1.tolist()))
+    with pytest.raises(MalformedDataset, match="^field hidden v1: expected a numpy array, got list$"):
+        gameio.write_dataset(hidden, str(path))
+    assert not path.exists()
+
+
 def test_unreached_state_leaves_other_cells_exact():
     """Stage 1 of this spec never reaches state 2; its empty cell must not
     perturb the nuisance fits of the cells that are reached."""

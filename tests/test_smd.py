@@ -84,7 +84,7 @@ def test_near_singular_cell_is_ill_posed():
     alphabar = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1e6]])
     geometry = smd.BlockGeometry.of_cells(np.array([0.5, 0.5]), phibar)
     with pytest.raises(IllPosedFit, match="cell 1"):
-        smd.fit_cell_moments(geometry, alphabar, sieve.build_basis("saturated", 2, 1), 1.0)
+        geometry.solve(alphabar)
 
 
 def test_eta_schedule_values():
@@ -100,7 +100,7 @@ def test_eta_schedule_values():
 
 def _geometry(fit):
     """The region geometry of one fit: its dense Hessian as a single block."""
-    return smd.BlockGeometry(fit.hessian[None])
+    return smd.BlockGeometry(row_reference.dense_hessian(fit)[None])
 
 
 def _flat(coef):
@@ -165,7 +165,7 @@ def _identity_fit(center, p=3):
         basis=sieve.build_basis("saturated", 1, 1),
         coef=np.asarray(center, dtype=float).reshape(1, p),
         loss=0.0,
-        hessian=np.eye(p),
+        geometry=smd.BlockGeometry(np.eye(p)[None]),
         outcome_scale=1.0,
     )
 
@@ -189,7 +189,7 @@ def test_min_linear_unbounded_on_flat_direction():
         basis=sieve.build_basis("saturated", 1, 1),
         coef=np.zeros((1, 3)),
         loss=0.0,
-        hessian=np.diag([1.0, 1.0, 0.0]),
+        geometry=smd.BlockGeometry(np.diag([1.0, 1.0, 0.0])[None]),
         outcome_scale=1.0,
     )
     w = _flat([[0.0, 0.0, 1.0]])
