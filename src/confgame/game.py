@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -300,6 +301,37 @@ class PolicyStack:
         if t % 2 == 0:
             return self.alice[:, t // 2].reshape(self.alice.shape[0], -1, 2)
         return np.repeat(self.bob[:, t // 2], self.alice.shape[3], axis=1)
+
+    def take(self, index) -> "PolicyStack":
+        """The candidates ``index`` of the stack, as a stack."""
+        return PolicyStack(self.alice[index], self.bob[index], self.init_bob[index])
+
+    @cached_property
+    def stage_groups(self) -> list:
+        """The candidates that play alike after each stage: entry ``t`` is
+        (``rows``, ``first``), each candidate's group (candidate,) and each
+        group's first candidate (group,), groups in order of first occurrence.
+
+        Two candidates share stage ``t``'s group when they share stage
+        ``t + 1``'s and the tables of the player acting at ``t + 1``
+        (:meth:`actor_mean`) bit for bit; at the last stage every candidate is
+        in one group.  So each group refines the next stage's, and
+        ``init_bob``, which acts before stage 0, enters no group's key.  A
+        class of one is one group at every stage and is not grouped."""
+        cand, stages = len(self.init_bob), 2 * self.alice.shape[1]
+        rows = np.zeros(cand, dtype=np.int64)
+        groups = [(rows, rows[:1])]
+        if cand == 1:
+            return groups * stages
+        for t in reversed(range(stages - 1)):
+            mean = np.ascontiguousarray(self.actor_mean(t + 1)).reshape(cand, -1)
+            key = np.concatenate([rows[:, None], mean.view(np.int64)], axis=1)
+            key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()  # a row's bytes
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rows = np.argsort(order)[inverse.reshape(cand)]
+            groups.append((rows, first[order]))
+        return groups[::-1]
 
 
 def check_spec_grid(spec: GameSpec, horizon: int, n_states: int, n_u: int) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,9 +47,47 @@ from .sieve import build_basis
 METRICS = ("rmse_theta", "coverage", "j_error", "gap", "pess_value")
 
 
+# a field's annotation -> its Python type, what it accepts (numpy scalars
+# included) and its name in messages
+_KINDS = {
+    "int": (int, numbers.Integral, "an integer"),
+    "float": (float, numbers.Real, "a real number"),
+    "bool": (bool, (bool, np.bool_), "a bool"),
+}
+
+
+def _as_kind(name: str, value, annotation: str, whole: bool = True):
+    """``value`` as the Python type of ``annotation``; ``ValueError`` naming
+    the field ``name`` if it is not one.  A ``bool`` is not a number.  With
+    ``whole`` false, an integer field takes any real number, returned as it is."""
+    kind, accepted, what = _KINDS[annotation]
+    if kind is int and not whole:
+        accepted = numbers.Real
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"{name} must be {what}, got {value}")
+    return kind(value) if whole else value
+
+
+def _entries(name: str, values, low: int) -> tuple:
+    """``values`` as a tuple of Python ints; ``ValueError`` unless it is a
+    sequence, then at the first entry that is not an integer (numpy's
+    included, ``bool`` not) of at least ``low``."""
+    if np.ndim(values) != 1:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+            raise ValueError(f"{name} entries must be integers >= {low}, got {v}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything a benchmark run depends on; hashable and JSON-round-trip."""
+    """Everything a benchmark run depends on; hashable and JSON-round-trip.
+
+    Each numeric and flag field is held as the Python ``int``, ``float`` or
+    ``bool`` it names (numpy scalars are converted), and each ``n_grid`` entry
+    is an integer of at least 1 and each seed one of at least 0: a field
+    that is not raises ``ValueError`` naming it, before any output."""
 
     fixture: str = "t1"
     spec_path: Optional[str] = None
@@ -65,15 +104,23 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        self.n_grid = tuple(int(n) for n in self.n_grid)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.n_grid = _entries("n_grid", self.n_grid, 1)
+        self.seeds = _entries("seeds", self.seeds, 0)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if any(b >= a for a, b in zip(self.n_grid[1:], self.n_grid)):
             raise ValueError("n grid must be strictly increasing")
         if self.spec_path is None and self.fixture not in FIXTURES:
             raise ValueError(f"unknown fixture {self.fixture!r}")
+        # numbers and flags first, then the schedule's own range and finiteness
+        # checks, then each field becomes the Python number or flag it names,
+        # which JSON and the hash take (numpy scalars do not)
+        typed = [(f.name, f.type) for f in fields(self) if f.type in _KINDS]
+        for name, annotation in typed:
+            _as_kind(name, getattr(self, name), annotation, whole=False)
         self.eta()  # a bad schedule or chain budget fails before any work
+        for name, annotation in typed:
+            setattr(self, name, _as_kind(name, getattr(self, name), annotation))
 
     def spec(self) -> GameSpec:
         if self.spec_path is not None:
@@ -100,9 +147,6 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
-        for key in ("n_grid", "seeds"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
 

@@ -16,7 +16,9 @@ Candidates are scored by batched recursions per side:
 :func:`~confgame.ope.chain_recursion`, the same backward recursion that
 off-policy evaluation runs with a class of one and the all-center chain
 alone, run on the stacked policy tables of up to :data:`CHUNK` candidates
-with every array carrying leading (candidate, chain) axes.  A run of the
+with every array carrying leading (candidate, chain) axes, and fitting each
+stage's continuations once per group of candidates that play alike after
+it.  A run of the
 first chains alone reproduces the first columns of the full run, and the
 pessimistic value is a minimum over chains, so it never exceeds the
 all-center chain's sum of exact minima.  A class of more than :data:`PRUNE`
@@ -188,7 +190,10 @@ class LearnerEngine:
 
 def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks) -> None:
     """Add one side's exact first-stage minima (candidate, chain) over its
-    ``regions`` (:class:`~confgame.ope.StageRegions`) to ``scores``."""
+    ``regions`` (:class:`~confgame.ope.StageRegions`) to ``scores``.  The
+    regions are fitted per group of candidates that play alike after stage 0;
+    the value weights depend on ``init_bob`` as well, so the minima are taken
+    per candidate, on the centers and radii of its group (``regions.rows``)."""
     st, cand = regions.st, scores.value.shape[0]
     scores.plug_in += _center_value(regions, w_reward, w_blocks)
     if regions.reward is not None:
@@ -198,25 +203,26 @@ def _add_first_stage(scores: ClassScores, side: str, regions, w_reward, w_blocks
         scores.regions[(side, "reward")] = st.geometry3, w_reward, center, np.full(cand, eta)
     if regions.coef is None:
         return
-    coef, etas = regions.coef, regions.radius
-    vals = np.zeros(coef.shape[:2])
+    coef, etas, rows = regions.coef, regions.radius, regions.rows
+    vals = np.zeros((cand, coef.shape[1]))
     for j in range(4):
-        vals += st.geometry4.min_linear(w_blocks[j][:, None], coef[:, :, j], etas[:, :, j])[0]
+        vals += st.geometry4.min_linear(w_blocks[j][:, None], coef[rows, :, j], etas[rows, :, j])[0]
     scores.chain_values[side] = vals
     scores.value += vals.min(axis=1)
-    pick = np.arange(cand), np.argmin(vals, axis=1)  # the minimizing chain
+    pick = rows, np.argmin(vals, axis=1)  # each candidate's group and minimizing chain
     for j in range(4):
         scores.regions[(side, f"block{j}")] = st.geometry4, w_blocks[j], coef[pick + (j,)], etas[pick + (j,)]
 
 
 def _center_value(regions, w_reward, w_blocks) -> np.ndarray:
     """One side's first-stage value (candidate,) at the region centers of
-    ``regions``, chain 0: the plug-in value."""
+    ``regions``, chain 0, each candidate's group's: the plug-in value."""
     parts = []
     if regions.reward is not None:
         parts.append(np.einsum("cp,...cp->...", regions.reward[0], w_reward))
     if regions.coef is not None:
-        parts.append(sum(np.einsum("...cp,...cp->...", regions.coef[:, 0, j], w_blocks[j]) for j in range(4)))
+        coef = regions.coef[regions.rows, 0]
+        parts.append(sum(np.einsum("...cp,...cp->...", coef[:, j], w_blocks[j]) for j in range(4)))
     return sum(parts)
 
 

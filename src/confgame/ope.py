@@ -31,7 +31,10 @@ dataset for every later call.
 :func:`chain_recursion` is the one backward recursion, run on a
 :class:`PolicyStack` of candidates: evaluation runs it on a class of one
 with the single all-center chain, the pessimistic learner on its whole class
-with its member chains.  The rows come from a sampled
+with its member chains.  A candidate's continuation fit at a stage depends
+only on what it plays after that stage, so the recursion fits one row per
+group of candidates that play alike from there on
+(:attr:`~confgame.game.PolicyStack.stage_groups`).  The rows come from a sampled
 dataset (:class:`SampleSource`, which alone holds the cross-fitting option)
 or from exact-law weighted rows (:class:`PopulationSource`, "population
 mode"), which is how the composition algebra is tested against the
@@ -411,13 +414,16 @@ def combine_blocks(t: int, reward_m, block_m, n_rows: int) -> np.ndarray:
 class StageRegions:
     """Stage ``t`` of :func:`chain_recursion`: the reward region's (center,
     radius) when the side is paid here; when a stage follows, the
-    continuation regions' centers ``coef`` (candidate, chain, 4, blocks, q),
+    continuation regions' centers ``coef`` (group, chain, 4, blocks, q),
     moment means (kept for a class of one only), outcome mean squares and
-    radii (candidate, chain, 4)."""
+    radii (group, chain, 4).  ``rows`` (candidate,) is each candidate's group
+    at this stage (:attr:`~confgame.game.PolicyStack.stage_groups`), so
+    ``coef[rows]`` holds every candidate's centers."""
 
     st: StageStats
     t: int
     chains: int
+    rows: np.ndarray
     reward: Optional[tuple]
     coef: Optional[np.ndarray]
     alpha: Optional[np.ndarray]
@@ -426,7 +432,7 @@ class StageRegions:
 
     @cached_property
     def rep(self) -> np.ndarray:
-        """Stage tables (candidate or 1, chain or 1, cells, 4) the chains carry
+        """Stage tables (group or 1, chain or 1, cells, 4) the chains carry
         to the stage before: member ``k`` of each region for chain ``k``,
         combined, as cell tables.  The reward members do not depend on the
         policy and are built once.  Built on first use: the learner never
@@ -447,7 +453,11 @@ def chain_recursion(
     """The backward recursion of one side for a stack of candidate policies,
     run by a stack of member chains: yields every stage's
     :class:`StageRegions`, last stage first, each stage's centers fitted to
-    the next stage's chain tables.  The recursion itself holds on to no stage
+    the next stage's chain tables.  Each stage fits one row per group of
+    :attr:`~confgame.game.PolicyStack.stage_groups`, from its first
+    candidate's policy and next-stage row: the candidates of a group play
+    alike after the stage, so their fits are the same.  A class of one is
+    fitted as it is.  The recursion itself holds on to no stage
     but the one it fits from, so a caller that keeps only the first stage
     holds two stages' arrays at a time, whatever the horizon.
     ``radius_units[t]`` holds the reward and continuation radii per unit
@@ -460,12 +470,16 @@ def chain_recursion(
         reward = coef = alpha = scale_sq = radius = None
         if (t % 2 == 0) == (side == "alice"):
             reward = (st.reward_coef, unit_reward * st.reward_scale_sq)
+        rows, first = policies.stage_groups[t]
         if nxt is not None:
-            coef, alpha, scale_sq = continuation_centers(st, t, nxt.rep, policies)
-            if len(policies.init_bob) > 1:
+            # one fit per group, from its first candidate's next-stage row
+            rep = nxt.rep if len(nxt.rep) == 1 else nxt.rep[nxt.rows[first]]
+            leaders = policies if len(first) == len(rows) else policies.take(first)
+            coef, alpha, scale_sq = continuation_centers(st, t, rep, leaders)
+            if len(rows) > 1:
                 alpha = None  # only a class of one reports its block fits
             radius = unit_next * scale_sq
-        nxt = StageRegions(st, t, chains, reward, coef, alpha, scale_sq, radius)
+        nxt = StageRegions(st, t, chains, rows, reward, coef, alpha, scale_sq, radius)
         yield nxt
 
 
