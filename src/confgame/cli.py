@@ -72,29 +72,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     add_spec_args(p)
     p.add_argument("--out", required=True, help="CSV export of the learned pair")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--varsigma", type=float, default=0.0)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--c-eta", type=float, default=2.0, dest="c_eta")
+    p.add_argument("--alpha", type=float, default=EtaConfig.alpha)
+    p.add_argument("--varsigma", type=float, default=EtaConfig.varsigma)
+    p.add_argument("--d", type=int, default=EtaConfig.d)
+    p.add_argument("--c-eta", type=float, default=EtaConfig.c_eta, dest="c_eta")
 
     p = sub.add_parser("benchmark", help="run a replication experiment")
     p.add_argument("--config", help="JSON config file")
     add_spec_args(p)
     p.add_argument("--n", type=int, nargs="+", default=[1000])
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--varsigma", type=float, default=0.0)
-    p.add_argument("--c-eta", type=float, default=2.0, dest="c_eta")
+    p.add_argument("--alpha", type=float, default=EtaConfig.alpha)
+    p.add_argument("--varsigma", type=float, default=EtaConfig.varsigma)
+    p.add_argument("--c-eta", type=float, default=EtaConfig.c_eta, dest="c_eta")
     p.add_argument("--out", default="results")
     return parser
 
 
-def _load_spec(args):
+def _load_spec(args, ds=None):
+    """The spec of ``--spec`` or ``--fixture``, or ``None`` without either;
+    :class:`MalformedSpec` unless it is a game on the grid of the dataset
+    ``ds``, when one is given."""
     if getattr(args, "spec", None):
-        return read_spec(args.spec)
-    if getattr(args, "fixture", None):
-        return get_fixture(args.fixture)
-    return None
+        spec = read_spec(args.spec)
+    elif getattr(args, "fixture", None):
+        spec = get_fixture(args.fixture)
+    else:
+        return None
+    if ds is not None:
+        check_spec_grid(spec, ds.horizon, ds.n_states, ds.n_u)
+    return spec
 
 
 def _require_spec(args):
@@ -142,9 +149,7 @@ def _dispatch(args) -> int:
 
     if args.command == "identify":
         ds = read_dataset(args.data)
-        spec = _load_spec(args)
-        if spec is not None:
-            check_spec_grid(spec, ds.horizon, ds.n_states, ds.n_u)
+        spec = _load_spec(args, ds)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
         fit_a, fit_b = (st.reward_fit() for st in build_stages(SampleSource(ds), (0, 1), basis))
         print("alice reward block (per cell: action, instrument, interaction):")
@@ -160,11 +165,11 @@ def _dispatch(args) -> int:
 
     if args.command == "evaluate":
         ds = read_dataset(args.data)
+        spec = _load_spec(args, ds)
         policy = read_policy(args.policy)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
         res = evaluate_policy(ds, policy, basis)
         print(f"estimated values: alice {res.j_alice:.5f}  bob {res.j_bob:.5f}  total {res.j_total:.5f}")
-        spec = _load_spec(args)
         if spec is not None:
             ja, jb = oracle.exact_policy_value(spec, policy)
             print(f"oracle values:    alice {ja:.5f}  bob {jb:.5f}  total {ja + jb:.5f}")
@@ -175,7 +180,7 @@ def _dispatch(args) -> int:
         ds = read_dataset(args.data)
         basis = build_basis("saturated", ds.n_states, ds.n_u)
         eta = EtaConfig(alpha=args.alpha, varsigma=args.varsigma, d=args.d, c_eta=args.c_eta)
-        spec = _load_spec(args)
+        spec = _load_spec(args, ds)
         if spec is None:
             raise _UsageError("learn needs --spec or --fixture to enumerate the policy class")
         pairs = stationary_deterministic_pairs(spec)

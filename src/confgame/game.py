@@ -36,6 +36,11 @@ from .errors import EmptyClass, MalformedDataset, MalformedSpec
 PROB_TOL = 1e-9
 
 
+def is_integer(value) -> bool:
+    """An integral number, numpy's included, but not a ``bool``: every count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_range(name, values, low=-np.inf, high=np.inf, what="a finite number"):
     """``values`` as a float array; :class:`MalformedSpec` naming ``name``, the
     first index and the value of an entry that is not finite or lies outside
@@ -121,7 +126,7 @@ class GameSpec:
     def __post_init__(self):
         for name in ("horizon", "n_states", "n_u", "n_v1", "n_v2"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise MalformedSpec(f"{name}: expected an integer, got {value!r}")
         if self.horizon < 1:
             raise MalformedSpec("horizon must be a positive integer")
@@ -364,10 +369,13 @@ def stationary_deterministic_pairs(
 
     The same decision table is replayed at every step.  ``alice_sees_prev``
     and ``bob_sees_prev`` shrink the class by ignoring the partner's previous
-    action, which keeps multi-state games inside the candidate cap.
+    action, which keeps multi-state games inside the candidate cap, an
+    integer (``ValueError`` otherwise).
     """
     from .errors import SpaceTooLarge
 
+    if not is_integer(cap):
+        raise ValueError(f"cap must be an integer, got {cap}")
     ns, nu, h = spec.n_states, spec.n_u, spec.horizon
     a_shape, b_shape = (ns, nu, 2 if alice_sees_prev else 1), (ns, 2 if bob_sees_prev else 1)
     a_full, b_full = (h, ns, nu, 2), (h, ns, 2)
@@ -575,7 +583,7 @@ def simulate_dataset(
     v2, action, reward noise, next state) stage by stage, so equal inputs
     produce byte-identical datasets.  ``ValueError`` for a negative or non-integer ``n``.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+    if not is_integer(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n}")
     if behavior is None:
         behavior = BehaviorPolicyPair.from_spec(spec)

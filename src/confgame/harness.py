@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +34,7 @@ from .game import (
     BehaviorPolicyPair,
     GameSpec,
     constant_policy_pair,
+    is_integer,
     simulate_dataset,
     stationary_deterministic_pairs,
 )
@@ -47,27 +47,6 @@ from .sieve import build_basis
 METRICS = ("rmse_theta", "coverage", "j_error", "gap", "pess_value")
 
 
-# a field's annotation -> its Python type, what it accepts (numpy scalars
-# included) and its name in messages
-_KINDS = {
-    "int": (int, numbers.Integral, "an integer"),
-    "float": (float, numbers.Real, "a real number"),
-    "bool": (bool, (bool, np.bool_), "a bool"),
-}
-
-
-def _as_kind(name: str, value, annotation: str, whole: bool = True):
-    """``value`` as the Python type of ``annotation``; ``ValueError`` naming
-    the field ``name`` if it is not one.  A ``bool`` is not a number.  With
-    ``whole`` false, an integer field takes any real number, returned as it is."""
-    kind, accepted, what = _KINDS[annotation]
-    if kind is int and not whole:
-        accepted = numbers.Real
-    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
-        raise ValueError(f"{name} must be {what}, got {value}")
-    return kind(value) if whole else value
-
-
 def _entries(name: str, values, low: int) -> tuple:
     """``values`` as a tuple of Python ints; ``ValueError`` unless it is a
     sequence, then at the first entry that is not an integer (numpy's
@@ -75,7 +54,7 @@ def _entries(name: str, values, low: int) -> tuple:
     if np.ndim(values) != 1:
         raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+        if not is_integer(v) or v < low:
             raise ValueError(f"{name} entries must be integers >= {low}, got {v}")
     return tuple(int(v) for v in values)
 
@@ -84,20 +63,20 @@ def _entries(name: str, values, low: int) -> tuple:
 class ExperimentConfig:
     """Everything a benchmark run depends on; hashable and JSON-round-trip.
 
-    Each numeric and flag field is held as the Python ``int``, ``float`` or
-    ``bool`` it names (numpy scalars are converted), and each ``n_grid`` entry
-    is an integer of at least 1 and each seed one of at least 0: a field
-    that is not raises ``ValueError`` naming it, before any output."""
+    The schedule fields and ``k_members`` take their defaults and checks from
+    :class:`~confgame.learner.EtaConfig`; the config checks its own flags and
+    counts.  A bad field raises ``ValueError`` naming it, before any output.
+    Numbers and flags are then held as the Python types their fields name."""
 
     fixture: str = "t1"
     spec_path: Optional[str] = None
     n_grid: tuple = (1000,)
     seeds: tuple = (0,)
-    alpha: float = 2.0
-    varsigma: float = 0.0
-    d: int = 1
-    c_eta: float = 2.0
-    k_members: int = 16
+    alpha: float = EtaConfig.alpha
+    varsigma: float = EtaConfig.varsigma
+    d: int = EtaConfig.d
+    c_eta: float = EtaConfig.c_eta
+    k_members: int = EtaConfig.k_members
     cross_fit: bool = False
     run_learner: bool = True
     max_candidates: int = 4096
@@ -112,15 +91,15 @@ class ExperimentConfig:
             raise ValueError("n grid must be strictly increasing")
         if self.spec_path is None and self.fixture not in FIXTURES:
             raise ValueError(f"unknown fixture {self.fixture!r}")
-        # numbers and flags first, then the schedule's own range and finiteness
-        # checks, then each field becomes the Python number or flag it names,
-        # which JSON and the hash take (numpy scalars do not)
-        typed = [(f.name, f.type) for f in fields(self) if f.type in _KINDS]
-        for name, annotation in typed:
-            _as_kind(name, getattr(self, name), annotation, whole=False)
         self.eta()  # a bad schedule or chain budget fails before any work
-        for name, annotation in typed:
-            setattr(self, name, _as_kind(name, getattr(self, name), annotation))
+        for name in ("cross_fit", "run_learner"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)}")
+        if not is_integer(self.max_candidates):
+            raise ValueError(f"max_candidates must be an integer, got {self.max_candidates}")
+        self.alpha, self.varsigma, self.c_eta = float(self.alpha), float(self.varsigma), float(self.c_eta)
+        self.d, self.k_members, self.max_candidates = int(self.d), int(self.k_members), int(self.max_candidates)
+        self.cross_fit, self.run_learner = bool(self.cross_fit), bool(self.run_learner)
 
     def spec(self) -> GameSpec:
         if self.spec_path is not None:

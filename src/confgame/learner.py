@@ -44,14 +44,13 @@ rescaling of all rewards.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import BasisMismatch, EmptyClass
-from .game import GameSpec, PolicyPair, PolicyStack, check_spec_grid
+from .game import GameSpec, PolicyPair, PolicyStack, check_spec_grid, is_integer
 from .ope import (
     as_source,
     block_slots,
@@ -68,7 +67,9 @@ from . import oracle as oracle_mod
 
 @dataclass(frozen=True)
 class EtaConfig:
-    """Region-size schedule parameters and the chain budget."""
+    """Region-size schedule parameters and the chain budget, with the package's
+    defaults.  :func:`~confgame.smd.check_schedule` checks the schedule, then
+    ``k_members`` must be an integer of at least 1.  Values are kept as given."""
 
     alpha: float = 2.0
     varsigma: float = 0.0
@@ -78,7 +79,7 @@ class EtaConfig:
 
     def __post_init__(self):
         check_schedule(self.alpha, self.varsigma, self.d, self.c_eta)
-        if isinstance(self.k_members, bool) or not isinstance(self.k_members, numbers.Integral):
+        if not is_integer(self.k_members):
             raise ValueError(f"k_members must be an integer, got {self.k_members}")
         if self.k_members < 1:
             raise ValueError(f"k_members must be at least 1 (the center chain), got {self.k_members}")

@@ -137,6 +137,17 @@ class KeyTable(NamedTuple):
         alphabar[nz] /= mass[nz][:, None]
         return mass, phibar, alphabar
 
+    def next_cell_means(self, alpha: np.ndarray, mass: np.ndarray):
+        """The weighted cell means (..., cells, m, next cells, 2) of the
+        outcome moments ``alpha`` (per key, as :meth:`features` gives them)
+        per unit continuation outcome of each (next cell, action), over the
+        cell masses ``mass`` of :meth:`cell_means`, and each (next cell,
+        action)'s share (..., next cells, 2) of the total weight."""
+        means = np.einsum("...fcian,...fciam->...cmna", self.weight, alpha, order="C")
+        nz = mass > 0
+        means[nz] /= mass[nz][:, None, None, None]
+        return means, self.weight.sum(axis=(-5, -4, -3)).swapaxes(-1, -2)
+
 
 @dataclass
 class MomentData:

@@ -225,10 +225,7 @@ def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> list:
     nuisances = table.nuisances(basis, source.row_name)
     phi, alpha = table.features(nuisances)
     mass, phibar4, reward_sum = table.cell_means(phi, alpha[..., :3])
-    nz = mass > 0
-    t_alpha = np.einsum("...fcian,...fciam->...cmna", table.weight, alpha, order="C")
-    t_alpha[nz] /= mass[nz][:, None, None, None]
-    scale_weights = table.weight.sum(axis=(-5, -4, -3))
+    t_alpha, scale_weights = table.next_cell_means(alpha, mass)
 
     # every stage holds its own arrays; phibar3 is a view of phibar4
     masses, phibar4s = [m.copy() for m in mass], [p.copy() for p in phibar4]
@@ -242,7 +239,7 @@ def _stacked_build(source: DataSource, stages, basis: SieveBasis) -> list:
         st.reward_scale_sq = float(table.mean_square[i])
         st.nuisances = nuisances[i * folds : (i + 1) * folds]
         st.mass, st.phibar4, st.phibar3 = masses[i], phibar4s[i], phibar3s[i]
-        st.scale_weights = np.ascontiguousarray(scale_weights[i].T)
+        st.scale_weights = np.ascontiguousarray(scale_weights[i])
         st.geometry3, st.geometry4 = geometry3[i], geometry4[i]
         st.abar_reward = st.geometry3.moments(reward_sum[i].copy())
         st.t_alpha = st.geometry4.moments(t_alpha[i].copy())

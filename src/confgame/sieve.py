@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientData, RankDeficientBasis
+from .game import is_integer
 
 RIDGE_LAMBDA = 1e-8
 COND_LIMIT = 1e12
@@ -100,8 +101,12 @@ def build_basis(
     For ``saturated`` the size is always ``n_states * n_u``.  For
     ``tensor-polynomial`` the total degree is the largest one whose monomial
     count stays within ``k``; the Gram matrix on the declared grid must have
-    full rank or :class:`RankDeficientBasis` is raised.
+    full rank or :class:`RankDeficientBasis` is raised.  The sizes
+    ``n_states``, ``n_u`` and ``k`` must be integers (``ValueError``).
     """
+    for name, value in (("n_states", n_states), ("n_u", n_u)):
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value}")
     if kind == "saturated":
         basis = SieveBasis(kind=kind, k=n_states * n_u, n_states=n_states, n_u=n_u)
         return basis
@@ -111,6 +116,8 @@ def build_basis(
         raise ValueError("tensor-polynomial basis needs state_values")
     state_values = np.asarray(state_values, dtype=float)
     d = state_values.shape[1]
+    if k is not None and not is_integer(k):
+        raise ValueError(f"k must be an integer, got {k}")
     if k is None or k < 1:
         raise ValueError("tensor-polynomial basis needs k >= 1")
     degree = 0

@@ -18,12 +18,14 @@ its blocks, ``fit.coef.reshape(fit.geometry.hess.shape[:2])``.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BasisMismatch, IllPosedFit
+from .game import is_integer
 from .moments import MomentSystem
 from .sieve import SieveBasis
 
@@ -275,8 +277,14 @@ def fit_cell_moments(
 
 
 def check_schedule(alpha: float, varsigma: float, d: int, c_eta: float, n: int = 1) -> None:
-    """``ValueError`` naming the first parameter of :func:`eta_schedule` out of
-    range, then the first that is not finite."""
+    """The schedule's one check: ``ValueError`` naming the first parameter of
+    :func:`eta_schedule` to break a rule, the rules taken in turn: a number,
+    not a ``bool``; in range; finite; ``d`` and ``n`` integral."""
+    named = (("alpha", alpha), ("varsigma", varsigma), ("d", d), ("c_eta", c_eta), ("n", n))
+    for name, value in named:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            what = "an integer" if name in ("d", "n") else "a real number"
+            raise ValueError(f"{name} must be {what}, got {value}")
     for name, value, ok, need in (
         ("alpha", alpha, alpha > 0, "> 0"),
         ("varsigma", varsigma, varsigma >= 0, ">= 0"),
@@ -286,9 +294,12 @@ def check_schedule(alpha: float, varsigma: float, d: int, c_eta: float, n: int =
     ):
         if not ok:
             raise ValueError(f"{name} must be {need}, got {value}")
-    for name, value in (("alpha", alpha), ("varsigma", varsigma), ("d", d), ("c_eta", c_eta)):
+    for name, value in named[:4]:
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (("d", d), ("n", n)):
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def eta_schedule(
